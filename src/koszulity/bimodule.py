@@ -39,7 +39,7 @@ def _block_sort_key(key):
 class Bimodule:
     """A finite-dimensional R-bimodule with named basis vectors per block."""
 
-    __slots__ = ('base', 'blocks', '_index')
+    __slots__ = ('base', 'blocks', '_index', '_by_start', '_powers')
 
     def __init__(self, base: BaseRing, blocks: dict):
         idem = set(base.idempotents)
@@ -67,6 +67,13 @@ class Bimodule:
         object.__setattr__(self, '_index',
                            {k: {l: i for i, l in enumerate(v)}
                             for k, v in self.blocks.items()})
+        # start idempotent -> (((s, t), labels), ...), in block order
+        by_start = {}
+        for key, labels in self.blocks.items():
+            by_start.setdefault(key[0], []).append((key, labels))
+        object.__setattr__(self, '_by_start',
+                           {s: tuple(v) for s, v in by_start.items()})
+        object.__setattr__(self, '_powers', {})
 
     def __setattr__(self, *a):
         raise AttributeError('Bimodule is immutable')
@@ -93,6 +100,10 @@ class Bimodule:
     def index_of(self, key, label) -> int:
         return self._index[key][label]
 
+    def blocks_from(self, s) -> tuple:
+        'The ((s, t), labels) pairs of the blocks starting at s, in block order.'
+        return self._by_start.get(s, ())
+
     def __eq__(self, other):
         if not isinstance(other, Bimodule):
             return NotImplemented
@@ -117,9 +128,7 @@ def tensor(V: Bimodule, W: Bimodule) -> Bimodule:
         raise ValueError('tensor factors live over different bases')
     blocks = {}
     for (s, t), vlabels in V.blocks.items():
-        for (t2, u), wlabels in W.blocks.items():
-            if t2 != t:
-                continue
+        for (_, u), wlabels in W.blocks_from(t):
             target = blocks.setdefault((s, u), [])
             for vl in vlabels:
                 for wl in wlabels:
@@ -147,9 +156,7 @@ def tensor_many(factors: list) -> Bimodule:
         if i == len(factors):
             blocks.setdefault((s0, t_prev), []).append(tuple(prefix))
             return
-        for (s, t), labels in factors[i].blocks.items():
-            if s != t_prev:
-                continue
+        for (_, t), labels in factors[i].blocks_from(t_prev):
             for l in labels:
                 prefix.append(l)
                 grow(i + 1, s0, t, prefix)
@@ -162,11 +169,14 @@ def tensor_many(factors: list) -> Bimodule:
 
 
 def tensor_power(V: Bimodule, n: int) -> Bimodule:
+    'V^(n), built once per immutable V and then served from its cache.'
     if n < 0:
         raise ValueError('negative tensor power')
-    if n == 0:
-        return unit_bimodule(V.base)
-    return tensor_many([V] * n)
+    power = V._powers.get(n)
+    if power is None:
+        power = unit_bimodule(V.base) if n == 0 else tensor_many([V] * n)
+        V._powers[n] = power
+    return power
 
 
 class BimoduleMap:
@@ -249,7 +259,7 @@ class BimoduleMap:
         if mat is None:
             return []
         tlabels = self.target.blocks.get(key, ())
-        return [(tlabels[i], v) for (i, jj), v in mat.entries.items() if jj == j]
+        return [(tlabels[i], v) for i, v in mat.column_entries(j)]
 
     def apply_vector(self, vec: dict) -> dict:
         'Apply to {(block_key, label): coeff}; returns same encoding on the target.'
@@ -331,9 +341,9 @@ def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
 
 def _block_of(V: Bimodule, label, s_hint):
     'Find the unique block of V starting at s_hint that contains the label.'
-    for (s, t), labels in V.blocks.items():
-        if s == s_hint and label in V._index[(s, t)]:
-            return (s, t)
+    for key, _ in V.blocks_from(s_hint):
+        if label in V._index[key]:
+            return key
     raise KeyError(f'label {label!r} not found from idempotent {s_hint!r}')
 
 

@@ -135,7 +135,7 @@ RATIONALS = FieldSpec.rationals()
 class SparseMatrix:
     """Immutable sparse matrix in triplet form (no stored zeros)."""
 
-    __slots__ = ('rows', 'cols', 'entries')
+    __slots__ = ('rows', 'cols', 'entries', '_by_col')
 
     def __init__(self, rows: int, cols: int,
                  triplets: Iterable[tuple] = ()):
@@ -152,6 +152,7 @@ class SparseMatrix:
         object.__setattr__(self, 'rows', rows)
         object.__setattr__(self, 'cols', cols)
         object.__setattr__(self, 'entries', entries)
+        object.__setattr__(self, '_by_col', None)
 
     def __setattr__(self, *a):
         raise AttributeError('SparseMatrix is immutable')
@@ -185,8 +186,17 @@ class SparseMatrix:
 
     # -- views --------------------------------------------------------------
 
+    def column_entries(self, j: int) -> list:
+        'The [(i, value)] of column j, in entry order; indexed on first use.'
+        if self._by_col is None:
+            by_col = {}
+            for (i, jj), v in self.entries.items():
+                by_col.setdefault(jj, []).append((i, v))
+            object.__setattr__(self, '_by_col', by_col)
+        return self._by_col.get(j, ())
+
     def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        return dict(self.column_entries(j))
 
     def columns(self) -> list:
         out = [dict() for _ in range(self.cols)]
@@ -406,6 +416,29 @@ def _rref(M: SparseMatrix, field: FieldSpec):
     return pivots, done
 
 
+def reduce_by_rows(rows: list, leads: list, vec: dict,
+                   field: FieldSpec = RATIONALS) -> dict:
+    """Residual of vec against echelon rows with distinct ascending leads.
+
+    Each row is 1 at its lead and 0 left of it, so clearing the leads in
+    ascending order never refills one already cleared; the residual is
+    empty iff vec lies in the span of the rows.
+    """
+    f = field
+    v = {i: f.coerce(c) for i, c in vec.items() if not f.is_zero(f.coerce(c))}
+    for lead, row in zip(leads, rows):
+        c = v.get(lead)
+        if c is None:
+            continue
+        for j, rv in row.items():
+            nv = f.sub(v.get(j, f.zero), f.mul(c, rv))
+            if f.is_zero(nv):
+                v.pop(j, None)
+            else:
+                v[j] = nv
+    return v
+
+
 class Subspace:
     """A subspace of k^ambient_dim given by independent basis columns."""
 
@@ -457,19 +490,8 @@ class Subspace:
 
     def reduce_vector(self, vec: dict) -> dict:
         'Residual of vec after reduction by the subspace (zero dict iff member).'
-        f = self.field
-        v = {i: f.coerce(c) for i, c in vec.items() if not f.is_zero(f.coerce(c))}
-        for row in self._row_echelon():
-            lead = min(row)
-            if lead in v:
-                c = v[lead]
-                for j, rv in row.items():
-                    nv = f.sub(v.get(j, f.zero), f.mul(c, rv))
-                    if f.is_zero(nv):
-                        v.pop(j, None)
-                    else:
-                        v[j] = nv
-        return v
+        rows = self._row_echelon()
+        return reduce_by_rows(rows, [min(row) for row in rows], vec, self.field)
 
     def contains_vector(self, vec: dict) -> bool:
         return not self.reduce_vector(vec)

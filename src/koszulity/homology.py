@@ -11,10 +11,13 @@ sequences in homological degree 2.
 
 from __future__ import annotations
 
-from .exact_linalg import Subspace, SparseMatrix, solve_columns
+from bisect import bisect_left
+
+from .exact_linalg import (Subspace, SparseMatrix, solve_columns,
+                           reduce_by_rows)
 from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
-                       tensor_power, unit_bimodule, zero_bimodule,
-                       kernel_sub, image_sub, _block_of)
+                       tensor_power, zero_bimodule, kernel_sub, image_sub,
+                       _block_of)
 from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
                                 quadratic_ring_of, intersection_component,
                                 ideal_component_span, truncate_ring,
@@ -136,28 +139,80 @@ def _chain_of(components: list, word: tuple, start) -> list:
     return chain
 
 
-def _word_space_blocks(base, components_of, parts_list, n):
-    """Blocks of the degree-n slice space: labels are (parts, word) pairs.
+def _longest_word_weights(X):
+    """Idempotent s -> the largest weight of a nonzero word starting at s.
 
-    The empty composition contributes the labels ((), ()) on the diagonal.
+    Words are paths in the block digraph of the positive components of X.
+    Returns None when that digraph has a cycle: words of every weight may
+    then exist, so no weight can be ruled out.
     """
-    blocks = {}
-    kept = []
-    for parts in parts_list:
-        if not parts:
-            for s in base.idempotents:
-                blocks.setdefault((s, s), []).append(((), ()))
-            kept.append(parts)
-            continue
-        comps = [components_of(p) for p in parts]
-        if any(c.is_zero() for c in comps):
-            continue
-        T = tensor_many(comps)
-        for key, labels in T.blocks.items():
-            blocks.setdefault(key, []).extend(
-                (parts, _as_word(l, n)) for l in labels)
-        kept.append(parts)
-    return Bimodule(base, blocks), kept
+    edges = {}
+    for p in range(1, X.top_degree + 1):
+        for s, t in X.component(p).blocks:
+            edges.setdefault(s, []).append((t, p))
+    longest = {}
+    active = set()
+
+    def visit(s):
+        if s not in longest:
+            if s in active:
+                return None
+            active.add(s)
+            best = 0
+            for t, p in edges.get(s, ()):
+                w = visit(t)
+                if w is None:
+                    return None
+                best = max(best, p + w)
+            active.discard(s)
+            longest[s] = best
+        return longest[s]
+
+    for s in X.base.idempotents:
+        if visit(s) is None:
+            return None
+    return longest
+
+
+def _word_space_blocks(X, m: int) -> dict:
+    """Degree n -> the degree-n space of the weight-m slice of X.
+
+    Labels are (parts, word) pairs.  Compositions of m are walked depth
+    first in the order of partitions(), carrying the idempotents where the
+    words of the prefix can end; a prefix that can end nowhere, or that no
+    word can complete to weight m, is dropped.  Weight 0 holds the empty
+    word ((), ()) on the diagonal.
+    """
+    base = X.base
+    blocks = [{} for _ in range(m + 1)]
+    comps = {p: X.component(p) for p in range(1, m + 1)}
+    longest = _longest_word_weights(X)
+    parts = []
+
+    def grow(remaining, ends):
+        if longest is not None and remaining > max(longest[t] for t in ends):
+            return
+        for p in range(1, remaining + 1):
+            nxt = {t for s in ends for (_, t), _ in comps[p].blocks_from(s)}
+            if not nxt:
+                continue
+            parts.append(p)
+            if p < remaining:
+                grow(remaining - p, nxt)
+            else:
+                n = len(parts)
+                word_parts = tuple(parts)
+                T = tensor_many([comps[q] for q in parts])
+                for key, labels in T.blocks.items():
+                    blocks[n].setdefault(key, []).extend(
+                        (word_parts, _as_word(l, n)) for l in labels)
+            parts.pop()
+
+    if m:
+        grow(m, set(base.idempotents))
+    else:
+        blocks[0] = {(s, s): [((), ())] for s in base.idempotents}
+    return {n: Bimodule(base, blocks[n]) for n in range(m + 1)}
 
 
 def bar_complex_ring(A: GradedRing, m: int) -> ComplexSlice:
@@ -168,11 +223,7 @@ def bar_complex_ring(A: GradedRing, m: int) -> ComplexSlice:
     adjacent letters with alternating signs.
     """
     assert m >= 0
-    base = A.base
-    spaces = {}
-    for n in range(m + 1):
-        spaces[n], _ = _word_space_blocks(
-            base, A.component, partitions(n, m).partitions, n)
+    spaces = _word_space_blocks(A, m)
     diffs = {}
     for n in range(2, m + 1):
         src, tgt = spaces[n], spaces[n - 1]
@@ -206,11 +257,7 @@ def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
     with the same alternating signs as the bar side.
     """
     assert m >= 0
-    base = C.base
-    spaces = {}
-    for n in range(m + 1):
-        spaces[n], _ = _word_space_blocks(
-            base, C.component, partitions(n, m).partitions, n)
+    spaces = _word_space_blocks(C, m)
     diffs = {}
     for n in range(1, m):
         src, tgt = spaces[n], spaces[n + 1]
@@ -312,16 +359,21 @@ class SliceHomology:
         self.reps = {}
         abstract_blocks = {}
         for key in space.blocks:
-            impart = self._boundary_part(key)
-            span = list(impart.basis.columns())
-            cur = Subspace.from_spanning(span, space.block_dim(*key), field)
+            # echelon rows of boundaries + chosen cycles, sorted by lead
+            rows = list(self._boundary_part(key)._row_echelon())
+            leads = [min(row) for row in rows]
             chosen = []
             for col in ker[key].basis.columns():
-                if cur.contains_vector(col):
+                residual = reduce_by_rows(rows, leads, col, field)
+                if not residual:
                     continue
                 chosen.append(col)
-                span.append(col)
-                cur = Subspace.from_spanning(span, space.block_dim(*key), field)
+                lead = min(residual)
+                inv = field.invert(residual[lead])
+                at = bisect_left(leads, lead)
+                leads.insert(at, lead)
+                rows.insert(at, {j: field.mul(v, inv)
+                                 for j, v in residual.items()})
             if chosen:
                 self.reps[key] = chosen
                 abstract_blocks[key] = tuple(
@@ -368,13 +420,7 @@ def tor_table(A: GradedRing, n_max=None, m_max=None,
                 entries[(n, m)] = h
     table = BettiTable('Tor', entries, n_max, m_max)
     if with_representatives:
-        reps = {(0, 0): SliceHomology(slices[0], 0, ('Tor', 0, 0))}
-        for m in range(1, m_max + 1):
-            for n in range(1, min(m, n_max) + 1):
-                if slices[m].spaces[n].dim:
-                    reps[(n, m)] = SliceHomology(slices[m], n, ('Tor', n, m))
-        table.representatives = reps
-        table.slices = slices
+        _attach_representatives(table, slices)
     return table
 
 
@@ -395,14 +441,24 @@ def ext_table(C: GradedCoring, n_max=None, m_max=None,
                 entries[(n, m)] = h
     table = BettiTable('Ext', entries, n_max, m_max)
     if with_representatives:
-        reps = {(0, 0): SliceHomology(slices[0], 0, ('Ext', 0, 0))}
-        for m in range(1, m_max + 1):
-            for n in range(1, min(m, n_max) + 1):
-                if slices[m].spaces[n].dim:
-                    reps[(n, m)] = SliceHomology(slices[m], n, ('Ext', n, m))
-        table.representatives = reps
-        table.slices = slices
+        _attach_representatives(table, slices)
     return table
+
+
+def _attach_representatives(table: BettiTable, slices: dict):
+    """Build class representatives for the nonzero cells of the table.
+
+    Zero cells get none; a caller that needs one builds it from the slices
+    kept on the table.
+    """
+    reps = {}
+    for (n, m), h in table.entries.items():
+        H = SliceHomology(slices[m], n, (table.kind, n, m))
+        assert H.dim == h, \
+            f'{H.dim} representatives for a cell of rank-nullity dimension {h}'
+        reps[(n, m)] = H
+    table.representatives = reps
+    table.slices = slices
 
 
 def _require_representatives(table: BettiTable):
@@ -424,20 +480,24 @@ def cohomology_ring_component(C: GradedCoring, n: int, m: int,
     asserts that, so ill-defined products cannot slip through.
     """
     _require_representatives(table)
-    for spot in ((n, m), (n2, m2), (n + n2, m + m2)):
-        if spot not in table.representatives and spot != (0, 0):
-            if spot[1] > table.m_max:
-                raise PreconditionError(
-                    f'table window too small for component {spot}')
+    n3, m3 = n + n2, m + m2
+    for spot in ((n, m), (n2, m2), (n3, m3)):
+        if spot[1] > table.m_max:
+            raise PreconditionError(
+                f'table window too small for component {spot}')
     H1 = table.representatives.get((n, m))
     H2 = table.representatives.get((n2, m2))
-    H3 = table.representatives.get((n + n2, m + m2))
+    H3 = table.representatives.get((n3, m3))
     base = C.base
-    if H1 is None or H2 is None or H1.dim == 0 or H2.dim == 0:
+    if H1 is None or H2 is None:
         src = tensor(H1.abstract if H1 else zero_bimodule(base),
                      H2.abstract if H2 else zero_bimodule(base))
         tgt = H3.abstract if H3 else zero_bimodule(base)
         return BimoduleMap.zero(src, tgt)
+    if H3 is None and table.slices[m3].spaces[n3].dim:
+        # a zero cell: built here, so express() still checks that every
+        # product landing in it is a coboundary
+        H3 = SliceHomology(table.slices[m3], n3, (table.kind, n3, m3))
     assert H3 is not None, 'product lands in a missing degree'
     field = base.field
 
@@ -474,7 +534,7 @@ def ext_diagonal_products_surjective(C: GradedCoring, table: BettiTable):
     _require_representatives(table)
     for n in range(1, table.n_max):
         tgt = table.representatives.get((n + 1, n + 1))
-        if tgt is None or tgt.dim == 0:
+        if tgt is None:
             continue
         prod = cohomology_ring_component(C, 1, 1, n, n, table)
         if prod.rank() != tgt.dim:
@@ -565,40 +625,45 @@ def _tor_coproduct_data(A: GradedRing, table: BettiTable, n: int, m: int):
     return total_n, image_sub(D), _deconcat_map(slices[m], n, total_n)
 
 
+def _primitive_dim(A: GradedRing, table: BettiTable, n: int, m: int,
+                   coproduct=None) -> int:
+    """Dimension of the primitive classes in Tor_{n,m}, by membership.
+
+    coproduct is the (total, boundaries, deconcatenation) triple of the
+    cell, when the caller already has it.
+    """
+    H = table.representatives.get((n, m))
+    if H is None:
+        return 0
+    if n == 1:
+        return H.dim
+    field = A.base.field
+    total_n, imD, dbar = coproduct or _tor_coproduct_data(A, table, n, m)
+    if total_n.is_zero():
+        return H.dim
+    prim = 0
+    for key, cols in H.reps.items():
+        impart = imD.part(key)
+        mat = dbar.block(*key)
+        residuals = [impart.reduce_vector(_matvec(mat, col, field))
+                     for col in cols]
+        rk = Subspace.from_spanning(residuals, total_n.block_dim(*key),
+                                    field).dim
+        prim += len(cols) - rk
+    return prim
+
+
 def tor_primitive_dims(A: GradedRing, table: BettiTable) -> dict:
-    """(n, m) -> dimension of the primitive classes in Tor_{n,m}.
+    """(n, m) -> dimension of the primitive classes in Tor_{n,m}, over the
+    nonzero cells with n >= 1.
 
     A class is primitive when its full deconcatenation is a boundary of the
     tensor-square total complex; in homological degree 1 there is nothing
     to cut, so everything is primitive.
     """
     _require_representatives(table)
-    field = A.base.field
-    out = {}
-    for (n, m), H in sorted(table.representatives.items()):
-        if n == 0:
-            continue
-        if n == 1:
-            out[(n, m)] = H.dim
-            continue
-        if H.dim == 0:
-            out[(n, m)] = 0
-            continue
-        total_n, imD, dbar = _tor_coproduct_data(A, table, n, m)
-        if total_n.is_zero():
-            out[(n, m)] = H.dim
-            continue
-        prim = 0
-        for key, cols in H.reps.items():
-            impart = imD.part(key)
-            mat = dbar.block(*key)
-            residuals = [impart.reduce_vector(_matvec(mat, col, field))
-                         for col in cols]
-            rk = Subspace.from_spanning(residuals, total_n.block_dim(*key),
-                                        field).dim
-            prim += len(cols) - rk
-        out[(n, m)] = prim
-    return out
+    return {(n, m): _primitive_dim(A, table, n, m)
+            for n, m in sorted(table.representatives) if n}
 
 
 def homology_coring_components(A: GradedRing, n: int, m: int,
@@ -611,10 +676,11 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
     """
     _require_representatives(table)
     H = table.representatives.get((n, m))
-    if H is None or H.dim == 0:
+    if H is None:
         return {}, 0
     field = A.base.field
-    total_n, imD, dbar = _tor_coproduct_data(A, table, n, m)
+    coproduct = _tor_coproduct_data(A, table, n, m)
+    total_n, imD, dbar = coproduct
     pieces = [(p, a) for p in range(1, n) for a in range(1, m)
               if (p, a) in table.representatives
               and (n - p, m - a) in table.representatives]
@@ -652,7 +718,6 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
                             tags.append(((p, a), lkey, i, rkey, j))
         col_info[key] = (cols, tags)
     components = {}
-    primitive = 0
     for key, cols in H.reps.items():
         kcols, tags = col_info[key]
         bcols = list(imD.part(key).basis.columns())
@@ -662,8 +727,6 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
             coords = solve_columns(kcols + bcols, w,
                                    total_n.block_dim(*key), field)
             assert coords is not None, 'deconcatenation is not a total cycle'
-            if all(field.is_zero(c) for c in coords[:len(kcols)]):
-                primitive += 1
             src_label = H.abstract.blocks[key][ci]
             for t, c in zip(tags, coords):
                 if field.is_zero(c):
@@ -683,10 +746,7 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
         maps[(p, a)] = BimoduleMap.from_basis_action(
             H.abstract, tgt,
             lambda key, l, data=data: data.get((key, l), []))
-    # primitive counted above by vanishing coordinates is per chosen
-    # representative, not basis-free; recompute it the membership way
-    prim_dims = tor_primitive_dims(A, table)
-    return maps, prim_dims.get((n, m), 0)
+    return maps, _primitive_dim(A, table, n, m, coproduct)
 
 
 # ---------------------------------------------------------------------------
@@ -727,13 +787,15 @@ def quadratic_via_ext(C: GradedCoring, m_max=None) -> bool:
     return True
 
 
-def is_quadratic_direct(A: GradedRing):
+def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
     """Compare A against <A^1, Ker mu^{1,1}> through the canonical map.
 
     Returns (bool, witness); the witness names the first degree where the
-    dimensions or the map fail.
+    dimensions or the map fail.  _checked skips the strong-grading
+    precondition for a caller that has already established it.
     """
-    _require_strongly_graded_ring(A)
+    if not _checked:
+        _require_strongly_graded_ring(A)
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
     Q = quadratic_ring_of(QuadraticData(V, W), A.top_degree)
@@ -760,9 +822,10 @@ def is_quadratic_direct(A: GradedRing):
     return True, None
 
 
-def is_quadratic_coring_direct(C: GradedCoring):
+def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
     'Mirror comparison of C against {C_1, Im Delta_{1,1}}; (bool, witness).'
-    _require_strongly_graded_coring(C)
+    if not _checked:
+        _require_strongly_graded_coring(C)
     V = C.component(1)
     W = image_sub(C.delta(1, 1))
     for n in range(2, C.top_degree + 1):

@@ -248,10 +248,7 @@ def decide_koszul_ring(A: GradedRing, m_max: int = None) -> KoszulVerdict:
     weight bound; Tor diagonality, primitives, the shriek comparison and
     the two quadraticity routes are computed alongside and must agree.
     """
-    ok, witness = is_strongly_graded_ring(A)
-    if not ok:
-        raise PreconditionError(f'ring is not strongly graded: {witness}')
-    pair = make_pair_shriek_ring(A)
+    pair = make_pair_shriek_ring(A)   # checks strong grading, once
     L = A.top_degree
     vanish_bound = A.top_degree + pair.coring.top_degree
     m_bound = max(2 * L, vanish_bound) if m_max is None else m_max
@@ -283,7 +280,7 @@ def decide_koszul_ring(A: GradedRing, m_max: int = None) -> KoszulVerdict:
             mismatches.append([n, got, want])
 
     via_table = all(table.entry(2, m) == 0 for m in range(3, m_bound + 1))
-    direct, direct_witness = is_quadratic_direct(A)
+    direct, direct_witness = is_quadratic_direct(A, _checked=True)
 
     per_criterion = {
         'pair_exactness': (verdict, pair_ev),
@@ -303,10 +300,7 @@ def decide_koszul_ring(A: GradedRing, m_max: int = None) -> KoszulVerdict:
 
 def decide_koszul_coring(C: GradedCoring, m_max: int = None) -> KoszulVerdict:
     'Mirror decision for a coring through the pair (C^!, C).'
-    ok, witness = is_strongly_graded_coring(C)
-    if not ok:
-        raise PreconditionError(f'coring is not strongly graded: {witness}')
-    pair = make_pair_shriek_coring(C)
+    pair = make_pair_shriek_coring(C)   # checks strong grading, once
     L = C.top_degree
     vanish_bound = pair.ring.top_degree + C.top_degree
     m_bound = max(2 * L, vanish_bound) if m_max is None else m_max
@@ -334,7 +328,7 @@ def decide_koszul_coring(C: GradedCoring, m_max: int = None) -> KoszulVerdict:
     surjective, sur_witness = ext_diagonal_products_surjective(C, table)
 
     via_table = all(table.entry(2, m) == 0 for m in range(3, m_bound + 1))
-    direct, direct_witness = is_quadratic_coring_direct(C)
+    direct, direct_witness = is_quadratic_coring_direct(C, _checked=True)
 
     per_criterion = {
         'pair_exactness': (verdict, pair_ev),

@@ -9,7 +9,7 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_many, tensor_power,
                                 tensor_map, unit_bimodule, zero_bimodule,
                                 kernel_sub, image_sub, left_dual, dual_label,
-                                evaluate_dual, dual_tensor_iso)
+                                evaluate_dual, dual_tensor_iso, _block_of)
 
 
 @pytest.fixture
@@ -82,6 +82,32 @@ def test_tensor_many_and_power(base, V):
     assert P3.is_zero()
     assert tensor_power(V, 0) == unit_bimodule(base)
     assert tensor_power(V, 1) is V
+
+
+def test_tensor_power_is_cached(base, V):
+    W = Bimodule(base, {('x', 'x'): ('a',), ('x', 'y'): ('b',)})
+    for n in range(4):
+        assert tensor_power(W, n) is tensor_power(W, n)
+    assert tensor_power(W, 2) == tensor_many([W, W])
+    assert tensor_power(W, 3).block('x', 'y') == (
+        ('a', 'a', 'b'),)
+    assert tensor_power(V, 3) is tensor_power(V, 3)
+
+
+def test_blocks_from_start(base, V):
+    assert V.blocks_from('x') == ((('x', 'y'), ('u', 'v')),)
+    assert V.blocks_from('z') == ()
+
+
+def test_block_of_unknown_label(V):
+    assert _block_of(V, 'v', 'x') == ('x', 'y')
+    assert _block_of(V, 'w', 'y') == ('y', 'z')
+    with pytest.raises(KeyError):
+        _block_of(V, 'w', 'x')      # w lives in a block starting at y
+    with pytest.raises(KeyError):
+        _block_of(V, 'missing', 'y')
+    with pytest.raises(KeyError):
+        _block_of(V, 'u', 'z')      # no block starts at z
 
 
 def test_map_validation_and_action(base, V):

@@ -34,6 +34,9 @@ def test_sparse_matrix_basics():
     assert M.nnz() == 4
     assert M.transpose().entries == {(0, 0): 1, (2, 0): 2, (0, 2): 3, (1, 2): 4}
     assert M.column(0) == {0: 1, 2: 3}
+    assert M.column(1) == {2: 4} and M.column(2) == {0: 2}
+    assert M.columns() == [M.column(j) for j in range(3)]
+    assert SparseMatrix.zero(2, 2).column(1) == {}
     I = SparseMatrix.identity(3)
     assert M.matmul(I) == M
     assert I.matmul(M) == M

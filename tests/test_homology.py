@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulity.exact_linalg import FieldSpec, RATIONALS
-from koszulity.bimodule import tensor_power, kernel_sub
-from koszulity.graded_structures import (shriek_of_ring, shriek_of_coring,
+from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace
+from koszulity.bimodule import (BaseRing, Bimodule, tensor_many, tensor_power,
+                                kernel_sub, image_sub, unit_bimodule)
+from koszulity.graded_structures import (GradedRing, shriek_of_ring,
+                                         shriek_of_coring,
                                          ideal_component_span)
 from koszulity.homology import (partitions, bar_complex_ring,
                                 cobar_complex_coring, tor_table, ext_table,
@@ -20,8 +22,9 @@ from koszulity.homology import (partitions, bar_complex_ring,
                                 is_quadratic_direct,
                                 is_quadratic_coring_direct,
                                 verify_tor2_sequence, verify_ext2_sequence,
-                                alpha_map)
-from koszulity.poset import (incidence_ring, incidence_coring,
+                                alpha_map, SliceHomology,
+                                _longest_word_weights)
+from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              enumerate_corpus)
 from koszulity.errors import PreconditionError
 from conftest import chain_poset, antichain_poset
@@ -108,6 +111,81 @@ def test_slices_vanish_beyond_length(p_bad):
         assert bar_complex_ring(A, m).total_dim() == 0
 
 
+def grid_poset(rows, cols):
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    covers = [((i, j), (i + di, j + dj)) for i, j in cells
+              for di, dj in ((1, 0), (0, 1))
+              if i + di < rows and j + dj < cols]
+    return GradedPoset([f'{i}_{j}' for i, j in cells],
+                       [(f'{a}_{b}', f'{c}_{d}') for (a, b), (c, d) in covers])
+
+
+def compositions_space(X, n, m):
+    """The degree-n slice space built from every composition of m in
+    partitions() order, skipping those with a zero component."""
+    blocks = {}
+    for parts in partitions(n, m):
+        if not parts:
+            for s in X.base.idempotents:
+                blocks.setdefault((s, s), []).append(((), ()))
+            continue
+        comps = [X.component(p) for p in parts]
+        if any(c.is_zero() for c in comps):
+            continue
+        for key, labels in tensor_many(comps).blocks.items():
+            blocks.setdefault(key, []).extend(
+                (parts, l if n != 1 else (l,)) for l in labels)
+    return Bimodule(X.base, blocks)
+
+
+def assert_slice_spaces_match(P):
+    A, C = incidence_ring(P), incidence_coring(P)
+    ref = oracle.RefPoset(P.elements, P.covers)
+    for m in range(0, 2 * A.top_degree + 2):
+        chains = oracle.bar_basis(ref, m)
+        for X, build in ((A, bar_complex_ring), (C, cobar_complex_coring)):
+            cx = build(X, m)
+            assert sorted(cx.spaces) == list(range(m + 1))
+            for n in range(m + 1):
+                space = cx.spaces[n]
+                want = compositions_space(X, n, m)
+                assert list(space.basis()) == list(want.basis()), (m, n)
+                assert space.dim == len(chains[n]), (m, n)
+
+
+def test_slice_spaces_keep_composition_order_corpus():
+    for size in range(1, 6):
+        for P in enumerate_corpus(size):
+            assert_slice_spaces_match(P)
+
+
+def test_slice_spaces_keep_composition_order_grid():
+    assert_slice_spaces_match(grid_poset(3, 4))
+
+
+def test_weight_above_reachable_gives_zero_spaces():
+    A = incidence_ring(grid_poset(3, 4))
+    C = incidence_coring(grid_poset(3, 4))
+    L = A.top_degree
+    assert max(_longest_word_weights(A).values()) == L == 5
+    for m in range(L + 1, 2 * L + 1):
+        for cx in (bar_complex_ring(A, m), cobar_complex_coring(C, m)):
+            assert sorted(cx.spaces) == list(range(m + 1))
+            assert cx.total_dim() == 0
+            assert all(d == 0 for d in cx.homology_dims().values())
+
+
+def test_cyclic_words_are_not_pruned():
+    # one idempotent with a degree-1 loop: words of every weight exist
+    base = BaseRing(('x',), RATIONALS)
+    V = Bimodule(base, {('x', 'x'): ('a',)})
+    A = GradedRing(base, {0: unit_bimodule(base), 1: V}, {}, 1)
+    assert _longest_word_weights(A) is None
+    cx = bar_complex_ring(A, 4)
+    assert cx.spaces[4].block('x', 'x') == (((1, 1, 1, 1), ('a',) * 4),)
+    assert all(cx.spaces[n].is_zero() for n in range(4))
+
+
 # -- Betti tables --------------------------------------------------------------
 
 def test_tor_table_diamond(diamond):
@@ -175,6 +253,64 @@ def test_representatives_round_trip(diamond):
     # doubling the cycle doubles the coefficient
     doubled = {i: 2 * v for i, v in cols[0].items()}
     assert reps.express(key, doubled)[0][1] == Fraction(2)
+
+
+def spanning_order_reps(cx, n):
+    """Class representatives chosen the plain way: a kernel column is kept
+    when it is outside the span of the boundaries and the columns kept so
+    far, with that span rebuilt after each choice."""
+    step = -1 if cx.direction == 'chain' else 1
+    d_out = cx.differentials.get(n)
+    d_in = cx.differentials.get(n - step)
+    ker = kernel_sub(d_out) if d_out is not None else None
+    bnd = image_sub(d_in) if d_in is not None else None
+    field = cx.spaces[n].base.field
+    out = {}
+    for key in cx.spaces[n].blocks:
+        dim = cx.spaces[n].block_dim(*key)
+        kcols = (ker.part(key).basis.columns() if ker is not None
+                 else Subspace.full(dim, field).basis.columns())
+        span = list(bnd.part(key).basis.columns()) if bnd is not None else []
+        chosen = []
+        for col in kcols:
+            if Subspace.from_spanning(span, dim, field).contains_vector(col):
+                continue
+            chosen.append(col)
+            span.append(col)
+        if chosen:
+            out[key] = chosen
+    return out
+
+
+@pytest.mark.parametrize('field', [RATIONALS, PRIME])
+def test_representatives_only_on_nonzero_cells(diamond, p_bad, field):
+    for P in (diamond, p_bad, grid_poset(2, 3)):
+        A, C = incidence_ring(P, field), incidence_coring(P, field)
+        for table in (tor_table(A, with_representatives=True),
+                      ext_table(C, with_representatives=True)):
+            assert set(table.representatives) == set(table.entries)
+            for (n, m), H in table.representatives.items():
+                assert H.dim == table.entry(n, m)
+                assert H.reps == spanning_order_reps(table.slices[m], n)
+
+
+def test_product_into_zero_cell_goes_through_express(p_bad, monkeypatch):
+    C = incidence_coring(p_bad)
+    table = ext_table(C, with_representatives=True)
+    assert table.entry(1, 1) and not table.entry(2, 2)
+    assert table.slices[2].spaces[2].dim
+    calls = []
+    original = SliceHomology.express
+
+    def counted(self, key, vec):
+        calls.append(self.tag)
+        return original(self, key, vec)
+
+    monkeypatch.setattr(SliceHomology, 'express', counted)
+    f = cohomology_ring_component(C, 1, 1, 1, 1, table)
+    assert f.is_zero() and f.target.is_zero()
+    assert calls and set(calls) == {('Ext', 2, 2)}
+    assert (2, 2) not in table.representatives
 
 
 def test_representative_cache_required(diamond):
