@@ -36,8 +36,6 @@ from .koszul import (AlmostKoszulPair, KoszulVerdict,
                      pair_product)
 from .duality import (dual_map, graded_left_dual_of_ring,
                       graded_left_dual_of_coring,
-                      graded_right_dual_of_ring,
-                      graded_right_dual_of_coring,
                       dual_pair, double_dual_check)
 from .poset import (GradedPoset, parse_poset, incidence_ring,
                     incidence_coring, zeta_ring, incidence_duality_check,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_linalg import (FieldSpec, SparseMatrix, Subspace, DimensionError,
-                           kernel_basis, image_basis)
+                           kernel_basis, image_basis, accumulate)
 
 UNIT_LABEL = '1'
 
@@ -263,16 +263,10 @@ class BimoduleMap:
 
     def apply_vector(self, vec: dict) -> dict:
         'Apply to {(block_key, label): coeff}; returns same encoding on the target.'
-        f = self.field
         out = {}
         for (key, label), c in vec.items():
             for tl, v in self.apply_label(key, label):
-                k2 = (key, tl)
-                nv = f.add(out.get(k2, f.zero), f.mul(f.coerce(c), f.coerce(v)))
-                if f.is_zero(nv):
-                    out.pop(k2, None)
-                else:
-                    out[k2] = nv
+                accumulate(out, (key, tl), c, v, self.field)
         return out
 
     def compose(self, other: 'BimoduleMap') -> 'BimoduleMap':
@@ -438,18 +432,12 @@ def left_dual(V: Bimodule) -> Bimodule:
 
 def evaluate_dual(V: Bimodule, dual_vec: dict, vec: dict) -> dict:
     'Pairing of ^*V with V; returns an element of R as {idempotent: scalar}.'
-    f = V.base.field
     out = {}
     for (key, dl), a in dual_vec.items():
         c = vec.get((key, _undual_lookup(V, key, dl)), None)
         if c is None:
             continue
-        s = key[0]
-        nv = f.add(out.get(s, f.zero), f.mul(f.coerce(a), f.coerce(c)))
-        if f.is_zero(nv):
-            out.pop(s, None)
-        else:
-            out[s] = nv
+        accumulate(out, key[0], a, c, V.base.field)
     return out
 
 

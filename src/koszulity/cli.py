@@ -38,7 +38,8 @@ from .poset import (GradedPoset, parse_poset, incidence_ring,
                     enumerate_corpus)
 from .graded_structures import shriek_of_ring
 from .homology import tor_table, ext_table
-from .koszul import decide_koszul_ring, decide_koszul_coring, make_pair_shriek_ring
+from .koszul import decide_koszul_ring, decide_koszul_coring
+from .duality import graded_left_dual_of_ring, dual_pair, double_dual_check
 
 SCHEMA_VERSION = 1
 
@@ -119,7 +120,9 @@ def _decide_task(payload: dict) -> dict:
     field = parse_field(payload['field'])
     m_max = payload['m_max']
     if payload['side'] == 'ring':
-        return decide_koszul_ring(incidence_ring(P, field), m_max).to_json()
+        verdict = decide_koszul_ring(incidence_ring(P, field), m_max)
+        dual_pair(verdict.pair)   # raises if not almost-Koszul
+        return verdict.to_json()
     return decide_koszul_coring(incidence_coring(P, field), m_max).to_json()
 
 
@@ -175,9 +178,7 @@ def cmd_check(poset_file: str, config: RunConfig) -> dict:
         int(m)
         for crit in ring_json['criteria'] if crit['id'] == 'pair_exactness'
         for m in crit['evidence'].get('failing_weights', {}))
-    from .duality import dual_pair, double_dual_check
     A = incidence_ring(P, config.field)
-    dual_pair(make_pair_shriek_ring(A))   # raises if not almost-Koszul
     duality = {'dual_is_incidence_coring': incidence_duality_check(
                    P, config.field),
                'dual_pair_almost_koszul': True,
@@ -254,13 +255,11 @@ def cmd_dual(poset_file: str, config: RunConfig) -> dict:
     "dual_pair_almost_koszul", "verdicts_agree" (ring vs graded-dual
     coring decision).
     """
-    from .duality import (graded_left_dual_of_ring, dual_pair,
-                          double_dual_check)
     P = load_poset(poset_file)
     A = incidence_ring(P, config.field)
     C = incidence_coring(P, config.field)
-    dual_pair(make_pair_shriek_ring(A))
     rv = decide_koszul_ring(A, config.m_max_override)
+    dual_pair(rv.pair)
     cv = decide_koszul_coring(graded_left_dual_of_ring(A),
                               config.m_max_override)
     return {'schema_version': SCHEMA_VERSION,
@@ -360,22 +359,32 @@ def _cache_path(cache_dir: str, key: dict) -> str:
 
 def _with_cache(config: RunConfig, key: dict, compute) -> dict:
     """Run compute() through the cache; the timings section is attached
-    afterwards so cached and fresh reports differ only there."""
+    afterwards so cached and fresh reports differ only there.
+
+    An entry that cannot be read as a JSON report is a miss and is
+    rewritten.  Entries are written to a temporary file and renamed into
+    place, so a reader never sees a partly written one.
+    """
     path = None
     if config.cache_dir is not None:
         os.makedirs(config.cache_dir, exist_ok=True)
         path = _cache_path(config.cache_dir, key)
-        if os.path.exists(path):
+        try:
             with open(path) as fh:
                 report = json.load(fh)
+        except (OSError, ValueError):
+            report = None
+        if isinstance(report, dict):
             report['timings'] = {'total_s': 0.0, 'cached': True}
             return report
     start = time.perf_counter()
     report = compute()
     elapsed = time.perf_counter() - start
     if path is not None:
-        with open(path, 'w') as fh:
+        tmp = f'{path}.{os.getpid()}.tmp'
+        with open(tmp, 'w') as fh:
             fh.write(render_json(report))
+        os.replace(tmp, path)
     report['timings'] = {'total_s': round(elapsed, 6), 'cached': False}
     return report
 
@@ -427,21 +436,16 @@ def _dispatch(args, config: RunConfig) -> dict:
         key['max_elements'] = args.max_elements
         return _with_cache(config, key,
                            lambda: cmd_corpus(args.max_elements, config))
-    P = load_poset(args.poset)
-    key['input'] = [[a, b] for a, b in P.canonical_key()[1]]
-    key['size'] = len(P.elements)
-    if args.command == 'check':
-        return _with_cache(config, key,
-                           lambda: cmd_check(args.poset, config))
+    # the literal document, labels and order as given: a report echoes
+    # the labels of its input, so isomorphic copies must not share entries
+    key['input'] = load_poset(args.poset).to_document()
     if args.command == 'betti':
         key['side'] = args.side
         return _with_cache(config, key,
                            lambda: cmd_betti(args.poset, args.side, config))
-    if args.command == 'shriek':
-        return _with_cache(config, key,
-                           lambda: cmd_shriek(args.poset, config))
-    assert args.command == 'dual'
-    return _with_cache(config, key, lambda: cmd_dual(args.poset, config))
+    command = {'check': cmd_check, 'shriek': cmd_shriek,
+               'dual': cmd_dual}[args.command]
+    return _with_cache(config, key, lambda: command(args.poset, config))
 
 
 def main(argv=None) -> int:

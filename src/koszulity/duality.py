@@ -5,8 +5,10 @@ the block (s, t) again, with the dual basis vector of v normalized to send
 v to the idempotent at s.  Under that normalization the pairing is the
 coordinate pairing, the dual of a structure map is its blockwise
 transpose, and the canonical isomorphism ^*V (x) ^*W = ^*(V (x) W) is a
-relabeling.  The left and right dual constructions then agree
-coordinatewise; both are provided, mirroring each other.
+relabeling.  The right duals agree with the left ones coordinatewise (with
+right-module normalization the dual vector of v sends v to the idempotent
+at the end of its block instead of the start, and the k-valued structure
+constants are unchanged), so only the left duals are built.
 """
 
 from __future__ import annotations
@@ -23,66 +25,45 @@ def dual_map(f: BimoduleMap) -> BimoduleMap:
                        {key: mat.transpose() for key, mat in f.blocks.items()})
 
 
-def graded_left_dual_of_ring(A: GradedRing) -> GradedCoring:
-    """The coring on the duals ^*A^n, comultiplication dual to the product.
+def _graded_left_dual(X, structure_map, out_cls):
+    """The structure of class out_cls on the duals ^*X_n whose (p, q)
+    structure map is dual to structure_map(p, q) of X.
 
-    Each Delta_{p,q} is psi composed with the transpose of mu^{p,q}; the
-    coherence of that factorization through phi is asserted blockwise.
+    The dual of a product is psi composed with its transpose, the dual of
+    a comultiplication its transpose composed with phi; the coherence of
+    that factorization is asserted blockwise.
     """
-    components = {n: left_dual(A.component(n))
-                  for n in range(A.top_degree + 1)}
-    comult = {}
-    for p in range(1, A.top_degree):
-        for q in range(1, A.top_degree - p + 1):
+    components = {n: left_dual(X.component(n))
+                  for n in range(X.top_degree + 1)}
+    maps = {}
+    for p in range(1, X.top_degree):
+        for q in range(1, X.top_degree - p + 1):
             if components[p].is_zero() or components[q].is_zero():
                 continue
-            mu = A.mu(p, q)
-            dmu = dual_map(mu)
-            phi, psi = dual_tensor_iso(A.component(p), A.component(q))
-            delta = psi.compose(dmu)
-            assert phi.compose(delta) == dmu, 'dual comultiplication is incoherent'
-            if not delta.is_zero():
-                comult[(p, q)] = delta
-    D = GradedCoring(A.base, components, comult, A.top_degree)
-    D.support_truncated = getattr(A, 'support_truncated', False)
+            transposed = dual_map(structure_map(p, q))
+            phi, psi = dual_tensor_iso(X.component(p), X.component(q))
+            if out_cls is GradedCoring:
+                f = psi.compose(transposed)
+                coherent = phi.compose(f) == transposed
+            else:
+                f = transposed.compose(phi)
+                coherent = f.compose(psi) == transposed
+            assert coherent, f'dual structure map ({p},{q}) is incoherent'
+            if not f.is_zero():
+                maps[(p, q)] = f
+    D = out_cls(X.base, components, maps, X.top_degree)
+    D.support_truncated = X.support_truncated
     return D
+
+
+def graded_left_dual_of_ring(A: GradedRing) -> GradedCoring:
+    'The coring on the duals ^*A^n, comultiplication dual to the product.'
+    return _graded_left_dual(A, A.mu, GradedCoring)
 
 
 def graded_left_dual_of_coring(C: GradedCoring) -> GradedRing:
     'The ring on the duals ^*C_n under the convolution product.'
-    components = {n: left_dual(C.component(n))
-                  for n in range(C.top_degree + 1)}
-    mult = {}
-    for p in range(1, C.top_degree):
-        for q in range(1, C.top_degree - p + 1):
-            if components[p].is_zero() or components[q].is_zero():
-                continue
-            delta = C.delta(p, q)
-            ddelta = dual_map(delta)
-            phi, psi = dual_tensor_iso(C.component(p), C.component(q))
-            mu = ddelta.compose(phi)
-            assert mu.compose(psi) == ddelta, 'dual product is incoherent'
-            if not mu.is_zero():
-                mult[(p, q)] = mu
-    D = GradedRing(C.base, components, mult, C.top_degree)
-    D.support_truncated = getattr(C, 'support_truncated', False)
-    return D
-
-
-def graded_right_dual_of_ring(A: GradedRing) -> GradedCoring:
-    """The right-dual coring of A.
-
-    With right-module normalization the dual vector of v sends v to the
-    idempotent at the end of its block instead of the start; the k-valued
-    structure constants are unchanged, so the construction coincides with
-    the left dual coordinatewise.
-    """
-    return graded_left_dual_of_ring(A)
-
-
-def graded_right_dual_of_coring(C: GradedCoring) -> GradedRing:
-    'Right-dual convolution ring; coincides with the left dual (see above).'
-    return graded_left_dual_of_coring(C)
+    return _graded_left_dual(C, C.delta, GradedRing)
 
 
 def dual_pair(pair: AlmostKoszulPair) -> AlmostKoszulPair:

@@ -32,10 +32,6 @@ class ReductionError(ArithmeticError):
     'Entry cannot be reduced over the requested field.'
 
 
-class CharacteristicWarning(UserWarning):
-    'Result may depend on the characteristic of the chosen field.'
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -132,6 +128,25 @@ class FieldSpec:
 RATIONALS = FieldSpec.rationals()
 
 
+def accumulate(vec: dict, key, a, b, field: FieldSpec) -> None:
+    'vec[key] += a * b in place; an entry that cancels to zero is dropped.'
+    nv = field.add(vec.get(key, field.zero),
+                   field.mul(field.coerce(a), field.coerce(b)))
+    if field.is_zero(nv):
+        vec.pop(key, None)
+    else:
+        vec[key] = nv
+
+
+def outer_vector(a: dict, b: dict, index, field: FieldSpec) -> dict:
+    'The sparse vector with a[i] * b[j] added at index(i, j), for all i, j.'
+    vec = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            accumulate(vec, index(i, j), ca, cb, field)
+    return vec
+
+
 class SparseMatrix:
     """Immutable sparse matrix in triplet form (no stored zeros)."""
 
@@ -203,12 +218,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             out[j][i] = v
         return out
-
-    def to_dense(self, field: FieldSpec = RATIONALS) -> list:
-        dense = [[field.zero] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = field.coerce(v)
-        return dense
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -557,12 +566,7 @@ def intersect(subspaces: list, field: FieldSpec = RATIONALS) -> Subspace:
                 if i >= current.dim:
                     continue
                 for r, bv in current.basis.column(i).items():
-                    nv = field.add(vec.get(r, field.zero),
-                                   field.mul(field.coerce(c), field.coerce(bv)))
-                    if field.is_zero(nv):
-                        vec.pop(r, None)
-                    else:
-                        vec[r] = nv
+                    accumulate(vec, r, c, bv, field)
             if vec:
                 cols.append(vec)
         current = Subspace.from_spanning(cols, ambient, field)

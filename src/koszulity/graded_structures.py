@@ -9,7 +9,7 @@ structure maps are BimoduleMaps, all validation is exact.
 from __future__ import annotations
 
 from .exact_linalg import (SparseMatrix, Subspace, solve_columns,
-                           hstack, vstack, rank, intersect)
+                           hstack, vstack, rank, intersect, outer_vector)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_map, tensor_many, tensor_power,
                        unit_bimodule, zero_bimodule, kernel_sub, image_sub,
@@ -72,11 +72,43 @@ def _check_components(base, components, top_degree):
             raise StructureError(f'nonzero component in degree {n} outside 0..{top_degree}')
 
 
+class _Graded:
+    'The components and the (p, q) structure maps shared by both classes.'
+
+    def _setup(self, base, components: dict, maps: dict, top_degree: int,
+               what: str) -> dict:
+        'Store base and components; return the nonzero structure maps.'
+        self.base = base
+        self.top_degree = top_degree
+        _check_components(base, components, top_degree)
+        self.components = {n: components.get(n, zero_bimodule(base))
+                           for n in range(top_degree + 1)}
+        self.support_truncated = False
+        kept = {}
+        for (p, q), f in maps.items():
+            if p < 1 or q < 1 or p + q > top_degree:
+                raise StructureError(f'{what} component ({p},{q}) out of range')
+            if not f.is_zero():
+                kept[(p, q)] = f
+        return kept
+
+    def component(self, n: int) -> Bimodule:
+        if 0 <= n <= self.top_degree:
+            return self.components[n]
+        return zero_bimodule(self.base)
+
+    def dims(self) -> list:
+        return [self.component(n).dim for n in range(self.top_degree + 1)]
+
+    def __repr__(self):
+        return f'{type(self).__name__}(top={self.top_degree}, dims={self.dims()})'
+
+
 # ---------------------------------------------------------------------------
 # graded rings
 # ---------------------------------------------------------------------------
 
-class GradedRing:
+class GradedRing(_Graded):
     """A connected graded R-ring with finite support.
 
     components[n] is A^n for 0 <= n <= top_degree (A^0 = R), mult[(p, q)]
@@ -86,25 +118,10 @@ class GradedRing:
 
     def __init__(self, base: BaseRing, components: dict, mult: dict,
                  top_degree: int, validate: bool = True):
-        self.base = base
-        self.top_degree = top_degree
-        _check_components(base, components, top_degree)
-        self.components = {n: components.get(n, zero_bimodule(base))
-                           for n in range(top_degree + 1)}
-        self.mult = {}
-        for (p, q), f in mult.items():
-            if p < 1 or q < 1 or p + q > top_degree:
-                raise StructureError(f'multiplication component ({p},{q}) out of range')
-            if not f.is_zero():
-                self.mult[(p, q)] = f
-        self.support_truncated = False
+        self.mult = self._setup(base, components, mult, top_degree,
+                                'multiplication')
         if validate:
             self._validate()
-
-    def component(self, n: int) -> Bimodule:
-        if 0 <= n <= self.top_degree:
-            return self.components[n]
-        return zero_bimodule(self.base)
 
     def mu(self, p: int, q: int) -> BimoduleMap:
         if p == 0:
@@ -156,24 +173,18 @@ class GradedRing:
         'mu_n : (A^1)^(n) -> A^n, the fully iterated multiplication.'
         return self.mu_partition((1,) * n)
 
-    def dims(self) -> list:
-        return [self.component(n).dim for n in range(self.top_degree + 1)]
-
     def __eq__(self, other):
         if not isinstance(other, GradedRing):
             return NotImplemented
         return (self.base == other.base and self.top_degree == other.top_degree
                 and self.components == other.components and self.mult == other.mult)
 
-    def __repr__(self):
-        return f'GradedRing(top={self.top_degree}, dims={self.dims()})'
-
 
 # ---------------------------------------------------------------------------
 # graded corings
 # ---------------------------------------------------------------------------
 
-class GradedCoring:
+class GradedCoring(_Graded):
     """A connected graded R-coring with finite support.
 
     comult[(p, q)] is Delta_{p,q} : C_{p+q} -> C_p (x) C_q for p, q >= 1;
@@ -182,25 +193,10 @@ class GradedCoring:
 
     def __init__(self, base: BaseRing, components: dict, comult: dict,
                  top_degree: int, validate: bool = True):
-        self.base = base
-        self.top_degree = top_degree
-        _check_components(base, components, top_degree)
-        self.components = {n: components.get(n, zero_bimodule(base))
-                           for n in range(top_degree + 1)}
-        self.comult = {}
-        for (p, q), f in comult.items():
-            if p < 1 or q < 1 or p + q > top_degree:
-                raise StructureError(f'comultiplication component ({p},{q}) out of range')
-            if not f.is_zero():
-                self.comult[(p, q)] = f
-        self.support_truncated = False
+        self.comult = self._setup(base, components, comult, top_degree,
+                                  'comultiplication')
         if validate:
             self._validate()
-
-    def component(self, n: int) -> Bimodule:
-        if 0 <= n <= self.top_degree:
-            return self.components[n]
-        return zero_bimodule(self.base)
 
     def delta(self, p: int, q: int) -> BimoduleMap:
         if p == 0:
@@ -253,17 +249,11 @@ class GradedCoring:
         'Delta^n : C_n -> (C_1)^(n), the fully iterated comultiplication.'
         return self.delta_partition((1,) * n)
 
-    def dims(self) -> list:
-        return [self.component(n).dim for n in range(self.top_degree + 1)]
-
     def __eq__(self, other):
         if not isinstance(other, GradedCoring):
             return NotImplemented
         return (self.base == other.base and self.top_degree == other.top_degree
                 and self.components == other.components and self.comult == other.comult)
-
-    def __repr__(self):
-        return f'GradedCoring(top={self.top_degree}, dims={self.dims()})'
 
 
 # ---------------------------------------------------------------------------
@@ -312,50 +302,32 @@ def is_strongly_graded_coring(C: GradedCoring):
     return True, None
 
 
-def primitive_dims(C: GradedCoring) -> dict:
-    'n -> dim (PC)_n, the joint kernel of all Delta_{p,q} with p, q >= 1.'
+def _corank_dims(X, structure_map, stack) -> dict:
+    """n -> dim X_n minus the blockwise joint rank of structure_map(p, n-p)
+    over 1 <= p < n, the blocks joined by stack."""
     out = {}
-    for n in range(1, C.top_degree + 1):
-        comp = C.component(n)
-        if comp.is_zero():
-            out[n] = 0
-            continue
-        if n == 1:
-            out[1] = comp.dim
-            continue
-        total = 0
-        for key, labels in comp.blocks.items():
-            mats = [C.delta(p, n - p).block(*key) for p in range(1, n)]
-            mats = [m for m in mats if not m.is_zero()]
-            if mats:
-                total += len(labels) - rank(vstack(mats), C.base.field)
-            else:
-                total += len(labels)
+    for n in range(1, X.top_degree + 1):
+        comp = X.component(n)
+        total = comp.dim
+        if n > 1:
+            for key in comp.blocks:
+                mats = [structure_map(p, n - p).block(*key)
+                        for p in range(1, n)]
+                mats = [m for m in mats if not m.is_zero()]
+                if mats:
+                    total -= rank(stack(mats), X.base.field)
         out[n] = total
     return out
+
+
+def primitive_dims(C: GradedCoring) -> dict:
+    'n -> dim (PC)_n, the joint kernel of all Delta_{p,q} with p, q >= 1.'
+    return _corank_dims(C, C.delta, vstack)
 
 
 def indecomposable_dims(A: GradedRing) -> dict:
     'n -> dim (QA)_n = dim A^n minus the joint image of all mu^{p,q}, p, q >= 1.'
-    out = {}
-    for n in range(1, A.top_degree + 1):
-        comp = A.component(n)
-        if comp.is_zero():
-            out[n] = 0
-            continue
-        if n == 1:
-            out[1] = comp.dim
-            continue
-        total = 0
-        for key, labels in comp.blocks.items():
-            mats = [A.mu(p, n - p).block(*key) for p in range(1, n)]
-            mats = [m for m in mats if not m.is_zero()]
-            if mats:
-                total += len(labels) - rank(hstack(mats), A.base.field)
-            else:
-                total += len(labels)
-        out[n] = total
-    return out
+    return _corank_dims(A, A.mu, hstack)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +412,11 @@ def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
     reduces modulo the ideal.  The flat-word projections are kept on the
     result as `projections`.
     """
+    return _quadratic_ring(data, top, {})
+
+
+def _quadratic_ring(data: QuadraticData, top: int, spans: dict) -> GradedRing:
+    'quadratic_ring_of, taking the ideal components in spans as given.'
     V, W = data.V, data.W
     base = V.base
     field = base.field
@@ -447,7 +424,7 @@ def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
     reducers = {}
     for n in range(2, top + 1):
         amb = tensor_power(V, n)
-        span = ideal_component_span(V, W, n)
+        span = spans[n] if n in spans else ideal_component_span(V, W, n)
         blocks = {}
         for key, labels in amb.blocks.items():
             sub = span.get(key)
@@ -504,13 +481,19 @@ def quadratic_coring_of(data: QuadraticData, top: int) -> GradedCoring:
     Components carry synthetic labels ('w', n, s, t, i); the embeddings into
     the flat word spaces V^(n) are kept on the result as `embeddings`.
     """
+    return _quadratic_coring(data, top, {})
+
+
+def _quadratic_coring(data: QuadraticData, top: int,
+                      inters: dict) -> GradedCoring:
+    'quadratic_coring_of, taking the intersections in inters as given.'
     V, W = data.V, data.W
     base = V.base
     field = base.field
     components = {0: unit_bimodule(base), 1: V}
     embeddings = {1: BimoduleMap.identity(V)}
     for n in range(2, top + 1):
-        inter = intersection_component(V, W, n)
+        inter = inters[n] if n in inters else intersection_component(V, W, n)
         blocks = {}
         emb_blocks = {}
         for key, sub in inter.parts.items():
@@ -547,21 +530,17 @@ def quadratic_coring_of(data: QuadraticData, top: int) -> GradedCoring:
                         if t2 != t or u != key[1]:
                             continue
                         qmat = embeddings[q].blocks.get((t2, u))
+
+                        def concat(ip, iq):
+                            word = (_as_word(ambp.blocks[(s, t)][ip], p)
+                                    + _as_word(ambq.blocks[(t2, u)][iq], q))
+                            return ambn.index_of(key, _word_label(word, n))
+
                         for pi, plab in enumerate(plabels):
-                            pcol = pmat.column(pi)
                             for qi, qlab in enumerate(qlabels):
-                                qcol = qmat.column(qi)
-                                vec = {}
-                                for ip, cp in pcol.items():
-                                    pword = _as_word(ambp.blocks[(s, t)][ip], p)
-                                    for iq, cq in qcol.items():
-                                        qword = _as_word(ambq.blocks[(t2, u)][iq], q)
-                                        widx = ambn.index_of(key, _word_label(pword + qword, n))
-                                        vec[widx] = field.add(
-                                            vec.get(widx, field.zero),
-                                            field.mul(field.coerce(cp), field.coerce(cq)))
-                                cols.append({k: v for k, v in vec.items()
-                                             if not field.is_zero(v)})
+                                cols.append(outer_vector(
+                                    pmat.column(pi), qmat.column(qi), concat,
+                                    field))
                                 pair_index.append((plab, qlab))
                 trips = []
                 for j in range(len(labels)):
@@ -615,13 +594,18 @@ def shriek_of_ring(A: GradedRing, top: int = None) -> GradedCoring:
     W = kernel_sub(A.mu(1, 1))
     data = QuadraticData(V, W)
     truncated = False
+    inters = {}   # the probe's components, reused for the coring
     if top is None:
         cap = max(2 * A.top_degree, len(A.base.idempotents), 2)
-        top, truncated = _support_bound(
-            lambda n: intersection_component(V, W, n).dim, cap)
+
+        def probe(n):
+            inters[n] = intersection_component(V, W, n)
+            return inters[n].dim
+
+        top, truncated = _support_bound(probe, cap)
         if V.is_zero():
             top = 0
-    coring = quadratic_coring_of(data, top)
+    coring = _quadratic_coring(data, top, inters)
     coring.support_truncated = truncated
     return coring
 
@@ -632,6 +616,7 @@ def shriek_of_coring(C: GradedCoring, top: int = None) -> GradedRing:
     W = image_sub(C.delta(1, 1))
     data = QuadraticData(V, W)
     truncated = False
+    spans = {}   # the probe's ideal components, reused for the ring
     if top is None:
         cap = max(2 * C.top_degree, len(C.base.idempotents), 2)
 
@@ -639,13 +624,13 @@ def shriek_of_coring(C: GradedCoring, top: int = None) -> GradedRing:
             amb = tensor_power(V, n)
             if amb.dim == 0:
                 return 0
-            span = ideal_component_span(V, W, n)
-            return amb.dim - sum(s.dim for s in span.values())
+            spans[n] = ideal_component_span(V, W, n)
+            return amb.dim - sum(s.dim for s in spans[n].values())
 
         top, truncated = _support_bound(probe, cap)
         if V.is_zero():
             top = 0
-    ring = quadratic_ring_of(data, top)
+    ring = _quadratic_ring(data, top, spans)
     ring.support_truncated = truncated
     return ring
 
@@ -654,22 +639,22 @@ def shriek_of_coring(C: GradedCoring, top: int = None) -> GradedRing:
 # truncations and products
 # ---------------------------------------------------------------------------
 
+def _below(X, maps: dict, m: int):
+    'Base, components, structure maps and top degree of X below degree m.'
+    assert m >= 1
+    top = min(m - 1, X.top_degree)
+    return (X.base, {n: X.component(n) for n in range(top + 1)},
+            {(p, q): f for (p, q), f in maps.items() if p + q <= top}, top)
+
+
 def truncate_ring(A: GradedRing, m: int) -> GradedRing:
     'A / A^{>= m}: keep degrees below m, higher products become zero.'
-    assert m >= 1
-    top = min(m - 1, A.top_degree)
-    comps = {n: A.component(n) for n in range(top + 1)}
-    mult = {(p, q): f for (p, q), f in A.mult.items() if p + q <= top}
-    return GradedRing(A.base, comps, mult, top, validate=False)
+    return GradedRing(*_below(A, A.mult, m), validate=False)
 
 
 def truncate_coring(C: GradedCoring, m: int) -> GradedCoring:
     'C_{< m}: the subcoring of components in degrees below m.'
-    assert m >= 1
-    top = min(m - 1, C.top_degree)
-    comps = {n: C.component(n) for n in range(top + 1)}
-    comult = {(p, q): f for (p, q), f in C.comult.items() if p + q <= top}
-    return GradedCoring(C.base, comps, comult, top, validate=False)
+    return GradedCoring(*_below(C, C.comult, m), validate=False)
 
 
 def _merged_base(b1: BaseRing, b2: BaseRing) -> BaseRing:
@@ -688,43 +673,37 @@ def _merged_component(base, X: Bimodule, Y: Bimodule) -> Bimodule:
     return Bimodule(base, blocks)
 
 
-def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
-    """A x B over k^{S + S'}: componentwise sums, no cross terms.
+def _block_merge(X, Y, maps1: dict, maps2: dict):
+    """The merged base, top degree, components and structure maps of two
+    rings (maps: mult) or two corings (maps: comult) side by side.
 
     Block matrices carry over unchanged because tensor blocks between
     idempotents of one factor never pick up middle terms from the other.
     """
-    base = _merged_base(A.base, B.base)
-    top = max(A.top_degree, B.top_degree)
-    comps = {n: _merged_component(base, A.component(n), B.component(n))
+    base = _merged_base(X.base, Y.base)
+    top = max(X.top_degree, Y.top_degree)
+    comps = {n: _merged_component(base, X.component(n), Y.component(n))
              for n in range(top + 1)}
-    mult = {}
+    maps = {}
     for p in range(1, top):
         for q in range(1, top + 1 - p):
             blocks = {}
-            for f in (A.mult.get((p, q)), B.mult.get((p, q))):
+            for f in (maps1.get((p, q)), maps2.get((p, q))):
                 if f is not None:
                     blocks.update(f.blocks)
             if blocks:
-                mult[(p, q)] = BimoduleMap(tensor(comps[p], comps[q]),
-                                           comps[p + q], blocks)
-    return GradedRing(base, comps, mult, top)
+                ends = (tensor(comps[p], comps[q]), comps[p + q])
+                if isinstance(X, GradedCoring):
+                    ends = ends[::-1]
+                maps[(p, q)] = BimoduleMap(*ends, blocks)
+    return base, comps, maps, top
+
+
+def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
+    """A x B over k^{S + S'}: componentwise sums, no cross terms."""
+    return GradedRing(*_block_merge(A, B, A.mult, B.mult))
 
 
 def direct_sum_corings(C: GradedCoring, D: GradedCoring) -> GradedCoring:
     'C + D over the merged base: blockwise comultiplication, no cross terms.'
-    base = _merged_base(C.base, D.base)
-    top = max(C.top_degree, D.top_degree)
-    comps = {n: _merged_component(base, C.component(n), D.component(n))
-             for n in range(top + 1)}
-    comult = {}
-    for p in range(1, top):
-        for q in range(1, top + 1 - p):
-            blocks = {}
-            for f in (C.comult.get((p, q)), D.comult.get((p, q))):
-                if f is not None:
-                    blocks.update(f.blocks)
-            if blocks:
-                comult[(p, q)] = BimoduleMap(comps[p + q],
-                                             tensor(comps[p], comps[q]), blocks)
-    return GradedCoring(base, comps, comult, top)
+    return GradedCoring(*_block_merge(C, D, C.comult, D.comult))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .exact_linalg import (Subspace, SparseMatrix, solve_columns,
-                           reduce_by_rows)
+                           reduce_by_rows, accumulate, outer_vector)
 from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
                        tensor_power, zero_bimodule, kernel_sub, image_sub,
                        _block_of)
@@ -31,28 +31,11 @@ from .errors import PreconditionError
 # partitions
 # ---------------------------------------------------------------------------
 
-class PartitionSet:
+def partitions(n: int, m: int) -> tuple:
     'All positive n-part compositions of m, lexicographically ordered.'
-
-    def __init__(self, n: int, m: int, parts: tuple):
-        self.n = n
-        self.m = m
-        self.partitions = parts
-
-    def __iter__(self):
-        return iter(self.partitions)
-
-    def __len__(self):
-        return len(self.partitions)
-
-    def __repr__(self):
-        return f'PartitionSet(n={self.n}, m={self.m}, count={len(self.partitions)})'
-
-
-def partitions(n: int, m: int) -> PartitionSet:
     assert n >= 0 and m >= 0
     if n == 0:
-        return PartitionSet(0, m, ((),) if m == 0 else ())
+        return ((),) if m == 0 else ()
     out = []
 
     def grow(remaining, slots, prefix):
@@ -66,7 +49,7 @@ def partitions(n: int, m: int) -> PartitionSet:
             prefix.pop()
 
     grow(m, n, [])
-    return PartitionSet(n, m, tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +83,6 @@ class ComplexSlice:
 
     def degrees(self) -> list:
         return sorted(self.spaces)
-
-    def space(self, n: int) -> Bimodule:
-        return self.spaces[n]
 
     def homology_dims(self) -> dict:
         """Degree -> homology dimension by rank-nullity.
@@ -215,6 +195,57 @@ def _word_space_blocks(X, m: int) -> dict:
     return {n: Bimodule(base, blocks[n]) for n in range(m + 1)}
 
 
+def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
+    """The weight-m slice on the word spaces of X.
+
+    The differential sums letter_op(X, parts, word, chain, j) over the
+    positions j of a word, with sign (-1)^j.  A chain differential acts on
+    the gaps between adjacent letters, a cochain one on the letters.
+    """
+    assert m >= 0
+    spaces = _word_space_blocks(X, m)
+    step = -1 if direction == 'chain' else 1
+    diffs = {}
+    for n in range(1, m + 1):
+        src, tgt = spaces[n], spaces.get(n + step)
+        if tgt is None or src.is_zero() or tgt.is_zero():
+            continue
+        positions = n - 1 if direction == 'chain' else n
+
+        def action(key, label, positions=positions):
+            parts, word = label
+            chain = _chain_of([X.component(p) for p in parts], word, key[0])
+            out = []
+            sign = 1
+            for j in range(positions):
+                for nparts, nword, c in letter_op(X, parts, word, chain, j):
+                    out.append(((nparts, nword), sign * c))
+                sign = -sign
+            return out
+
+        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+    return ComplexSlice(direction, m, spaces, diffs)
+
+
+def _merge_letters(A: GradedRing, parts, word, chain, j):
+    'Multiply letters j and j+1 into one.'
+    muf = A.mu(parts[j], parts[j + 1])
+    for tl, c in muf.apply_label((chain[j], chain[j + 2]),
+                                 (word[j], word[j + 1])):
+        yield (parts[:j] + (parts[j] + parts[j + 1],) + parts[j + 2:],
+               word[:j] + (tl,) + word[j + 2:], c)
+
+
+def _split_letter(C: GradedCoring, parts, word, chain, j):
+    'Split letter j by every positive comultiplication component.'
+    mj = parts[j]
+    for p in range(1, mj):
+        for (c1, c2), c in C.delta(p, mj - p).apply_label(
+                (chain[j], chain[j + 1]), word[j]):
+            yield (parts[:j] + (p, mj - p) + parts[j + 1:],
+                   word[:j] + (c1, c2) + word[j + 1:], c)
+
+
 def bar_complex_ring(A: GradedRing, m: int) -> ComplexSlice:
     """The weight-m slice of the normalized bar complex of A.
 
@@ -222,32 +253,7 @@ def bar_complex_ring(A: GradedRing, m: int) -> ComplexSlice:
     (compositions touching a vanishing component drop out); d_n merges
     adjacent letters with alternating signs.
     """
-    assert m >= 0
-    spaces = _word_space_blocks(A, m)
-    diffs = {}
-    for n in range(2, m + 1):
-        src, tgt = spaces[n], spaces[n - 1]
-        if src.is_zero() or tgt.is_zero():
-            continue
-
-        def action(key, label, n=n):
-            parts, word = label
-            comps = [A.component(p) for p in parts]
-            chain = _chain_of(comps, word, key[0])
-            out = []
-            sign = 1
-            for i in range(1, n):
-                muf = A.mu(parts[i - 1], parts[i])
-                pair_key = (chain[i - 1], chain[i + 1])
-                for tl, c in muf.apply_label(pair_key, (word[i - 1], word[i])):
-                    nparts = parts[:i - 1] + (parts[i - 1] + parts[i],) + parts[i + 1:]
-                    nword = word[:i - 1] + (tl,) + word[i + 1:]
-                    out.append(((nparts, nword), sign * c))
-                sign = -sign
-            return out
-
-        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
-    return ComplexSlice('chain', m, spaces, diffs)
+    return _word_complex(A, m, 'chain', _merge_letters)
 
 
 def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
@@ -256,35 +262,7 @@ def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
     d^n splits one letter by every positive comultiplication component,
     with the same alternating signs as the bar side.
     """
-    assert m >= 0
-    spaces = _word_space_blocks(C, m)
-    diffs = {}
-    for n in range(1, m):
-        src, tgt = spaces[n], spaces[n + 1]
-        if src.is_zero() or tgt.is_zero():
-            continue
-
-        def action(key, label, n=n):
-            parts, word = label
-            comps = [C.component(p) for p in parts]
-            chain = _chain_of(comps, word, key[0])
-            out = []
-            sign = 1
-            for i in range(1, n + 1):
-                mi = parts[i - 1]
-                lkey = (chain[i - 1], chain[i])
-                for p in range(1, mi):
-                    dl = C.delta(p, mi - p)
-                    for tl, c in dl.apply_label(lkey, word[i - 1]):
-                        c1, c2 = tl
-                        nparts = parts[:i - 1] + (p, mi - p) + parts[i:]
-                        nword = word[:i - 1] + (c1, c2) + word[i:]
-                        out.append(((nparts, nword), sign * c))
-                sign = -sign
-            return out
-
-        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
-    return ComplexSlice('cochain', m, spaces, diffs)
+    return _word_complex(C, m, 'cochain', _split_letter)
 
 
 # ---------------------------------------------------------------------------
@@ -403,46 +381,40 @@ class SliceHomology:
                 if not field.is_zero(coords[i])]
 
 
-def tor_table(A: GradedRing, n_max=None, m_max=None,
-              with_representatives: bool = False) -> BettiTable:
-    'The Tor Betti table of A; the default window is weight 2 * top degree.'
+def _betti_table(X, kind: str, make_slice, n_max, m_max,
+                 with_representatives: bool) -> BettiTable:
+    'The Betti table of the slices make_slice(X, m); see tor_table.'
     if m_max is None:
-        m_max = 2 * A.top_degree
+        m_max = 2 * X.top_degree
     if n_max is None:
         n_max = m_max
-    entries = {(0, 0): A.component(0).dim}
-    slices = {0: bar_complex_ring(A, 0)}
-    for m in range(1, m_max + 1):
-        cx = bar_complex_ring(A, m)
+    entries = {(0, 0): X.component(0).dim}
+    slices = {}
+    for m in range(m_max + 1):
+        cx = make_slice(X, m)
         slices[m] = cx
-        for n, h in cx.homology_dims().items():
-            if h and n <= n_max:
-                entries[(n, m)] = h
-    table = BettiTable('Tor', entries, n_max, m_max)
+        if m:
+            for n, h in cx.homology_dims().items():
+                if h and n <= n_max:
+                    entries[(n, m)] = h
+    table = BettiTable(kind, entries, n_max, m_max)
     if with_representatives:
         _attach_representatives(table, slices)
     return table
+
+
+def tor_table(A: GradedRing, n_max=None, m_max=None,
+              with_representatives: bool = False) -> BettiTable:
+    'The Tor Betti table of A; the default window is weight 2 * top degree.'
+    return _betti_table(A, 'Tor', bar_complex_ring, n_max, m_max,
+                        with_representatives)
 
 
 def ext_table(C: GradedCoring, n_max=None, m_max=None,
               with_representatives: bool = False) -> BettiTable:
     'The Ext Betti table of C over the same default window.'
-    if m_max is None:
-        m_max = 2 * C.top_degree
-    if n_max is None:
-        n_max = m_max
-    entries = {(0, 0): C.component(0).dim}
-    slices = {0: cobar_complex_coring(C, 0)}
-    for m in range(1, m_max + 1):
-        cx = cobar_complex_coring(C, m)
-        slices[m] = cx
-        for n, h in cx.homology_dims().items():
-            if h and n <= n_max:
-                entries[(n, m)] = h
-    table = BettiTable('Ext', entries, n_max, m_max)
-    if with_representatives:
-        _attach_representatives(table, slices)
-    return table
+    return _betti_table(C, 'Ext', cobar_complex_coring, n_max, m_max,
+                        with_representatives)
 
 
 def _attach_representatives(table: BettiTable, slices: dict):
@@ -509,19 +481,12 @@ def cohomology_ring_component(C: GradedCoring, n: int, m: int,
         rb = H2.reps[bkey][bi]
         alabels = H1.space.blocks[akey]
         blabels = H2.space.blocks[bkey]
-        vec = {}
-        for ii, ca in ra.items():
-            pa, wa = alabels[ii]
-            for jj, cb in rb.items():
-                pb, wb = blabels[jj]
-                idx = H3.space.index_of(key, (pa + pb, wa + wb))
-                nv = field.add(vec.get(idx, field.zero),
-                               field.mul(field.coerce(ca), field.coerce(cb)))
-                if field.is_zero(nv):
-                    vec.pop(idx, None)
-                else:
-                    vec[idx] = nv
-        return H3.express(key, vec)
+
+        def concat(ii, jj):
+            (pa, wa), (pb, wb) = alabels[ii], blabels[jj]
+            return H3.space.index_of(key, (pa + pb, wa + wb))
+
+        return H3.express(key, outer_vector(ra, rb, concat, field))
 
     return BimoduleMap.from_basis_action(tensor(H1.abstract, H2.abstract),
                                          H3.abstract, action)
@@ -602,14 +567,8 @@ def _matvec(mat: SparseMatrix, col: dict, field) -> dict:
     out = {}
     for (i, j), v in mat.entries.items():
         c = col.get(j)
-        if c is None:
-            continue
-        nv = field.add(out.get(i, field.zero),
-                       field.mul(field.coerce(v), field.coerce(c)))
-        if field.is_zero(nv):
-            out.pop(i, None)
-        else:
-            out[i] = nv
+        if c is not None:
+            accumulate(out, i, v, c, field)
     return out
 
 
@@ -684,11 +643,11 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
     pieces = [(p, a) for p in range(1, n) for a in range(1, m)
               if (p, a) in table.representatives
               and (n - p, m - a) in table.representatives]
-    # per block: the embedded Kuenneth columns, tagged by piece and indices
-    col_info = {}
-    for key in H.reps:
-        cols = []
-        tags = []
+    components = {}
+    for key, reps in H.reps.items():
+        # the embedded Kuenneth columns of the block, each tagged by its
+        # piece and its pair of abstract labels
+        kcols, tags = [], []
         for (p, a) in pieces:
             HL = table.representatives[(p, a)]
             HR = table.representatives[(n - p, m - a)]
@@ -700,44 +659,30 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
                         continue
                     llabels = HL.space.blocks[lkey]
                     rlabels = HR.space.blocks[rkey]
+
+                    def pair_index(ii, jj):
+                        return total_n.index_of(key, (llabels[ii],
+                                                      rlabels[jj]))
+
                     for i, lv in enumerate(lreps):
                         for j, rv in enumerate(rreps):
-                            vec = {}
-                            for ii, ca in lv.items():
-                                for jj, cb in rv.items():
-                                    idx = total_n.index_of(
-                                        key, (llabels[ii], rlabels[jj]))
-                                    nv = field.add(vec.get(idx, field.zero),
-                                                   field.mul(field.coerce(ca),
-                                                             field.coerce(cb)))
-                                    if field.is_zero(nv):
-                                        vec.pop(idx, None)
-                                    else:
-                                        vec[idx] = nv
-                            cols.append(vec)
-                            tags.append(((p, a), lkey, i, rkey, j))
-        col_info[key] = (cols, tags)
-    components = {}
-    for key, cols in H.reps.items():
-        kcols, tags = col_info[key]
+                            kcols.append(outer_vector(lv, rv, pair_index,
+                                                      field))
+                            tags.append(((p, a),
+                                         (HL.abstract.blocks[lkey][i],
+                                          HR.abstract.blocks[rkey][j])))
         bcols = list(imD.part(key).basis.columns())
         mat = dbar.block(*key)
-        for ci, col in enumerate(cols):
+        for ci, col in enumerate(reps):
             w = _matvec(mat, col, field)
             coords = solve_columns(kcols + bcols, w,
                                    total_n.block_dim(*key), field)
             assert coords is not None, 'deconcatenation is not a total cycle'
             src_label = H.abstract.blocks[key][ci]
-            for t, c in zip(tags, coords):
-                if field.is_zero(c):
-                    continue
-                (p, a), lkey, i, rkey, j = t
-                HL = table.representatives[(p, a)]
-                HR = table.representatives[(n - p, m - a)]
-                comp = components.setdefault((p, a), {})
-                comp.setdefault((key, src_label), []).append(
-                    ((HL.abstract.blocks[lkey][i],
-                      HR.abstract.blocks[rkey][j]), c))
+            for (piece, pair_label), c in zip(tags, coords):
+                if not field.is_zero(c):
+                    components.setdefault(piece, {}).setdefault(
+                        (key, src_label), []).append((pair_label, c))
     maps = {}
     for (p, a), data in components.items():
         HL = table.representatives[(p, a)]
@@ -753,38 +698,37 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
 # quadraticity
 # ---------------------------------------------------------------------------
 
-def _require_strongly_graded_ring(A: GradedRing):
-    ok, witness = is_strongly_graded_ring(A)
+def _require_strongly_graded(X):
+    'Raise PreconditionError unless the ring or coring X is strongly graded.'
+    if isinstance(X, GradedRing):
+        what, (ok, witness) = 'ring', is_strongly_graded_ring(X)
+    else:
+        what, (ok, witness) = 'coring', is_strongly_graded_coring(X)
     if not ok:
-        raise PreconditionError(f'ring is not strongly graded: {witness}')
+        raise PreconditionError(f'{what} is not strongly graded: {witness}')
 
 
-def _require_strongly_graded_coring(C: GradedCoring):
-    ok, witness = is_strongly_graded_coring(C)
-    if not ok:
-        raise PreconditionError(f'coring is not strongly graded: {witness}')
+def _degree2_dim(make_slice, X, m: int) -> int:
+    'Homology dimension of the weight-m slice make_slice(X, m) in degree 2.'
+    return make_slice(X, m).homology_dims().get(2, 0)
+
+
+def _quadratic_via(make_slice, X, m_max) -> bool:
+    _require_strongly_graded(X)
+    if m_max is None:
+        m_max = 2 * X.top_degree
+    return not any(_degree2_dim(make_slice, X, m)
+                   for m in range(3, m_max + 1))
 
 
 def quadratic_via_tor(A: GradedRing, m_max=None) -> bool:
     'True iff Tor_{2,m} vanishes for 3 <= m <= m_max (default: sound bound).'
-    _require_strongly_graded_ring(A)
-    if m_max is None:
-        m_max = 2 * A.top_degree
-    for m in range(3, m_max + 1):
-        if bar_complex_ring(A, m).homology_dims().get(2, 0):
-            return False
-    return True
+    return _quadratic_via(bar_complex_ring, A, m_max)
 
 
 def quadratic_via_ext(C: GradedCoring, m_max=None) -> bool:
     'True iff Ext^{2,m} vanishes for 3 <= m <= m_max (default: sound bound).'
-    _require_strongly_graded_coring(C)
-    if m_max is None:
-        m_max = 2 * C.top_degree
-    for m in range(3, m_max + 1):
-        if cobar_complex_coring(C, m).homology_dims().get(2, 0):
-            return False
-    return True
+    return _quadratic_via(cobar_complex_coring, C, m_max)
 
 
 def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
@@ -795,7 +739,7 @@ def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
     precondition for a caller that has already established it.
     """
     if not _checked:
-        _require_strongly_graded_ring(A)
+        _require_strongly_graded(A)
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
     Q = quadratic_ring_of(QuadraticData(V, W), A.top_degree)
@@ -825,7 +769,7 @@ def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
 def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
     'Mirror comparison of C against {C_1, Im Delta_{1,1}}; (bool, witness).'
     if not _checked:
-        _require_strongly_graded_coring(C)
+        _require_strongly_graded(C)
     V = C.component(1)
     W = image_sub(C.delta(1, 1))
     for n in range(2, C.top_degree + 1):
@@ -857,24 +801,24 @@ def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
 # the weight-m truncation sequences in homological degree 2
 # ---------------------------------------------------------------------------
 
+def _degree2_sequence_holds(make_slice, truncate, X, m: int) -> bool:
+    'Whether the weight-m slice of truncate(X, m) gains exactly X_m in degree 2.'
+    assert m >= 2
+    full = _degree2_dim(make_slice, X, m)
+    middle = _degree2_dim(make_slice, truncate(X, m), m)
+    return middle == full + X.component(m).dim
+
+
 def verify_tor2_sequence(A: GradedRing, m: int) -> bool:
     """Dimension identity of 0 -> Tor_{2,m}(A) -> Tor_{2,m}(A/A^{>=m}) ->
     A^m -> 0: the middle term must weigh exactly the sum of the ends.
     """
-    assert m >= 2
-    full = bar_complex_ring(A, m).homology_dims().get(2, 0)
-    trunc = truncate_ring(A, m)
-    middle = bar_complex_ring(trunc, m).homology_dims().get(2, 0)
-    return middle == full + A.component(m).dim
+    return _degree2_sequence_holds(bar_complex_ring, truncate_ring, A, m)
 
 
 def verify_ext2_sequence(C: GradedCoring, m: int) -> bool:
     'Mirror identity for 0 -> C_m -> Ext^{2,m}(C_{<m}) -> Ext^{2,m}(C) -> 0.'
-    assert m >= 2
-    full = cobar_complex_coring(C, m).homology_dims().get(2, 0)
-    trunc = truncate_coring(C, m)
-    middle = cobar_complex_coring(trunc, m).homology_dims().get(2, 0)
-    return middle == C.component(m).dim + full
+    return _degree2_sequence_holds(cobar_complex_coring, truncate_coring, C, m)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,15 @@ from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
                        tensor_map, _block_of, UNIT_LABEL)
 from .exact_linalg import Subspace
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
-                                shriek_of_coring, is_strongly_graded_ring,
-                                is_strongly_graded_coring, direct_product,
+                                shriek_of_coring, direct_product,
                                 direct_sum_corings)
 from .homology import (ComplexSlice, SliceHomology, bar_complex_ring,
                        cobar_complex_coring, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
-                       _matvec)
-from .errors import PreconditionError, CriteriaDisagreement, StructureError
+                       _matvec, _require_strongly_graded,
+                       _require_representatives)
+from .errors import CriteriaDisagreement, StructureError
 
 
 class AlmostKoszulPair:
@@ -43,9 +43,8 @@ class AlmostKoszulPair:
         for key in set(C1.blocks) | set(A1.blocks):
             sd = C1.block_dim(*key)
             td = A1.block_dim(*key)
-            mat = theta.block(*key)
-            rk = 0 if mat is None else Subspace.from_spanning(
-                mat.columns(), td, ring.base.field).dim
+            rk = Subspace.from_spanning(theta.block(*key).columns(), td,
+                                        ring.base.field).dim
             if sd != td or rk != sd:
                 raise StructureError(
                     f'theta is not invertible on block {key!r}')
@@ -62,22 +61,21 @@ class AlmostKoszulPair:
                 f'coring top {self.coring.top_degree})')
 
 
+def _pair_with_shriek(X, shriek) -> AlmostKoszulPair:
+    _require_strongly_graded(X)
+    partner = shriek(X)
+    ring, coring = (X, partner) if isinstance(X, GradedRing) else (partner, X)
+    return AlmostKoszulPair(ring, coring, BimoduleMap.identity(X.component(1)))
+
+
 def make_pair_shriek_ring(A: GradedRing) -> AlmostKoszulPair:
     'The pair of A with its quadratic-dual coring; theta is the identity.'
-    ok, witness = is_strongly_graded_ring(A)
-    if not ok:
-        raise PreconditionError(f'ring is not strongly graded: {witness}')
-    coring = shriek_of_ring(A)
-    return AlmostKoszulPair(A, coring, BimoduleMap.identity(A.component(1)))
+    return _pair_with_shriek(A, shriek_of_ring)
 
 
 def make_pair_shriek_coring(C: GradedCoring) -> AlmostKoszulPair:
     'The pair of the quadratic-dual ring with C; theta is the identity.'
-    ok, witness = is_strongly_graded_coring(C)
-    if not ok:
-        raise PreconditionError(f'coring is not strongly graded: {witness}')
-    ring = shriek_of_coring(C)
-    return AlmostKoszulPair(ring, C, BimoduleMap.identity(C.component(1)))
+    return _pair_with_shriek(C, shriek_of_coring)
 
 
 def _koszul_action(pair: AlmostKoszulPair, a_degree: int, c_degree: int):
@@ -104,8 +102,10 @@ def _koszul_action(pair: AlmostKoszulPair, a_degree: int, c_degree: int):
     return action
 
 
-def koszul_complex_left(pair: AlmostKoszulPair, m: int) -> ComplexSlice:
-    """The weight-m left Koszul slice, degree n space A^{m-n} (x) C_n.
+def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
+                  degrees) -> ComplexSlice:
+    """The weight-m Koszul slice whose degree n space is A^a (x) C_c for
+    (a, c) = degrees(n), with differentials running in direction.
 
     The degree -1 augmentation term is R in weight 0 and zero otherwise;
     spaces beyond either factor's support are asserted to vanish.
@@ -115,50 +115,36 @@ def koszul_complex_left(pair: AlmostKoszulPair, m: int) -> ComplexSlice:
     base = A.base
     spaces = {-1: unit_bimodule(base) if m == 0 else zero_bimodule(base)}
     for n in range(m + 1):
-        An, Cn = A.component(m - n), C.component(n)
+        a, c = degrees(n)
+        An, Cn = A.component(a), C.component(c)
         sp = zero_bimodule(base) if An.is_zero() or Cn.is_zero() \
             else tensor(An, Cn)
-        if m - n > A.top_degree or n > C.top_degree:
+        if a > A.top_degree or c > C.top_degree:
             assert sp.is_zero(), f'slice cell ({m}, {n}) outside the support'
         spaces[n] = sp
     diffs = {}
-    if m == 0 and not spaces[0].is_zero():
-        diffs[0] = BimoduleMap.from_basis_action(
-            spaces[0], spaces[-1], lambda key, label: [(UNIT_LABEL, 1)])
-    for n in range(1, m + 1):
-        src, tgt = spaces[n], spaces[n - 1]
-        if src.is_zero() or tgt.is_zero():
+    step = -1 if direction == 'chain' else 1
+    unit = UNIT_LABEL if direction == 'chain' else (UNIT_LABEL, UNIT_LABEL)
+    for n in range(-1, m + 1):
+        src, tgt = spaces[n], spaces.get(n + step)
+        if tgt is None or src.is_zero() or tgt.is_zero():
             continue
-        diffs[n] = BimoduleMap.from_basis_action(
-            src, tgt, _koszul_action(pair, m - n, n))
-    return ComplexSlice('chain', m, spaces, diffs)
+        if -1 in (n, n + step):   # the augmentation, nonzero in weight 0
+            action = lambda key, label: [(unit, 1)]
+        else:
+            action = _koszul_action(pair, *degrees(n))
+        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+    return ComplexSlice(direction, m, spaces, diffs)
+
+
+def koszul_complex_left(pair: AlmostKoszulPair, m: int) -> ComplexSlice:
+    'The weight-m left Koszul slice, degree n space A^{m-n} (x) C_n.'
+    return _koszul_slice(pair, m, 'chain', lambda n: (m - n, n))
 
 
 def koszul_complex_right(pair: AlmostKoszulPair, m: int) -> ComplexSlice:
     'The weight-m right Koszul slice, degree n space A^n (x) C_{m-n}.'
-    assert m >= 0
-    A, C = pair.ring, pair.coring
-    base = A.base
-    spaces = {-1: unit_bimodule(base) if m == 0 else zero_bimodule(base)}
-    for n in range(m + 1):
-        An, Cn = A.component(n), C.component(m - n)
-        sp = zero_bimodule(base) if An.is_zero() or Cn.is_zero() \
-            else tensor(An, Cn)
-        if n > A.top_degree or m - n > C.top_degree:
-            assert sp.is_zero(), f'slice cell ({m}, {n}) outside the support'
-        spaces[n] = sp
-    diffs = {}
-    if m == 0 and not spaces[0].is_zero():
-        diffs[-1] = BimoduleMap.from_basis_action(
-            spaces[-1], spaces[0],
-            lambda key, label: [((UNIT_LABEL, UNIT_LABEL), 1)])
-    for n in range(m):
-        src, tgt = spaces[n], spaces[n + 1]
-        if src.is_zero() or tgt.is_zero():
-            continue
-        diffs[n] = BimoduleMap.from_basis_action(
-            src, tgt, _koszul_action(pair, n, m - n))
-    return ComplexSlice('cochain', m, spaces, diffs)
+    return _koszul_slice(pair, m, 'cochain', lambda n: (n, m - n))
 
 
 def is_exact(cx: ComplexSlice):
@@ -178,7 +164,8 @@ class KoszulVerdict:
     kind 'equivalence' must all equal the verdict; 'assertion' criteria
     must simply hold.  sound is False when a truncated shriek partner or a
     user-supplied weight cap makes the sweep a bounded check rather than a
-    complete decision.
+    complete decision.  pair is the almost-Koszul pair the decision swept,
+    kept for callers that go on with it; it is not part of the JSON.
     """
 
     def __init__(self, verdict: bool, per_criterion: dict,
@@ -187,6 +174,7 @@ class KoszulVerdict:
         self.per_criterion = dict(per_criterion)
         self.m_bound_used = m_bound_used
         self.sound = sound
+        self.pair = None
 
     def to_json(self) -> dict:
         return {
@@ -241,6 +229,73 @@ def _exactness_sweep(builder, pair, m_bound):
     return failures
 
 
+def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
+            kinds, extra_criterion) -> KoszulVerdict:
+    'The decision of decide_koszul_ring or _coring, given the side hooks.'
+    pair = make_pair(X)   # checks strong grading, once
+    partner = pair.coring if X is pair.ring else pair.ring
+    vanish_bound = pair.ring.top_degree + pair.coring.top_degree
+    m_bound = max(2 * X.top_degree, vanish_bound) if m_max is None else m_max
+    sound = not partner.support_truncated and m_bound >= vanish_bound
+    if sound:
+        beyond = make_slice(pair, m_bound + 1)
+        assert beyond.total_dim() == 0, 'slice persists past the sweep bound'
+
+    failures = _exactness_sweep(make_slice, pair, m_bound)
+    verdict = not failures
+    pair_ev = {'failing_weights': {str(m): {str(n): d for n, d in nz.items()}
+                                   for m, nz in failures.items()}}
+
+    # the table and the comparisons share the exactness window: for
+    # structures whose shriek partner outlives them (2L < vanish bound) the
+    # smaller classical window would miss diagonal cells above weight 2L
+    table = make_table(X, m_max=m_bound, with_representatives=True)
+    offd = sorted([n, m, v] for (n, m), v in table.off_diagonal().items())
+    diag = table.diagonal()
+    mismatches = []
+    for n in range(1, min(partner.top_degree, m_bound) + 1):
+        want = partner.component(n).dim
+        got = diag.get(n, 0)
+        if want != got:
+            mismatches.append([n, got, want])
+
+    via_table = all(table.entry(2, m) == 0 for m in range(3, m_bound + 1))
+    direct, direct_witness = quad_direct(X, _checked=True)
+
+    side = table.kind.lower()
+    per_criterion = {
+        'pair_exactness': (verdict, pair_ev),
+        f'{side}_diagonal': (not offd, {'off_diagonal': offd}),
+        'shriek_isomorphism': (not mismatches and not offd,
+                               {'diagonal_mismatches': mismatches,
+                                'off_diagonal': offd}),
+        'quadraticity_consistent': (via_table == direct,
+                                    {f'via_{side}': via_table,
+                                     'direct': direct,
+                                     'witness': direct_witness}),
+        **extra_criterion(X, table, offd),
+    }
+    if sound:
+        _check_agreement(verdict, per_criterion, kinds)
+    result = KoszulVerdict(verdict, per_criterion, m_bound, sound)
+    result.pair = pair
+    return result
+
+
+def _primitives_criterion(A: GradedRing, table, offd) -> dict:
+    prim = tor_primitive_dims(A, table)
+    prim_bad = sorted([n, m, d] for (n, m), d in prim.items()
+                      if n >= 2 and d)
+    return {'primitives_degree_one': (not prim_bad, {'nonzero': prim_bad})}
+
+
+def _products_criterion(C: GradedCoring, table, offd) -> dict:
+    surjective, sur_witness = ext_diagonal_products_surjective(C, table)
+    return {'ext_strongly_graded': (not offd and surjective,
+                                    {'off_diagonal': offd,
+                                     'non_surjective_degree': sur_witness})}
+
+
 def decide_koszul_ring(A: GradedRing, m_max: int = None) -> KoszulVerdict:
     """Decide Koszulity of A through the pair (A, A^!).
 
@@ -248,104 +303,16 @@ def decide_koszul_ring(A: GradedRing, m_max: int = None) -> KoszulVerdict:
     weight bound; Tor diagonality, primitives, the shriek comparison and
     the two quadraticity routes are computed alongside and must agree.
     """
-    pair = make_pair_shriek_ring(A)   # checks strong grading, once
-    L = A.top_degree
-    vanish_bound = A.top_degree + pair.coring.top_degree
-    m_bound = max(2 * L, vanish_bound) if m_max is None else m_max
-    truncated = getattr(pair.coring, 'support_truncated', False)
-    sound = not truncated and m_bound >= vanish_bound
-    if sound:
-        beyond = koszul_complex_left(pair, m_bound + 1)
-        assert beyond.total_dim() == 0, 'slice persists past the sweep bound'
-
-    failures = _exactness_sweep(koszul_complex_left, pair, m_bound)
-    verdict = not failures
-    pair_ev = {'failing_weights': {str(m): {str(n): d for n, d in nz.items()}
-                                   for m, nz in failures.items()}}
-
-    # the table and the comparisons share the exactness window: for rings
-    # whose shriek partner outlives them (2L < vanish bound) the smaller
-    # classical window would miss diagonal cells above weight 2L
-    table = tor_table(A, m_max=m_bound, with_representatives=True)
-    offd = sorted([n, m, v] for (n, m), v in table.off_diagonal().items())
-    prim = tor_primitive_dims(A, table)
-    prim_bad = sorted([n, m, d] for (n, m), d in prim.items()
-                      if n >= 2 and d)
-    diag = table.diagonal()
-    mismatches = []
-    for n in range(1, min(pair.coring.top_degree, m_bound) + 1):
-        want = pair.coring.component(n).dim
-        got = diag.get(n, 0)
-        if want != got:
-            mismatches.append([n, got, want])
-
-    via_table = all(table.entry(2, m) == 0 for m in range(3, m_bound + 1))
-    direct, direct_witness = is_quadratic_direct(A, _checked=True)
-
-    per_criterion = {
-        'pair_exactness': (verdict, pair_ev),
-        'tor_diagonal': (not offd, {'off_diagonal': offd}),
-        'primitives_degree_one': (not prim_bad, {'nonzero': prim_bad}),
-        'shriek_isomorphism': (not mismatches and not offd,
-                               {'diagonal_mismatches': mismatches,
-                                'off_diagonal': offd}),
-        'quadraticity_consistent': (via_table == direct,
-                                    {'via_tor': via_table, 'direct': direct,
-                                     'witness': direct_witness}),
-    }
-    if sound:
-        _check_agreement(verdict, per_criterion, RING_CRITERION_KINDS)
-    return KoszulVerdict(verdict, per_criterion, m_bound, sound)
+    return _decide(A, m_max, make_pair_shriek_ring, koszul_complex_left,
+                   tor_table, is_quadratic_direct, RING_CRITERION_KINDS,
+                   _primitives_criterion)
 
 
 def decide_koszul_coring(C: GradedCoring, m_max: int = None) -> KoszulVerdict:
     'Mirror decision for a coring through the pair (C^!, C).'
-    pair = make_pair_shriek_coring(C)   # checks strong grading, once
-    L = C.top_degree
-    vanish_bound = pair.ring.top_degree + C.top_degree
-    m_bound = max(2 * L, vanish_bound) if m_max is None else m_max
-    truncated = getattr(pair.ring, 'support_truncated', False)
-    sound = not truncated and m_bound >= vanish_bound
-    if sound:
-        beyond = koszul_complex_right(pair, m_bound + 1)
-        assert beyond.total_dim() == 0, 'slice persists past the sweep bound'
-
-    failures = _exactness_sweep(koszul_complex_right, pair, m_bound)
-    verdict = not failures
-    pair_ev = {'failing_weights': {str(m): {str(n): d for n, d in nz.items()}
-                                   for m, nz in failures.items()}}
-
-    # same window as the exactness sweep; see decide_koszul_ring
-    table = ext_table(C, m_max=m_bound, with_representatives=True)
-    offd = sorted([n, m, v] for (n, m), v in table.off_diagonal().items())
-    diag = table.diagonal()
-    mismatches = []
-    for n in range(1, min(pair.ring.top_degree, m_bound) + 1):
-        want = pair.ring.component(n).dim
-        got = diag.get(n, 0)
-        if want != got:
-            mismatches.append([n, got, want])
-    surjective, sur_witness = ext_diagonal_products_surjective(C, table)
-
-    via_table = all(table.entry(2, m) == 0 for m in range(3, m_bound + 1))
-    direct, direct_witness = is_quadratic_coring_direct(C, _checked=True)
-
-    per_criterion = {
-        'pair_exactness': (verdict, pair_ev),
-        'ext_diagonal': (not offd, {'off_diagonal': offd}),
-        'ext_strongly_graded': (not offd and surjective,
-                                {'off_diagonal': offd,
-                                 'non_surjective_degree': sur_witness}),
-        'shriek_isomorphism': (not mismatches and not offd,
-                               {'diagonal_mismatches': mismatches,
-                                'off_diagonal': offd}),
-        'quadraticity_consistent': (via_table == direct,
-                                    {'via_ext': via_table, 'direct': direct,
-                                     'witness': direct_witness}),
-    }
-    if sound:
-        _check_agreement(verdict, per_criterion, CORING_CRITERION_KINDS)
-    return KoszulVerdict(verdict, per_criterion, m_bound, sound)
+    return _decide(C, m_max, make_pair_shriek_coring, koszul_complex_right,
+                   ext_table, is_quadratic_coring_direct,
+                   CORING_CRITERION_KINDS, _products_criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +341,9 @@ def phi_shriek_ring_check(A: GradedRing, n: int) -> bool:
     for key, mat in emb.blocks.items():
         cols = mat.columns()
         count += len(cols)
-        if d_out is not None:
-            dmat = d_out.block(*key)
-            if dmat is not None:
-                for col in cols:
-                    if _matvec(dmat, col, field):
-                        return False
+        if d_out is not None and any(_matvec(d_out.block(*key), col, field)
+                                     for col in cols):
+            return False
         rk = Subspace.from_spanning(cols, space.block_dim(*key), field).dim
         if rk != len(cols):
             return False
@@ -393,9 +357,7 @@ def phi_shriek_coring_check(C: GradedCoring, n: int, table=None) -> bool:
     assert n >= 1
     shr = shriek_of_coring(C)
     if table is not None:
-        if not hasattr(table, 'representatives'):
-            raise PreconditionError('representative cache missing: build the '
-                                    'table with with_representatives=True')
+        _require_representatives(table)
         H = table.representatives.get((n, n))
         cx = table.slices[n]
     else:
@@ -411,16 +373,12 @@ def phi_shriek_coring_check(C: GradedCoring, n: int, table=None) -> bool:
     field = C.base.field
     # boundaries must die under the projection, else classes are ambiguous
     for key in cx.spaces[n].blocks:
-        bpart = H._boundary_part(key)
         pmat = proj.block(*key)
-        for col in bpart.basis.columns():
-            if pmat is not None:
-                assert not _matvec(pmat, col, field), \
-                    'projection does not kill the coboundaries'
+        for col in H._boundary_part(key).basis.columns():
+            assert not _matvec(pmat, col, field), \
+                'projection does not kill the coboundaries'
     for key, cols in H.reps.items():
         pmat = proj.block(*key)
-        if pmat is None:
-            return False
         images = [_matvec(pmat, col, field) for col in cols]
         rk = Subspace.from_spanning(images, shr.component(n).block_dim(*key),
                                     field).dim

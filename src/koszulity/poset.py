@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .exact_linalg import RATIONALS, Subspace
 from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                       tensor, unit_bimodule, dual_label)
+                       tensor, tensor_map, unit_bimodule, dual_label)
 from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
                                 quadratic_ring_of, shriek_of_coring,
                                 direct_product)
@@ -253,16 +253,10 @@ def incidence_duality_check(P: GradedPoset, field=RATIONALS) -> bool:
     for p in range(1, A.top_degree):
         for q in range(1, A.top_degree + 1 - p):
             lhs = chi[p + q].compose(A.mu(p, q))
-            rhs = D.mu(p, q).compose(_tensor_relabel(chi[p], chi[q]))
+            rhs = D.mu(p, q).compose(tensor_map(chi[p], chi[q]))
             if lhs != rhs:
                 return False
     return True
-
-
-def _tensor_relabel(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
-    # chi_p (x) chi_q, cheap because both factors are relabelings
-    from .bimodule import tensor_map
-    return tensor_map(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +346,11 @@ def _poset_from_key(key) -> GradedPoset:
                        [(str(a), str(b)) for a, b in edges])
 
 
-def _antichains(leq_pairs, k: int):
-    'All subsets of 0..k-1 that are pairwise incomparable (empty set included).'
+def _cover_choices(key) -> list:
+    """The antichains of the poset with this key, empty one included: the
+    possible lower covers of a new maximal element."""
+    k, _ = key
+    leq_pairs = {(int(a), int(b)) for a, b in _poset_from_key(key)._length}
     out = []
 
     def grow(start, chosen):
@@ -389,14 +386,10 @@ def enumerate_corpus(max_elements: int, max_length=None, allow_large=False):
         nxt = set()
         for key in level:
             k, edges = key
-            P = _poset_from_key(key)
-            leq_pairs = set(P._length)
-            leq_idx = {(int(a), int(b)) for a, b in leq_pairs}
-            for cover_set in _antichains(leq_idx, k):
-                new_edges = edges + tuple((v, k) for v in cover_set)
+            for cover_set in _cover_choices(key):
                 try:
-                    Q = GradedPoset([str(i) for i in range(k + 1)],
-                                    [(str(a), str(b)) for a, b in new_edges])
+                    Q = _poset_from_key(
+                        (k + 1, edges + tuple((v, k) for v in cover_set)))
                 except InputError:
                     continue
                 if max_length is not None and Q.max_length > max_length:
@@ -421,13 +414,10 @@ def random_graded_poset(n_elements: int, rng) -> GradedPoset:
     while True:
         edges = ()
         for k in range(1, n_elements):
-            P = _poset_from_key((k, edges))
-            leq_idx = {(int(a), int(b)) for a, b in P._length}
-            cover_set = rng.choice(_antichains(leq_idx, k))
+            cover_set = rng.choice(_cover_choices((k, edges)))
             new_edges = edges + tuple((v, k) for v in cover_set)
             try:
-                GradedPoset([str(i) for i in range(k + 1)],
-                            [(str(a), str(b)) for a, b in new_edges])
+                _poset_from_key((k + 1, new_edges))
             except InputError:
                 break
             edges = new_edges

@@ -1,6 +1,7 @@
 """The command-line frontend, run in-process through main()."""
 
 import json
+import sys
 
 import pytest
 
@@ -161,6 +162,70 @@ def test_cache_key_separates_commands(capsys, tmp_path, diamond_file):
     report = json.loads(out)
     assert report['command'] == 'betti'
     assert report['timings']['cached'] is False
+
+
+def test_cache_keeps_labels_of_isomorphic_inputs(capsys, tmp_path,
+                                                 diamond_file):
+    relabelled = tmp_path / 'relabelled.json'
+    doc = {'elements': ['top', 'x', 'bot', 'y'],
+           'covers': [['x', 'top'], ['bot', 'x'], ['bot', 'y'],
+                      ['y', 'top']]}
+    relabelled.write_text(json.dumps(doc))
+    cache = str(tmp_path / 'cache')
+    reports = []
+    for path in (diamond_file, str(relabelled)):
+        _, out, _ = run(capsys, 'shriek', '--poset', path, '--cache', cache,
+                        '--jobs', '1')
+        reports.append(json.loads(out))
+    first, second = reports
+    assert first['input']['elements'] == DIAMOND_DOC['elements']
+    assert second['input']['elements'] == doc['elements']
+    assert second['input']['covers'] == doc['covers']
+    assert second['timings']['cached'] is False
+    assert list(second['generators']) == ['zeta_{bot,top}']
+    assert first['input']['digest'] == second['input']['digest']
+
+
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, diamond_file):
+    cache = tmp_path / 'cache'
+    _, fresh, _ = run(capsys, 'betti', '--poset', diamond_file,
+                      '--cache', str(cache), '--jobs', '1')
+    (entry,) = cache.iterdir()
+    entry.write_text('{"truncated": ')
+    code, out, _ = run(capsys, 'betti', '--poset', diamond_file,
+                       '--cache', str(cache), '--jobs', '1')
+    assert code == 0
+    report = json.loads(out)
+    assert report['timings']['cached'] is False
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+    rewritten = json.loads(entry.read_text())
+    report.pop('timings')
+    assert rewritten == report
+    expected = json.loads(fresh)
+    expected.pop('timings')
+    assert rewritten == expected
+
+
+def test_check_builds_the_shriek_pair_once(capsys, monkeypatch,
+                                           diamond_file):
+    from koszulity import koszul
+    calls = []
+    original = koszul.make_pair_shriek_ring
+
+    def counting(A):
+        calls.append(A)
+        return original(A)
+
+    # every koszulity module that imported the pair constructor, CLI included
+    for name, module in list(sys.modules.items()):
+        if (name.startswith('koszulity') and
+                getattr(module, 'make_pair_shriek_ring', None) is original):
+            monkeypatch.setattr(module, 'make_pair_shriek_ring', counting)
+    code, out, _ = run(capsys, 'check', '--poset', diamond_file,
+                       '--jobs', '1')
+    assert code == 0
+    assert json.loads(out)['duality']['dual_pair_almost_koszul'] is True
+    assert len(calls) == 1
 
 
 def test_exit_codes_on_bad_input(capsys, tmp_path):

@@ -8,8 +8,6 @@ import pytest
 from koszulity.bimodule import BimoduleMap, left_dual, dual_label, tensor
 from koszulity.duality import (dual_map, graded_left_dual_of_ring,
                                graded_left_dual_of_coring,
-                               graded_right_dual_of_ring,
-                               graded_right_dual_of_coring,
                                dual_pair, double_dual_check)
 from koszulity.koszul import (make_pair_shriek_ring, make_pair_shriek_coring,
                               koszul_complex_left, koszul_complex_right,
@@ -59,15 +57,6 @@ def test_incidence_duality_corpus():
     for size in range(1, 5):
         for P in enumerate_corpus(size):
             assert incidence_duality_check(P)
-
-
-def test_right_duals_coincide_with_left(diamond, p_bad):
-    for P in (diamond, p_bad):
-        A = incidence_ring(P)
-        C = incidence_coring(P)
-        assert graded_right_dual_of_ring(A) == graded_left_dual_of_ring(A)
-        assert graded_right_dual_of_coring(C) == \
-            graded_left_dual_of_coring(C)
 
 
 def test_double_dual_fixtures(diamond, p_bad, tail_diamond):

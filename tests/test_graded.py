@@ -8,7 +8,7 @@ import pytest
 from koszulity.exact_linalg import RATIONALS, FieldSpec, Subspace
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_power,
-                                unit_bimodule, kernel_sub)
+                                unit_bimodule, kernel_sub, image_sub)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          QuadraticData, quadratic_ring_of,
                                          quadratic_coring_of, shriek_of_ring,
@@ -179,6 +179,46 @@ def test_shriek_zero_degree_one():
     shr = shriek_of_ring(A)
     assert shr.top_degree == 0
     assert not shr.support_truncated
+
+
+def boolean_lattice(n):
+    'B_n as the subsets of range(n), named by their sorted digits.'
+    name = {s: ''.join(str(i) for i in range(n) if s >> i & 1) or 'e'
+            for s in range(2 ** n)}
+    return GradedPoset(list(name.values()),
+                       [(name[s], name[s | 1 << i]) for s in range(2 ** n)
+                        for i in range(n) if not s >> i & 1])
+
+
+@pytest.mark.parametrize('side', ['ring', 'coring'])
+def test_shriek_computes_each_component_once(monkeypatch, side):
+    from koszulity import graded_structures as gs
+    P = boolean_lattice(3)
+    if side == 'ring':
+        X = incidence_ring(P)
+        W = kernel_sub(X.mu(1, 1))
+        name, shriek, explicit = ('intersection_component', shriek_of_ring,
+                                  quadratic_coring_of)
+    else:
+        X = incidence_coring(P)
+        W = image_sub(X.delta(1, 1))
+        name, shriek, explicit = ('ideal_component_span', shriek_of_coring,
+                                  quadratic_ring_of)
+    degrees = []
+    original = getattr(gs, name)
+
+    def counting(V, W, n):
+        degrees.append(n)
+        return original(V, W, n)
+
+    monkeypatch.setattr(gs, name, counting)
+    shr = shriek(X)
+    assert shr.top_degree == 3 and not shr.support_truncated
+    # the probe may stop at degree 4, where no word of V survives
+    assert len(degrees) == len(set(degrees))
+    assert {2, 3} <= set(degrees) <= {2, 3, 4}
+    monkeypatch.undo()
+    assert shr == explicit(QuadraticData(X.component(1), W), 3)
 
 
 def test_quadratic_constructions_embed(diamond):
