@@ -4,7 +4,7 @@ corings over a split semisimple base.
 """
 
 from .errors import (KoszulityError, InputError, StructureError,
-                     PreconditionError, CriteriaDisagreement)
+                     PreconditionError, CriteriaDisagreement, InvariantError)
 from .exact_linalg import FieldSpec, RATIONALS, SparseMatrix, Subspace
 from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                        tensor, tensor_many, tensor_power, tensor_map,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .exact_linalg import (FieldSpec, SparseMatrix, Subspace, DimensionError,
                            kernel_basis, image_basis, accumulate)
+from .errors import InvariantError
 
 UNIT_LABEL = '1'
 
@@ -469,6 +470,8 @@ def dual_tensor_iso(V: Bimodule, W: Bimodule):
         return [((dual_label(v), dual_label(w)), 1)]
 
     psi = BimoduleMap.from_basis_action(tgt, src, psi_action)
-    assert phi.compose(psi) == BimoduleMap.identity(tgt), 'phi . psi != id'
-    assert psi.compose(phi) == BimoduleMap.identity(src), 'psi . phi != id'
+    if phi.compose(psi) != BimoduleMap.identity(tgt):
+        raise InvariantError('phi . psi != id')
+    if psi.compose(phi) != BimoduleMap.identity(src):
+        raise InvariantError('psi . phi != id')
     return phi, psi

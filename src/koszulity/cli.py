@@ -17,7 +17,8 @@ Report schema, version 1.  Every report is an object with:
     ...              command-specific payload, see the cmd_* docstrings
 
 Exit codes: 0 = computed (whether or not the poset is Koszul), 2 = bad
-input, 3 = internal criteria disagreement (a canary that must never fire).
+input, 3 = internal criteria disagreement or failed internal invariant
+(canaries that must never fire).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .exact_linalg import FieldSpec, RATIONALS
-from .errors import InputError, CriteriaDisagreement
+from .errors import InputError, CriteriaDisagreement, InvariantError
 from .poset import (GradedPoset, parse_poset, incidence_ring,
                     incidence_coring, incidence_duality_check, zeta_ring,
                     enumerate_corpus)
@@ -115,15 +116,22 @@ def _poset_echo(P: GradedPoset) -> dict:
 # worker tasks (module-level so the process pool can pickle them)
 # ---------------------------------------------------------------------------
 
-def _decide_task(payload: dict) -> dict:
+def _decide_task(payload: dict) -> tuple:
+    """The verdict document of one side and that side's share of the
+    duality block: the ring worker dualizes its pair and checks the double
+    dual of its ring, the coring worker checks the incidence duality."""
     P = parse_poset(payload['document'])
     field = parse_field(payload['field'])
     m_max = payload['m_max']
     if payload['side'] == 'ring':
-        verdict = decide_koszul_ring(incidence_ring(P, field), m_max)
+        A = incidence_ring(P, field)
+        verdict = decide_koszul_ring(A, m_max)
         dual_pair(verdict.pair)   # raises if not almost-Koszul
-        return verdict.to_json()
-    return decide_koszul_coring(incidence_coring(P, field), m_max).to_json()
+        return verdict.to_json(), {'dual_pair_almost_koszul': True,
+                                   'double_dual': double_dual_check(A)}
+    verdict = decide_koszul_coring(incidence_coring(P, field), m_max)
+    return verdict.to_json(), {
+        'dual_is_incidence_coring': incidence_duality_check(P, field)}
 
 
 def _corpus_task(payload: dict) -> dict:
@@ -168,8 +176,8 @@ def cmd_check(poset_file: str, config: RunConfig) -> dict:
     payloads = [{'document': document, 'field': config.field_text,
                  'm_max': config.m_max_override, 'side': side}
                 for side in ('ring', 'coring')]
-    ring_json, coring_json = _run_tasks(_decide_task, payloads,
-                                        config.parallelism)
+    (ring_json, ring_duality), (coring_json, coring_duality) = _run_tasks(
+        _decide_task, payloads, config.parallelism)
     if ring_json['verdict'] != coring_json['verdict']:
         raise CriteriaDisagreement(
             f'ring verdict {ring_json["verdict"]} but coring verdict '
@@ -178,11 +186,6 @@ def cmd_check(poset_file: str, config: RunConfig) -> dict:
         int(m)
         for crit in ring_json['criteria'] if crit['id'] == 'pair_exactness'
         for m in crit['evidence'].get('failing_weights', {}))
-    A = incidence_ring(P, config.field)
-    duality = {'dual_is_incidence_coring': incidence_duality_check(
-                   P, config.field),
-               'dual_pair_almost_koszul': True,
-               'double_dual': double_dual_check(A)}
     return {'schema_version': SCHEMA_VERSION,
             'command': 'check',
             'input': _poset_echo(P),
@@ -191,7 +194,7 @@ def cmd_check(poset_file: str, config: RunConfig) -> dict:
             'witness_weights': witness,
             'ring': ring_json,
             'coring': coring_json,
-            'duality': duality}
+            'duality': {**ring_duality, **coring_duality}}
 
 
 def cmd_betti(poset_file: str, side: str, config: RunConfig) -> dict:
@@ -465,6 +468,10 @@ def main(argv=None) -> int:
         return 2
     except CriteriaDisagreement as exc:
         print(f'criteria disagreement (this should never happen): {exc}',
+              file=sys.stderr)
+        return 3
+    except InvariantError as exc:
+        print(f'internal invariant failed (this should never happen): {exc}',
               file=sys.stderr)
         return 3
 

@@ -17,6 +17,7 @@ from .bimodule import (Bimodule, BimoduleMap, left_dual, dual_tensor_iso,
                        tensor)
 from .graded_structures import GradedRing, GradedCoring
 from .koszul import AlmostKoszulPair
+from .errors import InvariantError
 
 
 def dual_map(f: BimoduleMap) -> BimoduleMap:
@@ -31,7 +32,7 @@ def _graded_left_dual(X, structure_map, out_cls):
 
     The dual of a product is psi composed with its transpose, the dual of
     a comultiplication its transpose composed with phi; the coherence of
-    that factorization is asserted blockwise.
+    that factorization is checked blockwise.
     """
     components = {n: left_dual(X.component(n))
                   for n in range(X.top_degree + 1)}
@@ -48,7 +49,9 @@ def _graded_left_dual(X, structure_map, out_cls):
             else:
                 f = transposed.compose(phi)
                 coherent = f.compose(psi) == transposed
-            assert coherent, f'dual structure map ({p},{q}) is incoherent'
+            if not coherent:
+                raise InvariantError(
+                    f'dual structure map ({p},{q}) is incoherent')
             if not f.is_zero():
                 maps[(p, q)] = f
     D = out_cls(X.base, components, maps, X.top_degree)

@@ -3,7 +3,10 @@
 InputError covers anything a caller can fix (bad documents, invalid posets,
 violated preconditions) and maps to CLI exit code 2.  CriteriaDisagreement
 is the theorem-violation canary: equivalent Koszulity criteria returned
-different answers.  It must never fire; the CLI maps it to exit code 3.
+different answers.  InvariantError is raised when an internal invariant of
+a computation fails (d o d != 0, a broken Euler balance, an incoherent
+dual); unlike an assert it survives python -O.  Neither must ever fire;
+the CLI maps both to exit code 3.
 """
 
 
@@ -25,3 +28,7 @@ class PreconditionError(InputError):
 
 class CriteriaDisagreement(KoszulityError):
     'Equivalent criteria disagreed; indicates an internal error, never a verdict.'
+
+
+class InvariantError(KoszulityError):
+    'An internal invariant failed; indicates an internal error, never a verdict.'

@@ -1,9 +1,16 @@
 """Exact sparse linear algebra over the rationals and prime fields.
 
 Everything downstream (homology dims, exactness, subspace calculus) reduces
-to the handful of operations in this module.  No floating point anywhere:
-rational work uses Fraction with fraction-free row updates, prime-field work
-uses machine integers mod p.
+to the handful of operations in this module.  No floating point anywhere.
+
+Over the rationals an integral value is a plain int, and a Fraction appears
+only where a value is not integral: the field operations and every result
+turn an integral Fraction into its numerator.  The structure constants of
+incidence rings and corings are 0 and +-1, so almost all rational work is
+integer work; rank uses fraction-free updates on primitive integer rows and
+never divides.  Prime-field work uses machine integers mod p.  Equal
+numbers compare and hash equal across int and Fraction, so matrices with
+integral Fraction entries equal their int counterparts.
 """
 
 from __future__ import annotations
@@ -87,21 +94,24 @@ class FieldSpec:
     # -- scalar arithmetic ------------------------------------------------
 
     def coerce(self, x: Scalar) -> Scalar:
-        if self.kind == 'rationals':
-            return x if isinstance(x, Fraction) else Fraction(x)
+        'x as a field element: an int or non-integral Fraction, or an int mod p.'
+        if type(x) is int:
+            return x if self.kind == 'rationals' else x % self.p
         f = Fraction(x)
+        if self.kind == 'rationals':
+            return _q_normal(f)
         if f.denominator % self.p == 0:
             raise ReductionError(f'denominator of {x} vanishes mod {self.p}')
         return f.numerator * pow(f.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
-        return a + b if self.kind == 'rationals' else (a + b) % self.p
+        return _q_normal(a + b) if self.kind == 'rationals' else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.kind == 'rationals' else (a - b) % self.p
+        return _q_normal(a - b) if self.kind == 'rationals' else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.kind == 'rationals' else (a * b) % self.p
+        return _q_normal(a * b) if self.kind == 'rationals' else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.kind == 'rationals' else (-a) % self.p
@@ -110,19 +120,21 @@ class FieldSpec:
         if self.kind == 'rationals':
             if a == 0:
                 raise ZeroDivisionError('inverting zero')
-            return Fraction(1) / Fraction(a)
+            return _q_normal(1 / Fraction(a))
         return pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a == 0
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == 'rationals' else 0
+    zero = 0
+    one = 1
 
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == 'rationals' else 1
+
+def _q_normal(x):
+    'x, with an integral Fraction replaced by its numerator.'
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 RATIONALS = FieldSpec.rationals()
@@ -130,9 +142,10 @@ RATIONALS = FieldSpec.rationals()
 
 def accumulate(vec: dict, key, a, b, field: FieldSpec) -> None:
     'vec[key] += a * b in place; an entry that cancels to zero is dropped.'
-    nv = field.add(vec.get(key, field.zero),
-                   field.mul(field.coerce(a), field.coerce(b)))
-    if field.is_zero(nv):
+    if field.kind != 'rationals':
+        a, b = field.coerce(a), field.coerce(b)
+    nv = field.coerce(vec.get(key, 0) + a * b)
+    if nv == 0:
         vec.pop(key, None)
     else:
         vec[key] = nv
@@ -231,50 +244,60 @@ class SparseMatrix:
         return SparseMatrix(self.cols, self.rows,
                             [(j, i, v) for (i, j), v in self.entries.items()])
 
+    # Over Q the stored entries are multiplied and added as they are, and
+    # only the results are coerced; over F_p each entry is reduced first.
+
+    def _field_entries(self, field: FieldSpec) -> dict:
+        if field.kind == 'rationals':
+            return self.entries
+        return {k: field.coerce(v) for k, v in self.entries.items()}
+
+    @staticmethod
+    def _from_sums(rows: int, cols: int, acc: dict, field: FieldSpec):
+        trips = []
+        for (i, j), v in acc.items():
+            v = field.coerce(v)
+            if v != 0:
+                trips.append((i, j, v))
+        return SparseMatrix(rows, cols, trips)
+
     def matmul(self, other: 'SparseMatrix', field: FieldSpec = RATIONALS) -> 'SparseMatrix':
         if self.cols != other.rows:
             raise DimensionError(f'{self.rows}x{self.cols} @ {other.rows}x{other.cols}')
         by_row = {}
-        for (k, j), v in other.entries.items():
+        for (k, j), v in other._field_entries(field).items():
             by_row.setdefault(k, []).append((j, v))
         acc = {}
-        for (i, k), u in self.entries.items():
+        for (i, k), u in self._field_entries(field).items():
             for j, v in by_row.get(k, ()):
                 key = (i, j)
-                cur = acc.get(key, field.zero)
-                acc[key] = field.add(cur, field.mul(field.coerce(u), field.coerce(v)))
-        trips = [(i, j, v) for (i, j), v in acc.items() if not field.is_zero(v)]
-        return SparseMatrix(self.rows, other.cols, trips)
+                acc[key] = acc.get(key, 0) + u * v
+        return SparseMatrix._from_sums(self.rows, other.cols, acc, field)
 
     def add(self, other: 'SparseMatrix', field: FieldSpec = RATIONALS) -> 'SparseMatrix':
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError('shape mismatch in add')
-        acc = {k: field.coerce(v) for k, v in self.entries.items()}
-        for k, v in other.entries.items():
-            acc[k] = field.add(acc.get(k, field.zero), field.coerce(v))
-        return SparseMatrix(self.rows, self.cols,
-                            [(i, j, v) for (i, j), v in acc.items() if not field.is_zero(v)])
+        acc = dict(self._field_entries(field))
+        for k, v in other._field_entries(field).items():
+            acc[k] = acc.get(k, 0) + v
+        return SparseMatrix._from_sums(self.rows, self.cols, acc, field)
 
     def scale(self, c, field: FieldSpec = RATIONALS) -> 'SparseMatrix':
         c = field.coerce(c)
-        if field.is_zero(c):
+        if c == 0:
             return SparseMatrix.zero(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols,
-                            [(i, j, field.mul(field.coerce(v), c))
-                             for (i, j), v in self.entries.items()])
+        return SparseMatrix._from_sums(
+            self.rows, self.cols,
+            {k: v * c for k, v in self._field_entries(field).items()}, field)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        a = {k: Fraction(v) for k, v in self.entries.items()}
-        b = {k: Fraction(v) for k, v in other.entries.items()}
-        return a == b
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(sorted((i, j, Fraction(v)) for (i, j), v in self.entries.items()))))
+        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f'SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})'
@@ -309,15 +332,18 @@ def vstack(mats: list) -> SparseMatrix:
 # ---------------------------------------------------------------------------
 
 def _primitive_int_row(row: dict) -> None:
-    'Scale a rational row dict in place to a primitive integer row.'
+    'Scale a nonempty row of nonzero rationals in place to a primitive int row.'
     denom = 1
     for v in row.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v.numerator * (denom // v.denominator)))
-    for k in list(row):
-        row[k] = Fraction(row[k].numerator * (denom // row[k].denominator) // g)
+        if type(v) is not int:
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+    if denom != 1:
+        for k, v in row.items():
+            row[k] = v.numerator * (denom // v.denominator)
+    g = gcd(*row.values())
+    if g != 1:
+        for k, v in row.items():
+            row[k] = v // g
 
 
 def rank(M: SparseMatrix, field: FieldSpec = RATIONALS) -> int:
@@ -362,7 +388,7 @@ def rank(M: SparseMatrix, field: FieldSpec = RATIONALS) -> int:
                 for j in set(krow) | set(prow):
                     val = pval * krow.get(j, 0) - kval * prow.get(j, 0)
                     if val != 0:
-                        newrow[j] = Fraction(val)
+                        newrow[j] = val
                 if newrow:
                     _primitive_int_row(newrow)
             else:
@@ -434,7 +460,11 @@ def reduce_by_rows(rows: list, leads: list, vec: dict,
     empty iff vec lies in the span of the rows.
     """
     f = field
-    v = {i: f.coerce(c) for i, c in vec.items() if not f.is_zero(f.coerce(c))}
+    v = {}
+    for i, c in vec.items():
+        c = f.coerce(c)
+        if c != 0:
+            v[i] = c
     for lead, row in zip(leads, rows):
         c = v.get(lead)
         if c is None:
@@ -539,7 +569,7 @@ def kernel_basis(M: SparseMatrix, field: FieldSpec = RATIONALS) -> Subspace:
 def image_basis(M: SparseMatrix, field: FieldSpec = RATIONALS) -> Subspace:
     'Span of the columns; basis = lexicographically first independent columns.'
     pivots, _ = _rref(M, field)
-    cols = [M.column(j) for j in pivots]
+    cols = [{i: _q_normal(v) for i, v in M.column_entries(j)} for j in pivots]
     basis = SparseMatrix.from_columns(cols, M.rows)
     return Subspace(M.rows, basis, field, _skip_check=True)
 

@@ -14,7 +14,7 @@ from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_map, tensor_many, tensor_power,
                        unit_bimodule, zero_bimodule, kernel_sub, image_sub,
                        UNIT_LABEL)
-from .errors import StructureError
+from .errors import StructureError, InvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,11 @@ def _as_word(label, letters: int) -> tuple:
 
 def _word_label(word: tuple, letters: int):
     return word if letters != 1 else word[0]
+
+
+def _require_composition(parts: tuple) -> None:
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError(f'{parts} is not a composition into positive parts')
 
 
 def _check_components(base, components, top_degree):
@@ -156,7 +161,7 @@ class GradedRing(_Graded):
     def mu_partition(self, parts: tuple) -> BimoduleMap:
         'mu_m : A^{m_1} (x) ... (x) A^{m_k} -> A^m on the flat word space, folded left.'
         k = len(parts)
-        assert k >= 1 and all(p >= 1 for p in parts)
+        _require_composition(parts)
         if k == 1:
             return BimoduleMap.identity(self.component(parts[0]))
         comps = [self.component(p) for p in parts]
@@ -231,7 +236,7 @@ class GradedCoring(_Graded):
     def delta_partition(self, parts: tuple) -> BimoduleMap:
         'Delta_m : C_m -> C_{m_1} (x) ... (x) C_{m_k}, flat word target.'
         k = len(parts)
-        assert k >= 1 and all(p >= 1 for p in parts)
+        _require_composition(parts)
         if k == 1:
             return BimoduleMap.identity(self.component(parts[0]))
         head, rest = parts[0], parts[1:]
@@ -391,7 +396,8 @@ def ideal_component_span(V: Bimodule, W: SubBimodule, n: int) -> dict:
 
 def intersection_component(V: Bimodule, W: SubBimodule, n: int) -> SubBimodule:
     '{V,W}_n = the intersection over i of V^(i-1) (x) W (x) V^(n-i-1) in V^(n).'
-    assert n >= 2
+    if n < 2:
+        raise ValueError(f'degree {n} < 2')
     amb = tensor_power(V, n)
     field = V.base.field
     per_position = [_embedded_generators(V, W, n, i) for i in range(1, n)]
@@ -546,8 +552,9 @@ def _quadratic_coring(data: QuadraticData, top: int,
                 for j in range(len(labels)):
                     ecol = embeddings[n].blocks[key].column(j)
                     coords = solve_columns(cols, ecol, ambn.block_dim(*key), field)
-                    assert coords is not None, \
-                        'deconcatenation cut left the subcoring'
+                    if coords is None:
+                        raise InvariantError(
+                            'deconcatenation cut left the subcoring')
                     for idx, c in enumerate(coords):
                         if field.is_zero(c):
                             continue
@@ -641,7 +648,8 @@ def shriek_of_coring(C: GradedCoring, top: int = None) -> GradedRing:
 
 def _below(X, maps: dict, m: int):
     'Base, components, structure maps and top degree of X below degree m.'
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f'truncation degree {m} < 1')
     top = min(m - 1, X.top_degree)
     return (X.base, {n: X.component(n) for n in range(top + 1)},
             {(p, q): f for (p, q), f in maps.items() if p + q <= top}, top)

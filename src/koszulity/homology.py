@@ -24,7 +24,7 @@ from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
                                 truncate_coring, is_strongly_graded_ring,
                                 is_strongly_graded_coring,
                                 _as_word, _word_label)
-from .errors import PreconditionError
+from .errors import PreconditionError, InvariantError
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,8 @@ from .errors import PreconditionError
 
 def partitions(n: int, m: int) -> tuple:
     'All positive n-part compositions of m, lexicographically ordered.'
-    assert n >= 0 and m >= 0
+    if n < 0 or m < 0:
+        raise ValueError(f'partitions({n}, {m}): n and m must be nonnegative')
     if n == 0:
         return ((),) if m == 0 else ()
     out = []
@@ -60,13 +61,14 @@ class ComplexSlice:
     """A finite complex of bimodules within one weight.
 
     For direction 'chain' the differential at degree n maps spaces[n] to
-    spaces[n-1]; for 'cochain' to spaces[n+1].  d after d = 0 is asserted
-    at construction for every consecutive pair.
+    spaces[n-1]; for 'cochain' to spaces[n+1].  d after d = 0 is checked
+    at construction for every consecutive pair (InvariantError).
     """
 
     def __init__(self, direction: str, weight: int, spaces: dict,
                  differentials: dict):
-        assert direction in ('chain', 'cochain')
+        if direction not in ('chain', 'cochain'):
+            raise ValueError(f'unknown direction {direction!r}')
         self.direction = direction
         self.weight = weight
         self.spaces = dict(spaces)
@@ -74,12 +76,14 @@ class ComplexSlice:
                               if not d.is_zero()}
         step = -1 if direction == 'chain' else 1
         for n, d in self.differentials.items():
-            assert d.source == self.spaces[n], f'differential at {n}: bad source'
-            assert d.target == self.spaces[n + step], f'differential at {n}: bad target'
+            if d.source != self.spaces[n]:
+                raise InvariantError(f'differential at {n}: bad source')
+            if d.target != self.spaces[n + step]:
+                raise InvariantError(f'differential at {n}: bad target')
             nxt = self.differentials.get(n + step)
-            if nxt is not None:
-                assert nxt.compose(d).is_zero(), \
-                    f'differential does not square to zero at degree {n}'
+            if nxt is not None and not nxt.compose(d).is_zero():
+                raise InvariantError(
+                    f'differential does not square to zero at degree {n}')
 
     def degrees(self) -> list:
         return sorted(self.spaces)
@@ -95,11 +99,13 @@ class ComplexSlice:
         out = {}
         for n, sp in self.spaces.items():
             h = sp.dim - ranks.get(n, 0) - ranks.get(n - step, 0)
-            assert h >= 0, f'negative homology dimension at degree {n}'
+            if h < 0:
+                raise InvariantError(f'negative homology dimension at degree {n}')
             out[n] = h
         euler_spaces = sum((-1) ** n * sp.dim for n, sp in self.spaces.items())
         euler_h = sum((-1) ** n * h for n, h in out.items())
-        assert euler_spaces == euler_h, 'Euler characteristic mismatch'
+        if euler_spaces != euler_h:
+            raise InvariantError('Euler characteristic mismatch')
         return out
 
     def total_dim(self) -> int:
@@ -202,7 +208,8 @@ def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
     positions j of a word, with sign (-1)^j.  A chain differential acts on
     the gaps between adjacent letters, a cochain one on the letters.
     """
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f'negative weight {m}')
     spaces = _word_space_blocks(X, m)
     step = -1 if direction == 'chain' else 1
     diffs = {}
@@ -273,14 +280,17 @@ class BettiTable:
     'Bigraded dimensions (n, m) -> dim, with zero entries omitted.'
 
     def __init__(self, kind: str, entries: dict, n_max: int, m_max: int):
-        assert kind in ('Tor', 'Ext')
+        if kind not in ('Tor', 'Ext'):
+            raise ValueError(f'unknown table kind {kind!r}')
         self.kind = kind
         self.entries = {k: v for k, v in sorted(entries.items()) if v}
         self.n_max = n_max
         self.m_max = m_max
         for (n, m), v in self.entries.items():
-            assert v > 0 and 0 <= n <= n_max and 0 <= m <= m_max
-            assert n <= m, f'cell above the diagonal at {(n, m)}'
+            if not (v > 0 and 0 <= n <= n_max and 0 <= m <= m_max):
+                raise InvariantError(f'cell {(n, m)} = {v} outside the table')
+            if n > m:
+                raise InvariantError(f'cell above the diagonal at {(n, m)}')
 
     def entry(self, n: int, m: int) -> int:
         return self.entries.get((n, m), 0)
@@ -375,7 +385,8 @@ class SliceHomology:
         reps = self.reps.get(key, [])
         cols = reps + list(self._boundary_part(key).basis.columns())
         coords = solve_columns(cols, vec, self.space.block_dim(*key), field)
-        assert coords is not None, 'vector is not a cycle of this block'
+        if coords is None:
+            raise InvariantError('vector is not a cycle of this block')
         labels = self.abstract.blocks.get(key, ())
         return [(labels[i], coords[i]) for i in range(len(reps))
                 if not field.is_zero(coords[i])]
@@ -426,8 +437,9 @@ def _attach_representatives(table: BettiTable, slices: dict):
     reps = {}
     for (n, m), h in table.entries.items():
         H = SliceHomology(slices[m], n, (table.kind, n, m))
-        assert H.dim == h, \
-            f'{H.dim} representatives for a cell of rank-nullity dimension {h}'
+        if H.dim != h:
+            raise InvariantError(f'{H.dim} representatives for a cell of '
+                                 f'rank-nullity dimension {h}')
         reps[(n, m)] = H
     table.representatives = reps
     table.slices = slices
@@ -449,7 +461,7 @@ def cohomology_ring_component(C: GradedCoring, n: int, m: int,
     as a map of abstract homology bimodules.
 
     Concatenation of cocycle representatives is again a cocycle; express()
-    asserts that, so ill-defined products cannot slip through.
+    checks that, so ill-defined products cannot slip through.
     """
     _require_representatives(table)
     n3, m3 = n + n2, m + m2
@@ -470,7 +482,8 @@ def cohomology_ring_component(C: GradedCoring, n: int, m: int,
         # a zero cell: built here, so express() still checks that every
         # product landing in it is a coboundary
         H3 = SliceHomology(table.slices[m3], n3, (table.kind, n3, m3))
-    assert H3 is not None, 'product lands in a missing degree'
+    if H3 is None:
+        raise InvariantError('product lands in a missing degree')
     field = base.field
 
     def action(key, pair):
@@ -677,7 +690,8 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
             w = _matvec(mat, col, field)
             coords = solve_columns(kcols + bcols, w,
                                    total_n.block_dim(*key), field)
-            assert coords is not None, 'deconcatenation is not a total cycle'
+            if coords is None:
+                raise InvariantError('deconcatenation is not a total cycle')
             src_label = H.abstract.blocks[key][ci]
             for (piece, pair_label), c in zip(tags, coords):
                 if not field.is_zero(c):
@@ -784,8 +798,9 @@ def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
         for key, mat in dn.blocks.items():
             part = inter.part(key)
             for col in mat.columns():
-                assert part.contains_vector(col), \
-                    'iterated comultiplication left the intersection subcoring'
+                if not part.contains_vector(col):
+                    raise InvariantError('iterated comultiplication left the '
+                                         'intersection subcoring')
         if dn.rank() != Cn.dim:
             return False, {'degree': n, 'reason': 'canonical map is not bijective'}
     beyond = C.top_degree + 1
@@ -803,7 +818,8 @@ def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
 
 def _degree2_sequence_holds(make_slice, truncate, X, m: int) -> bool:
     'Whether the weight-m slice of truncate(X, m) gains exactly X_m in degree 2.'
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f'weight {m} < 2')
     full = _degree2_dim(make_slice, X, m)
     middle = _degree2_dim(make_slice, truncate(X, m), m)
     return middle == full + X.component(m).dim
@@ -832,7 +848,8 @@ def alpha_map(A: GradedRing, m: int, cx: ComplexSlice = None) -> BimoduleMap:
     On the degree-m piece of the relation ideal this lands in the 2-cycles
     (and, per the exact-sequence lemma, in the 2-boundaries).
     """
-    assert m >= 2
+    if m < 2:
+        raise ValueError(f'weight {m} < 2')
     if cx is None:
         cx = bar_complex_ring(A, m)
     V = A.component(1)

@@ -23,7 +23,7 @@ from .homology import (ComplexSlice, SliceHomology, bar_complex_ring,
                        is_quadratic_direct, is_quadratic_coring_direct,
                        _matvec, _require_strongly_graded,
                        _require_representatives)
-from .errors import CriteriaDisagreement, StructureError
+from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
 class AlmostKoszulPair:
@@ -108,9 +108,10 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
     (a, c) = degrees(n), with differentials running in direction.
 
     The degree -1 augmentation term is R in weight 0 and zero otherwise;
-    spaces beyond either factor's support are asserted to vanish.
+    spaces beyond either factor's support are checked to vanish.
     """
-    assert m >= 0
+    if m < 0:
+        raise ValueError(f'negative weight {m}')
     A, C = pair.ring, pair.coring
     base = A.base
     spaces = {-1: unit_bimodule(base) if m == 0 else zero_bimodule(base)}
@@ -119,8 +120,8 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
         An, Cn = A.component(a), C.component(c)
         sp = zero_bimodule(base) if An.is_zero() or Cn.is_zero() \
             else tensor(An, Cn)
-        if a > A.top_degree or c > C.top_degree:
-            assert sp.is_zero(), f'slice cell ({m}, {n}) outside the support'
+        if (a > A.top_degree or c > C.top_degree) and not sp.is_zero():
+            raise InvariantError(f'slice cell ({m}, {n}) outside the support')
         spaces[n] = sp
     diffs = {}
     step = -1 if direction == 'chain' else 1
@@ -239,7 +240,8 @@ def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
     sound = not partner.support_truncated and m_bound >= vanish_bound
     if sound:
         beyond = make_slice(pair, m_bound + 1)
-        assert beyond.total_dim() == 0, 'slice persists past the sweep bound'
+        if beyond.total_dim() != 0:
+            raise InvariantError('slice persists past the sweep bound')
 
     failures = _exactness_sweep(make_slice, pair, m_bound)
     verdict = not failures
@@ -327,7 +329,8 @@ def phi_shriek_ring_check(A: GradedRing, n: int) -> bool:
     the boundary space there is zero, so the check is: embedded vectors
     are cycles, stay independent, and count out the homology dimension.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f'degree {n} < 1')
     shr = shriek_of_ring(A)
     cx = bar_complex_ring(A, n)
     space = cx.spaces[n]
@@ -354,7 +357,8 @@ def phi_shriek_coring_check(C: GradedCoring, n: int, table=None) -> bool:
     """Whether projecting cocycle representatives letterwise onto the dual
     ring in weight n is a bijection onto its degree-n component.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f'degree {n} < 1')
     shr = shriek_of_coring(C)
     if table is not None:
         _require_representatives(table)
@@ -375,8 +379,9 @@ def phi_shriek_coring_check(C: GradedCoring, n: int, table=None) -> bool:
     for key in cx.spaces[n].blocks:
         pmat = proj.block(*key)
         for col in H._boundary_part(key).basis.columns():
-            assert not _matvec(pmat, col, field), \
-                'projection does not kill the coboundaries'
+            if _matvec(pmat, col, field):
+                raise InvariantError(
+                    'projection does not kill the coboundaries')
     for key, cols in H.reps.items():
         pmat = proj.block(*key)
         images = [_matvec(pmat, col, field) for col in cols]

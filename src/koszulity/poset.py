@@ -16,7 +16,7 @@ from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
 from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
                                 quadratic_ring_of, shriek_of_coring,
                                 direct_product)
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 
 class GradedPoset:
@@ -115,7 +115,8 @@ class GradedPoset:
     def middles(self, x, y, p: int) -> list:
         'Elements z with x <= z <= y, l(x,z) = p, in element order.'
         total = self.length(x, y)
-        assert total is not None and 0 <= p <= total
+        if total is None or not 0 <= p <= total:
+            raise ValueError(f'no elements at length {p} in [{x!r}, {y!r}]')
         if p == 0:
             return [x]
         if p == total:
@@ -228,7 +229,9 @@ def zeta_ring(P: GradedPoset, field=RATIONALS, top=None) -> GradedRing:
              for key, vecs in gens.items()}
     ring = quadratic_ring_of(QuadraticData(V, SubBimodule(VV, parts)),
                              dual.top_degree)
-    assert ring == dual, 'zeta presentation disagrees with the coring shriek'
+    if ring != dual:
+        raise InvariantError(
+            'zeta presentation disagrees with the coring shriek')
     ring.support_truncated = dual.support_truncated
     return ring
 
@@ -272,13 +275,15 @@ def disjoint_union(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
     """Side-by-side union; label collisions are resolved by tagging.
 
     The incidence ring of the union is the direct product of the incidence
-    rings, which is asserted on the spot.
+    rings, which is checked on the spot.
     """
     if set(P.elements) & set(Q.elements):
         P, Q = _relabeled(P, '0'), _relabeled(Q, '1')
     union = GradedPoset(P.elements + Q.elements, P.covers + Q.covers)
-    assert incidence_ring(union) == direct_product(incidence_ring(P),
-                                                   incidence_ring(Q))
+    if incidence_ring(union) != direct_product(incidence_ring(P),
+                                               incidence_ring(Q)):
+        raise InvariantError(
+            'incidence ring of the union is not the direct product')
     return union
 
 

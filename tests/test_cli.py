@@ -228,6 +228,18 @@ def test_check_builds_the_shriek_pair_once(capsys, monkeypatch,
     assert len(calls) == 1
 
 
+def test_failed_invariant_exits_3_with_a_message(capsys, monkeypatch,
+                                                 diamond_file):
+    from koszulity.homology import ComplexSlice
+    # every slice past the sweep bound now looks nonempty
+    monkeypatch.setattr(ComplexSlice, 'total_dim', lambda self: 1)
+    code, out, err = run(capsys, 'check', '--poset', diamond_file,
+                         '--jobs', '1')
+    assert code == 3 and out == ''
+    assert err == ('internal invariant failed (this should never happen): '
+                   'slice persists past the sweep bound\n')
+
+
 def test_exit_codes_on_bad_input(capsys, tmp_path):
     missing = str(tmp_path / 'missing.json')
     code, _, err = run(capsys, 'check', '--poset', missing)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace
-from koszulity.bimodule import (BaseRing, Bimodule, tensor_many, tensor_power,
-                                kernel_sub, image_sub, unit_bimodule)
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor_many,
+                                tensor_power, kernel_sub, image_sub,
+                                unit_bimodule)
 from koszulity.graded_structures import (GradedRing, shriek_of_ring,
                                          shriek_of_coring,
                                          ideal_component_span)
@@ -22,11 +23,11 @@ from koszulity.homology import (partitions, bar_complex_ring,
                                 is_quadratic_direct,
                                 is_quadratic_coring_direct,
                                 verify_tor2_sequence, verify_ext2_sequence,
-                                alpha_map, SliceHomology,
+                                alpha_map, ComplexSlice, SliceHomology,
                                 _longest_word_weights)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              enumerate_corpus)
-from koszulity.errors import PreconditionError
+from koszulity.errors import PreconditionError, InvariantError
 from conftest import chain_poset, antichain_poset
 import oracle
 
@@ -184,6 +185,25 @@ def test_cyclic_words_are_not_pruned():
     cx = bar_complex_ring(A, 4)
     assert cx.spaces[4].block('x', 'x') == (((1, 1, 1, 1), ('a',) * 4),)
     assert all(cx.spaces[n].is_zero() for n in range(4))
+
+
+def test_complex_slice_rejects_a_differential_that_does_not_square_to_zero():
+    # k -> k -> k with both maps the identity: d o d = 1
+    base = BaseRing(('x',), RATIONALS)
+    V = Bimodule(base, {('x', 'x'): ('v',)})
+    d = BimoduleMap.identity(V)
+    with pytest.raises(InvariantError, match='does not square to zero'):
+        ComplexSlice('chain', 0, {0: V, 1: V, 2: V}, {1: d, 2: d})
+    cx = ComplexSlice('chain', 0, {0: V, 1: V, 2: V},
+                      {2: d, 1: BimoduleMap.zero(V, V)})
+    assert cx.homology_dims() == {0: 1, 1: 0, 2: 0}
+
+
+def test_argument_checks_raise_value_errors():
+    with pytest.raises(ValueError):
+        partitions(-1, 2)
+    with pytest.raises(ValueError):
+        ComplexSlice('sideways', 0, {}, {})
 
 
 # -- Betti tables --------------------------------------------------------------
