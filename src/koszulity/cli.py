@@ -119,7 +119,8 @@ def _poset_echo(P: GradedPoset) -> dict:
 def _decide_task(payload: dict) -> tuple:
     """The verdict document of one side and that side's share of the
     duality block: the ring worker dualizes its pair and checks the double
-    dual of its ring, the coring worker checks the incidence duality."""
+    dual of its ring, the coring worker checks the incidence duality on the
+    coring it decided."""
     P = parse_poset(payload['document'])
     field = parse_field(payload['field'])
     m_max = payload['m_max']
@@ -129,9 +130,11 @@ def _decide_task(payload: dict) -> tuple:
         dual_pair(verdict.pair)   # raises if not almost-Koszul
         return verdict.to_json(), {'dual_pair_almost_koszul': True,
                                    'double_dual': double_dual_check(A)}
-    verdict = decide_koszul_coring(incidence_coring(P, field), m_max)
+    C = incidence_coring(P, field)
+    verdict = decide_koszul_coring(C, m_max)
+    A = incidence_ring(P, field)
     return verdict.to_json(), {
-        'dual_is_incidence_coring': incidence_duality_check(P, field)}
+        'dual_is_incidence_coring': incidence_duality_check(A, C)}
 
 
 def _corpus_task(payload: dict) -> dict:
@@ -164,14 +167,14 @@ def _run_tasks(fn, payloads: list, jobs: int) -> list:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(poset_file: str, config: RunConfig) -> dict:
-    """Full decision: ring verdict, coring verdict, duality checks.
+def cmd_check(P: GradedPoset, poset_file: str, config: RunConfig) -> dict:
+    """Full decision on the poset P read from poset_file: ring verdict,
+    coring verdict, duality checks.
 
     Payload keys: "verdict" (the agreed answer), "ring" and "coring"
     (per-criterion verdict documents), "witness_weights" (weights of the
     non-exact Koszul slices when the answer is false), "duality".
     """
-    P = load_poset(poset_file)
     document = P.to_document()
     payloads = [{'document': document, 'field': config.field_text,
                  'm_max': config.m_max_override, 'side': side}
@@ -197,13 +200,12 @@ def cmd_check(poset_file: str, config: RunConfig) -> dict:
             'duality': {**ring_duality, **coring_duality}}
 
 
-def cmd_betti(poset_file: str, side: str, config: RunConfig) -> dict:
+def cmd_betti(P: GradedPoset, side: str, config: RunConfig) -> dict:
     """Betti table of the chosen side.
 
     Payload keys: "kind", "n_max", "m_max", "entries" as [n, m, dim]
     triples, "diagonal", "grid" (rows n = 0..n_max over m = 0..m_max).
     """
-    P = load_poset(poset_file)
     if side == 'ring':
         table = tor_table(incidence_ring(P, config.field),
                           m_max=config.m_max_override)
@@ -227,7 +229,7 @@ def _render_zeta(P: GradedPoset, x, y) -> str:
     return ' + '.join(terms) if terms else '0'
 
 
-def cmd_shriek(poset_file: str, config: RunConfig) -> dict:
+def cmd_shriek(P: GradedPoset, config: RunConfig) -> dict:
     """Shriek presentation of the incidence structures.
 
     Payload keys: "generators" (zeta_{x,y} for every length-2 interval,
@@ -235,7 +237,6 @@ def cmd_shriek(poset_file: str, config: RunConfig) -> dict:
     (the zeta ring, graded dims), "ring_shriek_dims" (the shriek coring
     of the incidence ring, graded dims).
     """
-    P = load_poset(poset_file)
     Z = zeta_ring(P, config.field)
     shr = shriek_of_ring(incidence_ring(P, config.field))
     return {'schema_version': SCHEMA_VERSION,
@@ -250,7 +251,7 @@ def cmd_shriek(poset_file: str, config: RunConfig) -> dict:
                                  for n in range(shr.top_degree + 1)]}
 
 
-def cmd_dual(poset_file: str, config: RunConfig) -> dict:
+def cmd_dual(P: GradedPoset, config: RunConfig) -> dict:
     """Duality verification report.
 
     Payload keys: "dual_is_incidence_coring" (the literal e -> f
@@ -258,7 +259,6 @@ def cmd_dual(poset_file: str, config: RunConfig) -> dict:
     "dual_pair_almost_koszul", "verdicts_agree" (ring vs graded-dual
     coring decision).
     """
-    P = load_poset(poset_file)
     A = incidence_ring(P, config.field)
     C = incidence_coring(P, config.field)
     rv = decide_koszul_ring(A, config.m_max_override)
@@ -269,8 +269,7 @@ def cmd_dual(poset_file: str, config: RunConfig) -> dict:
             'command': 'dual',
             'input': _poset_echo(P),
             'config': config.echo(),
-            'dual_is_incidence_coring': incidence_duality_check(
-                P, config.field),
+            'dual_is_incidence_coring': incidence_duality_check(A, C),
             'double_dual_ring': double_dual_check(A),
             'double_dual_coring': double_dual_check(C),
             'dual_pair_almost_koszul': True,
@@ -439,16 +438,19 @@ def _dispatch(args, config: RunConfig) -> dict:
         key['max_elements'] = args.max_elements
         return _with_cache(config, key,
                            lambda: cmd_corpus(args.max_elements, config))
+    P = load_poset(args.poset)
     # the literal document, labels and order as given: a report echoes
     # the labels of its input, so isomorphic copies must not share entries
-    key['input'] = load_poset(args.poset).to_document()
+    key['input'] = P.to_document()
     if args.command == 'betti':
         key['side'] = args.side
         return _with_cache(config, key,
-                           lambda: cmd_betti(args.poset, args.side, config))
-    command = {'check': cmd_check, 'shriek': cmd_shriek,
-               'dual': cmd_dual}[args.command]
-    return _with_cache(config, key, lambda: command(args.poset, config))
+                           lambda: cmd_betti(P, args.side, config))
+    if args.command == 'check':
+        return _with_cache(config, key,
+                           lambda: cmd_check(P, args.poset, config))
+    command = {'shriek': cmd_shriek, 'dual': cmd_dual}[args.command]
+    return _with_cache(config, key, lambda: command(P, config))
 
 
 def main(argv=None) -> int:

@@ -421,6 +421,22 @@ def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
     return _quadratic_ring(data, top, {})
 
 
+def _complement_words(V: Bimodule, span: dict, n: int) -> Bimodule:
+    """The words of V^(n) that are not pivots of the ideal span, block by
+    block: a basis of V^(n) modulo the span, in flat word order."""
+    blocks = {}
+    for key, labels in tensor_power(V, n).blocks.items():
+        sub = span.get(key)
+        if sub is None or sub.dim == 0:
+            blocks[key] = labels
+            continue
+        pivot_cols = {min(r) for r in sub._row_echelon()}
+        kept = tuple(l for i, l in enumerate(labels) if i not in pivot_cols)
+        if kept:
+            blocks[key] = kept
+    return Bimodule(V.base, blocks)
+
+
 def _quadratic_ring(data: QuadraticData, top: int, spans: dict) -> GradedRing:
     'quadratic_ring_of, taking the ideal components in spans as given.'
     V, W = data.V, data.W
@@ -429,19 +445,8 @@ def _quadratic_ring(data: QuadraticData, top: int, spans: dict) -> GradedRing:
     components = {0: unit_bimodule(base), 1: V}
     reducers = {}
     for n in range(2, top + 1):
-        amb = tensor_power(V, n)
         span = spans[n] if n in spans else ideal_component_span(V, W, n)
-        blocks = {}
-        for key, labels in amb.blocks.items():
-            sub = span.get(key)
-            if sub is None or sub.dim == 0:
-                blocks[key] = labels
-                continue
-            pivot_cols = {min(r) for r in sub._row_echelon()}
-            kept = tuple(l for i, l in enumerate(labels) if i not in pivot_cols)
-            if kept:
-                blocks[key] = kept
-        components[n] = Bimodule(base, blocks)
+        components[n] = _complement_words(V, span, n)
         reducers[n] = span
 
     def reduce_word(n, key, word):
@@ -595,49 +600,43 @@ def _support_bound(probe, cap: int):
     return top, probe(cap + 1) > 0
 
 
-def shriek_of_ring(A: GradedRing, top: int = None) -> GradedCoring:
-    'A^! = {A^1, Ker mu^{1,1}}, the quadratic-dual coring of A.'
+def shriek_of_ring(A: GradedRing) -> GradedCoring:
+    """A^! = {A^1, Ker mu^{1,1}}, the quadratic-dual coring of A, up to
+    the degree where its components vanish (see _support_bound)."""
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
-    data = QuadraticData(V, W)
-    truncated = False
     inters = {}   # the probe's components, reused for the coring
-    if top is None:
-        cap = max(2 * A.top_degree, len(A.base.idempotents), 2)
 
-        def probe(n):
-            inters[n] = intersection_component(V, W, n)
-            return inters[n].dim
+    def probe(n):
+        inters[n] = intersection_component(V, W, n)
+        return inters[n].dim
 
-        top, truncated = _support_bound(probe, cap)
-        if V.is_zero():
-            top = 0
-    coring = _quadratic_coring(data, top, inters)
+    cap = max(2 * A.top_degree, len(A.base.idempotents), 2)
+    top, truncated = _support_bound(probe, cap)
+    coring = _quadratic_coring(QuadraticData(V, W), 0 if V.is_zero() else top,
+                               inters)
     coring.support_truncated = truncated
     return coring
 
 
-def shriek_of_coring(C: GradedCoring, top: int = None) -> GradedRing:
-    'C^! = <C_1, Im Delta_{1,1}>, the quadratic-dual ring of C.'
+def shriek_of_coring(C: GradedCoring) -> GradedRing:
+    """C^! = <C_1, Im Delta_{1,1}>, the quadratic-dual ring of C, up to
+    the degree where its components vanish (see _support_bound)."""
     V = C.component(1)
     W = image_sub(C.delta(1, 1))
-    data = QuadraticData(V, W)
-    truncated = False
     spans = {}   # the probe's ideal components, reused for the ring
-    if top is None:
-        cap = max(2 * C.top_degree, len(C.base.idempotents), 2)
 
-        def probe(n):
-            amb = tensor_power(V, n)
-            if amb.dim == 0:
-                return 0
-            spans[n] = ideal_component_span(V, W, n)
-            return amb.dim - sum(s.dim for s in spans[n].values())
+    def probe(n):
+        amb = tensor_power(V, n)
+        if amb.dim == 0:
+            return 0
+        spans[n] = ideal_component_span(V, W, n)
+        return amb.dim - sum(s.dim for s in spans[n].values())
 
-        top, truncated = _support_bound(probe, cap)
-        if V.is_zero():
-            top = 0
-    ring = _quadratic_ring(data, top, spans)
+    cap = max(2 * C.top_degree, len(C.base.idempotents), 2)
+    top, truncated = _support_bound(probe, cap)
+    ring = _quadratic_ring(QuadraticData(V, W), 0 if V.is_zero() else top,
+                           spans)
     ring.support_truncated = truncated
     return ring
 

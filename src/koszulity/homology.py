@@ -18,11 +18,11 @@ from .exact_linalg import (Subspace, SparseMatrix, solve_columns,
 from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
                        tensor_power, zero_bimodule, kernel_sub, image_sub,
                        _block_of)
-from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
-                                quadratic_ring_of, intersection_component,
-                                ideal_component_span, truncate_ring,
-                                truncate_coring, is_strongly_graded_ring,
-                                is_strongly_graded_coring,
+from .graded_structures import (GradedRing, GradedCoring,
+                                intersection_component, ideal_component_span,
+                                truncate_ring, truncate_coring,
+                                is_strongly_graded_ring,
+                                is_strongly_graded_coring, _complement_words,
                                 _as_word, _word_label)
 from .errors import PreconditionError, InvariantError
 
@@ -277,17 +277,20 @@ def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
 # ---------------------------------------------------------------------------
 
 class BettiTable:
-    'Bigraded dimensions (n, m) -> dim, with zero entries omitted.'
+    """Bigraded dimensions (n, m) -> dim, with zero entries omitted.
 
-    def __init__(self, kind: str, entries: dict, n_max: int, m_max: int):
+    The window is 0 <= n <= m <= m_max; n_max equals m_max, since a weight-m
+    slice has no homological degree above m.
+    """
+
+    def __init__(self, kind: str, entries: dict, m_max: int):
         if kind not in ('Tor', 'Ext'):
             raise ValueError(f'unknown table kind {kind!r}')
         self.kind = kind
         self.entries = {k: v for k, v in sorted(entries.items()) if v}
-        self.n_max = n_max
-        self.m_max = m_max
+        self.n_max = self.m_max = m_max
         for (n, m), v in self.entries.items():
-            if not (v > 0 and 0 <= n <= n_max and 0 <= m <= m_max):
+            if not (v > 0 and 0 <= n and 0 <= m <= m_max):
                 raise InvariantError(f'cell {(n, m)} = {v} outside the table')
             if n > m:
                 raise InvariantError(f'cell above the diagonal at {(n, m)}')
@@ -313,7 +316,7 @@ class BettiTable:
         if not isinstance(other, BettiTable):
             return NotImplemented
         return (self.kind == other.kind and self.entries == other.entries
-                and self.n_max == other.n_max and self.m_max == other.m_max)
+                and self.m_max == other.m_max)
 
     def __repr__(self):
         return f'BettiTable({self.kind}, {self.entries})'
@@ -392,13 +395,11 @@ class SliceHomology:
                 if not field.is_zero(coords[i])]
 
 
-def _betti_table(X, kind: str, make_slice, n_max, m_max,
+def _betti_table(X, kind: str, make_slice, m_max,
                  with_representatives: bool) -> BettiTable:
     'The Betti table of the slices make_slice(X, m); see tor_table.'
     if m_max is None:
         m_max = 2 * X.top_degree
-    if n_max is None:
-        n_max = m_max
     entries = {(0, 0): X.component(0).dim}
     slices = {}
     for m in range(m_max + 1):
@@ -406,25 +407,26 @@ def _betti_table(X, kind: str, make_slice, n_max, m_max,
         slices[m] = cx
         if m:
             for n, h in cx.homology_dims().items():
-                if h and n <= n_max:
+                if h:
                     entries[(n, m)] = h
-    table = BettiTable(kind, entries, n_max, m_max)
+    table = BettiTable(kind, entries, m_max)
     if with_representatives:
         _attach_representatives(table, slices)
     return table
 
 
-def tor_table(A: GradedRing, n_max=None, m_max=None,
+def tor_table(A: GradedRing, m_max=None,
               with_representatives: bool = False) -> BettiTable:
-    'The Tor Betti table of A; the default window is weight 2 * top degree.'
-    return _betti_table(A, 'Tor', bar_complex_ring, n_max, m_max,
+    """The Tor Betti table of A up to weight m_max, by default 2 * top
+    degree; homological degrees run up to m_max as well."""
+    return _betti_table(A, 'Tor', bar_complex_ring, m_max,
                         with_representatives)
 
 
-def ext_table(C: GradedCoring, n_max=None, m_max=None,
+def ext_table(C: GradedCoring, m_max=None,
               with_representatives: bool = False) -> BettiTable:
-    'The Ext Betti table of C over the same default window.'
-    return _betti_table(C, 'Ext', cobar_complex_coring, n_max, m_max,
+    'The Ext Betti table of C over the same window.'
+    return _betti_table(C, 'Ext', cobar_complex_coring, m_max,
                         with_representatives)
 
 
@@ -748,17 +750,20 @@ def quadratic_via_ext(C: GradedCoring, m_max=None) -> bool:
 def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
     """Compare A against <A^1, Ker mu^{1,1}> through the canonical map.
 
-    Returns (bool, witness); the witness names the first degree where the
-    dimensions or the map fail.  _checked skips the strong-grading
-    precondition for a caller that has already established it.
+    Degree n of the quadratic ring is read off as the complement words of
+    the degree-n ideal component, for n up to one past the top degree of
+    A; no quadratic ring is built.  Returns (bool, witness); the witness
+    names the first degree where the dimensions or the map fail.  _checked
+    skips the strong-grading precondition for a caller that has already
+    established it.
     """
     if not _checked:
         _require_strongly_graded(A)
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
-    Q = quadratic_ring_of(QuadraticData(V, W), A.top_degree)
-    for n in range(2, A.top_degree + 1):
-        Qn, An = Q.component(n), A.component(n)
+    for n in range(2, A.top_degree + 2):
+        Qn = _complement_words(V, ideal_component_span(V, W, n), n)
+        An = A.component(n)
         if Qn.dim != An.dim:
             return False, {'degree': n, 'quadratic_dim': Qn.dim,
                            'ring_dim': An.dim}
@@ -769,24 +774,18 @@ def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
         phi = A.iterated_mu(n).compose(incl)
         if phi.rank() != An.dim:
             return False, {'degree': n, 'reason': 'canonical map is not bijective'}
-    beyond = A.top_degree + 1
-    amb = tensor_power(V, beyond)
-    if amb.dim:
-        span = ideal_component_span(V, W, beyond)
-        excess = amb.dim - sum(s.dim for s in span.values())
-        if excess > 0:
-            return False, {'degree': beyond, 'quadratic_dim': excess,
-                           'ring_dim': 0}
     return True, None
 
 
 def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
-    'Mirror comparison of C against {C_1, Im Delta_{1,1}}; (bool, witness).'
+    """Mirror comparison of C against {C_1, Im Delta_{1,1}}, reading its
+    intersection components up to one past the top degree of C;
+    (bool, witness)."""
     if not _checked:
         _require_strongly_graded(C)
     V = C.component(1)
     W = image_sub(C.delta(1, 1))
-    for n in range(2, C.top_degree + 1):
+    for n in range(2, C.top_degree + 2):
         inter = intersection_component(V, W, n)
         Cn = C.component(n)
         if inter.dim != Cn.dim:
@@ -803,12 +802,6 @@ def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
                                          'intersection subcoring')
         if dn.rank() != Cn.dim:
             return False, {'degree': n, 'reason': 'canonical map is not bijective'}
-    beyond = C.top_degree + 1
-    if tensor_power(V, beyond).dim:
-        excess = intersection_component(V, W, beyond).dim
-        if excess > 0:
-            return False, {'degree': beyond, 'quadratic_dim': excess,
-                           'coring_dim': 0}
     return True, None
 
 

@@ -21,8 +21,7 @@ from .homology import (ComplexSlice, SliceHomology, bar_complex_ring,
                        cobar_complex_coring, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
-                       _matvec, _require_strongly_graded,
-                       _require_representatives)
+                       _matvec, _require_strongly_graded)
 from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
@@ -353,20 +352,15 @@ def phi_shriek_ring_check(A: GradedRing, n: int) -> bool:
     return count == hdim
 
 
-def phi_shriek_coring_check(C: GradedCoring, n: int, table=None) -> bool:
+def phi_shriek_coring_check(C: GradedCoring, n: int) -> bool:
     """Whether projecting cocycle representatives letterwise onto the dual
     ring in weight n is a bijection onto its degree-n component.
     """
     if n < 1:
         raise ValueError(f'degree {n} < 1')
     shr = shriek_of_coring(C)
-    if table is not None:
-        _require_representatives(table)
-        H = table.representatives.get((n, n))
-        cx = table.slices[n]
-    else:
-        cx = cobar_complex_coring(C, n)
-        H = SliceHomology(cx, n, ('Ext', n, n)) if cx.spaces[n].dim else None
+    cx = cobar_complex_coring(C, n)
+    H = SliceHomology(cx, n, ('Ext', n, n)) if cx.spaces[n].dim else None
     sdim = shr.component(n).dim if n <= shr.top_degree else 0
     hdim = H.dim if H is not None else 0
     if hdim != sdim:

@@ -209,7 +209,7 @@ def incidence_coring(P: GradedPoset, field=RATIONALS) -> GradedCoring:
     return GradedCoring(base, comps, comult, top)
 
 
-def zeta_ring(P: GradedPoset, field=RATIONALS, top=None) -> GradedRing:
+def zeta_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
     """T(V)/I_P: the tensor ring on the covers modulo the zeta relations
     zeta_{x,y} = sum of e_{x,z} (x) e_{z,y} over the interior of [x,y].
 
@@ -217,7 +217,7 @@ def zeta_ring(P: GradedPoset, field=RATIONALS, top=None) -> GradedRing:
     of the incidence coring, which it must equal.
     """
     C = incidence_coring(P, field)
-    dual = shriek_of_coring(C, top)
+    dual = shriek_of_coring(C)
     V = C.component(1)
     VV = tensor(V, V)
     gens = {}
@@ -236,13 +236,15 @@ def zeta_ring(P: GradedPoset, field=RATIONALS, top=None) -> GradedRing:
     return ring
 
 
-def incidence_duality_check(P: GradedPoset, field=RATIONALS) -> bool:
-    """Whether the incidence ring is isomorphic to the graded left dual of
-    the incidence coring under the literal relabeling e_{x,y} -> f_{x,y}.
+def incidence_duality_check(A: GradedRing, C: GradedCoring) -> bool:
+    """Whether the incidence ring A is isomorphic to the graded left dual of
+    the incidence coring C under the literal relabeling e_{x,y} -> f_{x,y}.
+
+    A and C are the incidence ring and coring of one poset, over one field,
+    as incidence_ring and incidence_coring return them.
     """
     from .duality import graded_left_dual_of_coring
-    A = incidence_ring(P, field)
-    D = graded_left_dual_of_coring(incidence_coring(P, field))
+    D = graded_left_dual_of_coring(C)
     if A.top_degree != D.top_degree:
         return False
     chi = {}

@@ -153,7 +153,7 @@ def test_criterion_5_duality_suite(capfd):
         ring, coring = both_verdicts(P)
         if ring.verdict != coring.verdict:
             bad.append((tuple(P.covers), 'ring/coring verdicts split'))
-        if not incidence_duality_check(P):
+        if not incidence_duality_check(incidence_ring(P), incidence_coring(P)):
             bad.append((tuple(P.covers), 'chi relabeling failed'))
         A, C = incidence_ring(P), incidence_coring(P)
         try:

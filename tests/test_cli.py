@@ -228,6 +228,67 @@ def test_check_builds_the_shriek_pair_once(capsys, monkeypatch,
     assert len(calls) == 1
 
 
+def test_check_reuses_the_decided_incidence_structures(
+        capsys, monkeypatch, diamond_file):
+    from koszulity import poset
+    calls = {'incidence_ring': 0, 'incidence_coring': 0}
+    for name in calls:
+        original = getattr(poset, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if (mod_name.startswith('koszulity') and
+                    getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    code, out, _ = run(capsys, 'check', '--poset', diamond_file,
+                       '--jobs', '1')
+    assert code == 0
+    assert json.loads(out)['duality']['dual_is_incidence_coring'] is True
+    # the ring worker's ring, the coring worker's coring and the ring the
+    # coring worker checks it against
+    assert calls['incidence_ring'] <= 2
+    assert calls['incidence_coring'] == 1
+
+
+@pytest.mark.parametrize('command', ['check', 'betti', 'shriek', 'dual'])
+def test_each_command_reads_its_poset_once(capsys, monkeypatch, diamond_file,
+                                           command):
+    from koszulity import cli
+    reads = []
+    original = cli.load_poset
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli, 'load_poset', counting)
+    code, _, _ = run(capsys, command, '--poset', diamond_file, '--jobs', '1')
+    assert code == 0
+    assert reads == [diamond_file]
+
+
+def test_disagreement_message_names_the_input_file(capsys, monkeypatch,
+                                                   diamond_file):
+    from koszulity import cli
+    original = cli._decide_task
+
+    def flip_coring(payload):
+        verdict, duality = original(payload)
+        if payload['side'] == 'coring':
+            verdict = {**verdict, 'verdict': not verdict['verdict']}
+        return verdict, duality
+
+    monkeypatch.setattr(cli, '_decide_task', flip_coring)
+    code, out, err = run(capsys, 'check', '--poset', diamond_file,
+                         '--jobs', '1')
+    assert code == 3 and out == ''
+    assert err.startswith('criteria disagreement')
+    assert err.rstrip().endswith(f'for {diamond_file}')
+
+
 def test_failed_invariant_exits_3_with_a_message(capsys, monkeypatch,
                                                  diamond_file):
     from koszulity.homology import ComplexSlice

@@ -50,13 +50,15 @@ def test_dual_coring_convolution(diamond):
 def test_incidence_duality_fixtures(diamond, p_bad, tail_diamond):
     for P in (diamond, p_bad, tail_diamond, chain_poset(3),
               antichain_poset(3)):
-        assert incidence_duality_check(P)
+        assert incidence_duality_check(incidence_ring(P),
+                                       incidence_coring(P))
 
 
 def test_incidence_duality_corpus():
     for size in range(1, 5):
         for P in enumerate_corpus(size):
-            assert incidence_duality_check(P)
+            assert incidence_duality_check(incidence_ring(P),
+                                           incidence_coring(P))
 
 
 def test_double_dual_fixtures(diamond, p_bad, tail_diamond):

@@ -12,7 +12,10 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor_many,
                                 unit_bimodule)
 from koszulity.graded_structures import (GradedRing, shriek_of_ring,
                                          shriek_of_coring,
-                                         ideal_component_span)
+                                         ideal_component_span, QuadraticData,
+                                         quadratic_ring_of,
+                                         quadratic_coring_of, truncate_ring,
+                                         truncate_coring)
 from koszulity.homology import (partitions, bar_complex_ring,
                                 cobar_complex_coring, tor_table, ext_table,
                                 tor_primitive_dims,
@@ -409,6 +412,81 @@ def test_quadraticity_routes_corpus():
         for P in enumerate_corpus(size):
             A = incidence_ring(P)
             assert quadratic_via_tor(A) == is_quadratic_direct(A)[0]
+
+
+def reference_quadratic_direct(A):
+    'The direct ring test read off the quadratic ring built to top + 1.'
+    V = A.component(1)
+    Q = quadratic_ring_of(QuadraticData(V, kernel_sub(A.mu(1, 1))),
+                          A.top_degree + 1)
+    for n in range(2, A.top_degree + 2):
+        Qn, An = Q.component(n), A.component(n)
+        if Qn.dim != An.dim:
+            return False, {'degree': n, 'quadratic_dim': Qn.dim,
+                           'ring_dim': An.dim}
+        incl = BimoduleMap.from_basis_action(Qn, tensor_power(V, n),
+                                             lambda key, l: [(l, 1)])
+        if An.dim and A.iterated_mu(n).compose(incl).rank() != An.dim:
+            return False, {'degree': n,
+                           'reason': 'canonical map is not bijective'}
+    return True, None
+
+
+def reference_quadratic_coring_direct(C):
+    'The direct coring test read off the quadratic coring built to top + 1.'
+    V = C.component(1)
+    Q = quadratic_coring_of(QuadraticData(V, image_sub(C.delta(1, 1))),
+                            C.top_degree + 1)
+    for n in range(2, C.top_degree + 2):
+        Qn, Cn = Q.component(n), C.component(n)
+        if Qn.dim != Cn.dim:
+            return False, {'degree': n, 'quadratic_dim': Qn.dim,
+                           'coring_dim': Cn.dim}
+        if Cn.dim and C.iterated_delta(n).rank() != Cn.dim:
+            return False, {'degree': n,
+                           'reason': 'canonical map is not bijective'}
+    return True, None
+
+
+@pytest.mark.parametrize('field', [RATIONALS, FieldSpec.prime_field(3)],
+                         ids=['Q', 'F3'])
+def test_direct_quadraticity_matches_the_built_quadratic_structures(
+        field, p_bad):
+    posets = [P for size in range(1, 6) for P in enumerate_corpus(size)]
+    past_top = 0
+    for P in posets + [p_bad]:
+        A, C = incidence_ring(P, field), incidence_coring(P, field)
+        # a truncation at m >= 3 keeps degree 1 and the (1, 1) structure
+        # map, so its quadratic structure can outlive it at m = top + 1
+        cases = [(X, is_quadratic_direct, reference_quadratic_direct)
+                 for X in [A] + [truncate_ring(A, m)
+                                 for m in range(2, A.top_degree + 1)]]
+        cases += [(X, is_quadratic_coring_direct,
+                   reference_quadratic_coring_direct)
+                  for X in [C] + [truncate_coring(C, m)
+                                  for m in range(2, C.top_degree + 1)]]
+        for X, direct, reference in cases:
+            ok, witness = direct(X)
+            assert (ok, witness) == reference(X), (P, X)
+            if witness is not None and witness['degree'] == X.top_degree + 1:
+                past_top += 1
+    assert past_top > 0
+    assert is_quadratic_direct(incidence_ring(p_bad, field))[0] is False
+
+
+def test_direct_quadraticity_builds_no_graded_ring(monkeypatch):
+    A = incidence_ring(chain_poset(3))
+    built = []
+    original = GradedRing.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedRing, '__init__', counting)
+    assert is_quadratic_direct(A) == (True, None)
+    assert is_quadratic_direct(truncate_ring(A, 3))[0] is False
+    assert len(built) == 1   # the truncation, built by the test itself
 
 
 def test_tor2_ext2_sequences(diamond, p_bad, tail_diamond):
