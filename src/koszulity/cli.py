@@ -7,11 +7,12 @@ the JSON document rather than computed separately.  Timings sit in their
 own section so that cached and fresh reports agree byte for byte
 everywhere else.
 
-Report schema, version 1.  Every report is an object with:
+Report schema, version 2.  Every report is an object with:
 
-    schema_version   1
+    schema_version   2
     command          check | betti | shriek | dual | corpus
-    input            {"digest", "elements", "covers"} (corpus: bounds)
+    input            {"digest", "elements", "covers"} (corpus: bounds);
+                     digest: sha256 of the input document as given
     config           {"field", "max_weight", ...}
     timings          {"total_s", "cached"}   -- segregated, never cached
     ...              command-specific payload, see the cmd_* docstrings
@@ -24,6 +25,7 @@ input, 3 = internal criteria disagreement or failed internal invariant
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -42,7 +44,7 @@ from .homology import tor_table, ext_table
 from .koszul import decide_koszul_ring, decide_koszul_coring
 from .duality import graded_left_dual_of_ring, dual_pair, double_dual_check
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,12 @@ def parse_max_weight(text: str):
 
 def load_poset(path: str) -> GradedPoset:
     try:
-        with open(path) as fh:
+        with open(path, encoding='utf-8') as fh:
             document = json.load(fh)
     except OSError as exc:
         raise InputError(f'cannot read {path}: {exc}') from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f'{path} is not UTF-8 text: {exc}') from None
     except json.JSONDecodeError as exc:
         raise InputError(f'{path} is not valid JSON: {exc}') from None
     return parse_poset(document)
@@ -106,10 +110,8 @@ def _digest(obj) -> str:
 
 
 def _poset_echo(P: GradedPoset) -> dict:
-    n, edges = P.canonical_key()
-    return {'digest': _digest([n, [list(e) for e in edges]]),
-            'elements': list(P.elements),
-            'covers': [list(c) for c in P.covers]}
+    document = P.to_document()
+    return {'digest': _digest(document), **document}
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +152,7 @@ def _corpus_task(payload: dict) -> dict:
             f'{ring_v.verdict} vs {coring_v.verdict}')
     return {'elements': len(P.elements),
             'covers': [list(c) for c in P.covers],
-            'digest': _poset_echo(P)['digest'],
+            'digest': _digest(payload['document']),
             'verdict': ring_v.verdict,
             'sound': ring_v.sound,
             'm_bound_used': ring_v.m_bound_used}
@@ -359,17 +361,25 @@ def _cache_path(cache_dir: str, key: dict) -> str:
     return os.path.join(cache_dir, f'koszulity-{_digest(key)}.json')
 
 
+def _unusable_cache(cache_dir: str, exc: OSError) -> InputError:
+    return InputError(f'cannot use cache directory {cache_dir}: {exc}')
+
+
 def _with_cache(config: RunConfig, key: dict, compute) -> dict:
     """Run compute() through the cache; the timings section is attached
     afterwards so cached and fresh reports differ only there.
 
     An entry that cannot be read as a JSON report is a miss and is
     rewritten.  Entries are written to a temporary file and renamed into
-    place, so a reader never sees a partly written one.
+    place, so a reader never sees a partly written one.  A directory that
+    cannot be created or written to is an input error.
     """
     path = None
     if config.cache_dir is not None:
-        os.makedirs(config.cache_dir, exist_ok=True)
+        try:
+            os.makedirs(config.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise _unusable_cache(config.cache_dir, exc) from None
         path = _cache_path(config.cache_dir, key)
         try:
             with open(path) as fh:
@@ -384,9 +394,14 @@ def _with_cache(config: RunConfig, key: dict, compute) -> dict:
     elapsed = time.perf_counter() - start
     if path is not None:
         tmp = f'{path}.{os.getpid()}.tmp'
-        with open(tmp, 'w') as fh:
-            fh.write(render_json(report))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, 'w') as fh:
+                fh.write(render_json(report))
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise _unusable_cache(config.cache_dir, exc) from None
     report['timings'] = {'total_s': round(elapsed, 6), 'cached': False}
     return report
 

@@ -89,6 +89,7 @@ class _Graded:
         self.components = {n: components.get(n, zero_bimodule(base))
                            for n in range(top_degree + 1)}
         self.support_truncated = False
+        self._folds = {}   # composition -> mu_partition / delta_partition
         kept = {}
         for (p, q), f in maps.items():
             if p < 1 or q < 1 or p + q > top_degree:
@@ -159,7 +160,14 @@ class GradedRing(_Graded):
                         raise StructureError(f'associativity fails at ({p},{q},{r})')
 
     def mu_partition(self, parts: tuple) -> BimoduleMap:
-        'mu_m : A^{m_1} (x) ... (x) A^{m_k} -> A^m on the flat word space, folded left.'
+        """mu_m : A^{m_1} (x) ... (x) A^{m_k} -> A^m on the flat word space,
+        folded left; built once per composition and kept on the ring."""
+        fold = self._folds.get(parts)
+        if fold is None:
+            fold = self._folds[parts] = self._fold_mu(parts)
+        return fold
+
+    def _fold_mu(self, parts: tuple) -> BimoduleMap:
         k = len(parts)
         _require_composition(parts)
         if k == 1:
@@ -234,7 +242,14 @@ class GradedCoring(_Graded):
                         raise StructureError(f'coassociativity fails at ({p},{q},{r})')
 
     def delta_partition(self, parts: tuple) -> BimoduleMap:
-        'Delta_m : C_m -> C_{m_1} (x) ... (x) C_{m_k}, flat word target.'
+        """Delta_m : C_m -> C_{m_1} (x) ... (x) C_{m_k}, flat word target;
+        built once per composition and kept on the coring."""
+        fold = self._folds.get(parts)
+        if fold is None:
+            fold = self._folds[parts] = self._fold_delta(parts)
+        return fold
+
+    def _fold_delta(self, parts: tuple) -> BimoduleMap:
         k = len(parts)
         _require_composition(parts)
         if k == 1:

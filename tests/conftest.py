@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from koszulity.poset import GradedPoset
+import oracle
 
 # the running examples: the diamond is Koszul, p_bad is the smallest
 # incidence ring here that is not even quadratic (Ker mu_3 is nonzero but
@@ -30,6 +31,18 @@ def p_bad():
 def tail_diamond():
     'Diamond with an extra top cover; length 3, nonzero Ker mu^{1,1}.'
     return GradedPoset(['0', 'a', 'b', '1', '2'], TAIL_COVERS)
+
+
+@pytest.fixture
+def rp2():
+    'Face poset of RP^2 with bottom and top; 2-torsion in its homology.'
+    return GradedPoset(oracle.RP2.elements, oracle.RP2.covers)
+
+
+@pytest.fixture
+def octahedron():
+    'Face poset of the octahedron (S^2) with bottom and top.'
+    return GradedPoset(oracle.OCTAHEDRON.elements, oracle.OCTAHEDRON.covers)
 
 
 def chain_poset(n):

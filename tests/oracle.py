@@ -39,8 +39,29 @@ def row_reduce(rows):
     return rank, mat[:rank]
 
 
-def rank(rows):
-    return row_reduce(rows)[0]
+def rank_mod(rows, p):
+    """Rank over F_p of an integer matrix (ints or integral Fractions), by
+    dense Gaussian elimination mod p."""
+    mat = [[int(v) % p for v in row] for row in rows]
+    r = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        mat[r] = [v * inv % p for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+def rank(rows, p=None):
+    'Rank over Q, or over F_p when a prime p is given.'
+    return row_reduce(rows)[0] if p is None else rank_mod(rows, p)
 
 
 def kernel(rows, ncols=None):
@@ -154,6 +175,29 @@ P_BAD = RefPoset(['0', 'a', 'b', 'c', 'd', '1'],
                   ('c', '1'), ('d', '1')])
 
 
+def face_poset(facets):
+    """Faces of the simplicial complex with these facets (strings of vertex
+    names), with a bottom (the empty face) and a top added."""
+    faces = sorted({''.join(c) for facet in facets
+                    for k in range(1, len(facet) + 1)
+                    for c in itertools.combinations(facet, k)},
+                   key=lambda f: (len(f), f))
+    top_dim = max(len(f) for f in faces)
+    covers = [('bot', f) for f in faces if len(f) == 1]
+    covers += [(f[:i] + f[i + 1:], f) for f in faces
+               for i in range(len(f)) if len(f) > 1]
+    covers += [(f, 'top') for f in faces if len(f) == top_dim]
+    return RefPoset(['bot'] + faces + ['top'], covers)
+
+
+# the 6-vertex triangulation of the real projective plane: its homology
+# has 2-torsion, so Koszulity of its face poset depends on the field
+RP2 = face_poset(['123', '134', '145', '156', '126',
+                  '235', '346', '245', '356', '246'])
+# the boundary of the octahedron, a 2-sphere: Cohen-Macaulay over any field
+OCTAHEDRON = face_poset([a + b + c for a in '12' for b in '34' for c in '56'])
+
+
 def chain_poset(n):
     els = [str(i) for i in range(n + 1)]
     return RefPoset(els, [(str(i), str(i + 1)) for i in range(n)])
@@ -208,18 +252,25 @@ def bar_matrix(basis, n):
     return rows
 
 
-def bar_homology(P, m):
-    'dims of H_n of the weight-m normalized bar slice of the incidence ring'
+def bar_homology(P, m, p=None):
+    """dims of H_n of the weight-m normalized bar slice of the incidence
+    ring, over Q or, when a prime p is given, over F_p"""
     if m == 0:
         return {0: len(P.elements)}
     basis = bar_basis(P, m)
     dims = {}
     for n in range(1, m + 1):
         dn = len(basis[n])
-        r_in = rank(bar_matrix(basis, n)) if n >= 2 else 0
-        r_out = rank(bar_matrix(basis, n + 1)) if n + 1 <= m else 0
+        r_in = rank(bar_matrix(basis, n), p) if n >= 2 else 0
+        r_out = rank(bar_matrix(basis, n + 1), p) if n + 1 <= m else 0
         dims[n] = dn - r_in - r_out
     return dims
+
+
+def tor_entries(P, m_top, p=None):
+    'The nonzero Tor_{n,m} for m <= m_top, keyed "n,m", over Q or F_p.'
+    return {f'{n},{m}': d for m in range(m_top + 1)
+            for n, d in bar_homology(P, m, p).items() if d}
 
 
 def cobar_matrix(P, basis, n):
@@ -390,12 +441,7 @@ def main():
                     ('antichain3', antichain_poset(3))]:
         entry = {'top': P.top if P.length else 0}
         entry['component_dims'] = [len(P.intervals(p)) for p in range(0, (P.top if P.length else 0) + 1)]
-        tor = {}
-        for m in range(0, 2 * max(entry['top'], 1) + 1):
-            for n, d in bar_homology(P, m).items():
-                if d:
-                    tor[f'{n},{m}'] = d
-        entry['tor'] = tor
+        entry['tor'] = tor_entries(P, 2 * max(entry['top'], 1))
         ext = {}
         for m in range(0, 2 * max(entry['top'], 1) + 1):
             for n, d in cobar_homology(P, m).items():
@@ -410,6 +456,10 @@ def main():
             kos[str(m)] = {str(n): d for n, d in dims.items() if d}
         entry['koszul_left_nonzero'] = kos
         report[name] = entry
+    # Tor tables whose off-diagonal part depends on the characteristic
+    for name, P in [('rp2', RP2), ('octahedron', OCTAHEDRON)]:
+        report[name] = {f'tor_{field}': tor_entries(P, 2 * P.top, p)
+                        for field, p in [('Q', None), ('F2', 2), ('F3', 3)]}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 

@@ -1,7 +1,9 @@
 """The command-line frontend, run in-process through main()."""
 
+import hashlib
 import json
 import sys
+import traceback
 
 import pytest
 
@@ -46,7 +48,7 @@ def test_check_diamond(capsys, diamond_file):
     assert report['duality'] == {'dual_is_incidence_coring': True,
                                  'dual_pair_almost_koszul': True,
                                  'double_dual': True}
-    assert report['schema_version'] == 1
+    assert report['schema_version'] == 2
 
 
 def test_check_pbad_witness(capsys, p_bad_file):
@@ -183,7 +185,63 @@ def test_cache_keeps_labels_of_isomorphic_inputs(capsys, tmp_path,
     assert second['input']['covers'] == doc['covers']
     assert second['timings']['cached'] is False
     assert list(second['generators']) == ['zeta_{bot,top}']
-    assert first['input']['digest'] == second['input']['digest']
+    assert first['input']['digest'] != second['input']['digest']
+
+
+def _sha256_of(document) -> str:
+    return hashlib.sha256(
+        json.dumps(document, sort_keys=True).encode()).hexdigest()
+
+
+def _count_canonical_forms(monkeypatch) -> list:
+    'Patch poset.canonical_form; return the list of the callers\' stacks.'
+    from koszulity import poset
+    calls = []
+    original = poset.canonical_form
+
+    def counting(*args):
+        calls.append([frame.name for frame in traceback.extract_stack()])
+        return original(*args)
+
+    monkeypatch.setattr(poset, 'canonical_form', counting)
+    return calls
+
+
+@pytest.mark.parametrize('command', ['check', 'betti', 'shriek', 'dual'])
+def test_digest_hashes_the_literal_document(capsys, monkeypatch,
+                                            diamond_file, command):
+    calls = _count_canonical_forms(monkeypatch)
+    code, out, _ = run(capsys, command, '--poset', diamond_file,
+                       '--jobs', '1')
+    assert code == 0
+    assert calls == []
+    report = json.loads(out)
+    assert report['schema_version'] == 2
+    assert report['input']['digest'] == _sha256_of(DIAMOND_DOC)
+
+
+def test_reordered_document_gets_its_own_digest(capsys, tmp_path):
+    reordered = {**DIAMOND_DOC, 'elements': DIAMOND_DOC['elements'][::-1]}
+    path = tmp_path / 'reordered.json'
+    path.write_text(json.dumps(reordered))
+    _, out, _ = run(capsys, 'check', '--poset', str(path), '--jobs', '1')
+    digest = json.loads(out)['input']['digest']
+    assert digest == _sha256_of(reordered) != _sha256_of(DIAMOND_DOC)
+
+
+def test_corpus_digests_rows_and_enumerates_with_canonical_forms(
+        capsys, monkeypatch):
+    calls = _count_canonical_forms(monkeypatch)
+    code, out, _ = run(capsys, 'corpus', '--max-elements', '3', '--jobs', '1')
+    assert code == 0
+    assert calls
+    assert all('enumerate_corpus' in stack for stack in calls)
+    report = json.loads(out)
+    assert report['schema_version'] == 2
+    for row in report['rows']:
+        assert row['digest'] == _sha256_of(
+            {'elements': [str(i) for i in range(row['elements'])],
+             'covers': row['covers']})
 
 
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, diamond_file):
@@ -204,6 +262,32 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, diamond_file):
     expected = json.loads(fresh)
     expected.pop('timings')
     assert rewritten == expected
+
+
+def test_cache_that_is_a_file_exits_2(capsys, tmp_path, diamond_file):
+    not_a_dir = tmp_path / 'cache'
+    not_a_dir.write_text('a regular file')
+    code, out, err = run(capsys, 'check', '--poset', diamond_file,
+                         '--cache', str(not_a_dir), '--jobs', '1')
+    assert code == 2 and out == ''
+    assert err.startswith(f'error: cannot use cache directory {not_a_dir}: ')
+    assert len(err.splitlines()) == 1
+
+
+def test_failed_cache_write_exits_2_and_leaves_no_temporary_file(
+        capsys, monkeypatch, tmp_path, diamond_file):
+    from koszulity import cli
+    cache = tmp_path / 'cache'
+
+    def refuse(src, dst):
+        raise PermissionError(13, 'Permission denied', dst)
+
+    monkeypatch.setattr(cli.os, 'replace', refuse)
+    code, out, err = run(capsys, 'betti', '--poset', diamond_file,
+                         '--cache', str(cache), '--jobs', '1')
+    assert code == 2 and out == ''
+    assert err.startswith(f'error: cannot use cache directory {cache}: ')
+    assert list(cache.iterdir()) == []
 
 
 def test_check_builds_the_shriek_pair_once(capsys, monkeypatch,
@@ -318,6 +402,16 @@ def test_exit_codes_on_bad_input(capsys, tmp_path):
                    ['c', 'y']]}))
     code, _, err = run(capsys, 'check', '--poset', str(non_graded))
     assert code == 2 and 'not graded' in err
+
+
+def test_non_utf8_poset_file_exits_2(capsys, tmp_path):
+    utf16 = tmp_path / 'utf16.json'
+    utf16.write_bytes(json.dumps(DIAMOND_DOC).encode('utf-16'))
+    assert utf16.read_bytes()[:2] == b'\xff\xfe'
+    code, out, err = run(capsys, 'check', '--poset', str(utf16))
+    assert code == 2 and out == ''
+    assert err.startswith(f'error: {utf16} is not UTF-8 text: ')
+    assert len(err.splitlines()) == 1
 
 
 def test_exit_code_on_bad_flags(capsys, diamond_file):

@@ -12,6 +12,7 @@ from koszulity.exact_linalg import (FieldSpec, RATIONALS, SparseMatrix,
                                     solve_columns, hstack, vstack,
                                     DimensionError)
 import oracle
+from oracle import rank_mod as _rank_mod
 
 
 def dense_of(M):
@@ -288,25 +289,6 @@ def test_int_and_fraction_matrices_are_equal_and_hash_alike():
     assert len({ints, fracs}) == 1
     assert ints != SparseMatrix(2, 3, [(0, 0, Fraction(5, 2)), (1, 2, -1)])
     assert ints != SparseMatrix(3, 2, [(0, 0, 2), (2, 1, -1)])
-
-
-def _rank_mod(dense, p):
-    'Dense Gaussian elimination mod p.'
-    rows = [[v % p for v in row] for row in dense]
-    r = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 @pytest.mark.parametrize('p', [2, 3, 7])

@@ -109,6 +109,35 @@ def test_mu_partition_matches_iterated(p_bad):
                                                    A.component(1))
 
 
+def test_partition_folds_are_built_once(monkeypatch, tail_diamond):
+    from koszulity import graded_structures
+    A, C = incidence_ring(tail_diamond), incidence_coring(tail_diamond)
+    built = []
+    original = graded_structures.tensor_map
+
+    def counting(f, g):   # one call per fold of two or more parts
+        built.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(graded_structures, 'tensor_map', counting)
+    compositions = [(1,) * n for n in range(1, 4)] + [(2, 1), (1, 2)]
+    for _ in range(2):
+        rings = [A.mu_partition(parts) for parts in compositions]
+        corings = [C.delta_partition(parts) for parts in compositions]
+        rings += [A.iterated_mu(n) for n in range(1, 4)]
+        corings += [C.iterated_delta(n) for n in range(1, 4)]
+    # (1, 1), (1, 1, 1), (2, 1) and (1, 2) on each side, each built once
+    assert len(built) == 8
+    monkeypatch.undo()
+    fresh_A = incidence_ring(tail_diamond)
+    fresh_C = incidence_coring(tail_diamond)
+    assert rings == ([fresh_A.mu_partition(parts) for parts in compositions]
+                     + [fresh_A.iterated_mu(n) for n in range(1, 4)])
+    assert corings == ([fresh_C.delta_partition(parts)
+                        for parts in compositions]
+                       + [fresh_C.iterated_delta(n) for n in range(1, 4)])
+
+
 def test_incidence_structures_strongly_graded(diamond, p_bad, tail_diamond):
     for P in (diamond, p_bad, tail_diamond, chain_poset(4),
               antichain_poset(3)):
