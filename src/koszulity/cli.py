@@ -42,7 +42,8 @@ from .poset import (GradedPoset, parse_poset, incidence_ring,
 from .graded_structures import shriek_of_ring
 from .homology import tor_table, ext_table
 from .koszul import decide_koszul_ring, decide_koszul_coring
-from .duality import graded_left_dual_of_ring, dual_pair, double_dual_check
+from .duality import (graded_left_dual_of_ring, graded_left_dual_of_coring,
+                       dual_pair, double_dual_check)
 
 SCHEMA_VERSION = 2
 
@@ -101,6 +102,8 @@ def load_poset(path: str) -> GradedPoset:
         raise InputError(f'{path} is not UTF-8 text: {exc}') from None
     except json.JSONDecodeError as exc:
         raise InputError(f'{path} is not valid JSON: {exc}') from None
+    except RecursionError:
+        raise InputError(f'{path} nests JSON too deeply to read') from None
     return parse_poset(document)
 
 
@@ -129,9 +132,11 @@ def _decide_task(payload: dict) -> tuple:
     if payload['side'] == 'ring':
         A = incidence_ring(P, field)
         verdict = decide_koszul_ring(A, m_max)
-        dual_pair(verdict.pair)   # raises if not almost-Koszul
-        return verdict.to_json(), {'dual_pair_almost_koszul': True,
-                                   'double_dual': double_dual_check(A)}
+        dual = dual_pair(verdict.pair)   # raises if not almost-Koszul
+        # dual.coring is the dual of A: one more dual gives the double dual
+        return verdict.to_json(), {
+            'dual_pair_almost_koszul': True,
+            'double_dual': graded_left_dual_of_coring(dual.coring) == A}
     C = incidence_coring(P, field)
     verdict = decide_koszul_coring(C, m_max)
     A = incidence_ring(P, field)
@@ -384,7 +389,7 @@ def _with_cache(config: RunConfig, key: dict, compute) -> dict:
         try:
             with open(path) as fh:
                 report = json.load(fh)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             report = None
         if isinstance(report, dict):
             report['timings'] = {'total_s': 0.0, 'cached': True}

@@ -4,16 +4,25 @@ Strong grading, primitives, indecomposables, the quadratic constructions
 <V,W> (tensor ring modulo the ideal generated by W) and {V,W} (intersection
 subcoring), shriek duals, and direct products.  Components are Bimodules,
 structure maps are BimoduleMaps, all validation is exact.
+
+Every constructor checks (co)associativity exactly, word by word: for each
+(p, q, r) with p + q + r <= top it compares the two bracketings on every
+basis word a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis
+vector of C_{p+q+r} (corings), as sparse vectors; no tensor-product map is
+built for the check.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from .exact_linalg import (SparseMatrix, Subspace, solve_columns,
-                           hstack, vstack, rank, intersect, outer_vector)
+                           hstack, vstack, rank, intersect, outer_vector,
+                           accumulate)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_map, tensor_many, tensor_power,
                        unit_bimodule, zero_bimodule, kernel_sub, image_sub,
-                       UNIT_LABEL)
+                       UNIT_LABEL, _block_of)
 from .errors import StructureError, InvariantError
 
 
@@ -45,14 +54,6 @@ def right_unit_section(base: BaseRing, V: Bimodule) -> BimoduleMap:
     tgt = tensor(V, unit_bimodule(base))
     return BimoduleMap.from_basis_action(
         V, tgt, lambda key, l: [((l, UNIT_LABEL), 1)])
-
-
-def associator(P: Bimodule, Q: Bimodule, S: Bimodule) -> BimoduleMap:
-    'The relabeling ((p,q),s) -> (p,(q,s)) between the two bracketings.'
-    src = tensor(tensor(P, Q), S)
-    tgt = tensor(P, tensor(Q, S))
-    return BimoduleMap.from_basis_action(
-        src, tgt, lambda key, l: [((l[0][0], (l[0][1], l[1])), 1)])
 
 
 def _as_word(label, letters: int) -> tuple:
@@ -97,6 +98,18 @@ class _Graded:
             if not f.is_zero():
                 kept[(p, q)] = f
         return kept
+
+    def _check_associativity(self, law: str) -> None:
+        """Compare the two bracketings exactly on every basis element, for
+        every (p, q, r) with p + q + r <= top in turn; the side's
+        _bracketings(p, q, r) yields the pairs of sparse vectors."""
+        top = self.top_degree
+        for p in range(1, top + 1):
+            for q in range(1, top + 1 - p):
+                for r in range(1, top + 1 - p - q):
+                    if any(lhs != rhs
+                           for lhs, rhs in self._bracketings(p, q, r)):
+                        raise StructureError(f'{law} fails at ({p},{q},{r})')
 
     def component(self, n: int) -> Bimodule:
         if 0 <= n <= self.top_degree:
@@ -148,16 +161,33 @@ class GradedRing(_Graded):
                 raise StructureError(f'mu({p},{q}) has wrong source')
             if f.target != self.component(p + q):
                 raise StructureError(f'mu({p},{q}) has wrong target')
-        for p in range(1, self.top_degree + 1):
-            for q in range(1, self.top_degree + 1 - p):
-                for r in range(1, self.top_degree + 1 - p - q):
-                    Ap, Aq, Ar = (self.component(x) for x in (p, q, r))
-                    lhs = self.mu(p + q, r).compose(
-                        tensor_map(self.mu(p, q), BimoduleMap.identity(Ar)))
-                    rhs = self.mu(p, q + r).compose(
-                        tensor_map(BimoduleMap.identity(Ap), self.mu(q, r)))
-                    if lhs != rhs.compose(associator(Ap, Aq, Ar)):
-                        raise StructureError(f'associativity fails at ({p},{q},{r})')
+        self._check_associativity('associativity')
+
+    def _bracketings(self, p: int, q: int, r: int):
+        'Per basis word a (x) b (x) c of A^p (x) A^q (x) A^r: (ab)c and a(bc).'
+        field = self.base.field
+        mu_ab, mu_ab_c = self.mult.get((p, q)), self.mult.get((p + q, r))
+        mu_bc, mu_a_bc = self.mult.get((q, r)), self.mult.get((p, q + r))
+        left = mu_ab is not None and mu_ab_c is not None
+        right = mu_bc is not None and mu_a_bc is not None
+        if not (left or right):
+            return   # both sides vanish
+        Aq, Ar = self.component(q), self.component(r)
+        for (s, t), alabels in self.component(p).blocks.items():
+            for (_, u), blabels in Aq.blocks_from(t):
+                for (_, v), clabels in Ar.blocks_from(u):
+                    for a, b in product(alabels, blabels):
+                        ab = mu_ab.apply_label((s, u), (a, b)) if left else ()
+                        for c in clabels:
+                            bc = mu_bc.apply_label((t, v), (b, c)) if right else ()
+                            lhs, rhs = {}, {}
+                            for x, k in ab:
+                                for y, m in mu_ab_c.apply_label((s, v), (x, c)):
+                                    accumulate(lhs, y, k, m, field)
+                            for x, k in bc:
+                                for y, m in mu_a_bc.apply_label((s, v), (a, x)):
+                                    accumulate(rhs, y, k, m, field)
+                            yield lhs, rhs
 
     def mu_partition(self, parts: tuple) -> BimoduleMap:
         """mu_m : A^{m_1} (x) ... (x) A^{m_k} -> A^m on the flat word space,
@@ -230,16 +260,32 @@ class GradedCoring(_Graded):
                 raise StructureError(f'delta({p},{q}) has wrong source')
             if f.target != tensor(self.component(p), self.component(q)):
                 raise StructureError(f'delta({p},{q}) has wrong target')
-        for p in range(1, self.top_degree + 1):
-            for q in range(1, self.top_degree + 1 - p):
-                for r in range(1, self.top_degree + 1 - p - q):
-                    Cp, Cq, Cr = (self.component(x) for x in (p, q, r))
-                    lhs = tensor_map(self.delta(p, q),
-                                     BimoduleMap.identity(Cr)).compose(self.delta(p + q, r))
-                    rhs = tensor_map(BimoduleMap.identity(Cp),
-                                     self.delta(q, r)).compose(self.delta(p, q + r))
-                    if rhs != associator(Cp, Cq, Cr).compose(lhs):
-                        raise StructureError(f'coassociativity fails at ({p},{q},{r})')
+        self._check_associativity('coassociativity')
+
+    def _bracketings(self, p: int, q: int, r: int):
+        """Per basis vector z of C_{p+q+r}: (Delta_{p,q} (x) 1) Delta_{p+q,r} z
+        and (1 (x) Delta_{q,r}) Delta_{p,q+r} z, both as ((a, b), c) terms."""
+        field = self.base.field
+        d_ab, d_ab_c = self.comult.get((p, q)), self.comult.get((p + q, r))
+        d_bc, d_a_bc = self.comult.get((q, r)), self.comult.get((p, q + r))
+        left = d_ab is not None and d_ab_c is not None
+        right = d_bc is not None and d_a_bc is not None
+        if not (left or right):
+            return   # both sides vanish
+        Cp, Cpq = self.component(p), self.component(p + q)
+        for (s, v), labels in self.component(p + q + r).blocks.items():
+            for z in labels:
+                lhs, rhs = {}, {}
+                if left:
+                    for (x, c), k in d_ab_c.apply_label((s, v), z):
+                        for ab, m in d_ab.apply_label(_block_of(Cpq, x, s), x):
+                            accumulate(lhs, (ab, c), k, m, field)
+                if right:
+                    for (a, x), k in d_a_bc.apply_label((s, v), z):
+                        t = _block_of(Cp, a, s)[1]
+                        for (b, c), m in d_bc.apply_label((t, v), x):
+                            accumulate(rhs, ((a, b), c), k, m, field)
+                yield lhs, rhs
 
     def delta_partition(self, parts: tuple) -> BimoduleMap:
         """Delta_m : C_m -> C_{m_1} (x) ... (x) C_{m_k}, flat word target;

@@ -9,7 +9,8 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_many, tensor_power,
                                 tensor_map, unit_bimodule, zero_bimodule,
                                 kernel_sub, image_sub, left_dual, dual_label,
-                                evaluate_dual, dual_tensor_iso, _block_of)
+                                evaluate_dual, dual_tensor_iso, _block_of,
+                                _returns_every_label)
 
 
 @pytest.fixture
@@ -206,3 +207,17 @@ def test_sub_bimodule(base, V):
     assert sub.dim == 1
     assert sub.contains_vector(('x', 'z'), {0: Fraction(2), 1: Fraction(2)})
     assert not sub.contains_vector(('x', 'z'), {0: Fraction(1)})
+
+
+def test_inverse_check_follows_every_label(base, V):
+    W = Bimodule(base, {('y', 'z'): ('s', 't')})
+    phi, psi = dual_tensor_iso(V, W)
+    assert _returns_every_label(phi, psi) and _returns_every_label(psi, phi)
+    one = BimoduleMap.identity(V)
+    swap = BimoduleMap.relabeling(V, V, {'u': 'v', 'v': 'u', 'w': 'w'}.get)
+    assert _returns_every_label(swap, swap)
+    assert not _returns_every_label(swap, one)          # another label
+    assert not _returns_every_label(one.scale(2), one)  # coefficient 2
+    assert not _returns_every_label(one.add(swap), one)  # two terms
+    assert not _returns_every_label(BimoduleMap.zero(V, V), one)
+

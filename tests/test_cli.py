@@ -264,6 +264,22 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, diamond_file):
     assert rewritten == expected
 
 
+def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path,
+                                             diamond_file):
+    cache = tmp_path / 'cache'
+    _, fresh, _ = run(capsys, 'betti', '--poset', diamond_file,
+                      '--cache', str(cache), '--jobs', '1')
+    (entry,) = cache.iterdir()
+    entry.write_text('[' * 200000)
+    code, out, _ = run(capsys, 'betti', '--poset', diamond_file,
+                       '--cache', str(cache), '--jobs', '1')
+    assert code == 0
+    report, expected = json.loads(out), json.loads(fresh)
+    assert report.pop('timings')['cached'] is False
+    expected.pop('timings')
+    assert report == expected == json.loads(entry.read_text())
+
+
 def test_cache_that_is_a_file_exits_2(capsys, tmp_path, diamond_file):
     not_a_dir = tmp_path / 'cache'
     not_a_dir.write_text('a regular file')
@@ -412,6 +428,14 @@ def test_non_utf8_poset_file_exits_2(capsys, tmp_path):
     assert code == 2 and out == ''
     assert err.startswith(f'error: {utf16} is not UTF-8 text: ')
     assert len(err.splitlines()) == 1
+
+
+def test_deeply_nested_poset_file_exits_2(capsys, tmp_path):
+    deep = tmp_path / 'deep.json'
+    deep.write_text('[' * 200000)
+    code, out, err = run(capsys, 'check', '--poset', str(deep), '--jobs', '1')
+    assert code == 2 and out == ''
+    assert err == f'error: {deep} nests JSON too deeply to read\n'
 
 
 def test_exit_code_on_bad_flags(capsys, diamond_file):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from koszulity.exact_linalg import RATIONALS, FieldSpec, Subspace
+from koszulity.exact_linalg import RATIONALS, FieldSpec, Subspace, SparseMatrix
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, tensor, tensor_power,
+                                UNIT_LABEL, tensor, tensor_map, tensor_power,
                                 unit_bimodule, kernel_sub, image_sub)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          QuadraticData, quadratic_ring_of,
@@ -21,9 +21,11 @@ from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          left_unit_map, left_unit_section,
                                          right_unit_map, right_unit_section)
 from koszulity.errors import StructureError
+from koszulity.duality import (graded_left_dual_of_ring,
+                               graded_left_dual_of_coring)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring)
-from conftest import chain_poset, antichain_poset
+from conftest import DIAMOND_COVERS, chain_poset, antichain_poset
 import oracle
 
 
@@ -66,6 +68,139 @@ def test_associativity_enforced():
     # flipping the sign repairs it
     mu21_ok = mu21.scale(-1)
     GradedRing(base, comps, {(1, 1): mu11, (1, 2): mu12, (2, 1): mu21_ok}, 3)
+
+
+def test_coassociativity_enforced():
+    # one idempotent, C_1 = <v>, C_2 = <w>, C_3 = <z>; make
+    # (Delta (x) 1) Delta z and (1 (x) Delta) Delta z disagree by a sign
+    base = BaseRing(('x',), RATIONALS)
+    C1 = Bimodule(base, {('x', 'x'): ('v',)})
+    C2 = Bimodule(base, {('x', 'x'): ('w',)})
+    C3 = Bimodule(base, {('x', 'x'): ('z',)})
+    comps = {0: unit_bimodule(base), 1: C1, 2: C2, 3: C3}
+    d11 = BimoduleMap.from_basis_action(
+        C2, tensor(C1, C1), lambda key, l: [(('v', 'v'), 1)])
+    d12 = BimoduleMap.from_basis_action(
+        C3, tensor(C1, C2), lambda key, l: [(('v', 'w'), 1)])
+    d21 = BimoduleMap.from_basis_action(
+        C3, tensor(C2, C1), lambda key, l: [(('w', 'v'), -1)])
+    with pytest.raises(StructureError,
+                       match=r'^coassociativity fails at \(1,1,1\)$'):
+        GradedCoring(base, comps, {(1, 1): d11, (1, 2): d12, (2, 1): d21}, 3)
+    # flipping the sign repairs it
+    GradedCoring(base, comps,
+                 {(1, 1): d11, (1, 2): d12, (2, 1): d21.scale(-1)}, 3)
+
+
+# scaling one structure map of the length-4 chain by 2 breaks
+# (co)associativity first at this (p, q, r)
+FIRST_FAILURE = {(1, 1): (1, 1, 2), (1, 2): (1, 1, 1), (1, 3): (1, 1, 2),
+                 (2, 1): (1, 1, 1), (2, 2): (1, 1, 2), (3, 1): (1, 2, 1)}
+
+
+@pytest.mark.parametrize('field', [RATIONALS, FieldSpec.prime_field(3)],
+                         ids=['Q', 'F3'])
+@pytest.mark.parametrize('side', ['ring', 'coring'])
+def test_doubled_structure_map_names_the_first_failing_triple(field, side):
+    P = chain_poset(4)
+    if side == 'ring':
+        X, maps, law = incidence_ring(P, field), 'mult', 'associativity'
+    else:
+        X, maps, law = incidence_coring(P, field), 'comult', 'coassociativity'
+    assert sorted(getattr(X, maps)) == sorted(FIRST_FAILURE)
+    for pq, (p, q, r) in FIRST_FAILURE.items():
+        doubled = {**getattr(X, maps), pq: getattr(X, maps)[pq].scale(2)}
+        with pytest.raises(StructureError) as info:
+            type(X)(X.base, X.components, doubled, X.top_degree)
+        assert str(info.value) == f'{law} fails at ({p},{q},{r})'
+
+
+def _first_failure_by_maps(X):
+    """The first (p, q, r) at which the two bracketings differ as bimodule
+    maps, from tensor_map and compose alone, or None."""
+    ring = isinstance(X, GradedRing)
+    f = X.mu if ring else X.delta
+    for p in range(1, X.top_degree + 1):
+        for q in range(1, X.top_degree + 1 - p):
+            for r in range(1, X.top_degree + 1 - p - q):
+                P, Q, S = (X.component(n) for n in (p, q, r))
+                one_p, one_s = BimoduleMap.identity(P), BimoduleMap.identity(S)
+                reassociate = BimoduleMap.relabeling(
+                    tensor(tensor(P, Q), S), tensor(P, tensor(Q, S)),
+                    lambda l: (l[0][0], (l[0][1], l[1])))
+                if ring:
+                    lhs = f(p + q, r).compose(tensor_map(f(p, q), one_s))
+                    rhs = f(p, q + r).compose(
+                        tensor_map(one_p, f(q, r))).compose(reassociate)
+                else:
+                    lhs = reassociate.compose(
+                        tensor_map(f(p, q), one_s).compose(f(p + q, r)))
+                    rhs = tensor_map(one_p, f(q, r)).compose(f(p, q + r))
+                if lhs != rhs:
+                    return p, q, r
+    return None
+
+
+def _bumped(f: BimoduleMap, key) -> BimoduleMap:
+    'f with 1 added to the first stored entry of its block at key.'
+    mat = f.blocks[key]
+    (i, j), _ = next(iter(mat.entries.items()))
+    bump = SparseMatrix(mat.rows, mat.cols, [(i, j, 1)])
+    return BimoduleMap(f.source, f.target,
+                       {**f.blocks, key: mat.add(bump, f.field)})
+
+
+def _several_term_structures():
+    'Rings and corings with a structure map that sends a basis element to a sum.'
+    B3 = boolean_lattice(3)
+    # [0, x] and [0, y] have three atoms each: three-term zeta relations
+    atoms = GradedPoset(['0', 'a', 'b', 'c', 'x', 'y', '1'],
+                        [('0', 'a'), ('0', 'b'), ('0', 'c'), ('a', 'x'),
+                         ('b', 'x'), ('c', 'x'), ('a', 'y'), ('b', 'y'),
+                         ('c', 'y'), ('x', '1'), ('y', '1')])
+    diamond = GradedPoset(['0', 'a', 'b', '1'], DIAMOND_COVERS)
+    F2 = FieldSpec.prime_field(2)
+    yield 'zeta ring', zeta_ring(atoms)
+    yield 'zeta ring over F2', zeta_ring(atoms, F2)
+    yield 'shriek ring', shriek_of_coring(incidence_coring(atoms))
+    yield 'shriek coring', shriek_of_ring(incidence_ring(B3))
+    yield 'incidence coring over F2', incidence_coring(boolean_lattice(4), F2)
+    yield 'dual of a ring', graded_left_dual_of_ring(incidence_ring(B3))
+    yield 'direct product', direct_product(zeta_ring(atoms),
+                                           incidence_ring(chain_poset(3)))
+    yield 'direct sum', direct_sum_corings(
+        shriek_of_ring(incidence_ring(diamond)),
+        incidence_coring(chain_poset(3)))
+
+
+def test_word_checks_agree_with_map_checks_on_several_term_structures():
+    # structures whose products and coproducts have several terms validate,
+    # and after bumping one entry of one block of one structure map the
+    # word-level check fails exactly where the map-level identity does
+    checked = failed = 0
+    for name, X in _several_term_structures():
+        assert _first_failure_by_maps(X) is None, name
+        maps = X.mult if isinstance(X, GradedRing) else X.comult
+        law = ('associativity' if isinstance(X, GradedRing)
+               else 'coassociativity')
+        assert any(len(f.apply_label(key, l)) > 1
+                   for f in maps.values() for key, l in f.source.basis()), name
+        for pq, f in sorted(maps.items()):
+            for key in list(f.blocks)[:2]:
+                bumped = {**maps, pq: _bumped(f, key)}
+                Y = type(X)(X.base, X.components, bumped, X.top_degree,
+                            validate=False)
+                expected = _first_failure_by_maps(Y)
+                checked += 1
+                if expected is None:
+                    Y._validate()
+                    continue
+                failed += 1
+                with pytest.raises(StructureError) as info:
+                    Y._validate()
+                assert str(info.value) == '%s fails at (%d,%d,%d)' % (
+                    law, *expected)
+    assert failed and checked > failed
 
 
 def test_mu_unit_degrees(diamond):
