@@ -9,7 +9,7 @@ from .exact_linalg import FieldSpec, RATIONALS, SparseMatrix, Subspace
 from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                        tensor, tensor_many, tensor_power, tensor_map,
                        unit_bimodule, zero_bimodule, left_dual,
-                       dual_label, dual_tensor_iso)
+                       dual_label)
 from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
                                 quadratic_ring_of, quadratic_coring_of,
                                 shriek_of_ring, shriek_of_coring,

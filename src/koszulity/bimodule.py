@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .exact_linalg import (FieldSpec, SparseMatrix, Subspace, DimensionError,
                            kernel_basis, image_basis, accumulate)
-from .errors import InvariantError
 
 UNIT_LABEL = '1'
 
@@ -429,63 +428,3 @@ def left_dual(V: Bimodule) -> Bimodule:
     """
     return Bimodule(V.base, {key: tuple(dual_label(l) for l in labels)
                              for key, labels in V.blocks.items()})
-
-
-def evaluate_dual(V: Bimodule, dual_vec: dict, vec: dict) -> dict:
-    'Pairing of ^*V with V; returns an element of R as {idempotent: scalar}.'
-    out = {}
-    for (key, dl), a in dual_vec.items():
-        c = vec.get((key, _undual_lookup(V, key, dl)), None)
-        if c is None:
-            continue
-        accumulate(out, key[0], a, c, V.base.field)
-    return out
-
-
-def _undual_lookup(V, key, dl):
-    primal = dual_label(dl)
-    if primal in V._index.get(key, {}):
-        return primal
-    raise KeyError(f'no primal label for {dl!r} in block {key!r}')
-
-
-def dual_tensor_iso(V: Bimodule, W: Bimodule):
-    """The canonical pair (phi, psi) between ^*V (x) ^*W and ^*(V (x) W).
-
-    phi(a (x) b)(v (x) w) = a(v b(w)); on dual bases phi matches the dual of
-    each tensor monomial, and psi is its inverse via finite dual bases.
-    """
-    src = tensor(left_dual(V), left_dual(W))
-    tgt = left_dual(tensor(V, W))
-
-    def phi_action(key, label):
-        dv, dw = label
-        return [(dual_label((dual_label(dv), dual_label(dw))), 1)]
-
-    phi = BimoduleMap.from_basis_action(src, tgt, phi_action)
-
-    def psi_action(key, label):
-        pair = dual_label(label)
-        v, w = pair
-        return [((dual_label(v), dual_label(w)), 1)]
-
-    psi = BimoduleMap.from_basis_action(tgt, src, psi_action)
-    if not _returns_every_label(psi, phi):
-        raise InvariantError('phi . psi != id')
-    if not _returns_every_label(phi, psi):
-        raise InvariantError('psi . phi != id')
-    return phi, psi
-
-
-def _returns_every_label(f: BimoduleMap, g: BimoduleMap) -> bool:
-    """Whether g . f is the identity: each basis label of f's source comes
-    back to itself, in its own block, with coefficient 1."""
-    for key, labels in f.source.blocks.items():
-        for l in labels:
-            out = {}
-            for m, c in f.apply_label(key, l):
-                for n, d in g.apply_label(key, m):
-                    accumulate(out, n, c, d, f.field)
-            if out != {l: 1}:
-                return False
-    return True

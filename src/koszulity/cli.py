@@ -42,8 +42,7 @@ from .poset import (GradedPoset, parse_poset, incidence_ring,
 from .graded_structures import shriek_of_ring
 from .homology import tor_table, ext_table
 from .koszul import decide_koszul_ring, decide_koszul_coring
-from .duality import (graded_left_dual_of_ring, graded_left_dual_of_coring,
-                       dual_pair, double_dual_check)
+from .duality import graded_left_dual_of_coring, dual_pair, double_dual_check
 
 SCHEMA_VERSION = 2
 
@@ -269,15 +268,16 @@ def cmd_dual(P: GradedPoset, config: RunConfig) -> dict:
     A = incidence_ring(P, config.field)
     C = incidence_coring(P, config.field)
     rv = decide_koszul_ring(A, config.m_max_override)
-    dual_pair(rv.pair)
-    cv = decide_koszul_coring(graded_left_dual_of_ring(A),
-                              config.m_max_override)
+    dual = dual_pair(rv.pair)   # raises if not almost-Koszul
+    # dual.coring is the dual of A: decided here, dualized once more for
+    # the double dual
+    cv = decide_koszul_coring(dual.coring, config.m_max_override)
     return {'schema_version': SCHEMA_VERSION,
             'command': 'dual',
             'input': _poset_echo(P),
             'config': config.echo(),
             'dual_is_incidence_coring': incidence_duality_check(A, C),
-            'double_dual_ring': double_dual_check(A),
+            'double_dual_ring': graded_left_dual_of_coring(dual.coring) == A,
             'double_dual_coring': double_dual_check(C),
             'dual_pair_almost_koszul': True,
             'verdicts_agree': rv.verdict == cv.verdict,

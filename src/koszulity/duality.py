@@ -5,19 +5,22 @@ the block (s, t) again, with the dual basis vector of v normalized to send
 v to the idempotent at s.  Under that normalization the pairing is the
 coordinate pairing, the dual of a structure map is its blockwise
 transpose, and the canonical isomorphism ^*V (x) ^*W = ^*(V (x) W) is a
-relabeling.  The right duals agree with the left ones coordinatewise (with
-right-module normalization the dual vector of v sends v to the idempotent
-at the end of its block instead of the start, and the k-valued structure
-constants are unchanged), so only the left duals are built.
+relabeling that keeps every label position.  So the dual structure maps
+are the transposed stored blocks, placed between the tensor products of
+the dual components, and no isomorphism is built; the constructors of
+GradedRing and GradedCoring check their shapes and (co)associativity as
+for any other structure.  The right duals agree with the left ones
+coordinatewise (with right-module normalization the dual vector of v sends
+v to the idempotent at the end of its block instead of the start, and the
+k-valued structure constants are unchanged), so only the left duals are
+built.
 """
 
 from __future__ import annotations
 
-from .bimodule import (Bimodule, BimoduleMap, left_dual, dual_tensor_iso,
-                       tensor)
+from .bimodule import BimoduleMap, left_dual, tensor
 from .graded_structures import GradedRing, GradedCoring
 from .koszul import AlmostKoszulPair
-from .errors import InvariantError
 
 
 def dual_map(f: BimoduleMap) -> BimoduleMap:
@@ -26,47 +29,38 @@ def dual_map(f: BimoduleMap) -> BimoduleMap:
                        {key: mat.transpose() for key, mat in f.blocks.items()})
 
 
-def _graded_left_dual(X, structure_map, out_cls):
+def _graded_left_dual(X, maps: dict, out_cls):
     """The structure of class out_cls on the duals ^*X_n whose (p, q)
-    structure map is dual to structure_map(p, q) of X.
+    structure map is the blockwise transpose of maps[(p, q)].
 
-    The dual of a product is psi composed with its transpose, the dual of
-    a comultiplication its transpose composed with phi; the coherence of
-    that factorization is checked blockwise.
+    left_dual keeps block keys and label positions, so the dual basis of
+    ^*(X_p (x) X_q) comes in the order of the pairs of ^*X_p (x) ^*X_q and
+    the transposed blocks already sit between tensor(^*X_p, ^*X_q) and
+    ^*X_{p+q}.  out_cls checks the shapes and the (co)associativity.
     """
     components = {n: left_dual(X.component(n))
                   for n in range(X.top_degree + 1)}
-    maps = {}
-    for p in range(1, X.top_degree):
-        for q in range(1, X.top_degree - p + 1):
-            if components[p].is_zero() or components[q].is_zero():
-                continue
-            transposed = dual_map(structure_map(p, q))
-            phi, psi = dual_tensor_iso(X.component(p), X.component(q))
-            if out_cls is GradedCoring:
-                f = psi.compose(transposed)
-                coherent = phi.compose(f) == transposed
-            else:
-                f = transposed.compose(phi)
-                coherent = f.compose(psi) == transposed
-            if not coherent:
-                raise InvariantError(
-                    f'dual structure map ({p},{q}) is incoherent')
-            if not f.is_zero():
-                maps[(p, q)] = f
-    D = out_cls(X.base, components, maps, X.top_degree)
+    dual_maps = {}
+    for (p, q), f in maps.items():
+        tensored = tensor(components[p], components[q])
+        blocks = {key: mat.transpose() for key, mat in f.blocks.items()}
+        if out_cls is GradedCoring:
+            dual_maps[(p, q)] = BimoduleMap(components[p + q], tensored, blocks)
+        else:
+            dual_maps[(p, q)] = BimoduleMap(tensored, components[p + q], blocks)
+    D = out_cls(X.base, components, dual_maps, X.top_degree)
     D.support_truncated = X.support_truncated
     return D
 
 
 def graded_left_dual_of_ring(A: GradedRing) -> GradedCoring:
     'The coring on the duals ^*A^n, comultiplication dual to the product.'
-    return _graded_left_dual(A, A.mu, GradedCoring)
+    return _graded_left_dual(A, A.mult, GradedCoring)
 
 
 def graded_left_dual_of_coring(C: GradedCoring) -> GradedRing:
     'The ring on the duals ^*C_n under the convolution product.'
-    return _graded_left_dual(C, C.delta, GradedRing)
+    return _graded_left_dual(C, C.comult, GradedRing)
 
 
 def dual_pair(pair: AlmostKoszulPair) -> AlmostKoszulPair:

@@ -4,9 +4,9 @@ InputError covers anything a caller can fix (bad documents, invalid posets,
 violated preconditions) and maps to CLI exit code 2.  CriteriaDisagreement
 is the theorem-violation canary: equivalent Koszulity criteria returned
 different answers.  InvariantError is raised when an internal invariant of
-a computation fails (d o d != 0, a broken Euler balance, an incoherent
-dual); unlike an assert it survives python -O.  Neither must ever fire;
-the CLI maps both to exit code 3.
+a computation fails (d o d != 0, a broken Euler balance); unlike an
+assert it survives python -O.  Neither must ever fire; the CLI maps both
+to exit code 3.
 """
 
 

@@ -9,8 +9,7 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_many, tensor_power,
                                 tensor_map, unit_bimodule, zero_bimodule,
                                 kernel_sub, image_sub, left_dual, dual_label,
-                                evaluate_dual, dual_tensor_iso, _block_of,
-                                _returns_every_label)
+                                _block_of)
 
 
 @pytest.fixture
@@ -182,24 +181,6 @@ def test_left_dual_blocks(base, V):
     assert left_dual(D) == V
 
 
-def test_evaluate_dual_normalization(base, V):
-    # the dual basis vector of v eats v and returns the start idempotent
-    dv = {(('x', 'y'), dual_label('v')): Fraction(1)}
-    hit = evaluate_dual(V, dv, {(('x', 'y'), 'v'): Fraction(1)})
-    assert hit == {'x': Fraction(1)}
-    miss = evaluate_dual(V, dv, {(('x', 'y'), 'u'): Fraction(1)})
-    assert not miss
-
-
-def test_dual_tensor_iso_roundtrip(base, V):
-    W = Bimodule(base, {('y', 'z'): ('s', 't')})
-    phi, psi = dual_tensor_iso(V, W)
-    assert phi.source == tensor(left_dual(V), left_dual(W))
-    assert phi.target == left_dual(tensor(V, W))
-    assert phi.compose(psi) == BimoduleMap.identity(phi.target)
-    assert psi.compose(phi) == BimoduleMap.identity(phi.source)
-
-
 def test_sub_bimodule(base, V):
     VV = tensor(V, V)
     sub = SubBimodule(VV, {('x', 'z'): Subspace.from_spanning(
@@ -207,17 +188,3 @@ def test_sub_bimodule(base, V):
     assert sub.dim == 1
     assert sub.contains_vector(('x', 'z'), {0: Fraction(2), 1: Fraction(2)})
     assert not sub.contains_vector(('x', 'z'), {0: Fraction(1)})
-
-
-def test_inverse_check_follows_every_label(base, V):
-    W = Bimodule(base, {('y', 'z'): ('s', 't')})
-    phi, psi = dual_tensor_iso(V, W)
-    assert _returns_every_label(phi, psi) and _returns_every_label(psi, phi)
-    one = BimoduleMap.identity(V)
-    swap = BimoduleMap.relabeling(V, V, {'u': 'v', 'v': 'u', 'w': 'w'}.get)
-    assert _returns_every_label(swap, swap)
-    assert not _returns_every_label(swap, one)          # another label
-    assert not _returns_every_label(one.scale(2), one)  # coefficient 2
-    assert not _returns_every_label(one.add(swap), one)  # two terms
-    assert not _returns_every_label(BimoduleMap.zero(V, V), one)
-

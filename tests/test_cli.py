@@ -353,6 +353,32 @@ def test_check_reuses_the_decided_incidence_structures(
     assert calls['incidence_coring'] == 1
 
 
+def test_dual_builds_the_dual_of_the_ring_once(capsys, monkeypatch,
+                                               diamond_file):
+    from koszulity import duality
+    calls = {'graded_left_dual_of_ring': 0, 'graded_left_dual_of_coring': 0}
+    for name in calls:
+        original = getattr(duality, name)
+
+        def counting(X, name=name, original=original):
+            calls[name] += 1
+            return original(X)
+
+        for mod_name, module in list(sys.modules.items()):
+            if (mod_name.startswith('koszulity') and
+                    getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    code, out, _ = run(capsys, 'dual', '--poset', diamond_file,
+                       '--jobs', '1')
+    assert code == 0
+    assert json.loads(out)['verdicts_agree'] is True
+    # ring duals: of A (in dual_pair) and of the dual of C; coring duals:
+    # of the shriek coring (in dual_pair), of the dual of A, and of C twice
+    # (incidence duality, double dual of C)
+    assert calls == {'graded_left_dual_of_ring': 2,
+                     'graded_left_dual_of_coring': 4}
+
+
 @pytest.mark.parametrize('command', ['check', 'betti', 'shriek', 'dual'])
 def test_each_command_reads_its_poset_once(capsys, monkeypatch, diamond_file,
                                            command):

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from koszulity.exact_linalg import FieldSpec
 from koszulity.bimodule import BimoduleMap, left_dual, dual_label, tensor
+from koszulity.graded_structures import (GradedRing, GradedCoring,
+                                         shriek_of_ring, shriek_of_coring,
+                                         truncate_ring, direct_product,
+                                         direct_sum_corings)
 from koszulity.duality import (dual_map, graded_left_dual_of_ring,
                                graded_left_dual_of_coring,
                                dual_pair, double_dual_check)
@@ -59,6 +64,75 @@ def test_incidence_duality_corpus():
         for P in enumerate_corpus(size):
             assert incidence_duality_check(incidence_ring(P),
                                            incidence_coring(P))
+
+
+def test_incidence_duality_rejects_other_products_and_degrees(diamond):
+    A = incidence_ring(diamond)
+    C = incidence_coring(diamond)
+    doubled = dict(A.mult)
+    doubled[(1, 1)] = A.mult[(1, 1)].scale(2)
+    scaled = GradedRing(A.base, A.components, doubled, A.top_degree,
+                        validate=False)
+    assert not incidence_duality_check(scaled, C)
+    assert not incidence_duality_check(truncate_ring(A, 1), C)
+
+
+def _reference_dual(X, structure_map, out_cls):
+    """The graded dual built through the canonical isomorphism
+    phi : ^*V (x) ^*W -> ^*(V (x) W) and its inverse psi, with the round
+    trips checked: the dual of a product is psi after its transpose, the
+    dual of a comultiplication its transpose after phi."""
+    components = {n: left_dual(X.component(n))
+                  for n in range(X.top_degree + 1)}
+    maps = {}
+    for p in range(1, X.top_degree):
+        for q in range(1, X.top_degree - p + 1):
+            if components[p].is_zero() or components[q].is_zero():
+                continue
+            V, W = X.component(p), X.component(q)
+            phi = BimoduleMap.relabeling(
+                tensor(left_dual(V), left_dual(W)), left_dual(tensor(V, W)),
+                lambda l: dual_label((dual_label(l[0]), dual_label(l[1]))))
+            psi = BimoduleMap.relabeling(
+                phi.target, phi.source,
+                lambda l: tuple(dual_label(x) for x in dual_label(l)))
+            assert phi.compose(psi) == BimoduleMap.identity(phi.target)
+            assert psi.compose(phi) == BimoduleMap.identity(phi.source)
+            transposed = dual_map(structure_map(p, q))
+            if out_cls is GradedCoring:
+                f = psi.compose(transposed)
+            else:
+                f = transposed.compose(phi)
+            if not f.is_zero():
+                maps[(p, q)] = f
+    D = out_cls(X.base, components, maps, X.top_degree)
+    D.support_truncated = X.support_truncated
+    return D
+
+
+def _assert_duals_match_reference(A, C):
+    for X in (A, shriek_of_coring(C)):
+        D = graded_left_dual_of_ring(X)
+        ref = _reference_dual(X, X.mu, GradedCoring)
+        assert D == ref and D.support_truncated == ref.support_truncated
+    for X in (C, shriek_of_ring(A)):
+        D = graded_left_dual_of_coring(X)
+        ref = _reference_dual(X, X.delta, GradedRing)
+        assert D == ref and D.support_truncated == ref.support_truncated
+
+
+def test_transposed_duals_match_the_isomorphism_construction(rp2, diamond):
+    for size in range(1, 6):
+        for P in enumerate_corpus(size):
+            _assert_duals_match_reference(incidence_ring(P),
+                                          incidence_coring(P))
+    F2 = FieldSpec.prime_field(2)
+    _assert_duals_match_reference(incidence_ring(rp2, F2),
+                                  incidence_coring(rp2, F2))
+    chain = chain_poset(3)   # idempotents disjoint from the diamond's
+    _assert_duals_match_reference(
+        direct_product(incidence_ring(diamond), incidence_ring(chain)),
+        direct_sum_corings(incidence_coring(diamond), incidence_coring(chain)))
 
 
 def test_double_dual_fixtures(diamond, p_bad, tail_diamond):
