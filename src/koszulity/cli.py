@@ -38,7 +38,7 @@ from .exact_linalg import FieldSpec, RATIONALS
 from .errors import InputError, CriteriaDisagreement, InvariantError
 from .poset import (GradedPoset, parse_poset, incidence_ring,
                     incidence_coring, incidence_duality_check, zeta_ring,
-                    enumerate_corpus)
+                    enumerate_corpus, MAX_CORPUS_ELEMENTS)
 from .graded_structures import shriek_of_ring
 from .homology import tor_table, ext_table
 from .koszul import decide_koszul_ring, decide_koszul_coring
@@ -291,8 +291,9 @@ def cmd_corpus(max_elements: int, config: RunConfig) -> dict:
     verdict, soundness), "summary" with counts and the agreement rate,
     which is asserted to be 100%.
     """
-    if max_elements < 1:
-        raise InputError('--max-elements must be at least 1')
+    if not 1 <= max_elements <= MAX_CORPUS_ELEMENTS:
+        raise InputError('--max-elements must be between 1 and '
+                         f'{MAX_CORPUS_ELEMENTS}')
     payloads = []
     for size in range(1, max_elements + 1):
         for P in enumerate_corpus(size):

@@ -18,11 +18,10 @@ from itertools import product
 
 from .exact_linalg import (SparseMatrix, Subspace, solve_columns,
                            hstack, vstack, rank, intersect, outer_vector,
-                           accumulate)
+                           accumulate, image_basis, kernel_basis)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
-                       tensor, tensor_map, tensor_many, tensor_power,
-                       unit_bimodule, zero_bimodule, kernel_sub, image_sub,
-                       UNIT_LABEL, _block_of)
+                       tensor, tensor_power, unit_bimodule, zero_bimodule,
+                       kernel_sub, image_sub, UNIT_LABEL, _block_of)
 from .errors import StructureError, InvariantError
 
 
@@ -65,11 +64,6 @@ def _word_label(word: tuple, letters: int):
     return word if letters != 1 else word[0]
 
 
-def _require_composition(parts: tuple) -> None:
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f'{parts} is not a composition into positive parts')
-
-
 def _check_components(base, components, top_degree):
     for n, comp in components.items():
         if comp.base != base:
@@ -90,7 +84,6 @@ class _Graded:
         self.components = {n: components.get(n, zero_bimodule(base))
                            for n in range(top_degree + 1)}
         self.support_truncated = False
-        self._folds = {}   # composition -> mu_partition / delta_partition
         kept = {}
         for (p, q), f in maps.items():
             if p < 1 or q < 1 or p + q > top_degree:
@@ -189,32 +182,36 @@ class GradedRing(_Graded):
                                     accumulate(rhs, y, k, m, field)
                             yield lhs, rhs
 
-    def mu_partition(self, parts: tuple) -> BimoduleMap:
-        """mu_m : A^{m_1} (x) ... (x) A^{m_k} -> A^m on the flat word space,
-        folded left; built once per composition and kept on the ring."""
-        fold = self._folds.get(parts)
-        if fold is None:
-            fold = self._folds[parts] = self._fold_mu(parts)
-        return fold
-
-    def _fold_mu(self, parts: tuple) -> BimoduleMap:
-        k = len(parts)
-        _require_composition(parts)
-        if k == 1:
-            return BimoduleMap.identity(self.component(parts[0]))
-        comps = [self.component(p) for p in parts]
-        flat = tensor_many(comps)
-        left_flat = tensor_many(comps[:-1])
-        cut = BimoduleMap.from_basis_action(
-            flat, tensor(left_flat, comps[-1]),
-            lambda key, l: [((_word_label(l[:-1], k - 1), l[-1]), 1)])
-        step = tensor_map(self.mu_partition(parts[:-1]),
-                          BimoduleMap.identity(comps[-1]))
-        return self.mu(sum(parts[:-1]), parts[-1]).compose(step).compose(cut)
+    def _word_product(self, key, word: tuple) -> list:
+        """The product in A^n of a word of n letters of A^1 in block key,
+        folded left with mult[(k, 1)]: [(label, coeff)]."""
+        field = self.base.field
+        V = self.component(1)
+        s = key[0]
+        t = _block_of(V, word[0], s)[1]
+        terms = {word[0]: field.one}
+        for k, letter in enumerate(word[1:], 1):
+            mu = self.mult.get((k, 1))
+            if mu is None:
+                return []
+            u = _block_of(V, letter, t)[1]
+            product_terms = {}
+            for x, c in terms.items():
+                for y, m in mu.apply_label((s, u), (x, letter)):
+                    accumulate(product_terms, y, c, m, field)
+            if not product_terms:
+                return []
+            terms, t = product_terms, u
+        return list(terms.items())
 
     def iterated_mu(self, n: int) -> BimoduleMap:
-        'mu_n : (A^1)^(n) -> A^n, the fully iterated multiplication.'
-        return self.mu_partition((1,) * n)
+        """mu_n : (A^1)^(n) -> A^n, the fully iterated multiplication: each
+        word goes to its left-folded product (_word_product)."""
+        if n < 1:
+            raise ValueError(f'word length {n} < 1')
+        return BimoduleMap.from_basis_action(
+            tensor_power(self.component(1), n), self.component(n),
+            lambda key, l: self._word_product(key, _as_word(l, n)))
 
     def __eq__(self, other):
         if not isinstance(other, GradedRing):
@@ -287,33 +284,30 @@ class GradedCoring(_Graded):
                             accumulate(rhs, ((a, b), c), k, m, field)
                 yield lhs, rhs
 
-    def delta_partition(self, parts: tuple) -> BimoduleMap:
-        """Delta_m : C_m -> C_{m_1} (x) ... (x) C_{m_k}, flat word target;
-        built once per composition and kept on the coring."""
-        fold = self._folds.get(parts)
-        if fold is None:
-            fold = self._folds[parts] = self._fold_delta(parts)
-        return fold
-
-    def _fold_delta(self, parts: tuple) -> BimoduleMap:
-        k = len(parts)
-        _require_composition(parts)
-        if k == 1:
-            return BimoduleMap.identity(self.component(parts[0]))
-        head, rest = parts[0], parts[1:]
-        inner = self.delta_partition(rest)
-        first = self.delta(head, sum(rest))
-        step = tensor_map(BimoduleMap.identity(self.component(head)),
-                          inner).compose(first)
-        flat = tensor_many([self.component(p) for p in parts])
-        flatten = BimoduleMap.from_basis_action(
-            step.target, flat,
-            lambda key, l: [(_as_word(l[0], 1) + _as_word(l[1], k - 1), 1)])
-        return flatten.compose(step)
-
     def iterated_delta(self, n: int) -> BimoduleMap:
-        'Delta^n : C_n -> (C_1)^(n), the fully iterated comultiplication.'
-        return self.delta_partition((1,) * n)
+        """Delta^n : C_n -> (C_1)^(n), the fully iterated comultiplication:
+        Delta_{1,k-1} splits off the first letter, recursively."""
+        if n < 1:
+            raise ValueError(f'word length {n} < 1')
+        field = self.base.field
+        C1 = self.component(1)
+
+        def words(k, key, z) -> dict:
+            'Delta^k of the basis vector z of C_k in block key: {word: coeff}.'
+            if k == 1:
+                return {(z,): field.one}
+            out = {}
+            split = self.comult.get((1, k - 1))
+            for (a, x), c in split.apply_label(key, z) if split else ():
+                rest = (_block_of(C1, a, key[0])[1], key[1])
+                for w, m in words(k - 1, rest, x).items():
+                    accumulate(out, (a,) + w, c, m, field)
+            return out
+
+        return BimoduleMap.from_basis_action(
+            self.component(n), tensor_power(C1, n),
+            lambda key, z: [(_word_label(w, n), c)
+                            for w, c in words(n, key, z).items()])
 
     def __eq__(self, other):
         if not isinstance(other, GradedCoring):
@@ -326,74 +320,80 @@ class GradedCoring(_Graded):
 # strong grading, primitives, indecomposables
 # ---------------------------------------------------------------------------
 
-def is_strongly_graded_ring(A: GradedRing):
-    """True iff every iterated mu_n : (A^1)^(n) -> A^n is surjective.
+def _joint_blocks(X, maps: dict, n: int, stack):
+    """Per block of X_n: (key, labels, the nonzero blocks of maps[(p, n-p)]
+    over 1 <= p < n joined by stack, or None if they all vanish)."""
+    for key, labels in X.component(n).blocks.items():
+        mats = [maps[(p, n - p)].block(*key) for p in range(1, n)
+                if (p, n - p) in maps]
+        mats = [m for m in mats if not m.is_zero()]
+        yield key, labels, stack(mats) if mats else None
 
-    Returns (bool, witness); the witness names the first failing degree and
-    a basis vector of A^n outside the image.
+
+def is_strongly_graded_ring(A: GradedRing):
+    """True iff A^p A^q = A^{p+q} for all p, q >= 1: no indecomposables
+    above degree 1, i.e. every iterated mu_n : (A^1)^(n) -> A^n is onto.
+
+    Checked on the joint image of the stored mu^{p,n-p}, 1 <= p < n, block
+    by block of A^n.  If every mu_k with k < n is onto, associativity makes
+    that joint image the image of mu_n, so the first failing degree, block
+    and label are those of the iterated maps.  Returns (bool, witness); the
+    witness names a basis vector of A^n outside the image.
     """
+    field = A.base.field
     for n in range(2, A.top_degree + 1):
-        target = A.component(n)
-        if target.is_zero():
-            continue
-        mu_n = A.iterated_mu(n)
-        if mu_n.rank() == target.dim:
-            continue
-        im = image_sub(mu_n)
-        for key, labels in target.blocks.items():
-            part = im.part(key)
-            if part.dim == len(labels):
+        for key, labels, M in _joint_blocks(A, A.mult, n, hstack):
+            if M is not None and rank(M, field) == len(labels):
                 continue
-            for i, l in enumerate(labels):
-                if not part.contains_vector({i: 1}):
-                    return False, {'degree': n, 'block': key, 'cokernel_label': l}
-        return False, {'degree': n}
+            image = None if M is None else image_basis(M, field)
+            missing = next(l for i, l in enumerate(labels) if image is None
+                           or not image.contains_vector({i: 1}))
+            return False, {'degree': n, 'block': key,
+                           'cokernel_label': missing}
     return True, None
 
 
 def is_strongly_graded_coring(C: GradedCoring):
-    'True iff every iterated Delta^n is injective; the witness is a kernel vector.'
+    """True iff C has no primitives above degree 1, i.e. every iterated
+    Delta^n : C_n -> (C_1)^(n) is injective; the witness is a kernel vector.
+
+    Checked on the joint kernel of the stored Delta_{p,n-p}, 1 <= p < n.
+    If every Delta^k with k < n is injective, ker Delta^n = ker
+    Delta_{1,n-1} (R is semisimple), which coassociativity puts inside
+    every ker Delta_{p,q}: one subspace, so the same canonical witness.
+    """
+    field = C.base.field
     for n in range(2, C.top_degree + 1):
-        source = C.component(n)
-        if source.is_zero():
-            continue
-        ker = kernel_sub(C.iterated_delta(n))
-        if ker.dim:
-            key, sub = next(iter(ker.parts.items()))
-            vec = sub.basis.column(0)
-            labels = source.blocks[key]
+        for key, labels, M in _joint_blocks(C, C.comult, n, vstack):
+            if M is not None and rank(M, field) == len(labels):
+                continue
+            vec = ({0: field.one} if M is None
+                   else kernel_basis(M, field).basis.column(0))
             return False, {'degree': n, 'block': key,
                            'kernel_vector': {repr(labels[i]): str(v)
                                              for i, v in sorted(vec.items())}}
     return True, None
 
 
-def _corank_dims(X, structure_map, stack) -> dict:
-    """n -> dim X_n minus the blockwise joint rank of structure_map(p, n-p)
-    over 1 <= p < n, the blocks joined by stack."""
+def _corank_dims(X, maps: dict, stack) -> dict:
+    """n -> dim X_n minus the blockwise joint rank of maps[(p, n-p)] over
+    1 <= p < n, the blocks joined by stack."""
     out = {}
     for n in range(1, X.top_degree + 1):
-        comp = X.component(n)
-        total = comp.dim
-        if n > 1:
-            for key in comp.blocks:
-                mats = [structure_map(p, n - p).block(*key)
-                        for p in range(1, n)]
-                mats = [m for m in mats if not m.is_zero()]
-                if mats:
-                    total -= rank(stack(mats), X.base.field)
-        out[n] = total
+        out[n] = X.component(n).dim - sum(
+            rank(M, X.base.field)
+            for _, _, M in _joint_blocks(X, maps, n, stack) if M is not None)
     return out
 
 
 def primitive_dims(C: GradedCoring) -> dict:
     'n -> dim (PC)_n, the joint kernel of all Delta_{p,q} with p, q >= 1.'
-    return _corank_dims(C, C.delta, vstack)
+    return _corank_dims(C, C.comult, vstack)
 
 
 def indecomposable_dims(A: GradedRing) -> dict:
     'n -> dim (QA)_n = dim A^n minus the joint image of all mu^{p,q}, p, q >= 1.'
-    return _corank_dims(A, A.mu, hstack)
+    return _corank_dims(A, A.mult, hstack)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +542,6 @@ def _quadratic_ring(data: QuadraticData, top: int, spans: dict) -> GradedRing:
             tensor_power(V, n), components[n],
             lambda key, l, n=n: reduce_word(n, key, _as_word(l, n)))
     ring.projections = projections
-    ring.presentation = data
     return ring
 
 
@@ -632,7 +631,6 @@ def _quadratic_coring(data: QuadraticData, top: int,
 
     coring = GradedCoring(base, components, comult, top)
     coring.embeddings = embeddings
-    coring.presentation = data
     return coring
 
 

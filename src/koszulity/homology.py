@@ -23,7 +23,7 @@ from .graded_structures import (GradedRing, GradedCoring,
                                 truncate_ring, truncate_coring,
                                 is_strongly_graded_ring,
                                 is_strongly_graded_coring, _complement_words,
-                                _as_word, _word_label)
+                                _as_word)
 from .errors import PreconditionError, InvariantError
 
 
@@ -747,18 +747,17 @@ def quadratic_via_ext(C: GradedCoring, m_max=None) -> bool:
     return _quadratic_via(cobar_complex_coring, C, m_max)
 
 
-def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
+def is_quadratic_direct(A: GradedRing):
     """Compare A against <A^1, Ker mu^{1,1}> through the canonical map.
 
     Degree n of the quadratic ring is read off as the complement words of
     the degree-n ideal component, for n up to one past the top degree of
-    A; no quadratic ring is built.  Returns (bool, witness); the witness
-    names the first degree where the dimensions or the map fail.  _checked
-    skips the strong-grading precondition for a caller that has already
-    established it.
+    A; no quadratic ring is built.  The canonical map sends each complement
+    word to its product in A^n (GradedRing._word_product).  Returns (bool,
+    witness); the witness names the first degree where the dimensions or
+    the map fail.  A must be strongly graded.
     """
-    if not _checked:
-        _require_strongly_graded(A)
+    _require_strongly_graded(A)
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
     for n in range(2, A.top_degree + 2):
@@ -769,20 +768,19 @@ def is_quadratic_direct(A: GradedRing, *, _checked: bool = False):
                            'ring_dim': An.dim}
         if An.dim == 0:
             continue
-        incl = BimoduleMap.from_basis_action(
-            Qn, tensor_power(V, n), lambda key, l: [(l, 1)])
-        phi = A.iterated_mu(n).compose(incl)
+        phi = BimoduleMap.from_basis_action(
+            Qn, An, lambda key, l: A._word_product(key, _as_word(l, n)))
         if phi.rank() != An.dim:
             return False, {'degree': n, 'reason': 'canonical map is not bijective'}
     return True, None
 
 
-def is_quadratic_coring_direct(C: GradedCoring, *, _checked: bool = False):
+def is_quadratic_coring_direct(C: GradedCoring):
     """Mirror comparison of C against {C_1, Im Delta_{1,1}}, reading its
-    intersection components up to one past the top degree of C;
-    (bool, witness)."""
-    if not _checked:
-        _require_strongly_graded(C)
+    intersection components up to one past the top degree of C through
+    the iterated comultiplication; (bool, witness).  C must be strongly
+    graded."""
+    _require_strongly_graded(C)
     V = C.component(1)
     W = image_sub(C.delta(1, 1))
     for n in range(2, C.top_degree + 2):
@@ -848,7 +846,6 @@ def alpha_map(A: GradedRing, m: int, cx: ComplexSlice = None) -> BimoduleMap:
     V = A.component(1)
     src = tensor_power(V, m)
     tgt = cx.spaces[2]
-    folds = {p: A.mu_partition((1,) * p) for p in range(1, m)}
 
     def action(key, w):
         chain = _chain_of([V] * m, w, key[0])
@@ -857,10 +854,8 @@ def alpha_map(A: GradedRing, m: int, cx: ComplexSlice = None) -> BimoduleMap:
             q = m - p
             if A.component(p).is_zero() or A.component(q).is_zero():
                 continue
-            lv = folds[p].apply_label((chain[0], chain[p]),
-                                      _word_label(w[:p], p))
-            rv = folds[q].apply_label((chain[p], chain[m]),
-                                      _word_label(w[p:], q))
+            lv = A._word_product((chain[0], chain[p]), w[:p])
+            rv = A._word_product((chain[p], chain[m]), w[p:])
             for al, ac in lv:
                 for bl, bc in rv:
                     out.append((((p, q), (al, bl)), ac * bc))

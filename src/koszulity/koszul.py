@@ -232,7 +232,7 @@ def _exactness_sweep(builder, pair, m_bound):
 def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
             kinds, extra_criterion) -> KoszulVerdict:
     'The decision of decide_koszul_ring or _coring, given the side hooks.'
-    pair = make_pair(X)   # checks strong grading, once
+    pair = make_pair(X)   # checks strong grading
     partner = pair.coring if X is pair.ring else pair.ring
     vanish_bound = pair.ring.top_degree + pair.coring.top_degree
     m_bound = max(2 * X.top_degree, vanish_bound) if m_max is None else m_max
@@ -261,7 +261,7 @@ def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
             mismatches.append([n, got, want])
 
     via_table = all(table.entry(2, m) == 0 for m in range(3, m_bound + 1))
-    direct, direct_witness = quad_direct(X, _checked=True)
+    direct, direct_witness = quad_direct(X)
 
     side = table.kind.lower()
     per_criterion = {

@@ -243,18 +243,19 @@ def incidence_duality_check(A: GradedRing, C: GradedCoring) -> bool:
     A and C are the incidence ring and coring of one poset, over one field,
     as incidence_ring and incidence_coring return them.  The relabeling is
     left_dual on every component and keeps every label position, so it is
-    the identity on coordinates and the products of A and of the dual must
-    agree block by block.
+    the identity on coordinates: the components of A must be the left
+    duals of those of C, and each product of A the blockwise transpose of
+    the stored comultiplication of C, which is what the graded dual would
+    hold.  No dual is built.
     """
-    from .duality import graded_left_dual_of_coring
-    D = graded_left_dual_of_coring(C)
-    if A.top_degree != D.top_degree:
+    if A.top_degree != C.top_degree:
         return False
-    if any(left_dual(A.component(n)) != D.component(n)
+    if any(left_dual(A.component(n)) != left_dual(C.component(n))
            for n in range(A.top_degree + 1)):
         return False
     return ({pq: f.blocks for pq, f in A.mult.items()} ==
-            {pq: f.blocks for pq, f in D.mult.items()})
+            {pq: {key: mat.transpose() for key, mat in f.blocks.items()}
+             for pq, f in C.comult.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +367,9 @@ def _cover_choices(key) -> list:
     return out
 
 
+MAX_CORPUS_ELEMENTS = 7   # largest corpus size enumerated by default
+
+
 def enumerate_corpus(max_elements: int, max_length=None, allow_large=False):
     """Yield all graded posets with exactly max_elements elements (and
     maximum interval length at most max_length, if given), one per
@@ -378,9 +382,10 @@ def enumerate_corpus(max_elements: int, max_length=None, allow_large=False):
     """
     if max_elements < 1:
         raise InputError('corpus size must be at least 1')
-    if max_elements > 7 and not allow_large:
-        raise InputError('corpus enumeration above 7 elements must be '
-                         'explicitly allowed (allow_large=True)')
+    if max_elements > MAX_CORPUS_ELEMENTS and not allow_large:
+        raise InputError(f'corpus enumeration above {MAX_CORPUS_ELEMENTS} '
+                         'elements must be explicitly allowed '
+                         '(allow_large=True)')
     level = {(1, ())}
     for size in range(1, max_elements):
         nxt = set()

@@ -126,6 +126,20 @@ def test_corpus_sweep(capsys):
     assert all(row['sound'] for row in report['rows'])
 
 
+def test_corpus_above_the_cap_fails_before_enumerating(capsys, monkeypatch):
+    from koszulity import cli
+    from koszulity.poset import MAX_CORPUS_ELEMENTS
+    calls = []
+    monkeypatch.setattr(cli, 'enumerate_corpus',
+                        lambda *args, **kw: calls.append(args) or iter(()))
+    code, out, err = run(capsys, 'corpus', '--max-elements',
+                         str(MAX_CORPUS_ELEMENTS + 1), '--jobs', '1')
+    assert code == 2
+    assert out == ''
+    assert '--max-elements' in err
+    assert calls == []
+
+
 def test_corpus_parallel(capsys):
     _, serial, _ = run(capsys, 'corpus', '--max-elements', '3', '--jobs', '1')
     _, parallel, _ = run(capsys, 'corpus', '--max-elements', '3',
@@ -373,10 +387,10 @@ def test_dual_builds_the_dual_of_the_ring_once(capsys, monkeypatch,
     assert code == 0
     assert json.loads(out)['verdicts_agree'] is True
     # ring duals: of A (in dual_pair) and of the dual of C; coring duals:
-    # of the shriek coring (in dual_pair), of the dual of A, and of C twice
-    # (incidence duality, double dual of C)
+    # of the shriek coring (in dual_pair), of the dual of A, and of C (double
+    # dual of C); the incidence duality check builds none
     assert calls == {'graded_left_dual_of_ring': 2,
-                     'graded_left_dual_of_coring': 4}
+                     'graded_left_dual_of_coring': 3}
 
 
 @pytest.mark.parametrize('command', ['check', 'betti', 'shriek', 'dual'])

@@ -77,6 +77,23 @@ def test_incidence_duality_rejects_other_products_and_degrees(diamond):
     assert not incidence_duality_check(truncate_ring(A, 1), C)
 
 
+def test_incidence_duality_builds_no_dual(monkeypatch, diamond, p_bad):
+    from koszulity import duality
+    built = []
+    for name in ('graded_left_dual_of_ring', 'graded_left_dual_of_coring',
+                 '_graded_left_dual'):
+        original = getattr(duality, name)
+
+        def counting(*args, name=name, original=original):
+            built.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(duality, name, counting)
+    for P in (diamond, p_bad):
+        assert incidence_duality_check(incidence_ring(P), incidence_coring(P))
+    assert built == []
+
+
 def _reference_dual(X, structure_map, out_cls):
     """The graded dual built through the canonical isomorphism
     phi : ^*V (x) ^*W -> ^*(V (x) W) and its inverse psi, with the round

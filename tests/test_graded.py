@@ -24,7 +24,7 @@ from koszulity.errors import StructureError
 from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
-                             zeta_ring)
+                             zeta_ring, enumerate_corpus)
 from conftest import DIAMOND_COVERS, chain_poset, antichain_poset
 import oracle
 
@@ -235,42 +235,155 @@ def test_delta_unit_degrees(diamond):
         [((('e', '0', 'a'), UNIT_LABEL), Fraction(1))]
 
 
-def test_mu_partition_matches_iterated(p_bad):
+def _folded_mu(A, n):
+    """Reference mu_n : (A^1)^(n) -> A^n built from maps, as a fold:
+    mu^{n-1,1} (mu_{n-1} (x) 1) after cutting off the last letter."""
+    V = A.component(1)
+    if n == 1:
+        return BimoduleMap.identity(V)
+    cut = BimoduleMap.from_basis_action(
+        tensor_power(V, n), tensor(tensor_power(V, n - 1), V),
+        lambda key, l: [((l[:-1] if n > 2 else l[0], l[-1]), 1)])
+    step = tensor_map(_folded_mu(A, n - 1), BimoduleMap.identity(V))
+    return A.mu(n - 1, 1).compose(step).compose(cut)
+
+
+def _folded_delta(C, n):
+    """Reference Delta^n : C_n -> (C_1)^(n) built from maps, as a fold:
+    (1 (x) Delta^{n-1}) Delta_{1,n-1}, then flattened to words."""
+    V = C.component(1)
+    if n == 1:
+        return BimoduleMap.identity(V)
+    step = tensor_map(BimoduleMap.identity(V),
+                      _folded_delta(C, n - 1)).compose(C.delta(1, n - 1))
+    flatten = BimoduleMap.from_basis_action(
+        step.target, tensor_power(V, n),
+        lambda key, l: [((l[0],) + (l[1] if n > 2 else (l[1],)), 1)])
+    return flatten.compose(step)
+
+
+def test_iterated_maps_match_the_folded_reference(p_bad, rp2):
     A = incidence_ring(p_bad)
-    mu3 = A.iterated_mu(3)
-    assert mu3 == A.mu_partition((1, 1, 1))
-    assert mu3.rank() == A.component(3).dim  # strongly graded in degree 3
-    assert A.mu_partition((2, 1)).source == tensor(A.component(2),
-                                                   A.component(1))
+    assert A.iterated_mu(3).rank() == A.component(3).dim  # onto in degree 3
+    rings, corings = [], []
+    for size in range(1, 6):
+        for P in enumerate_corpus(size):
+            A, C = incidence_ring(P), incidence_coring(P)
+            rings += [A, shriek_of_coring(C)]
+            corings += [C, shriek_of_ring(A)]
+    F2 = FieldSpec.prime_field(2)
+    rings.append(incidence_ring(rp2, F2))
+    corings.append(incidence_coring(rp2, F2))
+    for A in rings:
+        for n in range(1, A.top_degree + 2):
+            assert A.iterated_mu(n) == _folded_mu(A, n)
+    for C in corings:
+        for n in range(1, C.top_degree + 2):
+            assert C.iterated_delta(n) == _folded_delta(C, n)
+    with pytest.raises(ValueError):
+        rings[0].iterated_mu(0)
+    with pytest.raises(ValueError):
+        corings[0].iterated_delta(0)
 
 
-def test_partition_folds_are_built_once(monkeypatch, tail_diamond):
-    from koszulity import graded_structures
-    A, C = incidence_ring(tail_diamond), incidence_coring(tail_diamond)
-    built = []
-    original = graded_structures.tensor_map
+def _strong_grading_by_iterated_ring(A):
+    'Reference: the witness search on the image of each iterated mu_n.'
+    for n in range(2, A.top_degree + 1):
+        target = A.component(n)
+        if target.is_zero():
+            continue
+        mu_n = _folded_mu(A, n)
+        if mu_n.rank() == target.dim:
+            continue
+        im = image_sub(mu_n)
+        for key, labels in target.blocks.items():
+            part = im.part(key)
+            if part.dim == len(labels):
+                continue
+            for i, l in enumerate(labels):
+                if not part.contains_vector({i: 1}):
+                    return False, {'degree': n, 'block': key,
+                                   'cokernel_label': l}
+        return False, {'degree': n}
+    return True, None
 
-    def counting(f, g):   # one call per fold of two or more parts
-        built.append(1)
-        return original(f, g)
 
-    monkeypatch.setattr(graded_structures, 'tensor_map', counting)
-    compositions = [(1,) * n for n in range(1, 4)] + [(2, 1), (1, 2)]
-    for _ in range(2):
-        rings = [A.mu_partition(parts) for parts in compositions]
-        corings = [C.delta_partition(parts) for parts in compositions]
-        rings += [A.iterated_mu(n) for n in range(1, 4)]
-        corings += [C.iterated_delta(n) for n in range(1, 4)]
-    # (1, 1), (1, 1, 1), (2, 1) and (1, 2) on each side, each built once
-    assert len(built) == 8
-    monkeypatch.undo()
-    fresh_A = incidence_ring(tail_diamond)
-    fresh_C = incidence_coring(tail_diamond)
-    assert rings == ([fresh_A.mu_partition(parts) for parts in compositions]
-                     + [fresh_A.iterated_mu(n) for n in range(1, 4)])
-    assert corings == ([fresh_C.delta_partition(parts)
-                        for parts in compositions]
-                       + [fresh_C.iterated_delta(n) for n in range(1, 4)])
+def _strong_grading_by_iterated_coring(C):
+    'Reference: the first kernel vector of each iterated Delta^n.'
+    for n in range(2, C.top_degree + 1):
+        source = C.component(n)
+        if source.is_zero():
+            continue
+        ker = kernel_sub(_folded_delta(C, n))
+        if ker.dim:
+            key, sub = next(iter(ker.parts.items()))
+            vec = sub.basis.column(0)
+            labels = source.blocks[key]
+            return False, {'degree': n, 'block': key,
+                           'kernel_vector': {repr(labels[i]): str(v)
+                                             for i, v in sorted(vec.items())}}
+    return True, None
+
+
+def _ring_from_products(idempotents, components, products, top):
+    """A ring over Q from {degree: {block: labels}} and
+    {(p, q): {(a, b): {c: coeff}}}; unlisted products vanish."""
+    base = BaseRing(idempotents, RATIONALS)
+    comps = {0: unit_bimodule(base)}
+    comps.update({n: Bimodule(base, blocks)
+                  for n, blocks in components.items()})
+    mult = {pq: BimoduleMap.from_basis_action(
+                tensor(comps[pq[0]], comps[pq[1]]), comps[sum(pq)],
+                lambda key, l, table=table: list(table.get(l, {}).items()))
+            for pq, table in products.items()}
+    return GradedRing(base, comps, mult, top)
+
+
+def test_strong_grading_matches_the_iterated_definition():
+    stray = _ring_from_products(
+        ('x',), {1: {('x', 'x'): ('v',)}, 2: {('x', 'x'): ('w', 'stray')}},
+        {(1, 1): {('v', 'v'): {'w': 1}}}, 2)
+    # onto in degree 2, but only z + z' is a product in degree 3
+    cubic = _ring_from_products(
+        ('c',), {1: {('c', 'c'): ('v',)}, 2: {('c', 'c'): ('w',)},
+                 3: {('c', 'c'): ('z', "z'")}},
+        {(1, 1): {('v', 'v'): {'w': 1}},
+         (2, 1): {('w', 'v'): {'z': 1, "z'": 1}},
+         (1, 2): {('v', 'w'): {'z': 1, "z'": 1}}}, 3)
+    # two idempotents: an extra label next to a product, and a block of
+    # A^2 that no product reaches
+    two = _ring_from_products(
+        ('s', 't'), {1: {('s', 't'): ('a',), ('t', 's'): ('b',)},
+                     2: {('s', 's'): ('ab',), ('t', 't'): ('extra', 'ba')}},
+        {(1, 1): {('a', 'b'): {'ab': 1}, ('b', 'a'): {'ba': 1}}}, 2)
+    lonely = _ring_from_products(
+        ('s', 't'), {1: {('s', 't'): ('a',), ('t', 's'): ('b',)},
+                     2: {('s', 's'): ('ab',),
+                         ('s', 't'): ('lone', 'loner')}},
+        {(1, 1): {('a', 'b'): {'ab': 1}}}, 2)
+    failing = [stray, cubic, two, lonely]
+    rings = failing + [direct_product(cubic, diamond_ring()),
+                       direct_product(diamond_ring(), stray)]
+    rings = [T for A in rings for T in
+             [A] + [truncate_ring(A, m) for m in range(1, A.top_degree + 1)]]
+    corings = [graded_left_dual_of_ring(A) for A in rings]
+    for field in (RATIONALS, FieldSpec.prime_field(2),
+                  FieldSpec.prime_field(3)):
+        for size in range(1, 5):
+            for P in enumerate_corpus(size):
+                rings.append(incidence_ring(P, field))
+                corings.append(incidence_coring(P, field))
+    for A in rings:
+        assert is_strongly_graded_ring(A) == _strong_grading_by_iterated_ring(A)
+    for C in corings:
+        assert (is_strongly_graded_coring(C)
+                == _strong_grading_by_iterated_coring(C))
+    verdicts = [is_strongly_graded_ring(A) for A in failing]
+    assert [w['degree'] for _, w in verdicts] == [2, 3, 2, 2]
+    assert [w['cokernel_label'] for _, w in verdicts] == [
+        'stray', 'z', 'extra', 'lone']
+    ok, witness = is_strongly_graded_coring(graded_left_dual_of_ring(cubic))
+    assert not ok and len(witness['kernel_vector']) == 2
 
 
 def test_incidence_structures_strongly_graded(diamond, p_bad, tail_diamond):
