@@ -10,15 +10,22 @@ Every constructor checks (co)associativity exactly, word by word: for each
 basis word a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis
 vector of C_{p+q+r} (corings), as sparse vectors; no tensor-product map is
 built for the check.
+
+The quadratic constructions read their relation components off one walk
+of a one-letter recursion: in degree 2 both are W, given by its reduced
+echelon basis; for n >= 3 the ideal component is I_n = I_{n-1} (x) V +
+V (x) I_{n-1} and the intersection component is K_n = (K_{n-1} (x) V) cap
+(V (x) K_{n-1}).  All components keep reduced echelon bases, so the
+ring's word reductions and the coring's comultiplication coordinates are
+read at pivot words.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, islice, product
 
-from .exact_linalg import (SparseMatrix, Subspace, solve_columns,
-                           hstack, vstack, rank, intersect, outer_vector,
-                           accumulate, image_basis, kernel_basis)
+from .exact_linalg import (SparseMatrix, Subspace, hstack, vstack, rank,
+                           intersect, accumulate, image_basis, kernel_basis)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_power, unit_bimodule, zero_bimodule,
                        kernel_sub, image_sub, UNIT_LABEL, _block_of)
@@ -410,116 +417,137 @@ class QuadraticData:
         self.W = W
 
 
-def _embedded_generators(V: Bimodule, W: SubBimodule, n: int, i: int) -> dict:
-    """Spanning vectors of V^(i-1) (x) W (x) V^(n-i-1) inside V^(n).
+def _relation_step(V: Bimodule, W: SubBimodule, previous, n: int,
+                   meet: bool) -> dict:
+    """Degree n of the relation recursion: {block: Subspace of V^(n)} over
+    the nonzero blocks, each with its reduced echelon basis.
 
-    Returns {block_key: [column dict over the flat word basis of V^(n)]}.
+    Degree 2 is W itself: its ambient V (x) V is V^(2), label for label.
+    Degree n > 2 appends a letter to the degree n-1 basis, and prepends
+    one; either keeps the word order, so each family is reduced echelon, a
+    basis as it stands.  The result is the sum of the two families (the
+    ideal, I_n = I_{n-1} (x) V + V (x) I_{n-1}), or their intersection
+    when meet is set (K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1})).
     """
-    amb = tensor_power(V, n)
-    wlabels_of = W.ambient.blocks
+    field = V.base.field
+    if n == 2:
+        return {key: Subspace.from_spanning(sub.basis.columns(),
+                                            sub.ambient_dim, field)
+                for key, sub in W.parts.items()}
+    amb, words = tensor_power(V, n), tensor_power(V, n - 1).blocks
+    right, left = {}, {}
+    for (s, t), sub in previous.items():
+        cols = [[(words[(s, t)][i], c) for i, c in col.items()]
+                for col in sub.basis.columns()]
+        for (r, u), letters in V.blocks.items():
+            if r == t:
+                right.setdefault((s, u), []).extend(
+                    {amb.index_of((s, u), w + (a,)): c for w, c in col}
+                    for a in letters for col in cols)
+            if u == s:
+                left.setdefault((r, t), []).extend(
+                    {amb.index_of((r, t), (a,) + w): c for w, c in col}
+                    for a in letters for col in cols)
     out = {}
-    prefixes = tensor_power(V, i - 1)
-    suffixes = tensor_power(V, n - i - 1)
-    for (ps, pt), plabels in prefixes.blocks.items():
-        for pl in plabels:
-            pword = () if i == 1 else _as_word(pl, i - 1)
-            for wkey, wsub in W.parts.items():
-                if wkey[0] != pt:
-                    continue
-                wlabels = wlabels_of[wkey]
-                for col in wsub.basis.columns():
-                    for (ss, st), slabels in suffixes.blocks.items():
-                        if ss != wkey[1]:
-                            continue
-                        for sl in slabels:
-                            sword = () if i == n - 1 else _as_word(sl, n - i - 1)
-                            key = (ps, st)
-                            vec = {}
-                            for idx, c in col.items():
-                                a, b = wlabels[idx]
-                                word = pword + (a, b) + sword
-                                vec[amb.index_of(key, _word_label(word, n))] = c
-                            out.setdefault(key, []).append(vec)
+    for key, labels in amb.blocks.items():
+        families = right.get(key, []), left.get(key, [])
+        if meet and all(families):
+            sub = intersect([Subspace(len(labels), SparseMatrix.from_columns(
+                cols, len(labels)), field, _skip_check=True)
+                for cols in families], field)
+        elif not meet and any(families):
+            sub = Subspace.from_spanning(families[0] + families[1],
+                                         len(labels), field)
+        else:
+            continue
+        if sub.dim:
+            out[key] = sub
     return out
 
 
+def _relation_components(V: Bimodule, W: SubBimodule, meet: bool):
+    'Yield (n, the degree-n component) for n = 2, 3, ... (_relation_step).'
+    parts = None
+    for n in count(2):
+        parts = _relation_step(V, W, parts, n, meet)
+        yield n, parts
+
+
+def _walk(V: Bimodule, W: SubBimodule, meet: bool, top: int) -> dict:
+    'The relation components of degrees 2..top: {n: parts}.'
+    return dict(islice(_relation_components(V, W, meet), max(top - 1, 0)))
+
+
 def ideal_component_span(V: Bimodule, W: SubBimodule, n: int) -> dict:
-    'The degree-n piece of the two-sided ideal <W>, one Subspace per block.'
-    amb = tensor_power(V, n)
-    field = V.base.field
-    gens = {}
-    for i in range(1, n):
-        for key, vecs in _embedded_generators(V, W, n, i).items():
-            gens.setdefault(key, []).extend(vecs)
-    return {key: Subspace.from_spanning(vecs, amb.block_dim(*key), field)
-            for key, vecs in gens.items()}
+    """The degree-n piece of the two-sided ideal <W>, one Subspace per
+    nonzero block: the sum over i of V^(i-1) (x) W (x) V^(n-i-1), reached
+    by the recursion I_n = I_{n-1} (x) V + V (x) I_{n-1}."""
+    return _walk(V, W, False, n)[n] if n >= 2 else {}
 
 
 def intersection_component(V: Bimodule, W: SubBimodule, n: int) -> SubBimodule:
-    '{V,W}_n = the intersection over i of V^(i-1) (x) W (x) V^(n-i-1) in V^(n).'
+    """{V,W}_n = the intersection over i of V^(i-1) (x) W (x) V^(n-i-1) in
+    V^(n), reached by the recursion K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1})."""
     if n < 2:
         raise ValueError(f'degree {n} < 2')
-    amb = tensor_power(V, n)
-    field = V.base.field
-    per_position = [_embedded_generators(V, W, n, i) for i in range(1, n)]
-    parts = {}
-    for key, labels in amb.blocks.items():
-        terms = [Subspace.from_spanning(gens.get(key, []), len(labels), field)
-                 for gens in per_position]
-        parts[key] = intersect(terms, field)
-    return SubBimodule(amb, parts)
+    return SubBimodule(tensor_power(V, n), _walk(V, W, True, n)[n])
 
 
 def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
     """The quadratic ring <V, W>: the tensor ring of V modulo the ideal on W.
 
-    Degree-n components are represented on the complement monomials left
-    over after echelon reduction of the ideal (the non-pivot words in the
-    word order of the flat basis).  Multiplication concatenates words and
-    reduces modulo the ideal.  The flat-word projections are kept on the
-    result as `projections`.
+    The ideal components come from one walk of the recursion I_2 = W,
+    I_n = I_{n-1} (x) V + V (x) I_{n-1}.  Degree-n components are
+    represented on the complement monomials left over after echelon
+    reduction of the ideal (the non-pivot words in the word order of the
+    flat basis).  Multiplication concatenates words and reduces modulo the
+    ideal, so the projection of a flat word onto the ring is its
+    left-folded product, GradedRing.iterated_mu.
     """
-    return _quadratic_ring(data, top, {})
+    return _quadratic_ring(data.V, _walk(data.V, data.W, False, top), top)
 
 
 def _complement_words(V: Bimodule, span: dict, n: int) -> Bimodule:
     """The words of V^(n) that are not pivots of the ideal span, block by
-    block: a basis of V^(n) modulo the span, in flat word order."""
+    block: a basis of V^(n) modulo the span, in flat word order.  The
+    span's bases are reduced echelon, so each pivot is a column's first
+    word."""
     blocks = {}
     for key, labels in tensor_power(V, n).blocks.items():
         sub = span.get(key)
         if sub is None or sub.dim == 0:
             blocks[key] = labels
             continue
-        pivot_cols = {min(r) for r in sub._row_echelon()}
+        pivot_cols = {min(col) for col in sub.basis.columns()}
         kept = tuple(l for i, l in enumerate(labels) if i not in pivot_cols)
         if kept:
             blocks[key] = kept
     return Bimodule(V.base, blocks)
 
 
-def _quadratic_ring(data: QuadraticData, top: int, spans: dict) -> GradedRing:
-    'quadratic_ring_of, taking the ideal components in spans as given.'
-    V, W = data.V, data.W
+def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
+    'quadratic_ring_of on the ideal components spans[n], 2 <= n <= top.'
     base = V.base
     field = base.field
     components = {0: unit_bimodule(base), 1: V}
-    reducers = {}
+    pivots = {}   # n -> block -> {pivot word index: its basis vector}
     for n in range(2, top + 1):
-        span = spans[n] if n in spans else ideal_component_span(V, W, n)
-        components[n] = _complement_words(V, span, n)
-        reducers[n] = span
+        components[n] = _complement_words(V, spans[n], n)
+        pivots[n] = {key: {min(col): col for col in sub.basis.columns()}
+                     for key, sub in spans[n].items()}
 
     def reduce_word(n, key, word):
-        'Image of a degree-n word in the complement basis: [(label, coeff)].'
+        """Image of a degree-n word in the complement basis: [(label,
+        coeff)].  The span's basis is reduced echelon, so a pivot word is
+        minus the rest of its basis vector, and any other word is reduced."""
         amb = tensor_power(V, n)
-        sub = reducers[n].get(key)
         label = _word_label(word, n)
-        if sub is None:
+        i = amb.index_of(key, label)
+        col = pivots[n].get(key, {}).get(i)
+        if col is None:
             return [(label, 1)]
-        residual = sub.reduce_vector({amb.index_of(key, label): field.one})
-        labels = amb.blocks[key]
-        return [(labels[i], c) for i, c in residual.items()]
+        return [(amb.blocks[key][j], field.neg(c))
+                for j, c in col.items() if j != i]
 
     mult = {}
     for p in range(1, top):
@@ -535,167 +563,139 @@ def _quadratic_ring(data: QuadraticData, top: int, spans: dict) -> GradedRing:
             mult[(p, q)] = BimoduleMap.from_basis_action(
                 tensor(Qp, Qq), components[p + q], action)
 
-    ring = GradedRing(base, components, mult, top)
-    projections = {1: BimoduleMap.identity(V)}
-    for n in range(2, top + 1):
-        projections[n] = BimoduleMap.from_basis_action(
-            tensor_power(V, n), components[n],
-            lambda key, l, n=n: reduce_word(n, key, _as_word(l, n)))
-    ring.projections = projections
-    return ring
+    return GradedRing(base, components, mult, top)
 
 
 def quadratic_coring_of(data: QuadraticData, top: int) -> GradedCoring:
     """The quadratic coring {V, W}: the largest subcoring of the tensor
     coalgebra of V whose weight-2 part lies in W.
 
-    Components carry synthetic labels ('w', n, s, t, i); the embeddings into
-    the flat word spaces V^(n) are kept on the result as `embeddings`.
+    The components come from one walk of the recursion K_2 = W,
+    K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1}), and carry synthetic labels
+    ('w', n, s, t, i); the embeddings into the flat word spaces V^(n) are
+    kept on the result as `embeddings`.  The comultiplication is read off
+    at pivot words (_deconcatenation).
     """
-    return _quadratic_coring(data, top, {})
+    return _quadratic_coring(data.V, _walk(data.V, data.W, True, top), top)
 
 
-def _quadratic_coring(data: QuadraticData, top: int,
-                      inters: dict) -> GradedCoring:
-    'quadratic_coring_of, taking the intersections in inters as given.'
-    V, W = data.V, data.W
+def _quadratic_coring(V: Bimodule, inters: dict, top: int) -> GradedCoring:
+    'quadratic_coring_of on the intersections inters[n], 2 <= n <= top.'
     base = V.base
-    field = base.field
     components = {0: unit_bimodule(base), 1: V}
     embeddings = {1: BimoduleMap.identity(V)}
     for n in range(2, top + 1):
-        inter = inters[n] if n in inters else intersection_component(V, W, n)
-        blocks = {}
-        emb_blocks = {}
-        for key, sub in inter.parts.items():
-            blocks[key] = tuple(('w', n) + key + (i,) for i in range(sub.dim))
-            emb_blocks[key] = sub.basis
-        comp = Bimodule(base, blocks)
-        components[n] = comp
-        embeddings[n] = BimoduleMap(comp, tensor_power(V, n), emb_blocks)
-
-    comult = {}
-    for n in range(2, top + 1):
-        comp = components[n]
-        if comp.is_zero():
-            continue
-        ambn = tensor_power(V, n)
-        for p in range(1, n):
-            q = n - p
-            Cp, Cq = components[p], components[q]
-            tgt = tensor(Cp, Cq)
-            ambp, ambq = tensor_power(V, p), tensor_power(V, q)
-            blocks = {}
-            for key, labels in comp.blocks.items():
-                # embed every pair of lower-weight basis vectors by word
-                # concatenation, then express each embedded basis vector of
-                # weight n in that spanning set (the cut at p is the identity
-                # on flat word coordinates)
-                cols = []
-                pair_index = []
-                for (s, t), plabels in Cp.blocks.items():
-                    if s != key[0]:
-                        continue
-                    pmat = embeddings[p].blocks.get((s, t))
-                    for (t2, u), qlabels in Cq.blocks.items():
-                        if t2 != t or u != key[1]:
-                            continue
-                        qmat = embeddings[q].blocks.get((t2, u))
-
-                        def concat(ip, iq):
-                            word = (_as_word(ambp.blocks[(s, t)][ip], p)
-                                    + _as_word(ambq.blocks[(t2, u)][iq], q))
-                            return ambn.index_of(key, _word_label(word, n))
-
-                        for pi, plab in enumerate(plabels):
-                            for qi, qlab in enumerate(qlabels):
-                                cols.append(outer_vector(
-                                    pmat.column(pi), qmat.column(qi), concat,
-                                    field))
-                                pair_index.append((plab, qlab))
-                trips = []
-                for j in range(len(labels)):
-                    ecol = embeddings[n].blocks[key].column(j)
-                    coords = solve_columns(cols, ecol, ambn.block_dim(*key), field)
-                    if coords is None:
-                        raise InvariantError(
-                            'deconcatenation cut left the subcoring')
-                    for idx, c in enumerate(coords):
-                        if field.is_zero(c):
-                            continue
-                        trips.append((tgt.index_of(key, pair_index[idx]), j, c))
-                mat = SparseMatrix(tgt.block_dim(*key), len(labels), trips)
-                if not mat.is_zero():
-                    blocks[key] = mat
-            comult[(p, q)] = BimoduleMap(comp, tgt, blocks)
-
+        components[n] = Bimodule(base, {
+            key: tuple(('w', n) + key + (i,) for i in range(sub.dim))
+            for key, sub in inters[n].items()})
+        embeddings[n] = BimoduleMap(components[n], tensor_power(V, n), {
+            key: sub.basis for key, sub in inters[n].items()})
+    # per degree and block, each basis vector as its [(word, coeff)] in
+    # word order, so its pivot word comes first
+    words = {n: {key: [[(_as_word(emb.target.blocks[key][i], n), c)
+                        for i, c in sorted(mat.column(j).items())]
+                       for j in range(mat.cols)]
+                 for key, mat in emb.blocks.items()}
+             for n, emb in embeddings.items()}
+    comult = {(p, n - p): _deconcatenation(components, words, p, n - p)
+              for n in range(2, top + 1) if not components[n].is_zero()
+              for p in range(1, n)}
     coring = GradedCoring(base, components, comult, top)
     coring.embeddings = embeddings
     return coring
+
+
+def _deconcatenation(components: dict, words: dict, p: int,
+                     q: int) -> BimoduleMap:
+    """Delta_{p,q} : C_{p+q} -> C_p (x) C_q of the intersection subcoring.
+
+    The concatenations x y of the basis vectors x of C_p and y of C_q form
+    a reduced echelon family: x y is 1 at the concatenation of the two
+    pivot words and 0 at that of every other pair.  So the coordinate at
+    x y of a basis vector z of C_{p+q} is z at that word.  The coordinates
+    must rebuild z exactly, or the cut left the subcoring.
+    """
+    field = components[1].base.field
+    tgt = tensor(components[p], components[q])
+    blocks = {}
+    for key, labels in components[p + q].blocks.items():
+        pair_at = {}   # pivot word of x y -> (target index, x, y)
+        for (s, t), plabels in components[p].blocks_from(key[0]):
+            for (_, u), qlabels in components[q].blocks_from(t):
+                if u != key[1]:
+                    continue
+                for (pl, x), (ql, y) in product(zip(plabels, words[p][(s, t)]),
+                                                zip(qlabels, words[q][(t, u)])):
+                    pair_at[x[0][0] + y[0][0]] = (tgt.index_of(key, (pl, ql)),
+                                                  x, y)
+        trips = []
+        for j, z in enumerate(map(dict, words[p + q][key])):
+            rebuilt = {}
+            for w in sorted(pair_at.keys() & z.keys(),
+                            key=lambda w: pair_at[w][0]):
+                row, x, y = pair_at[w]
+                trips.append((row, j, z[w]))
+                for (xw, a), (yw, b) in product(x, y):
+                    accumulate(rebuilt, xw + yw, z[w], field.mul(a, b), field)
+            if rebuilt != z:
+                raise InvariantError('deconcatenation cut left the subcoring')
+        blocks[key] = SparseMatrix(tgt.block_dim(*key), len(labels), trips)
+    return BimoduleMap(components[p + q], tgt, blocks)
 
 
 # ---------------------------------------------------------------------------
 # shriek duals
 # ---------------------------------------------------------------------------
 
-def _support_bound(probe, cap: int):
-    """Largest n <= cap with probe(n) nonzero, plus a truncation flag.
+def _support_bound(components, size, cap: int):
+    """Walk a relation recursion up to its first zero degree: the
+    components {n: parts} for 2 <= n <= top, top, and a truncation flag.
 
-    Both quadratic constructions vanish permanently past their first zero
-    weight, so scanning up to the first zero is a complete answer; the flag
-    records the (rare) case where the scan hit the cap while still nonzero.
+    Both quadratic constructions vanish for good past their first zero
+    weight (K_{n+1} lies in K_n (x) V, and the quotient ring is generated
+    in degree 1), so stopping there is a complete answer.  A non-nilpotent
+    degree-1 part can keep every degree nonzero, so the walk also stops
+    past the cap, and the flag records that degree cap + 1 was nonzero.
 
-    The callers pick cap >= number of idempotents, which makes the flag
-    reachable only for a non-nilpotent degree-1 part: when the block
-    digraph of V is acyclic every path revisits no idempotent, so V^(n)
-    dies by n = |S| and the scan ends at a genuine zero before the cap.
+    The callers pick cap >= number of idempotents, which keeps the flag for
+    that case alone: when the block digraph of V is acyclic every path
+    revisits no idempotent, so V^(n) dies by n = |S| and the walk ends at
+    a genuine zero before the cap.
     """
-    top = 1
-    for n in range(2, cap + 1):
-        if probe(n):
-            top = n
-        else:
-            return top, False
-    return top, probe(cap + 1) > 0
+    kept = {}
+    for n, parts in components:
+        if not size(n, parts):
+            return kept, n - 1, False
+        if n > cap:
+            return kept, cap, True
+        kept[n] = parts
 
 
 def shriek_of_ring(A: GradedRing) -> GradedCoring:
     """A^! = {A^1, Ker mu^{1,1}}, the quadratic-dual coring of A, up to
-    the degree where its components vanish (see _support_bound)."""
+    the degree where its components vanish: one walk of the intersection
+    recursion finds that degree and yields the components (_support_bound)."""
     V = A.component(1)
-    W = kernel_sub(A.mu(1, 1))
-    inters = {}   # the probe's components, reused for the coring
-
-    def probe(n):
-        inters[n] = intersection_component(V, W, n)
-        return inters[n].dim
-
-    cap = max(2 * A.top_degree, len(A.base.idempotents), 2)
-    top, truncated = _support_bound(probe, cap)
-    coring = _quadratic_coring(QuadraticData(V, W), 0 if V.is_zero() else top,
-                               inters)
+    inters, top, truncated = _support_bound(
+        _relation_components(V, kernel_sub(A.mu(1, 1)), True),
+        lambda n, parts: sum(s.dim for s in parts.values()),
+        max(2 * A.top_degree, len(A.base.idempotents), 2))
+    coring = _quadratic_coring(V, inters, 0 if V.is_zero() else top)
     coring.support_truncated = truncated
     return coring
 
 
 def shriek_of_coring(C: GradedCoring) -> GradedRing:
     """C^! = <C_1, Im Delta_{1,1}>, the quadratic-dual ring of C, up to
-    the degree where its components vanish (see _support_bound)."""
+    the degree where its components vanish: one walk of the ideal
+    recursion finds that degree and yields the components (_support_bound)."""
     V = C.component(1)
-    W = image_sub(C.delta(1, 1))
-    spans = {}   # the probe's ideal components, reused for the ring
-
-    def probe(n):
-        amb = tensor_power(V, n)
-        if amb.dim == 0:
-            return 0
-        spans[n] = ideal_component_span(V, W, n)
-        return amb.dim - sum(s.dim for s in spans[n].values())
-
-    cap = max(2 * C.top_degree, len(C.base.idempotents), 2)
-    top, truncated = _support_bound(probe, cap)
-    ring = _quadratic_ring(QuadraticData(V, W), 0 if V.is_zero() else top,
-                           spans)
+    spans, top, truncated = _support_bound(
+        _relation_components(V, image_sub(C.delta(1, 1)), False),
+        lambda n, parts: (tensor_power(V, n).dim
+                          - sum(s.dim for s in parts.values())),
+        max(2 * C.top_degree, len(C.base.idempotents), 2))
+    ring = _quadratic_ring(V, spans, 0 if V.is_zero() else top)
     ring.support_truncated = truncated
     return ring
 

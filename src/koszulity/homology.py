@@ -12,14 +12,15 @@ sequences in homological degree 2.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 
-from .exact_linalg import (Subspace, SparseMatrix, solve_columns,
+from .exact_linalg import (Subspace, SparseMatrix, solve_columns, rank,
                            reduce_by_rows, accumulate, outer_vector)
 from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
                        tensor_power, zero_bimodule, kernel_sub, image_sub,
-                       _block_of)
+                       SubBimodule, _block_of)
 from .graded_structures import (GradedRing, GradedCoring,
-                                intersection_component, ideal_component_span,
+                                _relation_components,
                                 truncate_ring, truncate_coring,
                                 is_strongly_graded_ring,
                                 is_strongly_graded_coring, _complement_words,
@@ -621,9 +622,8 @@ def _primitive_dim(A: GradedRing, table: BettiTable, n: int, m: int,
         mat = dbar.block(*key)
         residuals = [impart.reduce_vector(_matvec(mat, col, field))
                      for col in cols]
-        rk = Subspace.from_spanning(residuals, total_n.block_dim(*key),
-                                    field).dim
-        prim += len(cols) - rk
+        prim += len(cols) - rank(
+            SparseMatrix.from_columns(residuals, total_n.block_dim(*key)), field)
     return prim
 
 
@@ -752,7 +752,7 @@ def is_quadratic_direct(A: GradedRing):
 
     Degree n of the quadratic ring is read off as the complement words of
     the degree-n ideal component, for n up to one past the top degree of
-    A; no quadratic ring is built.  The canonical map sends each complement
+    A, in one walk of the ideal recursion; no quadratic ring is built.  The canonical map sends each complement
     word to its product in A^n (GradedRing._word_product).  Returns (bool,
     witness); the witness names the first degree where the dimensions or
     the map fail.  A must be strongly graded.
@@ -760,8 +760,8 @@ def is_quadratic_direct(A: GradedRing):
     _require_strongly_graded(A)
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
-    for n in range(2, A.top_degree + 2):
-        Qn = _complement_words(V, ideal_component_span(V, W, n), n)
+    for n, span in islice(_relation_components(V, W, False), A.top_degree):
+        Qn = _complement_words(V, span, n)
         An = A.component(n)
         if Qn.dim != An.dim:
             return False, {'degree': n, 'quadratic_dim': Qn.dim,
@@ -777,14 +777,15 @@ def is_quadratic_direct(A: GradedRing):
 
 def is_quadratic_coring_direct(C: GradedCoring):
     """Mirror comparison of C against {C_1, Im Delta_{1,1}}, reading its
-    intersection components up to one past the top degree of C through
-    the iterated comultiplication; (bool, witness).  C must be strongly
-    graded."""
+    intersection components up to one past the top degree of C, in one
+    walk of the intersection recursion, through the iterated
+    comultiplication; (bool, witness).  C must be strongly graded."""
     _require_strongly_graded(C)
     V = C.component(1)
     W = image_sub(C.delta(1, 1))
-    for n in range(2, C.top_degree + 2):
-        inter = intersection_component(V, W, n)
+    for n, parts in islice(_relation_components(V, W, True),
+                           C.top_degree):
+        inter = SubBimodule(tensor_power(V, n), parts)
         Cn = C.component(n)
         if inter.dim != Cn.dim:
             return False, {'degree': n, 'quadratic_dim': inter.dim,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
                        tensor_map, _block_of, UNIT_LABEL)
-from .exact_linalg import Subspace
+from .exact_linalg import SparseMatrix, rank
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
                                 shriek_of_coring, direct_product,
                                 direct_sum_corings)
@@ -42,8 +42,7 @@ class AlmostKoszulPair:
         for key in set(C1.blocks) | set(A1.blocks):
             sd = C1.block_dim(*key)
             td = A1.block_dim(*key)
-            rk = Subspace.from_spanning(theta.block(*key).columns(), td,
-                                        ring.base.field).dim
+            rk = rank(theta.block(*key), ring.base.field)
             if sd != td or rk != sd:
                 raise StructureError(
                     f'theta is not invertible on block {key!r}')
@@ -346,8 +345,7 @@ def phi_shriek_ring_check(A: GradedRing, n: int) -> bool:
         if d_out is not None and any(_matvec(d_out.block(*key), col, field)
                                      for col in cols):
             return False
-        rk = Subspace.from_spanning(cols, space.block_dim(*key), field).dim
-        if rk != len(cols):
+        if rank(mat, field) != len(cols):
             return False
     return count == hdim
 
@@ -367,7 +365,7 @@ def phi_shriek_coring_check(C: GradedCoring, n: int) -> bool:
         return False
     if hdim == 0:
         return True
-    proj = shr.projections[n]
+    proj = shr.iterated_mu(n)   # the letterwise projection V^(n) -> C^!_n
     field = C.base.field
     # boundaries must die under the projection, else classes are ambiguous
     for key in cx.spaces[n].blocks:
@@ -378,10 +376,9 @@ def phi_shriek_coring_check(C: GradedCoring, n: int) -> bool:
                     'projection does not kill the coboundaries')
     for key, cols in H.reps.items():
         pmat = proj.block(*key)
-        images = [_matvec(pmat, col, field) for col in cols]
-        rk = Subspace.from_spanning(images, shr.component(n).block_dim(*key),
-                                    field).dim
-        if rk != len(cols):
+        images = SparseMatrix.from_columns(
+            [_matvec(pmat, col, field) for col in cols], pmat.rows)
+        if rank(images, field) != len(cols):
             return False
     return True
 

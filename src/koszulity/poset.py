@@ -367,10 +367,10 @@ def _cover_choices(key) -> list:
     return out
 
 
-MAX_CORPUS_ELEMENTS = 7   # largest corpus size enumerated by default
+MAX_CORPUS_ELEMENTS = 7   # largest corpus size enumerated
 
 
-def enumerate_corpus(max_elements: int, max_length=None, allow_large=False):
+def enumerate_corpus(max_elements: int, max_length=None):
     """Yield all graded posets with exactly max_elements elements (and
     maximum interval length at most max_length, if given), one per
     isomorphism class, in a deterministic order.
@@ -382,10 +382,9 @@ def enumerate_corpus(max_elements: int, max_length=None, allow_large=False):
     """
     if max_elements < 1:
         raise InputError('corpus size must be at least 1')
-    if max_elements > MAX_CORPUS_ELEMENTS and not allow_large:
+    if max_elements > MAX_CORPUS_ELEMENTS:
         raise InputError(f'corpus enumeration above {MAX_CORPUS_ELEMENTS} '
-                         'elements must be explicitly allowed '
-                         '(allow_large=True)')
+                         'elements is not supported')
     level = {(1, ())}
     for size in range(1, max_elements):
         nxt = set()

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from koszulity.exact_linalg import RATIONALS, FieldSpec, Subspace, SparseMatrix
+from koszulity.exact_linalg import (RATIONALS, FieldSpec, Subspace,
+                                    SparseMatrix, intersect, outer_vector,
+                                    solve_columns)
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_map, tensor_power,
                                 unit_bimodule, kernel_sub, image_sub)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          QuadraticData, quadratic_ring_of,
                                          quadratic_coring_of, shriek_of_ring,
+                                         ideal_component_span,
+                                         intersection_component,
                                          shriek_of_coring,
                                          is_strongly_graded_ring,
                                          is_strongly_graded_coring,
@@ -20,7 +24,7 @@ from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          direct_product, direct_sum_corings,
                                          left_unit_map, left_unit_section,
                                          right_unit_map, right_unit_section)
-from koszulity.errors import StructureError
+from koszulity.errors import StructureError, InvariantError
 from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
@@ -474,28 +478,179 @@ def test_shriek_computes_each_component_once(monkeypatch, side):
     if side == 'ring':
         X = incidence_ring(P)
         W = kernel_sub(X.mu(1, 1))
-        name, shriek, explicit = ('intersection_component', shriek_of_ring,
-                                  quadratic_coring_of)
+        shriek, explicit = shriek_of_ring, quadratic_coring_of
     else:
         X = incidence_coring(P)
         W = image_sub(X.delta(1, 1))
-        name, shriek, explicit = ('ideal_component_span', shriek_of_coring,
-                                  quadratic_ring_of)
+        shriek, explicit = shriek_of_coring, quadratic_ring_of
     degrees = []
-    original = getattr(gs, name)
+    original = gs._relation_step
 
-    def counting(V, W, n):
+    def counting(V, W, previous, n, meet):
         degrees.append(n)
-        return original(V, W, n)
+        return original(V, W, previous, n, meet)
 
-    monkeypatch.setattr(gs, name, counting)
+    monkeypatch.setattr(gs, '_relation_step', counting)
     shr = shriek(X)
     assert shr.top_degree == 3 and not shr.support_truncated
-    # the probe may stop at degree 4, where no word of V survives
+    # the walk may stop at degree 4, where no word of V survives
     assert len(degrees) == len(set(degrees))
     assert {2, 3} <= set(degrees) <= {2, 3, 4}
     monkeypatch.undo()
     assert shr == explicit(QuadraticData(X.component(1), W), 3)
+
+
+def loop_structures():
+    'The loop ring and coring: one idempotent, V = {a} in block (x, x), top 1.'
+    base = BaseRing(('x',), RATIONALS)
+    comps = {0: unit_bimodule(base), 1: Bimodule(base, {('x', 'x'): ('a',)})}
+    return GradedRing(base, comps, {}, 1), GradedCoring(base, comps, {}, 1)
+
+
+def test_loop_shriek_partners_are_truncated():
+    from koszulity.koszul import decide_koszul_ring, decide_koszul_coring
+    A, C = loop_structures()
+    for shriek, decide, X in ((shriek_of_ring, decide_koszul_ring, A),
+                              (shriek_of_coring, decide_koszul_coring, C)):
+        shr = shriek(X)
+        assert shr.dims() == [1, 1, 1] and shr.support_truncated
+        verdict = decide(X)
+        assert not verdict.sound and verdict.m_bound_used == 3
+
+
+def _words(V, k):
+    'Every word of k letters of V as (start, end, letters), k = 0 included.'
+    if k == 0:
+        return [(s, s, ()) for s in V.base.idempotents]
+    return [(s, t, w if k > 1 else (w,))
+            for (s, t), labels in tensor_power(V, k).blocks.items()
+            for w in labels]
+
+
+def _positional_generators(V, W, n, i):
+    'Spanning vectors of V^(i-1) (x) W (x) V^(n-i-1) in V^(n), per block.'
+    amb = tensor_power(V, n)
+    gens = {}
+    for s, t, u in _words(V, i - 1):
+        for (t2, t3), sub in W.parts.items():
+            if t2 != t:
+                continue
+            pairs = W.ambient.blocks[(t2, t3)]
+            for col in sub.basis.columns():
+                for s3, e, v in _words(V, n - i - 1):
+                    if s3 == t3:
+                        gens.setdefault((s, e), []).append(
+                            {amb.index_of((s, e), u + pairs[k] + v): c
+                             for k, c in col.items()})
+    return gens
+
+
+def _reference_ideal(V, W, n):
+    'The sum of the positional subspaces, built from scratch.'
+    gens = {}
+    for i in range(1, n):
+        for key, vecs in _positional_generators(V, W, n, i).items():
+            gens.setdefault(key, []).extend(vecs)
+    amb = tensor_power(V, n)
+    return {key: Subspace.from_spanning(vecs, amb.block_dim(*key),
+                                        V.base.field)
+            for key, vecs in gens.items()}
+
+
+def _reference_intersection(V, W, n):
+    'The intersection of the positional subspaces, built from scratch.'
+    field = V.base.field
+    amb = tensor_power(V, n)
+    per_position = [_positional_generators(V, W, n, i) for i in range(1, n)]
+    return SubBimodule(amb, {
+        key: intersect([Subspace.from_spanning(g.get(key, []), len(labels),
+                                               field) for g in per_position],
+                       field)
+        for key, labels in amb.blocks.items()})
+
+
+def _reference_deconcatenation(coring, p, q):
+    'Delta_{p,q} of a quadratic coring, one solve_columns per basis vector.'
+    V, field = coring.component(1), coring.base.field
+    emb, n = coring.embeddings, p + q
+    amb = [tensor_power(V, k) for k in (p, q, n)]
+    Cp, Cq, Cn = (coring.component(k) for k in (p, q, n))
+    tgt = tensor(Cp, Cq)
+    blocks = {}
+    for key, labels in Cn.blocks.items():
+        cols, pairs = [], []
+        for (s, t), plabels in Cp.blocks_from(key[0]):
+            for (_, u), qlabels in Cq.blocks_from(t):
+                if u != key[1]:
+                    continue
+
+                def concat(i, k, s=s, t=t, u=u):
+                    word = [w if m > 1 else (w,) for w, m in (
+                        (amb[0].blocks[(s, t)][i], p),
+                        (amb[1].blocks[(t, u)][k], q))]
+                    return amb[2].index_of(key, word[0] + word[1])
+
+                for pi, pl in enumerate(plabels):
+                    for qi, ql in enumerate(qlabels):
+                        cols.append(outer_vector(
+                            emb[p].blocks[(s, t)].column(pi),
+                            emb[q].blocks[(t, u)].column(qi), concat, field))
+                        pairs.append((pl, ql))
+        trips = []
+        for j in range(len(labels)):
+            coords = solve_columns(cols, emb[n].blocks[key].column(j),
+                                   amb[2].block_dim(*key), field)
+            assert coords is not None
+            trips += [(tgt.index_of(key, pairs[k]), j, c)
+                      for k, c in enumerate(coords) if c != 0]
+        blocks[key] = SparseMatrix(tgt.block_dim(*key), len(labels), trips)
+    return BimoduleMap(Cn, tgt, blocks)
+
+
+def _relation_cases():
+    'Ring side (W = Ker mu^{1,1}) and coring side (W = Im Delta_{1,1}).'
+    F2, F3 = FieldSpec.prime_field(2), FieldSpec.prime_field(3)
+    cases = [(P, field) for size in range(1, 6) for P in enumerate_corpus(size)
+             for field in (RATIONALS, F2, F3)]
+    assert len(cases) == 3 * 86
+    cases += [(GradedPoset(oracle.RP2.elements, oracle.RP2.covers), F2),
+              (boolean_lattice(4), RATIONALS)]
+    pairs = [(incidence_ring(P, field), incidence_coring(P, field))
+             for P, field in cases] + [loop_structures()]
+    for A, C in pairs:
+        yield A, kernel_sub(A.mu(1, 1))
+        yield C, image_sub(C.delta(1, 1))
+
+
+def test_relation_recursion_matches_the_positional_construction():
+    for X, W in _relation_cases():
+        V = X.component(1)
+        for n in range(2, X.top_degree + 3):
+            span, ref = ideal_component_span(V, W, n), _reference_ideal(V, W, n)
+            assert span.keys() == ref.keys()
+            assert all(span[key].basis == ref[key].basis for key in ref)
+            inter = intersection_component(V, W, n)
+            ref = _reference_intersection(V, W, n)
+            assert inter.parts.keys() == ref.parts.keys()
+            assert all(inter.parts[key].basis == sub.basis
+                       for key, sub in ref.parts.items())
+        coring = (shriek_of_ring(X) if isinstance(X, GradedRing)
+                  else quadratic_coring_of(QuadraticData(V, W),
+                                           X.top_degree + 2))
+        for n in range(2, coring.top_degree + 1):
+            for p in range(1, n):
+                assert (coring.delta(p, n - p)
+                        == _reference_deconcatenation(coring, p, n - p))
+
+
+def test_deconcatenation_rejects_a_word_outside_the_subcoring():
+    from koszulity.graded_structures import _quadratic_coring
+    # the one word of degree 3 over a zero degree-2 part cannot be cut
+    V = incidence_ring(chain_poset(3)).component(1)
+    full = {key: Subspace.full(len(labels))
+            for key, labels in tensor_power(V, 3).blocks.items()}
+    with pytest.raises(InvariantError, match='deconcatenation'):
+        _quadratic_coring(V, {2: {}, 3: full}, 3)
 
 
 def test_quadratic_constructions_embed(diamond):
@@ -505,7 +660,8 @@ def test_quadratic_constructions_embed(diamond):
     coring = quadratic_coring_of(QuadraticData(V, W), 2)
     assert coring.embeddings[2].rank() == W.dim
     ring = quadratic_ring_of(QuadraticData(V, W), 2)
-    assert ring.projections[2].rank() == ring.component(2).dim
+    # the projection phi_shriek_coring_check builds: the letterwise product
+    assert ring.iterated_mu(2).rank() == ring.component(2).dim
 
 
 def test_truncations(p_bad):
