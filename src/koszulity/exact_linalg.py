@@ -3,6 +3,15 @@
 Everything downstream (homology dims, exactness, subspace calculus) reduces
 to the handful of operations in this module.  No floating point anywhere.
 
+There are two elimination kernels.  rank gives dimensions.  Echelon gives
+bases, membership and coordinates: it keeps vectors added one at a time as
+rows that are 1 at a lead of their own and 0 before it, each with the
+combination of added vectors it equals.  Bases follow three conventions,
+each fixed by its input: a kernel basis is the free-column parametrization
+of the reduced echelon form (a free column j gives e_j minus its
+coordinates in the pivot columns); an image basis is the first independent
+columns; a span basis is the reduced echelon basis of the span.
+
 Over the rationals an integral value is a plain int, and a Fraction appears
 only where a value is not integral: the field operations and every result
 turn an integral Fraction into its numerator.  The structure constants of
@@ -17,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Union
 
@@ -327,6 +337,15 @@ def vstack(mats: list) -> SparseMatrix:
     return SparseMatrix(off, cols, trips)
 
 
+def matvec(M: SparseMatrix, vec: dict, field: FieldSpec = RATIONALS) -> dict:
+    'M times the sparse column vector vec, read off the columns vec touches.'
+    out = {}
+    for j, c in vec.items():
+        for i, v in M.column_entries(j):
+            accumulate(out, i, v, c, field)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elimination kernels
 # ---------------------------------------------------------------------------
@@ -410,72 +429,87 @@ def rank(M: SparseMatrix, field: FieldSpec = RATIONALS) -> int:
     return rk
 
 
-def _rref(M: SparseMatrix, field: FieldSpec):
-    'Reduced row echelon form with leftmost-column pivoting. Returns (pivot cols, rows).'
-    work = []
-    for i in range(M.rows):
-        work.append({})
-    for (i, j), v in M.entries.items():
-        c = field.coerce(v)
-        if not field.is_zero(c):
-            work[i][j] = c
-    work = [r for r in work if r]
-    pivots = []
-    done = []
-    for col in range(M.cols):
-        pivot_row = None
-        for r in work:
-            if col in r:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work.remove(pivot_row)
-        inv = field.invert(pivot_row[col])
-        pivot_row = {j: field.mul(v, inv) for j, v in pivot_row.items()}
-        for rows_ in (work, done):
-            for r in rows_:
-                if col in r:
-                    c = r.pop(col)
-                    for j, v in pivot_row.items():
-                        if j == col:
-                            continue
-                        nv = field.sub(r.get(j, field.zero), field.mul(c, v))
-                        if field.is_zero(nv):
-                            r.pop(j, None)
-                        else:
-                            r[j] = nv
-        work = [r for r in work if r]
-        done.append(pivot_row)
-        pivots.append(col)
-    return pivots, done
+class Echelon:
+    """Vectors added one at a time, kept as echelon rows with coordinates.
 
-
-def reduce_by_rows(rows: list, leads: list, vec: dict,
-                   field: FieldSpec = RATIONALS) -> dict:
-    """Residual of vec against echelon rows with distinct ascending leads.
-
-    Each row is 1 at its lead and 0 left of it, so clearing the leads in
-    ascending order never refills one already cleared; the residual is
-    empty iff vec lies in the span of the rows.
+    Each kept vector becomes a row that is 1 at a lead of its own and 0
+    before it, tagged with the combination {tag: coefficient} of added
+    vectors that it equals.  A vector added without a tag counts as zero in
+    these combinations, so coordinates are read modulo the span of the
+    untagged vectors.  Tags must be distinct.
     """
-    f = field
-    v = {}
-    for i, c in vec.items():
-        c = f.coerce(c)
-        if c != 0:
-            v[i] = c
-    for lead, row in zip(leads, rows):
-        c = v.get(lead)
-        if c is None:
-            continue
-        for j, rv in row.items():
-            nv = f.sub(v.get(j, f.zero), f.mul(c, rv))
-            if f.is_zero(nv):
-                v.pop(j, None)
-            else:
-                v[j] = nv
-    return v
+
+    __slots__ = ('field', 'rows')
+
+    def __init__(self, field: FieldSpec = RATIONALS, vectors=()):
+        self.field = field
+        self.rows = {}   # lead -> (row, combination)
+        for vec in vectors:
+            self.add(vec)
+
+    def reduce(self, vec: dict):
+        """(residual, coordinates) of vec: the residual vanishes at every
+        lead and is empty iff vec lies in the span, and vec equals the
+        residual plus the combination that coordinates names.
+
+        Leads are cleared in ascending order, which never refills one
+        already cleared, so only the leads vec reaches are visited.
+        """
+        f, rows = self.field, self.rows
+        v = {}
+        for i, c in vec.items():
+            c = f.coerce(c)
+            if c != 0:
+                v[i] = c
+        coords = {}
+        todo = [i for i in v if i in rows]
+        heapify(todo)
+        while todo:
+            lead = heappop(todo)
+            c = v.get(lead)
+            if c is None:
+                continue
+            row, combo = rows[lead]
+            for j, rv in row.items():
+                nv = f.sub(v.get(j, 0), f.mul(c, rv))
+                if nv == 0:
+                    v.pop(j, None)
+                else:
+                    if j not in v and j in rows:
+                        heappush(todo, j)
+                    v[j] = nv
+            for t, tc in combo.items():
+                accumulate(coords, t, c, tc, f)
+        return v, coords
+
+    def add(self, vec: dict, tag=None) -> bool:
+        'Keep vec, with its tag, if it lies outside the span; whether it was kept.'
+        residual, coords = self.reduce(vec)
+        if not residual:
+            return False
+        # the residual is vec minus coords; scaled to 1 at its lead
+        f = self.field
+        lead = min(residual)
+        inv = f.invert(residual[lead])
+        combo = {t: f.neg(f.mul(c, inv)) for t, c in coords.items()}
+        if tag is not None:
+            combo[tag] = inv
+        self.rows[lead] = ({j: f.mul(c, inv) for j, c in residual.items()},
+                           combo)
+        return True
+
+    def reduced_rows(self) -> list:
+        """Clear every lead from the other rows, in place, and return the
+        rows by lead: the reduced echelon basis of the span."""
+        f = self.field
+        for lead in sorted(self.rows, reverse=True):
+            row, combo = self.rows[lead]
+            residual, coords = self.reduce(
+                {j: c for j, c in row.items() if j != lead})
+            for t, c in coords.items():
+                accumulate(combo, t, -1, c, f)
+            self.rows[lead] = ({lead: f.one, **residual}, combo)
+        return [self.rows[lead][0] for lead in sorted(self.rows)]
 
 
 class Subspace:
@@ -508,29 +542,25 @@ class Subspace:
         """Canonical subspace spanned by the given column dicts.
 
         The stored basis is the reduced echelon basis of the span, so equal
-        spans produce equal Subspace values regardless of generator order.
+        spans produce equal Subspace values regardless of generator order;
+        the echelon that found it is kept for membership tests.
         """
-        span = SparseMatrix.from_columns(list(columns), ambient_dim)
-        pivots, rows = _rref(span.transpose(), field)
-        cols = [{j: v for j, v in r.items()} for r in rows]
-        basis = SparseMatrix.from_columns(cols, ambient_dim)
-        return cls(ambient_dim, basis, field, _skip_check=True)
+        echelon = Echelon(field, columns)
+        basis = SparseMatrix.from_columns(echelon.reduced_rows(), ambient_dim)
+        sub = cls(ambient_dim, basis, field, _skip_check=True)
+        object.__setattr__(sub, '_echelon', echelon)
+        return sub
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
-    def _row_echelon(self):
-        # cached echelon of the transposed basis, for membership tests
-        if self._echelon is None:
-            _, rows = _rref(self.basis.transpose(), self.field)
-            object.__setattr__(self, '_echelon', rows)
-        return self._echelon
-
     def reduce_vector(self, vec: dict) -> dict:
         'Residual of vec after reduction by the subspace (zero dict iff member).'
-        rows = self._row_echelon()
-        return reduce_by_rows(rows, [min(row) for row in rows], vec, self.field)
+        if self._echelon is None:
+            object.__setattr__(self, '_echelon',
+                               Echelon(self.field, self.basis.columns()))
+        return self._echelon.reduce(vec)[0]
 
     def contains_vector(self, vec: dict) -> bool:
         return not self.reduce_vector(vec)
@@ -551,25 +581,25 @@ class Subspace:
 
 
 def kernel_basis(M: SparseMatrix, field: FieldSpec = RATIONALS) -> Subspace:
-    'Canonical basis of the null space (free-column parametrization).'
-    pivots, rows = _rref(M, field)
-    pivot_set = set(pivots)
-    free = [j for j in range(M.cols) if j not in pivot_set]
-    cols = []
-    for fcol in free:
-        vec = {fcol: field.one}
-        for p, row in zip(pivots, rows):
-            if fcol in row:
-                vec[p] = field.neg(row[fcol])
-        cols.append(vec)
-    basis = SparseMatrix.from_columns(cols, M.cols)
+    """Canonical basis of the null space (free-column parametrization): a
+    free column j of the reduced echelon rows of M gives e_j minus the
+    entries of column j, which are its coordinates in the pivot columns."""
+    echelon = Echelon(field, M.transpose().columns())
+    rows = echelon.reduced_rows()
+    free = {j: {j: field.one} for j in range(M.cols) if j not in echelon.rows}
+    for lead, row in zip(sorted(echelon.rows), rows):
+        for j, v in row.items():
+            if j != lead:
+                free[j][lead] = field.neg(v)
+    basis = SparseMatrix.from_columns(list(free.values()), M.cols)
     return Subspace(M.cols, basis, field, _skip_check=True)
 
 
 def image_basis(M: SparseMatrix, field: FieldSpec = RATIONALS) -> Subspace:
     'Span of the columns; basis = lexicographically first independent columns.'
-    pivots, _ = _rref(M, field)
-    cols = [{i: _q_normal(v) for i, v in M.column_entries(j)} for j in pivots]
+    echelon = Echelon(field)
+    cols = [{i: _q_normal(v) for i, v in M.column_entries(j)}
+            for j in range(M.cols) if echelon.add(M.column(j))]
     basis = SparseMatrix.from_columns(cols, M.rows)
     return Subspace(M.rows, basis, field, _skip_check=True)
 
@@ -612,20 +642,3 @@ def quotient_dim(ambient, sub: Subspace, field: FieldSpec = RATIONALS) -> int:
     if not ambient.contains(sub):
         raise ContainmentError('sub is not contained in ambient')
     return ambient.dim - sub.dim
-
-
-def solve_columns(columns: list, target: dict, ambient_dim: int,
-                  field: FieldSpec = RATIONALS):
-    """Coordinates of target in the span of the column dicts, or None.
-
-    Deterministic: solves via RREF of the augmented matrix.
-    """
-    k = len(columns)
-    aug = SparseMatrix.from_columns(list(columns) + [target], ambient_dim)
-    pivots, rows = _rref(aug, field)
-    if k in pivots:
-        return None
-    coords = [field.zero] * k
-    for p, row in zip(pivots, rows):
-        coords[p] = row.get(k, field.zero)
-    return coords

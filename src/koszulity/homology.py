@@ -11,11 +11,9 @@ sequences in homological degree 2.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
 
-from .exact_linalg import (Subspace, SparseMatrix, solve_columns, rank,
-                           reduce_by_rows, accumulate, outer_vector)
+from .exact_linalg import Subspace, Echelon, matvec, outer_vector
 from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
                        tensor_power, zero_bimodule, kernel_sub, image_sub,
                        SubBimodule, _block_of)
@@ -330,6 +328,10 @@ class SliceHomology:
     express() rewrites any cycle of the block in that basis modulo
     boundaries.  The classes also get an abstract Bimodule (labels
     ('h', kind, n, m, s, t, i)) so induced maps are ordinary BimoduleMaps.
+
+    Each block keeps one Echelon: the columns of the incoming differential,
+    untagged, then the kernel columns, each tagged by the index it gets as
+    a representative; a kernel column is a representative iff it is kept.
     """
 
     def __init__(self, cx: ComplexSlice, degree: int, tag: tuple):
@@ -345,39 +347,23 @@ class SliceHomology:
             ker_sub = kernel_sub(out_map)
             ker = {key: ker_sub.part(key) for key in space.blocks}
         self.space = space
-        self.boundaries = (image_sub(in_map) if in_map is not None
-                           else None)
         self.tag = tag
         self.reps = {}
+        self._echelons = {}
         abstract_blocks = {}
         for key in space.blocks:
-            # echelon rows of boundaries + chosen cycles, sorted by lead
-            rows = list(self._boundary_part(key)._row_echelon())
-            leads = [min(row) for row in rows]
+            echelon = Echelon(field, in_map.block(*key).columns()
+                              if in_map is not None else ())
             chosen = []
             for col in ker[key].basis.columns():
-                residual = reduce_by_rows(rows, leads, col, field)
-                if not residual:
-                    continue
-                chosen.append(col)
-                lead = min(residual)
-                inv = field.invert(residual[lead])
-                at = bisect_left(leads, lead)
-                leads.insert(at, lead)
-                rows.insert(at, {j: field.mul(v, inv)
-                                 for j, v in residual.items()})
+                if echelon.add(col, len(chosen)):
+                    chosen.append(col)
+            self._echelons[key] = echelon
             if chosen:
                 self.reps[key] = chosen
                 abstract_blocks[key] = tuple(
                     ('h',) + tag + key + (i,) for i in range(len(chosen)))
         self.abstract = Bimodule(space.base, abstract_blocks)
-
-    def _boundary_part(self, key) -> Subspace:
-        if self.boundaries is not None:
-            return self.boundaries.part(key)
-        dim = self.space.block_dim(*key)
-        return Subspace(dim, SparseMatrix.zero(dim, 0),
-                        self.space.base.field, _skip_check=True)
 
     @property
     def dim(self) -> int:
@@ -385,15 +371,12 @@ class SliceHomology:
 
     def express(self, key, vec: dict) -> list:
         'A cycle vector as [(abstract_label, coeff)] modulo boundaries.'
-        field = self.space.base.field
-        reps = self.reps.get(key, [])
-        cols = reps + list(self._boundary_part(key).basis.columns())
-        coords = solve_columns(cols, vec, self.space.block_dim(*key), field)
-        if coords is None:
+        residual, coords = self._echelons[key].reduce(vec)
+        if residual:
             raise InvariantError('vector is not a cycle of this block')
         labels = self.abstract.blocks.get(key, ())
-        return [(labels[i], coords[i]) for i in range(len(reps))
-                if not field.is_zero(coords[i])]
+        return [(labels[i], coords[i]) for i in range(len(labels))
+                if i in coords]
 
 
 def _betti_table(X, kind: str, make_slice, m_max,
@@ -579,17 +562,8 @@ def _deconcat_map(cx: ComplexSlice, n: int, total: Bimodule) -> BimoduleMap:
     return BimoduleMap.from_basis_action(src, total, action)
 
 
-def _matvec(mat: SparseMatrix, col: dict, field) -> dict:
-    out = {}
-    for (i, j), v in mat.entries.items():
-        c = col.get(j)
-        if c is not None:
-            accumulate(out, i, v, c, field)
-    return out
-
-
 def _tor_coproduct_data(A: GradedRing, table: BettiTable, n: int, m: int):
-    'Assembles (total_n, image of the total differential, deconcat map).'
+    'Assembles (total_n, the total differential into it, deconcat map).'
     slices = table.slices
     total_n = _tor_total(A, slices, n, m)
     total_n1 = _tor_total(A, slices, n + 1, m)
@@ -597,15 +571,17 @@ def _tor_coproduct_data(A: GradedRing, table: BettiTable, n: int, m: int):
         D = BimoduleMap.zero(total_n1, total_n)
     else:
         D = _total_differential(A, slices, total_n1, total_n)
-    return total_n, image_sub(D), _deconcat_map(slices[m], n, total_n)
+    return total_n, D, _deconcat_map(slices[m], n, total_n)
 
 
 def _primitive_dim(A: GradedRing, table: BettiTable, n: int, m: int,
                    coproduct=None) -> int:
-    """Dimension of the primitive classes in Tor_{n,m}, by membership.
+    """Dimension of the primitive classes in Tor_{n,m}: the number of
+    deconcatenation images of the representatives that are not kept by an
+    echelon seeded with the total boundaries.
 
-    coproduct is the (total, boundaries, deconcatenation) triple of the
-    cell, when the caller already has it.
+    coproduct is the (total, total differential, deconcatenation) triple of
+    the cell, when the caller already has it.
     """
     H = table.representatives.get((n, m))
     if H is None:
@@ -613,17 +589,14 @@ def _primitive_dim(A: GradedRing, table: BettiTable, n: int, m: int,
     if n == 1:
         return H.dim
     field = A.base.field
-    total_n, imD, dbar = coproduct or _tor_coproduct_data(A, table, n, m)
+    total_n, D, dbar = coproduct or _tor_coproduct_data(A, table, n, m)
     if total_n.is_zero():
         return H.dim
     prim = 0
     for key, cols in H.reps.items():
-        impart = imD.part(key)
+        echelon = Echelon(field, D.block(*key).columns())
         mat = dbar.block(*key)
-        residuals = [impart.reduce_vector(_matvec(mat, col, field))
-                     for col in cols]
-        prim += len(cols) - rank(
-            SparseMatrix.from_columns(residuals, total_n.block_dim(*key)), field)
+        prim += sum(not echelon.add(matvec(mat, col, field)) for col in cols)
     return prim
 
 
@@ -645,8 +618,9 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
     """The induced deconcatenation on Tor_{n,m}.
 
     Returns ({(p, a): BimoduleMap into H_{p,a} (x) H_{n-p,m-a}}, primitive
-    dimension).  Coefficients are found by solving against the Kuenneth
-    basis of the total homology plus total boundaries.
+    dimension).  Per block, one Echelon takes the total boundaries, then the
+    Kuenneth basis of the total homology tagged by position; coefficients
+    are the coordinates of each deconcatenation.
     """
     _require_representatives(table)
     H = table.representatives.get((n, m))
@@ -654,15 +628,16 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
         return {}, 0
     field = A.base.field
     coproduct = _tor_coproduct_data(A, table, n, m)
-    total_n, imD, dbar = coproduct
+    total_n, D, dbar = coproduct
     pieces = [(p, a) for p in range(1, n) for a in range(1, m)
               if (p, a) in table.representatives
               and (n - p, m - a) in table.representatives]
     components = {}
     for key, reps in H.reps.items():
-        # the embedded Kuenneth columns of the block, each tagged by its
-        # piece and its pair of abstract labels
-        kcols, tags = [], []
+        # the embedded Kuenneth columns of the block, after its boundaries;
+        # tags[k] names the piece and the pair of abstract labels of column k
+        echelon = Echelon(field, D.block(*key).columns())
+        tags = []
         for (p, a) in pieces:
             HL = table.representatives[(p, a)]
             HR = table.representatives[(n - p, m - a)]
@@ -681,24 +656,23 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
 
                     for i, lv in enumerate(lreps):
                         for j, rv in enumerate(rreps):
-                            kcols.append(outer_vector(lv, rv, pair_index,
-                                                      field))
+                            if not echelon.add(outer_vector(
+                                    lv, rv, pair_index, field), len(tags)):
+                                raise InvariantError(
+                                    'Kuenneth classes are dependent')
                             tags.append(((p, a),
                                          (HL.abstract.blocks[lkey][i],
                                           HR.abstract.blocks[rkey][j])))
-        bcols = list(imD.part(key).basis.columns())
         mat = dbar.block(*key)
         for ci, col in enumerate(reps):
-            w = _matvec(mat, col, field)
-            coords = solve_columns(kcols + bcols, w,
-                                   total_n.block_dim(*key), field)
-            if coords is None:
+            residual, coords = echelon.reduce(matvec(mat, col, field))
+            if residual:
                 raise InvariantError('deconcatenation is not a total cycle')
             src_label = H.abstract.blocks[key][ci]
-            for (piece, pair_label), c in zip(tags, coords):
-                if not field.is_zero(c):
+            for k, (piece, pair_label) in enumerate(tags):
+                if k in coords:
                     components.setdefault(piece, {}).setdefault(
-                        (key, src_label), []).append((pair_label, c))
+                        (key, src_label), []).append((pair_label, coords[k]))
     maps = {}
     for (p, a), data in components.items():
         HL = table.representatives[(p, a)]

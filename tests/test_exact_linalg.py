@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulity.exact_linalg import (FieldSpec, RATIONALS, SparseMatrix,
-                                    Subspace, rank, kernel_basis,
+                                    Subspace, Echelon, rank, kernel_basis,
                                     image_basis, intersect, quotient_dim,
-                                    solve_columns, hstack, vstack,
-                                    DimensionError)
+                                    matvec, hstack, vstack, DimensionError)
 import oracle
 from oracle import rank_mod as _rank_mod
 
@@ -126,12 +125,26 @@ def test_subspace_reduce_vector():
     assert U.reduce_vector({0: Fraction(2), 1: Fraction(2)}) == {}
 
 
-def test_solve_columns():
+def _solve(columns, target, field=RATIONALS):
+    """Coordinates of target in the span of the columns, or None: the
+    columns are added tagged by position, so a dependent one gets 0."""
+    echelon = Echelon(field)
+    for j, col in enumerate(columns):
+        echelon.add(col, j)
+    residual, coords = echelon.reduce(target)
+    if residual:
+        return None
+    return [coords.get(j, 0) for j in range(len(columns))]
+
+
+def test_echelon_coordinates():
     cols = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
-    sol = solve_columns(cols, {0: Fraction(2), 1: Fraction(5)}, 2)
+    sol = _solve(cols, {0: Fraction(2), 1: Fraction(5)})
     assert sol == [Fraction(2), Fraction(3)]
-    assert solve_columns(cols, {}, 2) == [0, 0]
-    assert solve_columns([cols[1]], {0: Fraction(1)}, 2) is None
+    assert _solve(cols, {}) == [0, 0]
+    assert _solve([cols[1]], {0: Fraction(1)}) is None
+    echelon = Echelon(RATIONALS, cols)
+    assert len(echelon.rows) == 2 and not echelon.add({0: 3, 1: 4})
 
 
 def test_hstack_vstack():
@@ -223,7 +236,7 @@ def test_kernel_agrees_with_oracle_on_seeded_matrices(entry):
 
 
 @ENTRY_KINDS
-def test_solve_columns_agrees_with_oracle_on_seeded_matrices(entry):
+def test_echelon_coordinates_agree_with_oracle_on_seeded_matrices(entry):
     rng = random.Random(7)
     for M in _seeded_matrices(entry):
         cols = M.columns()
@@ -236,13 +249,62 @@ def test_solve_columns_agrees_with_oracle_on_seeded_matrices(entry):
         targets = [{i: v for i, v in inside.items() if v},
                    {rng.randrange(M.rows): Fraction(1, 3)}]
         for target in targets:
-            coords = solve_columns(cols, target, M.rows)
+            coords = _solve(cols, target)
             expected = oracle.solve_in_span(
                 dense_cols, [target.get(i, 0) for i in range(M.rows)])
             assert coords == expected
             if coords is not None:
                 assert _no_integral_fraction(coords)
-        assert solve_columns(cols, targets[0], M.rows) is not None
+        assert _solve(cols, targets[0]) is not None
+
+
+def _as_dict(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+@ENTRY_KINDS
+def test_bases_are_pinned_to_the_oracle(entry):
+    """The kernel basis is the oracle's free-column parametrization and the
+    span basis is the oracle's reduced echelon basis, vector for vector."""
+    for M in _seeded_matrices(entry):
+        dense = dense_of(M)
+        assert kernel_basis(M).basis.columns() == [
+            _as_dict(vec) for vec in oracle.kernel(dense)]
+        span = Subspace.from_spanning(M.columns(), M.rows)
+        transposed = [list(col) for col in zip(*dense)]
+        assert span.basis.columns() == [
+            _as_dict(row) for row in oracle.row_reduce(transposed)[1]]
+        assert _no_integral_fraction(span.basis.entries.values())
+
+
+@pytest.mark.parametrize('p', [2, 3])
+def test_prime_field_span_basis_is_reduced_echelon(p):
+    F = FieldSpec.prime_field(p)
+    rng = random.Random(100 + p)
+    for _ in range(40):
+        M = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                           lambda r: r.randint(-4, 4))
+        span = Subspace.from_spanning(M.columns(), M.rows, F)
+        basis = span.basis.columns()
+        leads = [min(col) for col in basis]
+        assert leads == sorted(set(leads))
+        for col, lead in zip(basis, leads):
+            assert col[lead] == 1
+            assert not any(other.get(lead) for other in basis if other is not col)
+            assert all(type(v) is int and 0 < v < p for v in col.values())
+        dense = [[M.entries.get((i, j), 0) for j in range(M.cols)]
+                 for i in range(M.rows)]
+        assert span.dim == _rank_mod(dense, p)
+        assert all(span.contains_vector(col) for col in M.columns())
+
+
+def test_matvec_matches_matmul():
+    rng = random.Random(5)
+    for _ in range(20):
+        M = _random_matrix(rng, 4, 5, _fraction_entry)
+        vec = {j: _int_entry(rng) for j in range(5) if rng.random() < 0.6}
+        N = SparseMatrix.from_columns([vec], 5)
+        assert matvec(M, vec) == M.matmul(N).column(0)
 
 
 @ENTRY_KINDS

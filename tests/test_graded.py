@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from koszulity.exact_linalg import (RATIONALS, FieldSpec, Subspace,
-                                    SparseMatrix, intersect, outer_vector,
-                                    solve_columns)
+                                    SparseMatrix, Echelon, intersect,
+                                    outer_vector)
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_map, tensor_power,
                                 unit_bimodule, kernel_sub, image_sub)
@@ -570,7 +570,7 @@ def _reference_intersection(V, W, n):
 
 
 def _reference_deconcatenation(coring, p, q):
-    'Delta_{p,q} of a quadratic coring, one solve_columns per basis vector.'
+    'Delta_{p,q} of a quadratic coring, solved through one Echelon per block.'
     V, field = coring.component(1), coring.base.field
     emb, n = coring.embeddings, p + q
     amb = [tensor_power(V, k) for k in (p, q, n)]
@@ -596,13 +596,15 @@ def _reference_deconcatenation(coring, p, q):
                             emb[p].blocks[(s, t)].column(pi),
                             emb[q].blocks[(t, u)].column(qi), concat, field))
                         pairs.append((pl, ql))
+        echelon = Echelon(field)
+        for k, col in enumerate(cols):
+            echelon.add(col, k)
         trips = []
         for j in range(len(labels)):
-            coords = solve_columns(cols, emb[n].blocks[key].column(j),
-                                   amb[2].block_dim(*key), field)
-            assert coords is not None
+            residual, coords = echelon.reduce(emb[n].blocks[key].column(j))
+            assert not residual
             trips += [(tgt.index_of(key, pairs[k]), j, c)
-                      for k, c in enumerate(coords) if c != 0]
+                      for k, c in sorted(coords.items())]
         blocks[key] = SparseMatrix(tgt.block_dim(*key), len(labels), trips)
     return BimoduleMap(Cn, tgt, blocks)
 

@@ -278,6 +278,17 @@ def test_representatives_round_trip(diamond):
     assert reps.express(key, doubled)[0][1] == Fraction(2)
 
 
+def test_express_rejects_a_non_cycle_and_drops_a_boundary():
+    'On a degree with boundaries and a nonzero outgoing differential.'
+    cx = bar_complex_ring(incidence_ring(grid_poset(2, 3)), 3)
+    H = SliceHomology(cx, 2, ('Tor', 2, 3))
+    key, d_in = next(iter(cx.differentials[3].blocks.items()))
+    assert d_in.column(0) and H.express(key, d_in.column(0)) == []
+    assert cx.differentials[2].block(*key).column(0)
+    with pytest.raises(InvariantError):
+        H.express(key, {0: 1})
+
+
 def spanning_order_reps(cx, n):
     """Class representatives chosen the plain way: a kernel column is kept
     when it is outside the span of the boundaries and the columns kept so
@@ -527,8 +538,8 @@ def test_alpha_cycle_and_boundary(tail_diamond):
                     from koszulity.homology import SliceHomology
                     sh = SliceHomology(cx, 2, 'a')
                     for bkey, bvec in _group(image).items():
-                        assert sh._boundary_part(bkey).contains_vector(
-                            _dense(cx.spaces[2], bkey, bvec))
+                        assert sh.express(
+                            bkey, _dense(cx.spaces[2], bkey, bvec)) == []
                 checked += 1
         assert checked > 0, 'the relation ideal must be nonzero here'
 
