@@ -29,25 +29,24 @@ def dual_map(f: BimoduleMap) -> BimoduleMap:
                        {key: mat.transpose() for key, mat in f.blocks.items()})
 
 
-def _graded_left_dual(X, maps: dict, out_cls):
-    """The structure of class out_cls on the duals ^*X_n whose (p, q)
-    structure map is the blockwise transpose of maps[(p, q)].
+def _graded_left_dual(X, out_cls):
+    """The out_cls on the duals ^*X_n whose (p, q) structure map is the
+    blockwise transpose of X.maps[(p, q)].
 
     left_dual keeps block keys and label positions, so the dual basis of
     ^*(X_p (x) X_q) comes in the order of the pairs of ^*X_p (x) ^*X_q and
     the transposed blocks already sit between tensor(^*X_p, ^*X_q) and
-    ^*X_{p+q}.  out_cls checks the shapes and the (co)associativity.
+    ^*X_{p+q}, in the direction out_cls._ends gives.  out_cls checks the
+    ends and the (co)associativity.
     """
     components = {n: left_dual(X.component(n))
                   for n in range(X.top_degree + 1)}
-    dual_maps = {}
-    for (p, q), f in maps.items():
-        tensored = tensor(components[p], components[q])
-        blocks = {key: mat.transpose() for key, mat in f.blocks.items()}
-        if out_cls is GradedCoring:
-            dual_maps[(p, q)] = BimoduleMap(components[p + q], tensored, blocks)
-        else:
-            dual_maps[(p, q)] = BimoduleMap(tensored, components[p + q], blocks)
+    dual_maps = {
+        (p, q): BimoduleMap(
+            *out_cls._ends(tensor(components[p], components[q]),
+                           components[p + q]),
+            {key: mat.transpose() for key, mat in f.blocks.items()})
+        for (p, q), f in X.maps.items()}
     D = out_cls(X.base, components, dual_maps, X.top_degree)
     D.support_truncated = X.support_truncated
     return D
@@ -55,12 +54,12 @@ def _graded_left_dual(X, maps: dict, out_cls):
 
 def graded_left_dual_of_ring(A: GradedRing) -> GradedCoring:
     'The coring on the duals ^*A^n, comultiplication dual to the product.'
-    return _graded_left_dual(A, A.mult, GradedCoring)
+    return _graded_left_dual(A, GradedCoring)
 
 
 def graded_left_dual_of_coring(C: GradedCoring) -> GradedRing:
     'The ring on the duals ^*C_n under the convolution product.'
-    return _graded_left_dual(C, C.comult, GradedRing)
+    return _graded_left_dual(C, GradedRing)
 
 
 def dual_pair(pair: AlmostKoszulPair) -> AlmostKoszulPair:

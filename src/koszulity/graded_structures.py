@@ -80,36 +80,65 @@ def _check_components(base, components, top_degree):
 
 
 class _Graded:
-    'The components and the (p, q) structure maps shared by both classes.'
+    """The data a graded ring and a graded coring share: components[n] is
+    X_n for 0 <= n <= top_degree (X_0 = R), and maps[(p, q)], p, q >= 1,
+    is the nonzero (p, q) structure map between X_{p+q} and X_p (x) X_q.
+    Zero maps are not stored, and the maps against degree 0 are the
+    canonical identifications.
 
-    def _setup(self, base, components: dict, maps: dict, top_degree: int,
-               what: str) -> dict:
-        'Store base and components; return the nonzero structure maps.'
+    Each side gives _ends(tensored, whole) -> (source, target), the
+    direction of its maps, and the words of its error messages.  The
+    constructor checks connectedness, the exact ends of every map and the
+    (co)associativity.
+    """
+
+    def __init__(self, base: BaseRing, components: dict, maps: dict,
+                 top_degree: int):
         self.base = base
         self.top_degree = top_degree
         _check_components(base, components, top_degree)
         self.components = {n: components.get(n, zero_bimodule(base))
                            for n in range(top_degree + 1)}
         self.support_truncated = False
-        kept = {}
+        self.maps = {}
         for (p, q), f in maps.items():
             if p < 1 or q < 1 or p + q > top_degree:
-                raise StructureError(f'{what} component ({p},{q}) out of range')
+                raise StructureError(
+                    f'{self._maps_word} component ({p},{q}) out of range')
             if not f.is_zero():
-                kept[(p, q)] = f
-        return kept
+                self.maps[(p, q)] = f
+        self._validate()
 
-    def _check_associativity(self, law: str) -> None:
-        """Compare the two bracketings exactly on every basis element, for
-        every (p, q, r) with p + q + r <= top in turn; the side's
-        _bracketings(p, q, r) yields the pairs of sparse vectors."""
+    def _ends_at(self, p: int, q: int) -> tuple:
+        'Source and target of the (p, q) structure map.'
+        return self._ends(tensor(self.component(p), self.component(q)),
+                          self.component(p + q))
+
+    def _map(self, p: int, q: int) -> BimoduleMap:
+        'The stored (p, q) structure map, or the zero map between its ends.'
+        f = self.maps.get((p, q))
+        return BimoduleMap.zero(*self._ends_at(p, q)) if f is None else f
+
+    def _validate(self):
+        """Connectedness, the exact ends of every stored map, and the two
+        bracketings compared on every basis element, for every (p, q, r)
+        with p + q + r <= top in turn; the side's _bracketings(p, q, r)
+        yields the pairs of sparse vectors."""
+        if self.component(0) != unit_bimodule(self.base):
+            raise StructureError(self._unconnected)
+        for (p, q), f in self.maps.items():
+            source, target = self._ends_at(p, q)
+            if f.source != source:
+                raise StructureError(f'{self._symbol}({p},{q}) has wrong source')
+            if f.target != target:
+                raise StructureError(f'{self._symbol}({p},{q}) has wrong target')
         top = self.top_degree
         for p in range(1, top + 1):
             for q in range(1, top + 1 - p):
                 for r in range(1, top + 1 - p - q):
                     if any(lhs != rhs
                            for lhs, rhs in self._bracketings(p, q, r)):
-                        raise StructureError(f'{law} fails at ({p},{q},{r})')
+                        raise StructureError(f'{self._law} fails at ({p},{q},{r})')
 
     def component(self, n: int) -> Bimodule:
         if 0 <= n <= self.top_degree:
@@ -118,6 +147,12 @@ class _Graded:
 
     def dims(self) -> list:
         return [self.component(n).dim for n in range(self.top_degree + 1)]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.base == other.base and self.top_degree == other.top_degree
+                and self.components == other.components and self.maps == other.maps)
 
     def __repr__(self):
         return f'{type(self).__name__}(top={self.top_degree}, dims={self.dims()})'
@@ -130,44 +165,29 @@ class _Graded:
 class GradedRing(_Graded):
     """A connected graded R-ring with finite support.
 
-    components[n] is A^n for 0 <= n <= top_degree (A^0 = R), mult[(p, q)]
-    is mu^{p,q} : A^p (x) A^q -> A^{p+q} for p, q >= 1.  Multiplications by
-    degree 0 are the canonical identifications and are not stored.
+    components[n] is A^n (A^0 = R), maps[(p, q)] is mu^{p,q} : A^p (x) A^q
+    -> A^{p+q} for p, q >= 1.
     """
 
-    def __init__(self, base: BaseRing, components: dict, mult: dict,
-                 top_degree: int, validate: bool = True):
-        self.mult = self._setup(base, components, mult, top_degree,
-                                'multiplication')
-        if validate:
-            self._validate()
+    _unconnected = 'ring is not connected: A^0 != R'
+    _maps_word, _symbol, _law = 'multiplication', 'mu', 'associativity'
+
+    @staticmethod
+    def _ends(tensored: Bimodule, whole: Bimodule) -> tuple:
+        return tensored, whole
 
     def mu(self, p: int, q: int) -> BimoduleMap:
         if p == 0:
             return left_unit_map(self.base, self.component(q))
         if q == 0:
             return right_unit_map(self.base, self.component(p))
-        f = self.mult.get((p, q))
-        if f is None:
-            return BimoduleMap.zero(tensor(self.component(p), self.component(q)),
-                                    self.component(p + q))
-        return f
-
-    def _validate(self):
-        if self.component(0) != unit_bimodule(self.base):
-            raise StructureError('ring is not connected: A^0 != R')
-        for (p, q), f in self.mult.items():
-            if f.source != tensor(self.component(p), self.component(q)):
-                raise StructureError(f'mu({p},{q}) has wrong source')
-            if f.target != self.component(p + q):
-                raise StructureError(f'mu({p},{q}) has wrong target')
-        self._check_associativity('associativity')
+        return self._map(p, q)
 
     def _bracketings(self, p: int, q: int, r: int):
         'Per basis word a (x) b (x) c of A^p (x) A^q (x) A^r: (ab)c and a(bc).'
         field = self.base.field
-        mu_ab, mu_ab_c = self.mult.get((p, q)), self.mult.get((p + q, r))
-        mu_bc, mu_a_bc = self.mult.get((q, r)), self.mult.get((p, q + r))
+        mu_ab, mu_ab_c = self.maps.get((p, q)), self.maps.get((p + q, r))
+        mu_bc, mu_a_bc = self.maps.get((q, r)), self.maps.get((p, q + r))
         left = mu_ab is not None and mu_ab_c is not None
         right = mu_bc is not None and mu_a_bc is not None
         if not (left or right):
@@ -191,14 +211,14 @@ class GradedRing(_Graded):
 
     def _word_product(self, key, word: tuple) -> list:
         """The product in A^n of a word of n letters of A^1 in block key,
-        folded left with mult[(k, 1)]: [(label, coeff)]."""
+        folded left with maps[(k, 1)]: [(label, coeff)]."""
         field = self.base.field
         V = self.component(1)
         s = key[0]
         t = _block_of(V, word[0], s)[1]
         terms = {word[0]: field.one}
         for k, letter in enumerate(word[1:], 1):
-            mu = self.mult.get((k, 1))
+            mu = self.maps.get((k, 1))
             if mu is None:
                 return []
             u = _block_of(V, letter, t)[1]
@@ -220,12 +240,6 @@ class GradedRing(_Graded):
             tensor_power(self.component(1), n), self.component(n),
             lambda key, l: self._word_product(key, _as_word(l, n)))
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedRing):
-            return NotImplemented
-        return (self.base == other.base and self.top_degree == other.top_degree
-                and self.components == other.components and self.mult == other.mult)
-
 
 # ---------------------------------------------------------------------------
 # graded corings
@@ -234,44 +248,30 @@ class GradedRing(_Graded):
 class GradedCoring(_Graded):
     """A connected graded R-coring with finite support.
 
-    comult[(p, q)] is Delta_{p,q} : C_{p+q} -> C_p (x) C_q for p, q >= 1;
-    the components against degree 0 are the canonical identifications.
+    components[n] is C_n (C_0 = R), maps[(p, q)] is Delta_{p,q} : C_{p+q}
+    -> C_p (x) C_q for p, q >= 1.
     """
 
-    def __init__(self, base: BaseRing, components: dict, comult: dict,
-                 top_degree: int, validate: bool = True):
-        self.comult = self._setup(base, components, comult, top_degree,
-                                  'comultiplication')
-        if validate:
-            self._validate()
+    _unconnected = 'coring is not connected: C_0 != R'
+    _maps_word, _symbol, _law = 'comultiplication', 'delta', 'coassociativity'
+
+    @staticmethod
+    def _ends(tensored: Bimodule, whole: Bimodule) -> tuple:
+        return whole, tensored
 
     def delta(self, p: int, q: int) -> BimoduleMap:
         if p == 0:
             return left_unit_section(self.base, self.component(q))
         if q == 0:
             return right_unit_section(self.base, self.component(p))
-        f = self.comult.get((p, q))
-        if f is None:
-            return BimoduleMap.zero(self.component(p + q),
-                                    tensor(self.component(p), self.component(q)))
-        return f
-
-    def _validate(self):
-        if self.component(0) != unit_bimodule(self.base):
-            raise StructureError('coring is not connected: C_0 != R')
-        for (p, q), f in self.comult.items():
-            if f.source != self.component(p + q):
-                raise StructureError(f'delta({p},{q}) has wrong source')
-            if f.target != tensor(self.component(p), self.component(q)):
-                raise StructureError(f'delta({p},{q}) has wrong target')
-        self._check_associativity('coassociativity')
+        return self._map(p, q)
 
     def _bracketings(self, p: int, q: int, r: int):
         """Per basis vector z of C_{p+q+r}: (Delta_{p,q} (x) 1) Delta_{p+q,r} z
         and (1 (x) Delta_{q,r}) Delta_{p,q+r} z, both as ((a, b), c) terms."""
         field = self.base.field
-        d_ab, d_ab_c = self.comult.get((p, q)), self.comult.get((p + q, r))
-        d_bc, d_a_bc = self.comult.get((q, r)), self.comult.get((p, q + r))
+        d_ab, d_ab_c = self.maps.get((p, q)), self.maps.get((p + q, r))
+        d_bc, d_a_bc = self.maps.get((q, r)), self.maps.get((p, q + r))
         left = d_ab is not None and d_ab_c is not None
         right = d_bc is not None and d_a_bc is not None
         if not (left or right):
@@ -304,7 +304,7 @@ class GradedCoring(_Graded):
             if k == 1:
                 return {(z,): field.one}
             out = {}
-            split = self.comult.get((1, k - 1))
+            split = self.maps.get((1, k - 1))
             for (a, x), c in split.apply_label(key, z) if split else ():
                 rest = (_block_of(C1, a, key[0])[1], key[1])
                 for w, m in words(k - 1, rest, x).items():
@@ -316,23 +316,17 @@ class GradedCoring(_Graded):
             lambda key, z: [(_word_label(w, n), c)
                             for w, c in words(n, key, z).items()])
 
-    def __eq__(self, other):
-        if not isinstance(other, GradedCoring):
-            return NotImplemented
-        return (self.base == other.base and self.top_degree == other.top_degree
-                and self.components == other.components and self.comult == other.comult)
-
 
 # ---------------------------------------------------------------------------
 # strong grading, primitives, indecomposables
 # ---------------------------------------------------------------------------
 
-def _joint_blocks(X, maps: dict, n: int, stack):
-    """Per block of X_n: (key, labels, the nonzero blocks of maps[(p, n-p)]
-    over 1 <= p < n joined by stack, or None if they all vanish)."""
+def _joint_blocks(X, n: int, stack):
+    """Per block of X_n: (key, labels, the nonzero blocks of X.maps[(p,
+    n-p)] over 1 <= p < n joined by stack, or None if they all vanish)."""
     for key, labels in X.component(n).blocks.items():
-        mats = [maps[(p, n - p)].block(*key) for p in range(1, n)
-                if (p, n - p) in maps]
+        mats = [X.maps[(p, n - p)].block(*key) for p in range(1, n)
+                if (p, n - p) in X.maps]
         mats = [m for m in mats if not m.is_zero()]
         yield key, labels, stack(mats) if mats else None
 
@@ -349,7 +343,7 @@ def is_strongly_graded_ring(A: GradedRing):
     """
     field = A.base.field
     for n in range(2, A.top_degree + 1):
-        for key, labels, M in _joint_blocks(A, A.mult, n, hstack):
+        for key, labels, M in _joint_blocks(A, n, hstack):
             if M is not None and rank(M, field) == len(labels):
                 continue
             image = None if M is None else image_basis(M, field)
@@ -371,7 +365,7 @@ def is_strongly_graded_coring(C: GradedCoring):
     """
     field = C.base.field
     for n in range(2, C.top_degree + 1):
-        for key, labels, M in _joint_blocks(C, C.comult, n, vstack):
+        for key, labels, M in _joint_blocks(C, n, vstack):
             if M is not None and rank(M, field) == len(labels):
                 continue
             vec = ({0: field.one} if M is None
@@ -382,25 +376,25 @@ def is_strongly_graded_coring(C: GradedCoring):
     return True, None
 
 
-def _corank_dims(X, maps: dict, stack) -> dict:
-    """n -> dim X_n minus the blockwise joint rank of maps[(p, n-p)] over
-    1 <= p < n, the blocks joined by stack."""
+def _corank_dims(X, stack) -> dict:
+    """n -> dim X_n minus the blockwise joint rank of X.maps[(p, n-p)]
+    over 1 <= p < n, the blocks joined by stack."""
     out = {}
     for n in range(1, X.top_degree + 1):
         out[n] = X.component(n).dim - sum(
             rank(M, X.base.field)
-            for _, _, M in _joint_blocks(X, maps, n, stack) if M is not None)
+            for _, _, M in _joint_blocks(X, n, stack) if M is not None)
     return out
 
 
 def primitive_dims(C: GradedCoring) -> dict:
     'n -> dim (PC)_n, the joint kernel of all Delta_{p,q} with p, q >= 1.'
-    return _corank_dims(C, C.comult, vstack)
+    return _corank_dims(C, vstack)
 
 
 def indecomposable_dims(A: GradedRing) -> dict:
     'n -> dim (QA)_n = dim A^n minus the joint image of all mu^{p,q}, p, q >= 1.'
-    return _corank_dims(A, A.mult, hstack)
+    return _corank_dims(A, hstack)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +543,7 @@ def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
         return [(amb.blocks[key][j], field.neg(c))
                 for j, c in col.items() if j != i]
 
-    mult = {}
+    maps = {}
     for p in range(1, top):
         for q in range(1, top + 1 - p):
             Qp, Qq = components[p], components[q]
@@ -560,10 +554,10 @@ def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
                 word = _as_word(l[0], p) + _as_word(l[1], q)
                 return reduce_word(p + q, key, word)
 
-            mult[(p, q)] = BimoduleMap.from_basis_action(
+            maps[(p, q)] = BimoduleMap.from_basis_action(
                 tensor(Qp, Qq), components[p + q], action)
 
-    return GradedRing(base, components, mult, top)
+    return GradedRing(base, components, maps, top)
 
 
 def quadratic_coring_of(data: QuadraticData, top: int) -> GradedCoring:
@@ -597,10 +591,10 @@ def _quadratic_coring(V: Bimodule, inters: dict, top: int) -> GradedCoring:
                        for j in range(mat.cols)]
                  for key, mat in emb.blocks.items()}
              for n, emb in embeddings.items()}
-    comult = {(p, n - p): _deconcatenation(components, words, p, n - p)
-              for n in range(2, top + 1) if not components[n].is_zero()
-              for p in range(1, n)}
-    coring = GradedCoring(base, components, comult, top)
+    maps = {(p, n - p): _deconcatenation(components, words, p, n - p)
+            for n in range(2, top + 1) if not components[n].is_zero()
+            for p in range(1, n)}
+    coring = GradedCoring(base, components, maps, top)
     coring.embeddings = embeddings
     return coring
 
@@ -704,23 +698,24 @@ def shriek_of_coring(C: GradedCoring) -> GradedRing:
 # truncations and products
 # ---------------------------------------------------------------------------
 
-def _below(X, maps: dict, m: int):
-    'Base, components, structure maps and top degree of X below degree m.'
+def _below(X, m: int):
+    'X below degree m: the structure maps that land there, the same class.'
     if m < 1:
         raise ValueError(f'truncation degree {m} < 1')
     top = min(m - 1, X.top_degree)
-    return (X.base, {n: X.component(n) for n in range(top + 1)},
-            {(p, q): f for (p, q), f in maps.items() if p + q <= top}, top)
+    return type(X)(X.base, {n: X.component(n) for n in range(top + 1)},
+                   {(p, q): f for (p, q), f in X.maps.items() if p + q <= top},
+                   top)
 
 
 def truncate_ring(A: GradedRing, m: int) -> GradedRing:
     'A / A^{>= m}: keep degrees below m, higher products become zero.'
-    return GradedRing(*_below(A, A.mult, m), validate=False)
+    return _below(A, m)
 
 
 def truncate_coring(C: GradedCoring, m: int) -> GradedCoring:
     'C_{< m}: the subcoring of components in degrees below m.'
-    return GradedCoring(*_below(C, C.comult, m), validate=False)
+    return _below(C, m)
 
 
 def _merged_base(b1: BaseRing, b2: BaseRing) -> BaseRing:
@@ -739,9 +734,8 @@ def _merged_component(base, X: Bimodule, Y: Bimodule) -> Bimodule:
     return Bimodule(base, blocks)
 
 
-def _block_merge(X, Y, maps1: dict, maps2: dict):
-    """The merged base, top degree, components and structure maps of two
-    rings (maps: mult) or two corings (maps: comult) side by side.
+def _block_merge(X, Y):
+    """Two rings, or two corings, side by side over the merged base.
 
     Block matrices carry over unchanged because tensor blocks between
     idempotents of one factor never pick up middle terms from the other.
@@ -754,22 +748,20 @@ def _block_merge(X, Y, maps1: dict, maps2: dict):
     for p in range(1, top):
         for q in range(1, top + 1 - p):
             blocks = {}
-            for f in (maps1.get((p, q)), maps2.get((p, q))):
+            for f in (X.maps.get((p, q)), Y.maps.get((p, q))):
                 if f is not None:
                     blocks.update(f.blocks)
             if blocks:
-                ends = (tensor(comps[p], comps[q]), comps[p + q])
-                if isinstance(X, GradedCoring):
-                    ends = ends[::-1]
-                maps[(p, q)] = BimoduleMap(*ends, blocks)
-    return base, comps, maps, top
+                maps[(p, q)] = BimoduleMap(
+                    *X._ends(tensor(comps[p], comps[q]), comps[p + q]), blocks)
+    return type(X)(base, comps, maps, top)
 
 
 def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
     """A x B over k^{S + S'}: componentwise sums, no cross terms."""
-    return GradedRing(*_block_merge(A, B, A.mult, B.mult))
+    return _block_merge(A, B)
 
 
 def direct_sum_corings(C: GradedCoring, D: GradedCoring) -> GradedCoring:
     'C + D over the merged base: blockwise comultiplication, no cross terms.'
-    return GradedCoring(*_block_merge(C, D, C.comult, D.comult))
+    return _block_merge(C, D)

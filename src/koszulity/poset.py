@@ -170,43 +170,33 @@ def _interval_components(P: GradedPoset, base: BaseRing) -> dict:
     return comps
 
 
-def incidence_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
-    'The incidence ring: e_{x,y} e_{z,u} = [y = z] e_{x,u}, graded by length.'
+def _incidence(P: GradedPoset, field, cls, action):
+    """The incidence ring or coring cls of P, graded by length: each (p, q)
+    map between nonzero ends sends a basis label l to action(p, l)."""
     base = BaseRing(P.elements, field)
     comps = _interval_components(P, base)
     top = P.max_length
-    mult = {}
+    maps = {}
     for p in range(1, top):
         for q in range(1, top + 1 - p):
-            src = tensor(comps[p], comps[q])
-            if src.is_zero() or comps[p + q].is_zero():
-                continue
-            mult[(p, q)] = BimoduleMap.from_basis_action(
-                src, comps[p + q],
-                lambda key, l: [(('e', l[0][1], l[1][2]), 1)])
-    return GradedRing(base, comps, mult, top)
+            ends = cls._ends(tensor(comps[p], comps[q]), comps[p + q])
+            if not any(end.is_zero() for end in ends):
+                maps[(p, q)] = BimoduleMap.from_basis_action(
+                    *ends, lambda key, l, p=p: action(p, l))
+    return cls(base, comps, maps, top)
+
+
+def incidence_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
+    'The incidence ring: e_{x,y} e_{z,u} = [y = z] e_{x,u}, graded by length.'
+    return _incidence(P, field, GradedRing,
+                      lambda p, l: [(('e', l[0][1], l[1][2]), 1)])
 
 
 def incidence_coring(P: GradedPoset, field=RATIONALS) -> GradedCoring:
     'The incidence coring: Delta(e_{x,y}) sums e_{x,z} (x) e_{z,y} over z in [x,y].'
-    base = BaseRing(P.elements, field)
-    comps = _interval_components(P, base)
-    top = P.max_length
-    comult = {}
-    for p in range(1, top):
-        for q in range(1, top + 1 - p):
-            src = comps[p + q]
-            if src.is_zero():
-                continue
-
-            def action(key, l, p=p):
-                x, y = l[1], l[2]
-                return [((('e', x, z), ('e', z, y)), 1)
-                        for z in P.middles(x, y, p)]
-
-            comult[(p, q)] = BimoduleMap.from_basis_action(
-                src, tensor(comps[p], comps[q]), action)
-    return GradedCoring(base, comps, comult, top)
+    return _incidence(P, field, GradedCoring,
+                      lambda p, l: [((('e', l[1], z), ('e', z, l[2])), 1)
+                                    for z in P.middles(l[1], l[2], p)])
 
 
 def zeta_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
@@ -253,9 +243,9 @@ def incidence_duality_check(A: GradedRing, C: GradedCoring) -> bool:
     if any(left_dual(A.component(n)) != left_dual(C.component(n))
            for n in range(A.top_degree + 1)):
         return False
-    return ({pq: f.blocks for pq, f in A.mult.items()} ==
+    return ({pq: f.blocks for pq, f in A.maps.items()} ==
             {pq: {key: mat.transpose() for key, mat in f.blocks.items()}
-             for pq, f in C.comult.items()})
+             for pq, f in C.maps.items()})
 
 
 # ---------------------------------------------------------------------------

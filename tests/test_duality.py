@@ -69,10 +69,9 @@ def test_incidence_duality_corpus():
 def test_incidence_duality_rejects_other_products_and_degrees(diamond):
     A = incidence_ring(diamond)
     C = incidence_coring(diamond)
-    doubled = dict(A.mult)
-    doubled[(1, 1)] = A.mult[(1, 1)].scale(2)
-    scaled = GradedRing(A.base, A.components, doubled, A.top_degree,
-                        validate=False)
+    doubled = dict(A.maps)
+    doubled[(1, 1)] = A.maps[(1, 1)].scale(2)
+    scaled = GradedRing(A.base, A.components, doubled, A.top_degree)
     assert not incidence_duality_check(scaled, C)
     assert not incidence_duality_check(truncate_ring(A, 1), C)
 
