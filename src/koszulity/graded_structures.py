@@ -5,11 +5,14 @@ Strong grading, primitives, indecomposables, the quadratic constructions
 subcoring), shriek duals, and direct products.  Components are Bimodules,
 structure maps are BimoduleMaps, all validation is exact.
 
-Every constructor checks (co)associativity exactly, word by word: for each
-(p, q, r) with p + q + r <= top it compares the two bracketings on every
-basis word a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis
-vector of C_{p+q+r} (corings), as sparse vectors; no tensor-product map is
-built for the check.
+Rings and corings share one core, _Graded: the nonzero (p, q) structure
+maps sit in one table, maps, and each side says only which end of its
+maps is the tensor product.  Every constructor checks the exact ends of
+the maps and the (co)associativity, word by word: for each (p, q, r) with
+p + q + r <= top it compares the two bracketings on every basis word
+a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis vector of
+C_{p+q+r} (corings), as sparse vectors; no tensor-product map is built
+for the check.
 
 The quadratic constructions read their relation components off one walk
 of a one-letter recursion: in degree 2 both are W, given by its reduced

@@ -6,14 +6,16 @@ the ring slices gives the bigraded Tor table, cohomology of the coring
 slices the Ext table.  On top of the tables sit class representatives, the
 induced concatenation product on Ext, the induced deconcatenation on Tor
 (hence primitives), quadraticity tests, and the weight-m truncation
-sequences in homological degree 2.
+sequences in homological degree 2.  The deconcatenation lands in the
+tensor square of the bar slices, whose (n, m) piece is the degree-n words
+of slice m cut between two letters, so it reads one slice.
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from .exact_linalg import Subspace, Echelon, matvec, outer_vector
+from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
 from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
                        tensor_power, zero_bimodule, kernel_sub, image_sub,
                        SubBimodule, _block_of)
@@ -507,97 +509,67 @@ def ext_diagonal_products_surjective(C: GradedCoring, table: BettiTable):
 
 
 # ---------------------------------------------------------------------------
-# induced coproduct on Tor: totals, deconcatenation, primitives
+# induced coproduct on Tor: cut words, deconcatenation, primitives
 # ---------------------------------------------------------------------------
 
-def _tor_total(A: GradedRing, slices: dict, n: int, m: int) -> Bimodule:
-    'The (n, m) piece of the tensor square of the bar slices, p and q >= 1.'
-    blocks = {}
-    for p in range(1, n):
-        for a in range(1, m):
-            X = slices[a].spaces.get(p)
-            Y = slices[m - a].spaces.get(n - p)
-            if X is None or Y is None or X.is_zero() or Y.is_zero():
-                continue
-            for key, labels in tensor(X, Y).blocks.items():
-                blocks.setdefault(key, []).extend(labels)
-    return Bimodule(A.base, blocks)
+# The (n, m) piece of the tensor square of the bar slices, both factors of
+# positive degree, is the degree-n words of slice m, each cut after c
+# letters, 1 <= c <= n-1: the pair (u, v) is the word uv cut after |u|.  In
+# a block, the word at index i cut after c is coordinate i (n-1) + c-1.
+
+def _cut(i: int, c: int, n: int) -> int:
+    'The coordinate of the degree-n word at index i cut after c letters.'
+    return i * (n - 1) + c - 1
 
 
-def _total_differential(A: GradedRing, slices: dict, src: Bimodule,
-                        tgt: Bimodule) -> BimoduleMap:
-    'd (x) 1 + (-1)^p 1 (x) d on the tensor square, from degree n+1 to n.'
+def _cut_boundaries(A: GradedRing, cx: ComplexSlice, n: int, key) -> list:
+    """The columns of the total differential d (x) 1 + (-1)^c 1 (x) d into
+    the degree-n cut words of block key, one per degree-(n+1) cut word.
 
-    def action(key, label):
-        lp, lq = label
-        p, a = len(lp[0]), sum(lp[0])
-        q, b = len(lq[0]), sum(lq[0])
-        out = []
-        left_space = slices[a].spaces[p]
-        lkey = _block_of(left_space, lp, key[0])
-        d_left = slices[a].differentials.get(p)
-        if d_left is not None:
-            for tl, c in d_left.apply_label(lkey, lp):
-                out.append(((tl, lq), c))
-        d_right = slices[b].differentials.get(q)
-        if d_right is not None:
-            sign = -1 if p % 2 else 1
-            rkey = (lkey[1], key[1])
-            for tl, c in d_right.apply_label(rkey, lq):
-                out.append(((lp, tl), sign * c))
-        return out
-
-    return BimoduleMap.from_basis_action(src, tgt, action)
-
-
-def _deconcat_map(cx: ComplexSlice, n: int, total: Bimodule) -> BimoduleMap:
-    'Cut every word at every interior position, landing in the tensor square.'
-    src = cx.spaces[n]
-
-    def action(key, label):
-        parts, word = label
-        return [(((parts[:c], word[:c]), (parts[c:], word[c:])), 1)
-                for c in range(1, n)]
-
-    return BimoduleMap.from_basis_action(src, total, action)
-
-
-def _tor_coproduct_data(A: GradedRing, table: BettiTable, n: int, m: int):
-    'Assembles (total_n, the total differential into it, deconcat map).'
-    slices = table.slices
-    total_n = _tor_total(A, slices, n, m)
-    total_n1 = _tor_total(A, slices, n + 1, m)
-    if total_n1.is_zero() or total_n.is_zero():
-        D = BimoduleMap.zero(total_n1, total_n)
-    else:
-        D = _total_differential(A, slices, total_n1, total_n)
-    return total_n, D, _deconcat_map(slices[m], n, total_n)
-
-
-def _primitive_dim(A: GradedRing, table: BettiTable, n: int, m: int,
-                   coproduct=None) -> int:
-    """Dimension of the primitive classes in Tor_{n,m}: the number of
-    deconcatenation images of the representatives that are not kept by an
-    echelon seeded with the total boundaries.
-
-    coproduct is the (total, total differential, deconcatenation) triple of
-    the cell, when the caller already has it.
+    On w cut after c it is the bar rule _merge_letters at every gap j other
+    than the cut, j = c-1, with sign (-1)^j, because (-1)^c (-1)^j' =
+    (-1)^(c+j') for the gap j' of the right factor; a merge left of the
+    cut moves it to c-1.
     """
-    H = table.representatives.get((n, m))
-    if H is None:
-        return 0
-    if n == 1:
-        return H.dim
     field = A.base.field
-    total_n, D, dbar = coproduct or _tor_coproduct_data(A, table, n, m)
-    if total_n.is_zero():
-        return H.dim
-    prim = 0
-    for key, cols in H.reps.items():
-        echelon = Echelon(field, D.block(*key).columns())
-        mat = dbar.block(*key)
-        prim += sum(not echelon.add(matvec(mat, col, field)) for col in cols)
-    return prim
+    src, tgt = cx.spaces.get(n + 1), cx.spaces[n]
+    columns = []
+    for parts, word in src.blocks.get(key, ()) if src else ():
+        chain = _chain_of([A.component(p) for p in parts], word, key[0])
+        merged = [[(tgt.index_of(key, (nparts, nword)), c) for nparts, nword, c
+                   in _merge_letters(A, parts, word, chain, j)]
+                  for j in range(n)]
+        for cut in range(1, n + 1):
+            col = {}
+            for j, terms in enumerate(merged):
+                if j != cut - 1:
+                    at = cut - 1 if j < cut - 1 else cut
+                    for i, c in terms:
+                        accumulate(col, _cut(i, at, n), (-1) ** j, c, field)
+            columns.append(col)
+    return columns
+
+
+def _deconcatenate(vec: dict, n: int) -> dict:
+    'The deconcatenation w -> sum over c of (w, c) of a vector of degree-n words.'
+    return {_cut(i, c, n): v for i, v in vec.items() for c in range(1, n)}
+
+
+def _cut_blocks(A: GradedRing, table: BettiTable, n: int, m: int):
+    """Per block of the representatives of Tor_{n,m}: (key, the total
+    boundaries in its cut words, the deconcatenations of the
+    representatives)."""
+    cx = table.slices[m]
+    for key, reps in table.representatives[(n, m)].reps.items():
+        yield key, _cut_boundaries(A, cx, n, key), [
+            _deconcatenate(col, n) for col in reps]
+
+
+def _primitives(field, boundaries: list, images: list) -> int:
+    """How many deconcatenations an echelon seeded with the boundaries does
+    not keep: the dimension of the classes whose image is a boundary."""
+    echelon = Echelon(field, boundaries)
+    return sum(not echelon.add(vec) for vec in images)
 
 
 def tor_primitive_dims(A: GradedRing, table: BettiTable) -> dict:
@@ -609,8 +581,11 @@ def tor_primitive_dims(A: GradedRing, table: BettiTable) -> dict:
     to cut, so everything is primitive.
     """
     _require_representatives(table)
-    return {(n, m): _primitive_dim(A, table, n, m)
-            for n, m in sorted(table.representatives) if n}
+    field = A.base.field
+    return {(n, m): (H.dim if n == 1 else sum(
+                _primitives(field, D, images)
+                for _, D, images in _cut_blocks(A, table, n, m)))
+            for (n, m), H in sorted(table.representatives.items()) if n}
 
 
 def homology_coring_components(A: GradedRing, n: int, m: int,
@@ -627,16 +602,17 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
     if H is None:
         return {}, 0
     field = A.base.field
-    coproduct = _tor_coproduct_data(A, table, n, m)
-    total_n, D, dbar = coproduct
+    words = table.slices[m].spaces[n]
     pieces = [(p, a) for p in range(1, n) for a in range(1, m)
               if (p, a) in table.representatives
               and (n - p, m - a) in table.representatives]
     components = {}
-    for key, reps in H.reps.items():
+    prim = 0
+    for key, boundaries, images in _cut_blocks(A, table, n, m):
+        prim += _primitives(field, boundaries, images)
         # the embedded Kuenneth columns of the block, after its boundaries;
         # tags[k] names the piece and the pair of abstract labels of column k
-        echelon = Echelon(field, D.block(*key).columns())
+        echelon = Echelon(field, boundaries)
         tags = []
         for (p, a) in pieces:
             HL = table.representatives[(p, a)]
@@ -650,9 +626,10 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
                     llabels = HL.space.blocks[lkey]
                     rlabels = HR.space.blocks[rkey]
 
-                    def pair_index(ii, jj):
-                        return total_n.index_of(key, (llabels[ii],
-                                                      rlabels[jj]))
+                    def pair_index(ii, jj, p=p):
+                        (pa, wa), (pb, wb) = llabels[ii], rlabels[jj]
+                        return _cut(words.index_of(key, (pa + pb, wa + wb)),
+                                    p, n)
 
                     for i, lv in enumerate(lreps):
                         for j, rv in enumerate(rreps):
@@ -663,9 +640,8 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
                             tags.append(((p, a),
                                          (HL.abstract.blocks[lkey][i],
                                           HR.abstract.blocks[rkey][j])))
-        mat = dbar.block(*key)
-        for ci, col in enumerate(reps):
-            residual, coords = echelon.reduce(matvec(mat, col, field))
+        for ci, vec in enumerate(images):
+            residual, coords = echelon.reduce(vec)
             if residual:
                 raise InvariantError('deconcatenation is not a total cycle')
             src_label = H.abstract.blocks[key][ci]
@@ -681,7 +657,7 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
         maps[(p, a)] = BimoduleMap.from_basis_action(
             H.abstract, tgt,
             lambda key, l, data=data: data.get((key, l), []))
-    return maps, _primitive_dim(A, table, n, m, coproduct)
+    return maps, prim
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,12 @@ def chain_poset(n):
 
 def antichain_poset(n):
     return GradedPoset([f'u{i}' for i in range(n)], [])
+
+
+def boolean_lattice(n):
+    'B_n as the subsets of range(n), named by their sorted digits.'
+    name = {s: ''.join(str(i) for i in range(n) if s >> i & 1) or 'e'
+            for s in range(2 ** n)}
+    return GradedPoset(list(name.values()),
+                       [(name[s], name[s | 1 << i]) for s in range(2 ** n)
+                        for i in range(n) if not s >> i & 1])

@@ -29,7 +29,8 @@ from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
-from conftest import DIAMOND_COVERS, chain_poset, antichain_poset
+from conftest import (DIAMOND_COVERS, chain_poset, antichain_poset,
+                      boolean_lattice)
 import oracle
 
 
@@ -50,6 +51,28 @@ def test_not_connected_rejected():
     base = BaseRing(('x',), RATIONALS)
     with pytest.raises(StructureError):
         GradedRing(base, {0: Bimodule(base, {('x', 'x'): ('g', 'h')})}, {}, 0)
+
+
+def test_structure_maps_must_have_the_exact_ends(diamond):
+    # the same pairs as tensor(A^1, A^1), one block listed in reverse: a
+    # map on that copy is rejected, although every label is there
+    A, C = incidence_ring(diamond), incidence_coring(diamond)
+    V = A.component(1)
+    VV = tensor(V, V)
+    assert [len(labels) for labels in VV.blocks.values()] == [2]
+    permuted = Bimodule(A.base, {key: labels[::-1]
+                                 for key, labels in VV.blocks.items()})
+    assert permuted != VV
+    mu = BimoduleMap.from_basis_action(permuted, A.component(2),
+                                       A.mu(1, 1).apply_label)
+    with pytest.raises(StructureError) as info:
+        GradedRing(A.base, A.components, {(1, 1): mu}, A.top_degree)
+    assert str(info.value) == 'mu(1,1) has wrong source'
+    delta = BimoduleMap.from_basis_action(C.component(2), permuted,
+                                          C.delta(1, 1).apply_label)
+    with pytest.raises(StructureError) as info:
+        GradedCoring(C.base, C.components, {(1, 1): delta}, C.top_degree)
+    assert str(info.value) == 'delta(1,1) has wrong target'
 
 
 def test_associativity_enforced():
@@ -464,15 +487,6 @@ def test_shriek_zero_degree_one():
     shr = shriek_of_ring(A)
     assert shr.top_degree == 0
     assert not shr.support_truncated
-
-
-def boolean_lattice(n):
-    'B_n as the subsets of range(n), named by their sorted digits.'
-    name = {s: ''.join(str(i) for i in range(n) if s >> i & 1) or 'e'
-            for s in range(2 ** n)}
-    return GradedPoset(list(name.values()),
-                       [(name[s], name[s | 1 << i]) for s in range(2 ** n)
-                        for i in range(n) if not s >> i & 1])
 
 
 @pytest.mark.parametrize('side', ['ring', 'coring'])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace
+from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace, accumulate
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor_many,
                                 tensor_power, kernel_sub, image_sub,
                                 unit_bimodule)
@@ -27,11 +27,12 @@ from koszulity.homology import (partitions, bar_complex_ring,
                                 is_quadratic_coring_direct,
                                 verify_tor2_sequence, verify_ext2_sequence,
                                 alpha_map, ComplexSlice, SliceHomology,
-                                _longest_word_weights)
+                                _longest_word_weights, _cut_boundaries,
+                                _deconcatenate)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              enumerate_corpus)
 from koszulity.errors import PreconditionError, InvariantError
-from conftest import chain_poset, antichain_poset
+from conftest import chain_poset, antichain_poset, boolean_lattice
 import oracle
 
 PRIME = FieldSpec.prime_field(1048583)
@@ -384,6 +385,55 @@ def test_primitives(diamond, p_bad):
     table_b = tor_table(B, with_representatives=True)
     prim_b = tor_primitive_dims(B, table_b)
     assert prim_b[(2, 3)] == 1, 'the off-diagonal class is primitive'
+
+
+def test_primitives_pinned(rp2, p_bad):
+    # the values of the tensor-square construction the cut words replaced
+    F2 = FieldSpec.prime_field(2)
+    for field, expected in ((F2, {(3, 4): 1}), (RATIONALS, {})):
+        A = incidence_ring(rp2, field)
+        prim = tor_primitive_dims(A, tor_table(A, with_representatives=True))
+        assert {k: d for k, d in prim.items() if k[0] >= 2 and d} == expected
+    B = incidence_ring(p_bad)
+    prim = tor_primitive_dims(B, tor_table(B, with_representatives=True))
+    assert {k: d for k, d in prim.items() if k[0] >= 2} == {(2, 3): 1}
+
+
+def _apply_columns(columns: list, vec: dict, field) -> dict:
+    'The matrix with these sparse columns times vec.'
+    out = {}
+    for k, v in vec.items():
+        for i, c in columns[k].items():
+            accumulate(out, i, v, c, field)
+    return out
+
+
+@pytest.mark.parametrize('case', ['B4 over Q', 'RP2 over F2', 'p_bad'])
+def test_cut_word_complex(case, rp2, p_bad):
+    # on the cut words of every slice of the Tor table: D after D is zero,
+    # and the deconcatenation is a chain map, D (Delta_{n+1}) = Delta_n d_{n+1}
+    P, field = {'B4 over Q': (boolean_lattice(4), RATIONALS),
+                'RP2 over F2': (rp2, FieldSpec.prime_field(2)),
+                'p_bad': (p_bad, RATIONALS)}[case]
+    A = incidence_ring(P, field)
+    table = tor_table(A, with_representatives=True)
+    moved = 0
+    for m, cx in table.slices.items():
+        for n in range(1, m):
+            d = cx.differentials.get(n + 1)
+            for key, words in cx.spaces[n + 1].blocks.items():
+                D = _cut_boundaries(A, cx, n, key)
+                assert len(D) == len(words) * n
+                for col in _cut_boundaries(A, cx, n + 1, key):
+                    assert _apply_columns(D, col, field) == {}
+                for i in range(len(words)):
+                    image = _apply_columns(D, _deconcatenate({i: 1}, n + 1),
+                                           field)
+                    dw = {j: field.coerce(c) for j, c
+                          in (d.block(*key).column(i) if d else {}).items()}
+                    assert image == _deconcatenate(dw, n)
+                    moved += bool(image)
+    assert moved
 
 
 def test_homology_coring_components(diamond, p_bad):
