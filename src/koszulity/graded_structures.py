@@ -702,7 +702,7 @@ def shriek_of_coring(C: GradedCoring) -> GradedRing:
 # ---------------------------------------------------------------------------
 
 def _below(X, m: int):
-    'X below degree m: the structure maps that land there, the same class.'
+    'X cut below degree m: its components and structure maps of lower degree.'
     if m < 1:
         raise ValueError(f'truncation degree {m} < 1')
     top = min(m - 1, X.top_degree)

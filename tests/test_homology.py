@@ -387,16 +387,14 @@ def test_primitives(diamond, p_bad):
     assert prim_b[(2, 3)] == 1, 'the off-diagonal class is primitive'
 
 
-def test_primitives_pinned(rp2, p_bad):
-    # the values of the tensor-square construction the cut words replaced
+def test_primitives_rp2(rp2):
+    # the 2-torsion of RP^2 gives Tor_{3,4} over F_2, a primitive class;
+    # over Q no class of degree n >= 2 is primitive
     F2 = FieldSpec.prime_field(2)
     for field, expected in ((F2, {(3, 4): 1}), (RATIONALS, {})):
         A = incidence_ring(rp2, field)
         prim = tor_primitive_dims(A, tor_table(A, with_representatives=True))
         assert {k: d for k, d in prim.items() if k[0] >= 2 and d} == expected
-    B = incidence_ring(p_bad)
-    prim = tor_primitive_dims(B, tor_table(B, with_representatives=True))
-    assert {k: d for k, d in prim.items() if k[0] >= 2} == {(2, 3): 1}
 
 
 def _apply_columns(columns: list, vec: dict, field) -> dict:
