@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact_linalg import (FieldSpec, SparseMatrix, Subspace, DimensionError,
-                           kernel_basis, image_basis, accumulate)
+                           kernel_basis, image_basis, accumulate, rank)
 
 UNIT_LABEL = '1'
 
@@ -222,7 +222,11 @@ class BimoduleMap:
 
     @classmethod
     def from_basis_action(cls, source: Bimodule, target: Bimodule, action) -> 'BimoduleMap':
-        """Build from action(block_key, label) -> iterable of (target_label, coeff)."""
+        """Build from action(block_key, label) -> iterable of (target_label, coeff).
+
+        Each summed coefficient is stored as a field element, so over F_p a
+        sum that is 0 mod p is dropped."""
+        coerce = source.base.field.coerce
         trips = {}
         for key, labels in source.blocks.items():
             for j, l in enumerate(labels):
@@ -234,7 +238,7 @@ class BimoduleMap:
                     trips[key][(i, j)] = trips[key].get((i, j), 0) + c
         blocks = {}
         for key, entries in trips.items():
-            mats = [(i, j, v) for (i, j), v in entries.items() if v != 0]
+            mats = [(i, j, coerce(v)) for (i, j), v in entries.items()]
             blocks[key] = SparseMatrix(target.block_dim(*key),
                                        source.block_dim(*key), mats)
         return cls(source, target, blocks)
@@ -302,8 +306,7 @@ class BimoduleMap:
         return not self.blocks
 
     def rank(self) -> int:
-        from .exact_linalg import rank as _rank
-        return sum(_rank(m, self.field) for m in self.blocks.values())
+        return sum(rank(m, self.field) for m in self.blocks.values())
 
     def __eq__(self, other):
         if not isinstance(other, BimoduleMap):

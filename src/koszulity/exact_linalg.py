@@ -3,23 +3,23 @@
 Everything downstream (homology dims, exactness, subspace calculus) reduces
 to the handful of operations in this module.  No floating point anywhere.
 
-There are two elimination kernels.  rank gives dimensions.  Echelon gives
-bases, membership and coordinates: it keeps vectors added one at a time as
-rows that are 1 at a lead of their own and 0 before it, each with the
-combination of added vectors it equals.  Bases follow three conventions,
-each fixed by its input: a kernel basis is the free-column parametrization
-of the reduced echelon form (a free column j gives e_j minus its
-coordinates in the pivot columns); an image basis is the first independent
-columns; a span basis is the reduced echelon basis of the span.
+There is one elimination kernel, Echelon.  It keeps vectors added one at a
+time as rows that are 1 at a lead of their own and 0 before it, each with
+the combination of added vectors it equals; ranks, bases, membership and
+coordinates are all read from it.  Bases follow three conventions, each
+fixed by its input: a kernel basis is the free-column parametrization of
+the reduced echelon form (a free column j gives e_j minus its coordinates
+in the pivot columns); an image basis is the first independent columns; a
+span basis is the reduced echelon basis of the span.
 
 Over the rationals an integral value is a plain int, and a Fraction appears
 only where a value is not integral: the field operations and every result
 turn an integral Fraction into its numerator.  The structure constants of
 incidence rings and corings are 0 and +-1, so almost all rational work is
-integer work; rank uses fraction-free updates on primitive integer rows and
-never divides.  Prime-field work uses machine integers mod p.  Equal
-numbers compare and hash equal across int and Fraction, so matrices with
-integral Fraction entries equal their int counterparts.
+integer work, and a pivot of +-1 is its own inverse.  Prime-field work
+uses machine integers mod p.  Equal numbers compare and hash equal across
+int and Fraction, so matrices with integral Fraction entries equal their
+int counterparts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -128,13 +127,12 @@ class FieldSpec:
 
     def invert(self, a):
         if self.kind == 'rationals':
+            if a == 1 or a == -1:   # most pivots; no Fraction is made
+                return a
             if a == 0:
                 raise ZeroDivisionError('inverting zero')
             return _q_normal(1 / Fraction(a))
         return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     zero = 0
     one = 1
@@ -347,86 +345,12 @@ def matvec(M: SparseMatrix, vec: dict, field: FieldSpec = RATIONALS) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# elimination kernels
+# elimination: one kernel, Echelon
 # ---------------------------------------------------------------------------
 
-def _primitive_int_row(row: dict) -> None:
-    'Scale a nonempty row of nonzero rationals in place to a primitive int row.'
-    denom = 1
-    for v in row.values():
-        if type(v) is not int:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    if denom != 1:
-        for k, v in row.items():
-            row[k] = v.numerator * (denom // v.denominator)
-    g = gcd(*row.values())
-    if g != 1:
-        for k, v in row.items():
-            row[k] = v // g
-
-
 def rank(M: SparseMatrix, field: FieldSpec = RATIONALS) -> int:
-    """Rank by sparse elimination with Markowitz-style min-fill pivoting.
-
-    Over the rationals the update is fraction-free (cross-multiplication on
-    primitive integer rows), so no rational division ever happens.
-    """
-    rows = {}
-    for (i, j), v in M.entries.items():
-        c = field.coerce(v)
-        if not field.is_zero(c):
-            rows.setdefault(i, {})[j] = c
-    if field.kind == 'rationals':
-        for r in rows.values():
-            _primitive_int_row(r)
-    col_rows = {}
-    for i, r in rows.items():
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
-    rk = 0
-    while rows:
-        best = None
-        for i, r in rows.items():
-            for j in r:
-                cost = (len(r) - 1) * (len(col_rows[j]) - 1)
-                key = (cost, j, i)
-                if best is None or key < best:
-                    best = key
-        _, pj, pi = best
-        prow = rows.pop(pi)
-        pval = prow[pj]
-        for j in prow:
-            col_rows[j].discard(pi)
-        for k in list(col_rows.get(pj, ())):
-            krow = rows[k]
-            kval = krow[pj]
-            for j in list(krow):
-                col_rows[j].discard(k)
-            if field.kind == 'rationals':
-                newrow = {}
-                for j in set(krow) | set(prow):
-                    val = pval * krow.get(j, 0) - kval * prow.get(j, 0)
-                    if val != 0:
-                        newrow[j] = val
-                if newrow:
-                    _primitive_int_row(newrow)
-            else:
-                factor = field.mul(kval, field.invert(pval))
-                newrow = dict(krow)
-                for j, v in prow.items():
-                    nv = field.sub(newrow.get(j, 0), field.mul(factor, v))
-                    if field.is_zero(nv):
-                        newrow.pop(j, None)
-                    else:
-                        newrow[j] = nv
-            if newrow:
-                rows[k] = newrow
-                for j in newrow:
-                    col_rows.setdefault(j, set()).add(k)
-            else:
-                del rows[k]
-        rk += 1
-    return rk
+    'Rank: the number of rows an Echelon keeps of the columns of M.'
+    return len(Echelon(field, M.columns()).rows)
 
 
 class Echelon:

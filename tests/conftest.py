@@ -61,3 +61,13 @@ def boolean_lattice(n):
     return GradedPoset(list(name.values()),
                        [(name[s], name[s | 1 << i]) for s in range(2 ** n)
                         for i in range(n) if not s >> i & 1])
+
+
+def grid_poset(rows, cols):
+    'The product of a rows-chain and a cols-chain; cell (i, j) is named i_j.'
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    covers = [((i, j), (i + di, j + dj)) for i, j in cells
+              for di, dj in ((1, 0), (0, 1))
+              if i + di < rows and j + dj < cols]
+    return GradedPoset([f'{i}_{j}' for i, j in cells],
+                       [(f'{a}_{b}', f'{c}_{d}') for (a, b), (c, d) in covers])

@@ -207,6 +207,15 @@ def antichain_poset(n):
     return RefPoset([str(i) for i in range(n)], [])
 
 
+def grid_poset(rows, cols):
+    'The product of a rows-chain and a cols-chain; cell (i, j) is named i_j.'
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    return RefPoset([f'{i}_{j}' for i, j in cells],
+                    [(f'{i}_{j}', f'{i + di}_{j + dj}') for i, j in cells
+                     for di, dj in ((1, 0), (0, 1))
+                     if i + di < rows and j + dj < cols])
+
+
 # ---------------------------------------------------------------- bar / cobar slices
 
 def _sequences(P, m, n):
@@ -460,6 +469,11 @@ def main():
     for name, P in [('rp2', RP2), ('octahedron', OCTAHEDRON)]:
         report[name] = {f'tor_{field}': tor_entries(P, 2 * P.top, p)
                         for field, p in [('Q', None), ('F2', 2), ('F3', 3)]}
+    # the largest bar block of the 4x5 grid: weight 7, degree 5
+    block = bar_matrix(bar_basis(grid_poset(4, 5), 7), 5)
+    report['grid4x5_bar_block'] = {
+        'shape': [len(block), len(block[0])],
+        'rank_Q': rank(block), 'rank_F2': rank(block, 2)}
     print(json.dumps(report, indent=2, sort_keys=True))
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from koszulity.exact_linalg import RATIONALS, Subspace, DimensionError
+from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace, DimensionError
+from koszulity.homology import bar_complex_ring
+from koszulity.poset import incidence_ring
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_many, tensor_power,
                                 tensor_map, unit_bimodule, zero_bimodule,
@@ -119,6 +121,21 @@ def test_map_validation_and_action(base, V):
     assert f.compose(g) == f
     assert g.add(g).scale(Fraction(1, 2)) == g
     assert BimoduleMap.zero(V, V).is_zero()
+
+
+def test_prime_field_maps_store_residues(rp2):
+    # maps built from a basis action over F_p store residues mod p, so
+    # is_zero and == are statements over the field
+    F2 = FieldSpec.prime_field(2)
+    U = Bimodule(BaseRing(('x', 'y'), F2), {('x', 'y'): ('u',)})
+    assert BimoduleMap.from_basis_action(U, U, lambda key, l: [(l, 2)]).is_zero()
+    assert (BimoduleMap.from_basis_action(U, U, lambda key, l: [(l, -1)])
+            == BimoduleMap.identity(U))
+    A = incidence_ring(rp2, F2)
+    stored = {v for m in range(2, A.top_degree + 1)
+              for d in bar_complex_ring(A, m).differentials.values()
+              for block in d.blocks.values() for v in block.entries.values()}
+    assert stored == {1}
 
 
 def test_map_block_escape_rejected(base, V):

@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszulity.homology import bar_complex_ring
+from koszulity.poset import incidence_ring
 from koszulity.exact_linalg import (FieldSpec, RATIONALS, SparseMatrix,
                                     Subspace, Echelon, rank, kernel_basis,
                                     image_basis, intersect, quotient_dim,
                                     matvec, hstack, vstack, DimensionError)
 import oracle
 from oracle import rank_mod as _rank_mod
+from conftest import grid_poset
 
 
 def dense_of(M):
@@ -28,6 +31,12 @@ def test_field_spec_validation():
     assert fp5.mul(3, 4) == 2
     assert fp5.invert(3) == 2
     assert RATIONALS.invert(Fraction(2, 3)) == Fraction(3, 2)
+    for unit in (1, -1):
+        inverse = RATIONALS.invert(unit)
+        assert inverse == unit and type(inverse) is int
+    assert RATIONALS.invert(2) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        RATIONALS.invert(0)
 
 
 def test_sparse_matrix_basics():
@@ -392,3 +401,48 @@ def test_prime_field_values_are_frozen():
     assert intersect([U, W], F7).basis.entries == {
         (0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 0): 3, (3, 1): 5, (3, 2): 1}
     assert F7.coerce(-3) == 4 and F7.coerce(Fraction(1, 2)) == 4
+
+
+# -- rank at the sizes of real slices -----------------------------------------
+
+def _sign_entry(rng):
+    return rng.choice((1, -1))
+
+
+def _sparse_sign_entry(rng):
+    return rng.choice((1, -1, 0, 0, 0, 0))
+
+
+def _large_seeded_matrices():
+    'Sparse +-1 matrices and low-rank products of sparse +-1 factors, up to 40x60.'
+    rng = random.Random(4060)
+    for _ in range(16):
+        rows, cols = rng.randint(20, 40), rng.randint(30, 60)
+        if rng.random() < 0.5:
+            yield _random_matrix(rng, rows, cols, _sign_entry,
+                                 density=rng.choice((0.03, 0.06, 0.12)))
+        else:
+            yield _low_rank(rng, rows, cols, rng.randint(2, rows // 2),
+                            _sparse_sign_entry)
+
+
+@pytest.mark.parametrize('p', [None, 2, 3], ids=['Q', 'F2', 'F3'])
+def test_rank_agrees_with_oracle_on_large_seeded_matrices(p):
+    field = RATIONALS if p is None else FieldSpec.prime_field(p)
+    full = []
+    for M in _large_seeded_matrices():
+        r = rank(M, field)
+        assert r == oracle.rank(dense_of(M), p)
+        full.append(r == min(M.rows, M.cols))
+    assert any(full) and not all(full)
+
+
+def test_rank_of_the_largest_grid_bar_block():
+    # weight 7, degree 5 of the 4x5 grid's bar complex, on the one interval
+    # of length 7; its rank is frozen from the oracle (python tests/oracle.py)
+    A = incidence_ring(grid_poset(4, 5))
+    M = bar_complex_ring(A, 7).differentials[5].block('0_0', '3_4')
+    assert (M.rows, M.cols, M.nnz()) == (216, 255, 1020)
+    assert rank(M) == 140
+    F2 = FieldSpec.prime_field(2)
+    assert rank(M, F2) == oracle.rank(dense_of(M), 2) == 140

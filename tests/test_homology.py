@@ -29,10 +29,10 @@ from koszulity.homology import (partitions, bar_complex_ring,
                                 alpha_map, ComplexSlice, SliceHomology,
                                 _longest_word_weights, _cut_boundaries,
                                 _deconcatenate)
-from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
-                             enumerate_corpus)
+from koszulity.poset import incidence_ring, incidence_coring, enumerate_corpus
 from koszulity.errors import PreconditionError, InvariantError
-from conftest import chain_poset, antichain_poset, boolean_lattice
+from conftest import (chain_poset, antichain_poset, boolean_lattice,
+                      grid_poset)
 import oracle
 
 PRIME = FieldSpec.prime_field(1048583)
@@ -114,15 +114,6 @@ def test_slices_vanish_beyond_length(p_bad):
     A = incidence_ring(p_bad)
     for m in range(A.top_degree + 1, 2 * A.top_degree + 1):
         assert bar_complex_ring(A, m).total_dim() == 0
-
-
-def grid_poset(rows, cols):
-    cells = [(i, j) for i in range(rows) for j in range(cols)]
-    covers = [((i, j), (i + di, j + dj)) for i, j in cells
-              for di, dj in ((1, 0), (0, 1))
-              if i + di < rows and j + dj < cols]
-    return GradedPoset([f'{i}_{j}' for i, j in cells],
-                       [(f'{a}_{b}', f'{c}_{d}') for (a, b), (c, d) in covers])
 
 
 def compositions_space(X, n, m):
