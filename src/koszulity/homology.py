@@ -13,6 +13,7 @@ of slice m cut between two letters, so it reads one slice.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import islice
 
 from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
@@ -126,61 +127,31 @@ def _chain_of(components: list, word: tuple, start) -> list:
     return chain
 
 
-def _longest_word_weights(X):
-    """Idempotent s -> the largest weight of a nonzero word starting at s.
-
-    Words are paths in the block digraph of the positive components of X.
-    Returns None when that digraph has a cycle: words of every weight may
-    then exist, so no weight can be ruled out.
-    """
-    edges = {}
-    for p in range(1, X.top_degree + 1):
-        for s, t in X.component(p).blocks:
-            edges.setdefault(s, []).append((t, p))
-    longest = {}
-    active = set()
-
-    def visit(s):
-        if s not in longest:
-            if s in active:
-                return None
-            active.add(s)
-            best = 0
-            for t, p in edges.get(s, ()):
-                w = visit(t)
-                if w is None:
-                    return None
-                best = max(best, p + w)
-            active.discard(s)
-            longest[s] = best
-        return longest[s]
-
-    for s in X.base.idempotents:
-        if visit(s) is None:
-            return None
-    return longest
-
-
 def _word_space_blocks(X, m: int) -> dict:
     """Degree n -> the degree-n space of the weight-m slice of X.
 
-    Labels are (parts, word) pairs.  Compositions of m are walked depth
-    first in the order of partitions(), carrying the idempotents where the
-    words of the prefix can end; a prefix that can end nowhere, or that no
-    word can complete to weight m, is dropped.  Weight 0 holds the empty
-    word ((), ()) on the diagonal.
+    Labels are (parts, word) pairs.  reach[r] holds the idempotents where a
+    word of weight exactly r starts: every idempotent for r = 0, else the
+    starts of the blocks (s, t) of some X_p, p <= r, with t in reach[r-p].
+    Compositions of m are walked depth first in the order of partitions(),
+    carrying the idempotents where the words of the prefix end and a word
+    of the remaining weight starts, so every prefix entered completes, on
+    cyclic block digraphs too.  Weight 0 holds the empty word ((), ()) on
+    the diagonal.
     """
     base = X.base
     blocks = [{} for _ in range(m + 1)]
     comps = {p: X.component(p) for p in range(1, m + 1)}
-    longest = _longest_word_weights(X)
+    reach = [set(base.idempotents)]
+    for r in range(1, m + 1):
+        reach.append({s for p in range(1, r + 1) for s, t in comps[p].blocks
+                      if t in reach[r - p]})
     parts = []
 
     def grow(remaining, ends):
-        if longest is not None and remaining > max(longest[t] for t in ends):
-            return
         for p in range(1, remaining + 1):
-            nxt = {t for s in ends for (_, t), _ in comps[p].blocks_from(s)}
+            nxt = {t for s in ends for (_, t), _ in comps[p].blocks_from(s)
+                   if t in reach[remaining - p]}
             if not nxt:
                 continue
             parts.append(p)
@@ -281,20 +252,36 @@ class BettiTable:
     """Bigraded dimensions (n, m) -> dim, with zero entries omitted.
 
     The window is 0 <= n <= m <= m_max; n_max equals m_max, since a weight-m
-    slice has no homological degree above m.
+    slice has no homological degree above m.  slices[m] is the weight-m
+    complex the entries were read from.  The first read of representatives
+    builds the SliceHomology of every nonzero cell from those slices and
+    keeps them; zero cells get none.
     """
 
-    def __init__(self, kind: str, entries: dict, m_max: int):
+    def __init__(self, kind: str, entries: dict, m_max: int, slices: dict):
         if kind not in ('Tor', 'Ext'):
             raise ValueError(f'unknown table kind {kind!r}')
         self.kind = kind
         self.entries = {k: v for k, v in sorted(entries.items()) if v}
         self.n_max = self.m_max = m_max
+        self.slices = slices
         for (n, m), v in self.entries.items():
             if not (v > 0 and 0 <= n and 0 <= m <= m_max):
                 raise InvariantError(f'cell {(n, m)} = {v} outside the table')
             if n > m:
                 raise InvariantError(f'cell above the diagonal at {(n, m)}')
+
+    @cached_property
+    def representatives(self) -> dict:
+        '(n, m) -> the SliceHomology of each nonzero cell, built on first read.'
+        reps = {}
+        for (n, m), h in self.entries.items():
+            H = SliceHomology(self.slices[m], n, (self.kind, n, m))
+            if H.dim != h:
+                raise InvariantError(f'{H.dim} representatives for a cell of '
+                                     f'rank-nullity dimension {h}')
+            reps[(n, m)] = H
+        return reps
 
     def entry(self, n: int, m: int) -> int:
         return self.entries.get((n, m), 0)
@@ -381,8 +368,7 @@ class SliceHomology:
                 if i in coords]
 
 
-def _betti_table(X, kind: str, make_slice, m_max,
-                 with_representatives: bool) -> BettiTable:
+def _betti_table(X, kind: str, make_slice, m_max) -> BettiTable:
     'The Betti table of the slices make_slice(X, m); see tor_table.'
     if m_max is None:
         m_max = 2 * X.top_degree
@@ -395,48 +381,19 @@ def _betti_table(X, kind: str, make_slice, m_max,
             for n, h in cx.homology_dims().items():
                 if h:
                     entries[(n, m)] = h
-    table = BettiTable(kind, entries, m_max)
-    if with_representatives:
-        _attach_representatives(table, slices)
-    return table
+    return BettiTable(kind, entries, m_max, slices)
 
 
-def tor_table(A: GradedRing, m_max=None,
-              with_representatives: bool = False) -> BettiTable:
+def tor_table(A: GradedRing, m_max=None) -> BettiTable:
     """The Tor Betti table of A up to weight m_max, by default 2 * top
-    degree; homological degrees run up to m_max as well."""
-    return _betti_table(A, 'Tor', bar_complex_ring, m_max,
-                        with_representatives)
+    degree; homological degrees run up to m_max as well.  The table keeps
+    its bar slices and builds class representatives on their first read."""
+    return _betti_table(A, 'Tor', bar_complex_ring, m_max)
 
 
-def ext_table(C: GradedCoring, m_max=None,
-              with_representatives: bool = False) -> BettiTable:
+def ext_table(C: GradedCoring, m_max=None) -> BettiTable:
     'The Ext Betti table of C over the same window.'
-    return _betti_table(C, 'Ext', cobar_complex_coring, m_max,
-                        with_representatives)
-
-
-def _attach_representatives(table: BettiTable, slices: dict):
-    """Build class representatives for the nonzero cells of the table.
-
-    Zero cells get none; a caller that needs one builds it from the slices
-    kept on the table.
-    """
-    reps = {}
-    for (n, m), h in table.entries.items():
-        H = SliceHomology(slices[m], n, (table.kind, n, m))
-        if H.dim != h:
-            raise InvariantError(f'{H.dim} representatives for a cell of '
-                                 f'rank-nullity dimension {h}')
-        reps[(n, m)] = H
-    table.representatives = reps
-    table.slices = slices
-
-
-def _require_representatives(table: BettiTable):
-    if not hasattr(table, 'representatives'):
-        raise PreconditionError('representative cache missing: build the '
-                                'table with with_representatives=True')
+    return _betti_table(C, 'Ext', cobar_complex_coring, m_max)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +408,6 @@ def cohomology_ring_component(C: GradedCoring, n: int, m: int,
     Concatenation of cocycle representatives is again a cocycle; express()
     checks that, so ill-defined products cannot slip through.
     """
-    _require_representatives(table)
     n3, m3 = n + n2, m + m2
     for spot in ((n, m), (n2, m2), (n3, m3)):
         if spot[1] > table.m_max:
@@ -497,7 +453,6 @@ def ext_diagonal_products_surjective(C: GradedCoring, table: BettiTable):
     """Whether every concatenation E^{1,1} (x) E^{n,n} -> E^{n+1,n+1} is
     surjective within the table window; (ok, witness degree or None).
     """
-    _require_representatives(table)
     for n in range(1, table.n_max):
         tgt = table.representatives.get((n + 1, n + 1))
         if tgt is None:
@@ -580,7 +535,6 @@ def tor_primitive_dims(A: GradedRing, table: BettiTable) -> dict:
     tensor-square total complex; in homological degree 1 there is nothing
     to cut, so everything is primitive.
     """
-    _require_representatives(table)
     field = A.base.field
     return {(n, m): (H.dim if n == 1 else sum(
                 _primitives(field, D, images)
@@ -592,24 +546,22 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
                                table: BettiTable):
     """The induced deconcatenation on Tor_{n,m}.
 
-    Returns ({(p, a): BimoduleMap into H_{p,a} (x) H_{n-p,m-a}}, primitive
-    dimension).  Per block, one Echelon takes the total boundaries, then the
-    Kuenneth basis of the total homology tagged by position; coefficients
-    are the coordinates of each deconcatenation.
+    Returns {(p, a): BimoduleMap into H_{p,a} (x) H_{n-p,m-a}}, {} on a
+    zero cell; tor_primitive_dims counts the primitives.  Per block, one
+    Echelon takes the total boundaries, then the Kuenneth basis of the total
+    homology tagged by position; coefficients are the coordinates of each
+    deconcatenation.
     """
-    _require_representatives(table)
     H = table.representatives.get((n, m))
     if H is None:
-        return {}, 0
+        return {}
     field = A.base.field
     words = table.slices[m].spaces[n]
     pieces = [(p, a) for p in range(1, n) for a in range(1, m)
               if (p, a) in table.representatives
               and (n - p, m - a) in table.representatives]
     components = {}
-    prim = 0
     for key, boundaries, images in _cut_blocks(A, table, n, m):
-        prim += _primitives(field, boundaries, images)
         # the embedded Kuenneth columns of the block, after its boundaries;
         # tags[k] names the piece and the pair of abstract labels of column k
         echelon = Echelon(field, boundaries)
@@ -657,7 +609,7 @@ def homology_coring_components(A: GradedRing, n: int, m: int,
         maps[(p, a)] = BimoduleMap.from_basis_action(
             H.abstract, tgt,
             lambda key, l, data=data: data.get((key, l), []))
-    return maps, prim
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
     # the table and the comparisons share the exactness window: for
     # structures whose shriek partner outlives them (2L < vanish bound) the
     # smaller classical window would miss diagonal cells above weight 2L
-    table = make_table(X, m_max=m_bound, with_representatives=True)
+    table = make_table(X, m_max=m_bound)
     offd = sorted([n, m, v] for (n, m), v in table.off_diagonal().items())
     diag = table.diagonal()
     mismatches = []

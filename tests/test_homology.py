@@ -27,10 +27,9 @@ from koszulity.homology import (partitions, bar_complex_ring,
                                 is_quadratic_coring_direct,
                                 verify_tor2_sequence, verify_ext2_sequence,
                                 alpha_map, ComplexSlice, SliceHomology,
-                                _longest_word_weights, _cut_boundaries,
-                                _deconcatenate)
+                                _cut_boundaries, _deconcatenate)
 from koszulity.poset import incidence_ring, incidence_coring, enumerate_corpus
-from koszulity.errors import PreconditionError, InvariantError
+from koszulity.errors import InvariantError
 from conftest import (chain_poset, antichain_poset, boolean_lattice,
                       grid_poset)
 import oracle
@@ -163,7 +162,7 @@ def test_weight_above_reachable_gives_zero_spaces():
     A = incidence_ring(grid_poset(3, 4))
     C = incidence_coring(grid_poset(3, 4))
     L = A.top_degree
-    assert max(_longest_word_weights(A).values()) == L == 5
+    assert L == 5
     for m in range(L + 1, 2 * L + 1):
         for cx in (bar_complex_ring(A, m), cobar_complex_coring(C, m)):
             assert sorted(cx.spaces) == list(range(m + 1))
@@ -176,10 +175,27 @@ def test_cyclic_words_are_not_pruned():
     base = BaseRing(('x',), RATIONALS)
     V = Bimodule(base, {('x', 'x'): ('a',)})
     A = GradedRing(base, {0: unit_bimodule(base), 1: V}, {}, 1)
-    assert _longest_word_weights(A) is None
     cx = bar_complex_ring(A, 4)
     assert cx.spaces[4].block('x', 'x') == (((1, 1, 1, 1), ('a',) * 4),)
     assert all(cx.spaces[n].is_zero() for n in range(4))
+
+
+def test_gapped_cyclic_words_reach_only_even_weights():
+    # one idempotent, A^1 = 0, A^2 = k b: the words are the powers of b,
+    # so weight 2k holds one word in degree k and odd weights hold none
+    base = BaseRing(('x',), RATIONALS)
+    A = GradedRing(base, {0: unit_bimodule(base),
+                          2: Bimodule(base, {('x', 'x'): ('b',)})}, {}, 2)
+    nonzero = {}
+    for m in range(1, 8):
+        cx = bar_complex_ring(A, m)
+        for n in range(m + 1):
+            want = compositions_space(A, n, m)
+            assert list(cx.spaces[n].basis()) == list(want.basis()), (m, n)
+        if m % 2:
+            assert cx.total_dim() == 0
+        nonzero.update({(n, m): h for n, h in cx.homology_dims().items() if h})
+    assert nonzero == {(1, 2): 1, (2, 4): 1, (3, 6): 1}
 
 
 def test_complex_slice_rejects_a_differential_that_does_not_square_to_zero():
@@ -257,7 +273,7 @@ def test_prime_field_tables_agree(diamond, p_bad):
 
 def test_representatives_round_trip(diamond):
     A = incidence_ring(diamond)
-    table = tor_table(A, with_representatives=True)
+    table = tor_table(A)
     reps = table.representatives[(2, 2)]
     assert reps.dim == 1
     key, cols = next(iter(reps.reps.items()))
@@ -312,17 +328,32 @@ def spanning_order_reps(cx, n):
 def test_representatives_only_on_nonzero_cells(diamond, p_bad, field):
     for P in (diamond, p_bad, grid_poset(2, 3)):
         A, C = incidence_ring(P, field), incidence_coring(P, field)
-        for table in (tor_table(A, with_representatives=True),
-                      ext_table(C, with_representatives=True)):
+        for table in (tor_table(A), ext_table(C)):
             assert set(table.representatives) == set(table.entries)
             for (n, m), H in table.representatives.items():
                 assert H.dim == table.entry(n, m)
                 assert H.reps == spanning_order_reps(table.slices[m], n)
 
 
+def test_representatives_are_built_on_first_read(p_bad, monkeypatch):
+    built = []
+    original = SliceHomology.__init__
+
+    def counted(self, cx, degree, tag):
+        built.append(tag)
+        original(self, cx, degree, tag)
+
+    monkeypatch.setattr(SliceHomology, '__init__', counted)
+    table = tor_table(incidence_ring(p_bad))
+    assert built == []
+    reps = table.representatives
+    assert len(built) == len(table.entries) == 3
+    assert table.representatives is reps and len(built) == 3
+
+
 def test_product_into_zero_cell_goes_through_express(p_bad, monkeypatch):
     C = incidence_coring(p_bad)
-    table = ext_table(C, with_representatives=True)
+    table = ext_table(C)
     assert table.entry(1, 1) and not table.entry(2, 2)
     assert table.slices[2].spaces[2].dim
     calls = []
@@ -339,16 +370,9 @@ def test_product_into_zero_cell_goes_through_express(p_bad, monkeypatch):
     assert (2, 2) not in table.representatives
 
 
-def test_representative_cache_required(diamond):
-    A = incidence_ring(diamond)
-    table = tor_table(A)
-    with pytest.raises(PreconditionError):
-        tor_primitive_dims(A, table)
-
-
 def test_ext_products_diamond(diamond):
     C = incidence_coring(diamond)
-    table = ext_table(C, with_representatives=True)
+    table = ext_table(C)
     f = cohomology_ring_component(C, 1, 1, 1, 1, table)
     assert f.rank() == 1
     ok, witness = ext_diagonal_products_surjective(C, table)
@@ -359,7 +383,7 @@ def test_ext_products_pbad_vacuous(p_bad):
     # E^{3,3} vanishes, so surjectivity holds vacuously; the decision
     # couples this criterion with diagonality, which fails
     C = incidence_coring(p_bad)
-    table = ext_table(C, with_representatives=True)
+    table = ext_table(C)
     ok, witness = ext_diagonal_products_surjective(C, table)
     assert ok and witness is None
     assert table.off_diagonal()
@@ -367,13 +391,13 @@ def test_ext_products_pbad_vacuous(p_bad):
 
 def test_primitives(diamond, p_bad):
     A = incidence_ring(diamond)
-    table = tor_table(A, with_representatives=True)
+    table = tor_table(A)
     prim = tor_primitive_dims(A, table)
     assert prim[(1, 1)] == 4
     assert all(d == 0 for (n, m), d in prim.items() if n >= 2)
 
     B = incidence_ring(p_bad)
-    table_b = tor_table(B, with_representatives=True)
+    table_b = tor_table(B)
     prim_b = tor_primitive_dims(B, table_b)
     assert prim_b[(2, 3)] == 1, 'the off-diagonal class is primitive'
 
@@ -384,7 +408,7 @@ def test_primitives_rp2(rp2):
     F2 = FieldSpec.prime_field(2)
     for field, expected in ((F2, {(3, 4): 1}), (RATIONALS, {})):
         A = incidence_ring(rp2, field)
-        prim = tor_primitive_dims(A, tor_table(A, with_representatives=True))
+        prim = tor_primitive_dims(A, tor_table(A))
         assert {k: d for k, d in prim.items() if k[0] >= 2 and d} == expected
 
 
@@ -405,7 +429,7 @@ def test_cut_word_complex(case, rp2, p_bad):
                 'RP2 over F2': (rp2, FieldSpec.prime_field(2)),
                 'p_bad': (p_bad, RATIONALS)}[case]
     A = incidence_ring(P, field)
-    table = tor_table(A, with_representatives=True)
+    table = tor_table(A)
     moved = 0
     for m, cx in table.slices.items():
         for n in range(1, m):
@@ -427,16 +451,14 @@ def test_cut_word_complex(case, rp2, p_bad):
 
 def test_homology_coring_components(diamond, p_bad):
     A = incidence_ring(diamond)
-    table = tor_table(A, with_representatives=True)
-    comps, prim = homology_coring_components(A, 2, 2, table)
-    assert prim == 0
+    table = tor_table(A)
+    comps = homology_coring_components(A, 2, 2, table)
     assert set(comps) == {(1, 1)}
     assert comps[(1, 1)].rank() == 1
 
     B = incidence_ring(p_bad)
-    table_b = tor_table(B, with_representatives=True)
-    comps_b, prim_b = homology_coring_components(B, 2, 3, table_b)
-    assert comps_b == {} and prim_b == 1
+    table_b = tor_table(B)
+    assert homology_coring_components(B, 2, 3, table_b) == {}
 
 
 # -- quadraticity --------------------------------------------------------------
