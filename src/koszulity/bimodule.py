@@ -9,6 +9,7 @@ blocks between blocks with the same (s, t), which is exactly R-bilinearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_linalg import (FieldSpec, SparseMatrix, Subspace, DimensionError,
                            kernel_basis, image_basis, accumulate, rank)
@@ -29,6 +30,20 @@ class BaseRing:
         if len(set(self.idempotents)) != len(self.idempotents):
             raise ValueError('idempotent labels must be distinct')
         object.__setattr__(self, 'idempotents', tuple(self.idempotents))
+
+    def __reduce__(self):
+        # the cached bimodules below stay behind: they cannot be pickled
+        return BaseRing, (self.idempotents, self.field)
+
+    # built on first use and kept on the base, so every caller shares one
+    # immutable object and none outlives its base
+    @cached_property
+    def zero(self) -> 'Bimodule':
+        return Bimodule(self, {})
+
+    @cached_property
+    def unit(self) -> 'Bimodule':
+        return Bimodule(self, {(s, s): (UNIT_LABEL,) for s in self.idempotents})
 
 
 def _block_sort_key(key):
@@ -114,12 +129,14 @@ class Bimodule:
 
 
 def zero_bimodule(base: BaseRing) -> Bimodule:
-    return Bimodule(base, {})
+    'The zero bimodule over base; one object per base.'
+    return base.zero
 
 
 def unit_bimodule(base: BaseRing) -> Bimodule:
-    'The regular bimodule R itself: one basis vector per diagonal block.'
-    return Bimodule(base, {(s, s): (UNIT_LABEL,) for s in base.idempotents})
+    """The regular bimodule R itself: one basis vector per diagonal block;
+    one object per base."""
+    return base.unit
 
 
 def tensor(V: Bimodule, W: Bimodule) -> Bimodule:

@@ -33,6 +33,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .exact_linalg import FieldSpec, RATIONALS
 from .errors import InputError, CriteriaDisagreement, InvariantError
@@ -45,6 +46,7 @@ from .koszul import decide_koszul_ring, decide_koszul_coring
 from .duality import graded_left_dual_of_coring, dual_pair, double_dual_check
 
 SCHEMA_VERSION = 2
+CHUNK_SIZE = 8   # payloads a pool worker takes at a time
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,26 @@ def _corpus_task(payload: dict) -> dict:
             'm_bound_used': ring_v.m_bound_used}
 
 
-def _run_tasks(fn, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
+def _run_tasks(fn, payloads, jobs: int) -> list:
+    """[fn(p) for p in payloads], in order, on up to jobs worker processes.
+
+    payloads may be a generator: the pool takes each payload as it comes,
+    so workers start on the first ones while later ones are still being
+    made.  A worker takes up to CHUNK_SIZE payloads at a time, fewer when
+    the first jobs * CHUNK_SIZE payloads would not keep every worker busy;
+    there are never more workers than those first payloads.  With jobs 1,
+    or a single payload, everything runs in this process as it arrives.
+    """
+    if jobs <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
+    payloads = iter(payloads)
+    head = list(islice(payloads, jobs * CHUNK_SIZE))
+    workers = min(jobs, len(head))
+    if workers <= 1:
+        return [fn(p) for p in head]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chain(head, payloads),
+                             chunksize=min(CHUNK_SIZE, len(head) // workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +304,20 @@ def cmd_dual(P: GradedPoset, config: RunConfig) -> dict:
 def cmd_corpus(max_elements: int, config: RunConfig) -> dict:
     """Sweep every graded poset with up to max_elements elements.
 
-    Payload keys: "rows" (one per isomorphism class: size, covers,
-    verdict, soundness), "summary" with counts and the agreement rate,
-    which is asserted to be 100%.
+    One walk of enumerate_corpus makes the posets of every size, and each
+    size goes to the workers as soon as it is complete, while the next
+    size is enumerated.
+
+    Payload keys: "rows" (one per isomorphism class, by size and then by
+    canonical key: size, covers, verdict, soundness), "summary" with
+    counts and the agreement rate, which is asserted to be 100%.
     """
     if not 1 <= max_elements <= MAX_CORPUS_ELEMENTS:
         raise InputError('--max-elements must be between 1 and '
                          f'{MAX_CORPUS_ELEMENTS}')
-    payloads = []
-    for size in range(1, max_elements + 1):
-        for P in enumerate_corpus(size):
-            payloads.append({'document': P.to_document(),
-                             'field': config.field_text,
-                             'm_max': config.m_max_override})
+    payloads = ({'document': P.to_document(), 'field': config.field_text,
+                 'm_max': config.m_max_override}
+                for P in enumerate_corpus(max_elements))
     rows = _run_tasks(_corpus_task, payloads, config.parallelism)
     koszul = sum(1 for r in rows if r['verdict'])
     return {'schema_version': SCHEMA_VERSION,

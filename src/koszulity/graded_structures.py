@@ -87,10 +87,11 @@ class _Graded:
     X_n for 0 <= n <= top_degree (X_0 = R), and maps[(p, q)], p, q >= 1,
     is the nonzero (p, q) structure map between X_{p+q} and X_p (x) X_q.
     Zero maps are not stored, and the maps against degree 0 are the
-    canonical identifications.
+    canonical identifications, each built on first use and then kept.
 
     Each side gives _ends(tensored, whole) -> (source, target), the
-    direction of its maps, and the words of its error messages.  The
+    direction of its maps, its unit identifications _left_unit and
+    _right_unit, and the words of its error messages.  The
     constructor checks connectedness, the exact ends of every map and the
     (co)associativity.
     """
@@ -103,6 +104,7 @@ class _Graded:
         self.components = {n: components.get(n, zero_bimodule(base))
                            for n in range(top_degree + 1)}
         self.support_truncated = False
+        self._unit_maps = {}
         self.maps = {}
         for (p, q), f in maps.items():
             if p < 1 or q < 1 or p + q > top_degree:
@@ -118,9 +120,18 @@ class _Graded:
                           self.component(p + q))
 
     def _map(self, p: int, q: int) -> BimoduleMap:
-        'The stored (p, q) structure map, or the zero map between its ends.'
-        f = self.maps.get((p, q))
-        return BimoduleMap.zero(*self._ends_at(p, q)) if f is None else f
+        """The (p, q) structure map: against degree 0 the side's unit
+        identification, otherwise the stored map, or the zero map between
+        its ends."""
+        if p and q:
+            f = self.maps.get((p, q))
+            return BimoduleMap.zero(*self._ends_at(p, q)) if f is None else f
+        f = self._unit_maps.get((p, q))
+        if f is None:
+            f = (self._left_unit(self.base, self.component(q)) if p == 0
+                 else self._right_unit(self.base, self.component(p)))
+            self._unit_maps[(p, q)] = f
+        return f
 
     def _validate(self):
         """Connectedness, the exact ends of every stored map, and the two
@@ -174,16 +185,14 @@ class GradedRing(_Graded):
 
     _unconnected = 'ring is not connected: A^0 != R'
     _maps_word, _symbol, _law = 'multiplication', 'mu', 'associativity'
+    _left_unit = staticmethod(left_unit_map)
+    _right_unit = staticmethod(right_unit_map)
 
     @staticmethod
     def _ends(tensored: Bimodule, whole: Bimodule) -> tuple:
         return tensored, whole
 
     def mu(self, p: int, q: int) -> BimoduleMap:
-        if p == 0:
-            return left_unit_map(self.base, self.component(q))
-        if q == 0:
-            return right_unit_map(self.base, self.component(p))
         return self._map(p, q)
 
     def _bracketings(self, p: int, q: int, r: int):
@@ -257,16 +266,14 @@ class GradedCoring(_Graded):
 
     _unconnected = 'coring is not connected: C_0 != R'
     _maps_word, _symbol, _law = 'comultiplication', 'delta', 'coassociativity'
+    _left_unit = staticmethod(left_unit_section)
+    _right_unit = staticmethod(right_unit_section)
 
     @staticmethod
     def _ends(tensored: Bimodule, whole: Bimodule) -> tuple:
         return whole, tensored
 
     def delta(self, p: int, q: int) -> BimoduleMap:
-        if p == 0:
-            return left_unit_section(self.base, self.component(q))
-        if q == 0:
-            return right_unit_section(self.base, self.component(p))
         return self._map(p, q)
 
     def _bracketings(self, p: int, q: int, r: int):

@@ -361,21 +361,24 @@ MAX_CORPUS_ELEMENTS = 7   # largest corpus size enumerated
 
 
 def enumerate_corpus(max_elements: int, max_length=None):
-    """Yield all graded posets with exactly max_elements elements (and
+    """Yield every graded poset with at most max_elements elements (and
     maximum interval length at most max_length, if given), one per
-    isomorphism class, in a deterministic order.
+    isomorphism class: by size, and within a size by canonical key.
 
-    Grown by repeatedly adding a new maximal element over an antichain of
-    lower covers; a poset that fails gradedness or the length bound never
-    recovers by adding more maximal elements, so such branches are dropped.
-    Deduplication is by canonical form at every size.
+    One walk grows the sizes in turn, each by adding a new maximal element
+    over an antichain of lower covers of a poset one size smaller; a poset
+    that fails gradedness or the length bound never recovers by adding
+    more maximal elements, so such branches are dropped.  Deduplication is
+    by canonical form at every size, and each size is yielded as soon as
+    it is complete, before the next one is grown.
     """
     if max_elements < 1:
         raise InputError('corpus size must be at least 1')
     if max_elements > MAX_CORPUS_ELEMENTS:
         raise InputError(f'corpus enumeration above {MAX_CORPUS_ELEMENTS} '
                          'elements is not supported')
-    level = {(1, ())}
+    level = [(1, ())]
+    yield _poset_from_key(level[0])
     for size in range(1, max_elements):
         nxt = set()
         for key in level:
@@ -389,9 +392,9 @@ def enumerate_corpus(max_elements: int, max_length=None):
                 if max_length is not None and Q.max_length > max_length:
                     continue
                 nxt.add(Q.canonical_key())
-        level = nxt
-    for key in sorted(level):
-        yield _poset_from_key(key)
+        level = sorted(nxt)
+        for key in level:
+            yield _poset_from_key(key)
 
 
 def random_graded_poset(n_elements: int, rng) -> GradedPoset:

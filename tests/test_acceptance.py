@@ -48,7 +48,7 @@ def corpus():
     'Every graded poset with at most 5 elements, built once per session.'
     global _CORPUS
     if _CORPUS is None:
-        _CORPUS = [P for n in range(1, 6) for P in enumerate_corpus(n)]
+        _CORPUS = list(enumerate_corpus(5))
         assert len(_CORPUS) == 86
     return _CORPUS
 

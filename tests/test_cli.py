@@ -140,13 +140,42 @@ def test_corpus_above_the_cap_fails_before_enumerating(capsys, monkeypatch):
     assert calls == []
 
 
+def _without_timings(out: str) -> str:
+    report = json.loads(out)
+    report.pop('timings')
+    return json.dumps(report, sort_keys=True, indent=2)
+
+
 def test_corpus_parallel(capsys):
-    _, serial, _ = run(capsys, 'corpus', '--max-elements', '3', '--jobs', '1')
-    _, parallel, _ = run(capsys, 'corpus', '--max-elements', '3',
-                         '--jobs', '4')
-    a, b = json.loads(serial), json.loads(parallel)
-    a.pop('timings'), b.pop('timings')
-    assert a == b
+    # 86 posets at size 5: more than one chunk for each of the two workers
+    for size, jobs in (('3', '4'), ('5', '2')):
+        _, serial, _ = run(capsys, 'corpus', '--max-elements', size,
+                           '--jobs', '1')
+        _, parallel, _ = run(capsys, 'corpus', '--max-elements', size,
+                             '--jobs', jobs)
+        assert _without_timings(serial) == _without_timings(parallel)
+
+
+def test_check_runs_its_two_sides_in_two_workers(capsys, monkeypatch,
+                                                 diamond_file):
+    from concurrent.futures import ProcessPoolExecutor
+    from koszulity import cli
+    pools, chunks = [], []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+        def map(self, fn, *iterables, chunksize=1, **kw):
+            chunks.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kw)
+
+    monkeypatch.setattr(cli, 'ProcessPoolExecutor', Recording)
+    code, _, _ = run(capsys, 'check', '--poset', diamond_file, '--jobs', '8')
+    assert code == 0
+    # one side per worker: a chunk of both would run them one after the other
+    assert pools == [2] and chunks == [1]
 
 
 def test_text_format_is_derived_from_json(capsys, diamond_file):
@@ -256,6 +285,14 @@ def test_corpus_digests_rows_and_enumerates_with_canonical_forms(
         assert row['digest'] == _sha256_of(
             {'elements': [str(i) for i in range(row['elements'])],
              'covers': row['covers']})
+
+
+def test_corpus_enumerates_in_one_walk(capsys, monkeypatch):
+    calls = _count_canonical_forms(monkeypatch)
+    code, _, _ = run(capsys, 'corpus', '--max-elements', '5', '--jobs', '1')
+    assert code == 0
+    # one walk to size 5; one walk per size would take 219
+    assert len(calls) == 171
 
 
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, diamond_file):

@@ -149,9 +149,8 @@ def assert_slice_spaces_match(P):
 
 
 def test_slice_spaces_keep_composition_order_corpus():
-    for size in range(1, 6):
-        for P in enumerate_corpus(size):
-            assert_slice_spaces_match(P)
+    for P in enumerate_corpus(5):
+        assert_slice_spaces_match(P)
 
 
 def test_slice_spaces_keep_composition_order_grid():
@@ -480,10 +479,9 @@ def test_quadraticity_routes_fixtures(diamond, p_bad, tail_diamond):
 
 
 def test_quadraticity_routes_corpus():
-    for size in range(1, 5):
-        for P in enumerate_corpus(size):
-            A = incidence_ring(P)
-            assert quadratic_via_tor(A) == is_quadratic_direct(A)[0]
+    for P in enumerate_corpus(4):
+        A = incidence_ring(P)
+        assert quadratic_via_tor(A) == is_quadratic_direct(A)[0]
 
 
 def reference_quadratic_direct(A):
@@ -524,7 +522,7 @@ def reference_quadratic_coring_direct(C):
                          ids=['Q', 'F3'])
 def test_direct_quadraticity_matches_the_built_quadratic_structures(
         field, p_bad):
-    posets = [P for size in range(1, 6) for P in enumerate_corpus(size)]
+    posets = list(enumerate_corpus(5))
     past_top = 0
     for P in posets + [p_bad]:
         A, C = incidence_ring(P, field), incidence_coring(P, field)
