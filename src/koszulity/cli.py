@@ -336,8 +336,9 @@ def cmd_corpus(max_elements: int, config: RunConfig) -> dict:
 # rendering and caching
 # ---------------------------------------------------------------------------
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+def write_json(report: dict, stream):
+    'The JSON document, encoded piece by piece into stream.'
+    json.dump(report, stream, sort_keys=True, indent=2)
 
 
 def render_text(report: dict) -> str:
@@ -378,7 +379,7 @@ def render_csv(report: dict) -> str:
                      for line in flat.splitlines())
 
 
-RENDERERS = {'json': render_json, 'text': render_text, 'csv': render_csv}
+RENDERERS = {'text': render_text, 'csv': render_csv}
 
 
 def _cache_path(cache_dir: str, key: dict) -> str:
@@ -420,7 +421,7 @@ def _with_cache(config: RunConfig, key: dict, compute) -> dict:
         tmp = f'{path}.{os.getpid()}.tmp'
         try:
             with open(tmp, 'w') as fh:
-                fh.write(render_json(report))
+                write_json(report, fh)
             os.replace(tmp, path)
         except OSError as exc:
             with contextlib.suppress(OSError):
@@ -502,7 +503,11 @@ def main(argv=None) -> int:
                            cache_dir=args.cache,
                            parallelism=args.jobs)
         report = _dispatch(args, config)
-        sys.stdout.write(RENDERERS[config.output_format](report) + '\n')
+        if config.output_format == 'json':
+            write_json(report, sys.stdout)
+        else:
+            sys.stdout.write(RENDERERS[config.output_format](report))
+        sys.stdout.write('\n')
         return 0
     except InputError as exc:
         print(f'error: {exc}', file=sys.stderr)

@@ -40,10 +40,6 @@ class DimensionError(LinalgError):
     'Shape mismatch between operands.'
 
 
-class ContainmentError(LinalgError):
-    'Claimed subspace is not contained in the ambient space.'
-
-
 class ReductionError(ArithmeticError):
     'Entry cannot be reduced over the requested field.'
 
@@ -555,14 +551,3 @@ def intersect(subspaces: list, field: FieldSpec = RATIONALS) -> Subspace:
                 cols.append(vec)
         current = Subspace.from_spanning(cols, ambient, field)
     return current
-
-
-def quotient_dim(ambient, sub: Subspace, field: FieldSpec = RATIONALS) -> int:
-    'dim(ambient / sub); ambient is a Subspace or a full-space dimension.'
-    if isinstance(ambient, int):
-        ambient = Subspace.full(ambient, field)
-    if sub.ambient_dim != ambient.ambient_dim:
-        raise DimensionError('ambient mismatch in quotient')
-    if not ambient.contains(sub):
-        raise ContainmentError('sub is not contained in ambient')
-    return ambient.dim - sub.dim

@@ -1,9 +1,9 @@
 """Connected graded R-rings and R-corings with finite support.
 
-Strong grading, primitives, indecomposables, the quadratic constructions
-<V,W> (tensor ring modulo the ideal generated by W) and {V,W} (intersection
-subcoring), shriek duals, and direct products.  Components are Bimodules,
-structure maps are BimoduleMaps, all validation is exact.
+Strong grading, the quadratic constructions <V,W> (tensor ring modulo the
+ideal generated by W) and {V,W} (intersection subcoring), shriek duals,
+and direct products.  Components are Bimodules, structure maps are
+BimoduleMaps, all validation is exact.
 
 Rings and corings share one core, _Graded: the nonzero (p, q) structure
 maps sit in one table, maps, and each side says only which end of its
@@ -328,7 +328,7 @@ class GradedCoring(_Graded):
 
 
 # ---------------------------------------------------------------------------
-# strong grading, primitives, indecomposables
+# strong grading
 # ---------------------------------------------------------------------------
 
 def _joint_blocks(X, n: int, stack):
@@ -384,27 +384,6 @@ def is_strongly_graded_coring(C: GradedCoring):
                            'kernel_vector': {repr(labels[i]): str(v)
                                              for i, v in sorted(vec.items())}}
     return True, None
-
-
-def _corank_dims(X, stack) -> dict:
-    """n -> dim X_n minus the blockwise joint rank of X.maps[(p, n-p)]
-    over 1 <= p < n, the blocks joined by stack."""
-    out = {}
-    for n in range(1, X.top_degree + 1):
-        out[n] = X.component(n).dim - sum(
-            rank(M, X.base.field)
-            for _, _, M in _joint_blocks(X, n, stack) if M is not None)
-    return out
-
-
-def primitive_dims(C: GradedCoring) -> dict:
-    'n -> dim (PC)_n, the joint kernel of all Delta_{p,q} with p, q >= 1.'
-    return _corank_dims(C, vstack)
-
-
-def indecomposable_dims(A: GradedRing) -> dict:
-    'n -> dim (QA)_n = dim A^n minus the joint image of all mu^{p,q}, p, q >= 1.'
-    return _corank_dims(A, hstack)
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +459,6 @@ def _relation_components(V: Bimodule, W: SubBimodule, meet: bool):
 def _walk(V: Bimodule, W: SubBimodule, meet: bool, top: int) -> dict:
     'The relation components of degrees 2..top: {n: parts}.'
     return dict(islice(_relation_components(V, W, meet), max(top - 1, 0)))
-
-
-def ideal_component_span(V: Bimodule, W: SubBimodule, n: int) -> dict:
-    """The degree-n piece of the two-sided ideal <W>, one Subspace per
-    nonzero block: the sum over i of V^(i-1) (x) W (x) V^(n-i-1), reached
-    by the recursion I_n = I_{n-1} (x) V + V (x) I_{n-1}."""
-    return _walk(V, W, False, n)[n] if n >= 2 else {}
-
-
-def intersection_component(V: Bimodule, W: SubBimodule, n: int) -> SubBimodule:
-    """{V,W}_n = the intersection over i of V^(i-1) (x) W (x) V^(n-i-1) in
-    V^(n), reached by the recursion K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1})."""
-    if n < 2:
-        raise ValueError(f'degree {n} < 2')
-    return SubBimodule(tensor_power(V, n), _walk(V, W, True, n)[n])
 
 
 def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:

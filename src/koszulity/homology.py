@@ -5,10 +5,9 @@ of tensor words over the positive n-part compositions of m.  Homology of
 the ring slices gives the bigraded Tor table, cohomology of the coring
 slices the Ext table.  On top of the tables sit class representatives, the
 induced concatenation product on Ext, the induced deconcatenation on Tor
-(hence primitives), quadraticity tests, and the weight-m truncation
-sequences in homological degree 2.  The deconcatenation lands in the
-tensor square of the bar slices, whose (n, m) piece is the degree-n words
-of slice m cut between two letters, so it reads one slice.
+(hence primitives), and the direct quadraticity tests.  The deconcatenation
+lands in the tensor square of the bar slices, whose (n, m) piece is the
+degree-n words of slice m cut between two letters, so it reads one slice.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .bimodule import (Bimodule, BimoduleMap, tensor, tensor_many,
                        SubBimodule, _block_of)
 from .graded_structures import (GradedRing, GradedCoring,
                                 _relation_components,
-                                truncate_ring, truncate_coring,
                                 is_strongly_graded_ring,
                                 is_strongly_graded_coring, _complement_words,
                                 _as_word)
@@ -542,76 +540,6 @@ def tor_primitive_dims(A: GradedRing, table: BettiTable) -> dict:
             for (n, m), H in sorted(table.representatives.items()) if n}
 
 
-def homology_coring_components(A: GradedRing, n: int, m: int,
-                               table: BettiTable):
-    """The induced deconcatenation on Tor_{n,m}.
-
-    Returns {(p, a): BimoduleMap into H_{p,a} (x) H_{n-p,m-a}}, {} on a
-    zero cell; tor_primitive_dims counts the primitives.  Per block, one
-    Echelon takes the total boundaries, then the Kuenneth basis of the total
-    homology tagged by position; coefficients are the coordinates of each
-    deconcatenation.
-    """
-    H = table.representatives.get((n, m))
-    if H is None:
-        return {}
-    field = A.base.field
-    words = table.slices[m].spaces[n]
-    pieces = [(p, a) for p in range(1, n) for a in range(1, m)
-              if (p, a) in table.representatives
-              and (n - p, m - a) in table.representatives]
-    components = {}
-    for key, boundaries, images in _cut_blocks(A, table, n, m):
-        # the embedded Kuenneth columns of the block, after its boundaries;
-        # tags[k] names the piece and the pair of abstract labels of column k
-        echelon = Echelon(field, boundaries)
-        tags = []
-        for (p, a) in pieces:
-            HL = table.representatives[(p, a)]
-            HR = table.representatives[(n - p, m - a)]
-            for lkey, lreps in HL.reps.items():
-                if lkey[0] != key[0]:
-                    continue
-                for rkey, rreps in HR.reps.items():
-                    if rkey[0] != lkey[1] or rkey[1] != key[1]:
-                        continue
-                    llabels = HL.space.blocks[lkey]
-                    rlabels = HR.space.blocks[rkey]
-
-                    def pair_index(ii, jj, p=p):
-                        (pa, wa), (pb, wb) = llabels[ii], rlabels[jj]
-                        return _cut(words.index_of(key, (pa + pb, wa + wb)),
-                                    p, n)
-
-                    for i, lv in enumerate(lreps):
-                        for j, rv in enumerate(rreps):
-                            if not echelon.add(outer_vector(
-                                    lv, rv, pair_index, field), len(tags)):
-                                raise InvariantError(
-                                    'Kuenneth classes are dependent')
-                            tags.append(((p, a),
-                                         (HL.abstract.blocks[lkey][i],
-                                          HR.abstract.blocks[rkey][j])))
-        for ci, vec in enumerate(images):
-            residual, coords = echelon.reduce(vec)
-            if residual:
-                raise InvariantError('deconcatenation is not a total cycle')
-            src_label = H.abstract.blocks[key][ci]
-            for k, (piece, pair_label) in enumerate(tags):
-                if k in coords:
-                    components.setdefault(piece, {}).setdefault(
-                        (key, src_label), []).append((pair_label, coords[k]))
-    maps = {}
-    for (p, a), data in components.items():
-        HL = table.representatives[(p, a)]
-        HR = table.representatives[(n - p, m - a)]
-        tgt = tensor(HL.abstract, HR.abstract)
-        maps[(p, a)] = BimoduleMap.from_basis_action(
-            H.abstract, tgt,
-            lambda key, l, data=data: data.get((key, l), []))
-    return maps
-
-
 # ---------------------------------------------------------------------------
 # quadraticity
 # ---------------------------------------------------------------------------
@@ -624,29 +552,6 @@ def _require_strongly_graded(X):
         what, (ok, witness) = 'coring', is_strongly_graded_coring(X)
     if not ok:
         raise PreconditionError(f'{what} is not strongly graded: {witness}')
-
-
-def _degree2_dim(make_slice, X, m: int) -> int:
-    'Homology dimension of the weight-m slice make_slice(X, m) in degree 2.'
-    return make_slice(X, m).homology_dims().get(2, 0)
-
-
-def _quadratic_via(make_slice, X, m_max) -> bool:
-    _require_strongly_graded(X)
-    if m_max is None:
-        m_max = 2 * X.top_degree
-    return not any(_degree2_dim(make_slice, X, m)
-                   for m in range(3, m_max + 1))
-
-
-def quadratic_via_tor(A: GradedRing, m_max=None) -> bool:
-    'True iff Tor_{2,m} vanishes for 3 <= m <= m_max (default: sound bound).'
-    return _quadratic_via(bar_complex_ring, A, m_max)
-
-
-def quadratic_via_ext(C: GradedCoring, m_max=None) -> bool:
-    'True iff Ext^{2,m} vanishes for 3 <= m <= m_max (default: sound bound).'
-    return _quadratic_via(cobar_complex_coring, C, m_max)
 
 
 def is_quadratic_direct(A: GradedRing):
@@ -704,64 +609,3 @@ def is_quadratic_coring_direct(C: GradedCoring):
         if dn.rank() != Cn.dim:
             return False, {'degree': n, 'reason': 'canonical map is not bijective'}
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# the weight-m truncation sequences in homological degree 2
-# ---------------------------------------------------------------------------
-
-def _degree2_sequence_holds(make_slice, truncate, X, m: int) -> bool:
-    'Whether the weight-m slice of truncate(X, m) gains exactly X_m in degree 2.'
-    if m < 2:
-        raise ValueError(f'weight {m} < 2')
-    full = _degree2_dim(make_slice, X, m)
-    middle = _degree2_dim(make_slice, truncate(X, m), m)
-    return middle == full + X.component(m).dim
-
-
-def verify_tor2_sequence(A: GradedRing, m: int) -> bool:
-    """Dimension identity of 0 -> Tor_{2,m}(A) -> Tor_{2,m}(A/A^{>=m}) ->
-    A^m -> 0: the middle term must weigh exactly the sum of the ends.
-    """
-    return _degree2_sequence_holds(bar_complex_ring, truncate_ring, A, m)
-
-
-def verify_ext2_sequence(C: GradedCoring, m: int) -> bool:
-    'Mirror identity for 0 -> C_m -> Ext^{2,m}(C_{<m}) -> Ext^{2,m}(C) -> 0.'
-    return _degree2_sequence_holds(cobar_complex_coring, truncate_coring, C, m)
-
-
-# ---------------------------------------------------------------------------
-# the degree-2 assembly map on words
-# ---------------------------------------------------------------------------
-
-def alpha_map(A: GradedRing, m: int, cx: ComplexSlice = None) -> BimoduleMap:
-    """x -> (mu_{p} (x) mu_{q})(cut_p x) over all 2-part compositions,
-    from (A^1)^(m) into degree 2 of the weight-m bar slice.
-
-    On the degree-m piece of the relation ideal this lands in the 2-cycles
-    (and, per the exact-sequence lemma, in the 2-boundaries).
-    """
-    if m < 2:
-        raise ValueError(f'weight {m} < 2')
-    if cx is None:
-        cx = bar_complex_ring(A, m)
-    V = A.component(1)
-    src = tensor_power(V, m)
-    tgt = cx.spaces[2]
-
-    def action(key, w):
-        chain = _chain_of([V] * m, w, key[0])
-        out = []
-        for p in range(1, m):
-            q = m - p
-            if A.component(p).is_zero() or A.component(q).is_zero():
-                continue
-            lv = A._word_product((chain[0], chain[p]), w[:p])
-            rv = A._word_product((chain[p], chain[m]), w[p:])
-            for al, ac in lv:
-                for bl, bc in rv:
-                    out.append((((p, q), (al, bl)), ac * bc))
-        return out
-
-    return BimoduleMap.from_basis_action(src, tgt, action)

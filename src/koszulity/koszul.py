@@ -15,8 +15,7 @@ from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
                        tensor_map, _block_of, UNIT_LABEL)
 from .exact_linalg import SparseMatrix, rank, matvec
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
-                                shriek_of_coring, direct_product,
-                                direct_sum_corings)
+                                shriek_of_coring)
 from .homology import (ComplexSlice, SliceHomology, bar_complex_ring,
                        cobar_complex_coring, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
@@ -379,12 +378,3 @@ def phi_shriek_coring_check(C: GradedCoring, n: int) -> bool:
         if rank(images, field) != len(cols):
             return False
     return True
-
-
-def pair_product(p1: AlmostKoszulPair, p2: AlmostKoszulPair) -> AlmostKoszulPair:
-    'The pair of the product ring with the direct-sum coring.'
-    ring = direct_product(p1.ring, p2.ring)
-    coring = direct_sum_corings(p1.coring, p2.coring)
-    theta = BimoduleMap(coring.component(1), ring.component(1),
-                        {**p1.theta.blocks, **p2.theta.blocks})
-    return AlmostKoszulPair(ring, coring, theta)

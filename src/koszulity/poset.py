@@ -4,8 +4,8 @@ A poset is given by its Hasse diagram (elements plus cover pairs).  The
 order is the reflexive-transitive closure; gradedness means every interval
 has all its maximal chains of equal length, which is what makes interval
 length a grading.  On top of that sit the incidence ring and coring, the
-quadratic ring on the zeta relations, disjoint unions, and a small-scale
-enumerator of all graded posets up to isomorphism.
+quadratic ring on the zeta relations, and a small-scale enumerator of all
+graded posets up to isomorphism.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from .exact_linalg import RATIONALS, Subspace
 from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                        tensor, unit_bimodule, left_dual)
 from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
-                                quadratic_ring_of, shriek_of_coring,
-                                direct_product)
+                                quadratic_ring_of, shriek_of_coring)
 from .errors import InputError, InvariantError
 
 
@@ -249,31 +248,6 @@ def incidence_duality_check(A: GradedRing, C: GradedCoring) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# disjoint unions
-# ---------------------------------------------------------------------------
-
-def _relabeled(P: GradedPoset, tag: str) -> GradedPoset:
-    return GradedPoset([f'{e}@{tag}' for e in P.elements],
-                       [(f'{a}@{tag}', f'{b}@{tag}') for a, b in P.covers])
-
-
-def disjoint_union(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
-    """Side-by-side union; label collisions are resolved by tagging.
-
-    The incidence ring of the union is the direct product of the incidence
-    rings, which is checked on the spot.
-    """
-    if set(P.elements) & set(Q.elements):
-        P, Q = _relabeled(P, '0'), _relabeled(Q, '1')
-    union = GradedPoset(P.elements + Q.elements, P.covers + Q.covers)
-    if incidence_ring(union) != direct_product(incidence_ring(P),
-                                               incidence_ring(Q)):
-        raise InvariantError(
-            'incidence ring of the union is not the direct product')
-    return union
-
-
-# ---------------------------------------------------------------------------
 # corpus enumeration
 # ---------------------------------------------------------------------------
 
@@ -395,28 +369,3 @@ def enumerate_corpus(max_elements: int, max_length=None):
         level = sorted(nxt)
         for key in level:
             yield _poset_from_key(key)
-
-
-def random_graded_poset(n_elements: int, rng) -> GradedPoset:
-    """A random graded poset on n_elements elements.
-
-    Grown by the same move as enumerate_corpus (each new maximal element
-    covers a random antichain), so every graded poset is reachable, though
-    not uniformly over isomorphism classes.  A growth step that would break
-    gradedness restarts the whole build; the empty antichain always
-    succeeds, so this terminates with probability one.
-    """
-    if n_elements < 1:
-        raise InputError('poset needs at least one element')
-    while True:
-        edges = ()
-        for k in range(1, n_elements):
-            cover_set = rng.choice(_cover_choices((k, edges)))
-            new_edges = edges + tuple((v, k) for v in cover_set)
-            try:
-                _poset_from_key((k + 1, new_edges))
-            except InputError:
-                break
-            edges = new_edges
-        else:
-            return _poset_from_key((n_elements, edges))

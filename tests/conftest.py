@@ -5,7 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from koszulity.poset import GradedPoset
+from koszulity.errors import InputError, InvariantError
+from koszulity.graded_structures import (GradedRing, direct_product,
+                                         truncate_coring, truncate_ring)
+from koszulity.homology import bar_complex_ring, cobar_complex_coring
+from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
+                             incidence_ring)
 import oracle
 
 # the running examples: the diamond is Koszul, p_bad is the smallest
@@ -71,3 +76,66 @@ def grid_poset(rows, cols):
               if i + di < rows and j + dj < cols]
     return GradedPoset([f'{i}_{j}' for i, j in cells],
                        [(f'{a}_{b}', f'{c}_{d}') for (a, b), (c, d) in covers])
+
+
+def random_graded_poset(n_elements: int, rng) -> GradedPoset:
+    """A random graded poset on n_elements elements.
+
+    Grown by the same move as enumerate_corpus (each new maximal element
+    covers a random antichain), so every graded poset is reachable, though
+    not uniformly over isomorphism classes.  A growth step that would break
+    gradedness restarts the whole build; the empty antichain always
+    succeeds, so this terminates with probability one.
+    """
+    if n_elements < 1:
+        raise InputError('poset needs at least one element')
+    while True:
+        edges = ()
+        for k in range(1, n_elements):
+            cover_set = rng.choice(_cover_choices((k, edges)))
+            new_edges = edges + tuple((v, k) for v in cover_set)
+            try:
+                _poset_from_key((k + 1, new_edges))
+            except InputError:
+                break
+            edges = new_edges
+        else:
+            return _poset_from_key((n_elements, edges))
+
+
+def _relabeled(P: GradedPoset, tag: str) -> GradedPoset:
+    return GradedPoset([f'{e}@{tag}' for e in P.elements],
+                       [(f'{a}@{tag}', f'{b}@{tag}') for a, b in P.covers])
+
+
+def disjoint_union(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
+    """Side-by-side union; label collisions are resolved by tagging.
+
+    The incidence ring of the union is the direct product of the incidence
+    rings, which is checked on the spot.
+    """
+    if set(P.elements) & set(Q.elements):
+        P, Q = _relabeled(P, '0'), _relabeled(Q, '1')
+    union = GradedPoset(P.elements + Q.elements, P.covers + Q.covers)
+    if incidence_ring(union) != direct_product(incidence_ring(P),
+                                               incidence_ring(Q)):
+        raise InvariantError(
+            'incidence ring of the union is not the direct product')
+    return union
+
+
+def degree2_sequence_holds(X, m: int) -> bool:
+    """The dimension identity of the weight-m truncation sequence in
+    homological degree 2: the middle term weighs exactly the sum of the ends.
+
+    For a ring A it is 0 -> Tor_{2,m}(A) -> Tor_{2,m}(A/A^{>=m}) -> A^m -> 0,
+    for a coring C it is 0 -> C_m -> Ext^{2,m}(C_{<m}) -> Ext^{2,m}(C) -> 0.
+    """
+    if m < 2:
+        raise ValueError(f'weight {m} < 2')
+    make_slice, truncate = ((bar_complex_ring, truncate_ring)
+                            if isinstance(X, GradedRing)
+                            else (cobar_complex_coring, truncate_coring))
+    full = make_slice(X, m).homology_dims().get(2, 0)
+    middle = make_slice(truncate(X, m), m).homology_dims().get(2, 0)
+    return middle == full + X.component(m).dim

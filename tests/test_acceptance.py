@@ -14,23 +14,21 @@ import random
 import time
 
 from conftest import (DIAMOND_COVERS, P_BAD_COVERS, antichain_poset,
-                      chain_poset)
+                      chain_poset, degree2_sequence_holds, disjoint_union,
+                      random_graded_poset)
 
 from koszulity.bimodule import kernel_sub
 from koszulity.duality import double_dual_check, dual_pair
 from koszulity.errors import CriteriaDisagreement
-from koszulity.graded_structures import ideal_component_span
+from koszulity.graded_structures import _walk
 from koszulity.homology import (bar_complex_ring, cobar_complex_coring,
-                                is_quadratic_coring_direct,
-                                is_quadratic_direct, quadratic_via_ext,
-                                quadratic_via_tor, tor_table,
-                                verify_ext2_sequence, verify_tor2_sequence)
+                                is_quadratic_direct, tor_table)
 from koszulity.koszul import (decide_koszul_coring, decide_koszul_ring,
                               is_exact, koszul_complex_left,
                               koszul_complex_right, make_pair_shriek_ring)
-from koszulity.poset import (GradedPoset, disjoint_union, enumerate_corpus,
+from koszulity.poset import (GradedPoset, enumerate_corpus,
                              incidence_coring, incidence_duality_check,
-                             incidence_ring, random_graded_poset, zeta_ring)
+                             incidence_ring, zeta_ring)
 
 
 def stamp(capfd, criterion, ok, detail):
@@ -86,7 +84,7 @@ def test_criterion_2_p_bad(capfd):
     V = A.component(1)
     K = kernel_sub(A.mu(1, 1))
     cubic_kernel = kernel_sub(A.iterated_mu(3)).dim
-    cubic_ideal = sum(s.dim for s in ideal_component_span(V, K, 3).values())
+    cubic_ideal = sum(s.dim for s in _walk(V, K, False, 3)[3].values())
     quadratic, witness = is_quadratic_direct(A)
     t23 = tor_table(A).entry(2, 3)
     verdict = decide_koszul_ring(A)
@@ -172,11 +170,10 @@ def test_criterion_6_quadraticity_equivalence(capfd):
     t0 = time.perf_counter()
     bad = []
     for P in corpus():
-        A, C = incidence_ring(P), incidence_coring(P)
-        if quadratic_via_tor(A) != is_quadratic_direct(A)[0]:
-            bad.append((tuple(P.covers), 'ring quadraticity routes split'))
-        if quadratic_via_ext(C) != is_quadratic_coring_direct(C)[0]:
-            bad.append((tuple(P.covers), 'coring quadraticity routes split'))
+        for v, side in zip(both_verdicts(P), ('tor', 'ext')):
+            _, evidence = v.per_criterion['quadraticity_consistent']
+            if evidence[f'via_{side}'] != evidence['direct']:
+                bad.append((tuple(P.covers), f'{side} routes split'))
     rng = random.Random(97)
     eligible = [P for P in corpus() if incidence_ring(P).top_degree >= 1]
     sampled = rng.sample(eligible, 20)
@@ -185,11 +182,10 @@ def test_criterion_6_quadraticity_equivalence(capfd):
     for P in sampled:
         A, C = incidence_ring(P), incidence_coring(P)
         for m in range(2, 2 * A.top_degree + 1):
-            if not verify_tor2_sequence(A, m):
-                bad.append((tuple(P.covers), f'Tor2 identity at weight {m}'))
-            if not verify_ext2_sequence(C, m):
-                bad.append((tuple(P.covers), f'Ext2 identity at weight {m}'))
-            identities += 2
+            for X, name in ((A, 'Tor2'), (C, 'Ext2')):
+                if not degree2_sequence_holds(X, m):
+                    bad.append((tuple(P.covers), f'{name} identity, weight {m}'))
+                identities += 1
     elapsed = time.perf_counter() - t0
     detail = (f'routes agree on {len(corpus())} posets, {identities} '
               f'Tor2/Ext2 identities on {len(sampled)} posets, {len(bad)} '

@@ -185,6 +185,21 @@ def test_text_format_is_derived_from_json(capsys, diamond_file):
     assert 'duality.double_dual: True' in out
 
 
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+
+def test_json_reports_keep_their_byte_form(capsys, tmp_path, diamond_file):
+    cache = tmp_path / 'cache'
+    _, check, _ = run(capsys, 'check', '--poset', diamond_file,
+                      '--cache', str(cache), '--jobs', '1')
+    _, corpus, _ = run(capsys, 'corpus', '--max-elements', '3', '--jobs', '1')
+    assert check == _canonical(check) + '\n'
+    assert corpus == _canonical(corpus) + '\n'
+    (entry,) = cache.iterdir()
+    assert entry.read_text() == _canonical(entry.read_text())
+
+
 def test_cache_roundtrip(capsys, tmp_path, diamond_file):
     cache = str(tmp_path / 'cache')
     _, first, _ = run(capsys, 'check', '--poset', diamond_file,

@@ -15,16 +15,14 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          QuadraticData, quadratic_ring_of,
                                          quadratic_coring_of, shriek_of_ring,
-                                         ideal_component_span,
-                                         intersection_component,
                                          shriek_of_coring,
                                          is_strongly_graded_ring,
                                          is_strongly_graded_coring,
-                                         primitive_dims, indecomposable_dims,
                                          truncate_ring, truncate_coring,
                                          direct_product, direct_sum_corings,
                                          left_unit_map, left_unit_section,
-                                         right_unit_map, right_unit_section)
+                                         right_unit_map, right_unit_section,
+                                         _walk)
 from koszulity.errors import StructureError, InvariantError
 from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring)
@@ -467,13 +465,6 @@ def test_strongly_graded_failure_witness():
     assert witness['cokernel_label'] == 'stray'
 
 
-def test_primitive_and_indecomposable_dims(diamond, p_bad):
-    C = incidence_coring(diamond)
-    assert primitive_dims(C) == {1: 4, 2: 0}
-    A = incidence_ring(p_bad)
-    assert indecomposable_dims(A) == {1: 6, 2: 0, 3: 0}
-
-
 def test_shriek_of_ring_against_oracle(diamond, p_bad, tail_diamond):
     for P, ref in ((diamond, oracle.DIAMOND), (p_bad, oracle.P_BAD),
                    (tail_diamond, None)):
@@ -670,16 +661,16 @@ def _relation_cases():
 
 def test_relation_recursion_matches_the_positional_construction():
     for X, W in _relation_cases():
-        V = X.component(1)
-        for n in range(2, X.top_degree + 3):
-            span, ref = ideal_component_span(V, W, n), _reference_ideal(V, W, n)
-            assert span.keys() == ref.keys()
-            assert all(span[key].basis == ref[key].basis for key in ref)
-            inter = intersection_component(V, W, n)
-            ref = _reference_intersection(V, W, n)
-            assert inter.parts.keys() == ref.parts.keys()
-            assert all(inter.parts[key].basis == sub.basis
-                       for key, sub in ref.parts.items())
+        V, top = X.component(1), X.top_degree + 2
+        ideal, inter = _walk(V, W, False, top), _walk(V, W, True, top)
+        for n in range(2, top + 1):
+            ref = _reference_ideal(V, W, n)
+            assert ideal[n].keys() == ref.keys()
+            assert all(ideal[n][key].basis == ref[key].basis for key in ref)
+            ref = _reference_intersection(V, W, n).parts
+            assert inter[n].keys() == ref.keys()
+            assert all(inter[n][key].basis == sub.basis
+                       for key, sub in ref.items())
         coring = (shriek_of_ring(X) if isinstance(X, GradedRing)
                   else quadratic_coring_of(QuadraticData(V, W),
                                            X.top_degree + 2))

@@ -11,27 +11,24 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor_many,
                                 tensor_power, kernel_sub, image_sub,
                                 unit_bimodule)
 from koszulity.graded_structures import (GradedRing, shriek_of_ring,
-                                         shriek_of_coring,
-                                         ideal_component_span, QuadraticData,
+                                         shriek_of_coring, QuadraticData,
                                          quadratic_ring_of,
                                          quadratic_coring_of, truncate_ring,
                                          truncate_coring)
 from koszulity.homology import (partitions, bar_complex_ring,
                                 cobar_complex_coring, tor_table, ext_table,
                                 tor_primitive_dims,
-                                homology_coring_components,
                                 cohomology_ring_component,
                                 ext_diagonal_products_surjective,
-                                quadratic_via_tor, quadratic_via_ext,
                                 is_quadratic_direct,
                                 is_quadratic_coring_direct,
-                                verify_tor2_sequence, verify_ext2_sequence,
-                                alpha_map, ComplexSlice, SliceHomology,
+                                ComplexSlice, SliceHomology,
                                 _cut_boundaries, _deconcatenate)
+from koszulity.koszul import decide_koszul_coring, decide_koszul_ring
 from koszulity.poset import incidence_ring, incidence_coring, enumerate_corpus
 from koszulity.errors import InvariantError
 from conftest import (chain_poset, antichain_poset, boolean_lattice,
-                      grid_poset)
+                      grid_poset, degree2_sequence_holds)
 import oracle
 
 PRIME = FieldSpec.prime_field(1048583)
@@ -448,19 +445,16 @@ def test_cut_word_complex(case, rp2, p_bad):
     assert moved
 
 
-def test_homology_coring_components(diamond, p_bad):
-    A = incidence_ring(diamond)
-    table = tor_table(A)
-    comps = homology_coring_components(A, 2, 2, table)
-    assert set(comps) == {(1, 1)}
-    assert comps[(1, 1)].rank() == 1
-
-    B = incidence_ring(p_bad)
-    table_b = tor_table(B)
-    assert homology_coring_components(B, 2, 3, table_b) == {}
-
-
 # -- quadraticity --------------------------------------------------------------
+
+def quadraticity_routes(X):
+    'The evidence of both quadraticity routes that a decision recorded.'
+    decide = (decide_koszul_ring if isinstance(X, GradedRing)
+              else decide_koszul_coring)
+    ok, evidence = decide(X).per_criterion['quadraticity_consistent']
+    assert ok
+    return evidence
+
 
 def test_quadraticity_routes_fixtures(diamond, p_bad, tail_diamond):
     for P, expected in ((diamond, True), (p_bad, False),
@@ -469,8 +463,8 @@ def test_quadraticity_routes_fixtures(diamond, p_bad, tail_diamond):
         C = incidence_coring(P)
         direct, witness = is_quadratic_direct(A)
         assert direct is expected
-        assert quadratic_via_tor(A) is expected
-        assert quadratic_via_ext(C) is expected
+        assert quadraticity_routes(A)['via_tor'] is expected
+        assert quadraticity_routes(C)['via_ext'] is expected
         cd, cw = is_quadratic_coring_direct(C)
         assert cd is expected
         if not expected:
@@ -480,8 +474,10 @@ def test_quadraticity_routes_fixtures(diamond, p_bad, tail_diamond):
 
 def test_quadraticity_routes_corpus():
     for P in enumerate_corpus(4):
-        A = incidence_ring(P)
-        assert quadratic_via_tor(A) == is_quadratic_direct(A)[0]
+        A, C = incidence_ring(P), incidence_coring(P)
+        assert quadraticity_routes(A)['via_tor'] == is_quadratic_direct(A)[0]
+        assert (quadraticity_routes(C)['via_ext']
+                == is_quadratic_coring_direct(C)[0])
 
 
 def reference_quadratic_direct(A):
@@ -564,52 +560,6 @@ def test_tor2_ext2_sequences(diamond, p_bad, tail_diamond):
         A = incidence_ring(P)
         C = incidence_coring(P)
         for m in range(2, 2 * A.top_degree + 1):
-            assert verify_tor2_sequence(A, m)
-            assert verify_ext2_sequence(C, m)
+            assert degree2_sequence_holds(A, m)
+            assert degree2_sequence_holds(C, m)
 
-
-# -- the alpha invariant --------------------------------------------------------
-
-def test_alpha_cycle_and_boundary(tail_diamond):
-    """On the degree-m piece of the relation ideal, alpha lands in the
-    2-cycles for every m >= 2, and in the 2-boundaries for m >= 3 (at
-    m = 2 there is nothing in degree 3 to bound anything)."""
-    A = incidence_ring(tail_diamond)
-    V = A.component(1)
-    K = kernel_sub(A.mu(1, 1))
-    assert K.dim == 1
-    for m in (2, 3):
-        cx = bar_complex_ring(A, m)
-        alpha = alpha_map(A, m, cx)
-        span = ideal_component_span(V, K, m)
-        checked = 0
-        for key, sub in span.items():
-            for col in sub.basis.columns():
-                vec = {(key, tensor_power(V, m).block(*key)[i]): v
-                       for i, v in col.items()}
-                image = alpha.apply_vector(vec)
-                d2 = cx.differentials.get(2)
-                if d2 is not None:
-                    assert not d2.apply_vector(image), 'alpha must be a cycle'
-                if m >= 3:
-                    hom = cx.homology_dims()
-                    # boundary check: the class of alpha(x) dies
-                    from koszulity.homology import SliceHomology
-                    sh = SliceHomology(cx, 2, 'a')
-                    for bkey, bvec in _group(image).items():
-                        assert sh.express(
-                            bkey, _dense(cx.spaces[2], bkey, bvec)) == []
-                checked += 1
-        assert checked > 0, 'the relation ideal must be nonzero here'
-
-
-def _group(vec):
-    out = {}
-    for (key, label), v in vec.items():
-        out.setdefault(key, {})[label] = v
-    return out
-
-
-def _dense(space, key, by_label):
-    idx = {l: i for i, l in enumerate(space.block(*key))}
-    return {idx[l]: v for l, v in by_label.items()}

@@ -11,7 +11,7 @@ from koszulity.koszul import (AlmostKoszulPair, KoszulVerdict,
                               koszul_complex_left, koszul_complex_right,
                               is_exact, decide_koszul_ring,
                               decide_koszul_coring, phi_shriek_ring_check,
-                              phi_shriek_coring_check, pair_product,
+                              phi_shriek_coring_check,
                               RING_CRITERION_KINDS, CORING_CRITERION_KINDS,
                               _check_agreement)
 from koszulity.poset import GradedPoset, incidence_ring, incidence_coring
@@ -194,26 +194,6 @@ def test_phi_comparisons(diamond, p_bad):
     for n in (1, 2, 3):
         assert phi_shriek_ring_check(B, n)
         assert phi_shriek_coring_check(incidence_coring(p_bad), n)
-
-
-def test_pair_product_stability(diamond):
-    good = make_pair_shriek_ring(incidence_ring(diamond))
-    also_good = make_pair_shriek_ring(incidence_ring(chain_poset(2)))
-    bad = make_pair_shriek_ring(incidence_ring(renamed_p_bad()))
-
-    prod = pair_product(good, also_good)
-    for m in range(1, 7):
-        ok, _ = is_exact(koszul_complex_left(prod, m))
-        assert ok
-
-    mixed = pair_product(good, bad)
-    failing = []
-    bound = mixed.ring.top_degree + mixed.coring.top_degree
-    for m in range(1, bound + 1):
-        ok, _ = is_exact(koszul_complex_left(mixed, m))
-        if not ok:
-            failing.append(m)
-    assert failing == [3]
 
 
 def test_product_verdict_is_conjunction(diamond):

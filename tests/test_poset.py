@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from koszulity.errors import InputError
 from koszulity.poset import (GradedPoset, parse_poset, incidence_ring,
-                             incidence_coring, disjoint_union,
-                             canonical_form, enumerate_corpus,
-                             random_graded_poset)
+                             incidence_coring, canonical_form,
+                             enumerate_corpus)
 from koszulity.graded_structures import direct_product
-from conftest import chain_poset, antichain_poset, DIAMOND_COVERS
+from conftest import (chain_poset, antichain_poset, DIAMOND_COVERS,
+                      disjoint_union, random_graded_poset)
 
 
 def test_rejects_duplicate_elements():
