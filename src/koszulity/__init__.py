@@ -1,38 +1,58 @@
 """Exact-arithmetic Koszulity checker for incidence rings of graded posets,
 and more generally for finitely supported connected graded rings and
 corings over a split semisimple base.
+
+The public names resolve on first access (PEP 562): importing the package,
+or koszulity.cli, loads no algebra module, and ``from koszulity import X``
+loads the submodule that defines X.
 """
 
-from .errors import (KoszulityError, InputError, StructureError,
-                     PreconditionError, CriteriaDisagreement, InvariantError)
-from .exact_linalg import FieldSpec, RATIONALS, SparseMatrix, Subspace
-from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                       tensor, tensor_many, tensor_power, tensor_map,
-                       unit_bimodule, zero_bimodule, left_dual,
-                       dual_label)
-from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
-                                quadratic_ring_of, quadratic_coring_of,
-                                shriek_of_ring, shriek_of_coring,
-                                is_strongly_graded_ring,
-                                is_strongly_graded_coring,
-                                truncate_ring, truncate_coring,
-                                direct_product, direct_sum_corings)
-from .homology import (partitions, ComplexSlice, BettiTable, SliceHomology,
-                       bar_complex_ring, cobar_complex_coring,
-                       tor_table, ext_table, tor_primitive_dims,
-                       cohomology_ring_component,
-                       ext_diagonal_products_surjective,
-                       is_quadratic_direct, is_quadratic_coring_direct)
-from .koszul import (AlmostKoszulPair, KoszulVerdict,
-                     make_pair_shriek_ring, make_pair_shriek_coring,
-                     koszul_complex_left, koszul_complex_right, is_exact,
-                     decide_koszul_ring, decide_koszul_coring,
-                     phi_shriek_ring_check, phi_shriek_coring_check)
-from .duality import (dual_map, graded_left_dual_of_ring,
-                      graded_left_dual_of_coring,
-                      dual_pair, double_dual_check)
-from .poset import (GradedPoset, parse_poset, incidence_ring,
-                    incidence_coring, zeta_ring, incidence_duality_check,
-                    canonical_form, enumerate_corpus)
+import importlib
 
+_EXPORTS = {
+    'errors': ('KoszulityError', 'InputError', 'StructureError',
+               'PreconditionError', 'CriteriaDisagreement', 'InvariantError'),
+    'exact_linalg': ('FieldSpec', 'RATIONALS', 'SparseMatrix', 'Subspace'),
+    'bimodule': ('BaseRing', 'Bimodule', 'BimoduleMap', 'SubBimodule',
+                 'tensor', 'tensor_many', 'tensor_power', 'tensor_map',
+                 'unit_bimodule', 'zero_bimodule', 'left_dual', 'dual_label'),
+    'graded_structures': ('GradedRing', 'GradedCoring', 'QuadraticData',
+                          'quadratic_ring_of', 'quadratic_coring_of',
+                          'shriek_of_ring', 'shriek_of_coring',
+                          'is_strongly_graded_ring',
+                          'is_strongly_graded_coring',
+                          'truncate_ring', 'truncate_coring',
+                          'direct_product', 'direct_sum_corings'),
+    'homology': ('partitions', 'ComplexSlice', 'BettiTable', 'SliceHomology',
+                 'bar_complex_ring', 'cobar_complex_coring',
+                 'tor_table', 'ext_table', 'tor_primitive_dims',
+                 'cohomology_ring_component',
+                 'ext_diagonal_products_surjective',
+                 'is_quadratic_direct', 'is_quadratic_coring_direct'),
+    'koszul': ('AlmostKoszulPair', 'KoszulVerdict',
+               'make_pair_shriek_ring', 'make_pair_shriek_coring',
+               'koszul_complex_left', 'koszul_complex_right', 'is_exact',
+               'decide_koszul_ring', 'decide_koszul_coring',
+               'phi_shriek_ring_check', 'phi_shriek_coring_check'),
+    'duality': ('dual_map', 'graded_left_dual_of_ring',
+                'graded_left_dual_of_coring', 'dual_pair',
+                'double_dual_check'),
+    'poset': ('GradedPoset', 'parse_poset', 'incidence_ring',
+              'incidence_coring', 'zeta_ring', 'incidence_duality_check',
+              'canonical_form', 'enumerate_corpus'),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+__all__ = list(_MODULE_OF)
 __version__ = '0.1.0'
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f'module {__name__!r} has no attribute {name!r}')
+    return getattr(importlib.import_module(f'.{module}', __name__), name)
+
+
+def __dir__():
+    return list(__all__)

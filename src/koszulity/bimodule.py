@@ -8,28 +8,26 @@ blocks between blocks with the same (s, t), which is exactly R-bilinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .exact_linalg import (FieldSpec, SparseMatrix, Subspace, DimensionError,
-                           kernel_basis, image_basis, accumulate, rank)
+from .exact_linalg import (FieldSpec, Frozen, SparseMatrix, Subspace,
+                           DimensionError, kernel_basis, image_basis, rank)
 
 UNIT_LABEL = '1'
 
 
-@dataclass(frozen=True)
-class BaseRing:
+class BaseRing(Frozen):
     'The base R = k^S: an ordered idempotent set and the coefficient field.'
 
-    idempotents: tuple
-    field: FieldSpec
+    _fields = ('idempotents', 'field')
 
-    def __post_init__(self):
-        if not self.idempotents:
+    def __init__(self, idempotents, field: FieldSpec):
+        idempotents = tuple(idempotents)
+        if not idempotents:
             raise ValueError('idempotent set must be nonempty')
-        if len(set(self.idempotents)) != len(self.idempotents):
+        if len(set(idempotents)) != len(idempotents):
             raise ValueError('idempotent labels must be distinct')
-        object.__setattr__(self, 'idempotents', tuple(self.idempotents))
+        self.__dict__.update(idempotents=idempotents, field=field)
 
     def __reduce__(self):
         # the cached bimodules below stay behind: they cannot be pickled
@@ -260,12 +258,6 @@ class BimoduleMap:
                                        source.block_dim(*key), mats)
         return cls(source, target, blocks)
 
-    @classmethod
-    def relabeling(cls, source: Bimodule, target: Bimodule, label_map) -> 'BimoduleMap':
-        'The iso sending each source basis vector to label_map(label) in the same block.'
-        return cls.from_basis_action(source, target,
-                                     lambda key, l: [(label_map(l), 1)])
-
     def block(self, s, t) -> SparseMatrix:
         key = (s, t)
         if key in self.blocks:
@@ -281,14 +273,6 @@ class BimoduleMap:
             return []
         tlabels = self.target.blocks.get(key, ())
         return [(tlabels[i], v) for i, v in mat.column_entries(j)]
-
-    def apply_vector(self, vec: dict) -> dict:
-        'Apply to {(block_key, label): coeff}; returns same encoding on the target.'
-        out = {}
-        for (key, label), c in vec.items():
-            for tl, v in self.apply_label(key, label):
-                accumulate(out, (key, tl), c, v, self.field)
-        return out
 
     def compose(self, other: 'BimoduleMap') -> 'BimoduleMap':
         'self after other.'

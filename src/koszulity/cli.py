@@ -31,36 +31,33 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import chain, islice
 
-from .exact_linalg import FieldSpec, RATIONALS
+# the algebra (graded_structures, homology, koszul, duality) and the process
+# pool are imported where a report is computed, so a cache hit loads neither
+from .exact_linalg import FieldSpec, Frozen, RATIONALS
 from .errors import InputError, CriteriaDisagreement, InvariantError
 from .poset import (GradedPoset, parse_poset, incidence_ring,
                     incidence_coring, incidence_duality_check, zeta_ring,
                     enumerate_corpus, MAX_CORPUS_ELEMENTS)
-from .graded_structures import shriek_of_ring
-from .homology import tor_table, ext_table
-from .koszul import decide_koszul_ring, decide_koszul_coring
-from .duality import graded_left_dual_of_coring, dual_pair, double_dual_check
 
 SCHEMA_VERSION = 2
 CHUNK_SIZE = 8   # payloads a pool worker takes at a time
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    field: FieldSpec
-    field_text: str
-    m_max_override: int | None
-    output_format: str
-    cache_dir: str | None
-    parallelism: int
+class RunConfig(Frozen):
+    _fields = ('field', 'field_text', 'm_max_override', 'output_format',
+               'cache_dir', 'parallelism')
 
-    def __post_init__(self):
-        if self.parallelism < 1:
+    def __init__(self, field: FieldSpec, field_text: str,
+                 m_max_override: int | None, output_format: str,
+                 cache_dir: str | None, parallelism: int):
+        if parallelism < 1:
             raise InputError('--jobs must be at least 1')
+        self.__dict__.update(
+            field=field, field_text=field_text, m_max_override=m_max_override,
+            output_format=output_format, cache_dir=cache_dir,
+            parallelism=parallelism)
 
     def echo(self) -> dict:
         return {'field': self.field_text,
@@ -127,6 +124,8 @@ def _decide_task(payload: dict) -> tuple:
     duality block: the ring worker dualizes its pair and checks the double
     dual of its ring, the coring worker checks the incidence duality on the
     coring it decided."""
+    from .koszul import decide_koszul_ring, decide_koszul_coring
+    from .duality import graded_left_dual_of_coring, dual_pair
     P = parse_poset(payload['document'])
     field = parse_field(payload['field'])
     m_max = payload['m_max']
@@ -146,6 +145,7 @@ def _decide_task(payload: dict) -> tuple:
 
 
 def _corpus_task(payload: dict) -> dict:
+    from .koszul import decide_koszul_ring, decide_koszul_coring
     P = parse_poset(payload['document'])
     field = parse_field(payload['field'])
     ring_v = decide_koszul_ring(incidence_ring(P, field), payload['m_max'])
@@ -173,6 +173,11 @@ def _run_tasks(fn, payloads, jobs: int) -> list:
     the first jobs * CHUNK_SIZE payloads would not keep every worker busy;
     there are never more workers than those first payloads.  With jobs 1,
     or a single payload, everything runs in this process as it arrives.
+
+    The pool class is imported only when a pool starts.  Just before it,
+    this process loads the algebra the tasks import, so that the forked
+    workers inherit it: each worker would otherwise compile it again.
+    Compiled first, on the smaller heap, it also leaves a lower peak RSS.
     """
     if jobs <= 1:
         return [fn(p) for p in payloads]
@@ -181,6 +186,8 @@ def _run_tasks(fn, payloads, jobs: int) -> list:
     workers = min(jobs, len(head))
     if workers <= 1:
         return [fn(p) for p in head]
+    from . import duality, koszul   # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chain(head, payloads),
                              chunksize=min(CHUNK_SIZE, len(head) // workers)))
@@ -229,6 +236,7 @@ def cmd_betti(P: GradedPoset, side: str, config: RunConfig) -> dict:
     Payload keys: "kind", "n_max", "m_max", "entries" as [n, m, dim]
     triples, "diagonal", "grid" (rows n = 0..n_max over m = 0..m_max).
     """
+    from .homology import tor_table, ext_table
     if side == 'ring':
         table = tor_table(incidence_ring(P, config.field),
                           m_max=config.m_max_override)
@@ -260,6 +268,7 @@ def cmd_shriek(P: GradedPoset, config: RunConfig) -> dict:
     (the zeta ring, graded dims), "ring_shriek_dims" (the shriek coring
     of the incidence ring, graded dims).
     """
+    from .graded_structures import shriek_of_ring
     Z = zeta_ring(P, config.field)
     shr = shriek_of_ring(incidence_ring(P, config.field))
     return {'schema_version': SCHEMA_VERSION,
@@ -282,6 +291,9 @@ def cmd_dual(P: GradedPoset, config: RunConfig) -> dict:
     "dual_pair_almost_koszul", "verdicts_agree" (ring vs graded-dual
     coring decision).
     """
+    from .koszul import decide_koszul_ring, decide_koszul_coring
+    from .duality import (graded_left_dual_of_coring, dual_pair,
+                          double_dual_check)
     A = incidence_ring(P, config.field)
     C = incidence_coring(P, config.field)
     rv = decide_koszul_ring(A, config.m_max_override)

@@ -24,7 +24,6 @@ int counterparts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Union
@@ -67,26 +66,57 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Frozen:
+    """A value over the attributes named in _fields, set once in __init__
+    through __dict__: equal and hash-equal by class and values, shown as
+    Class(name=value, ...), and closed to assignment.  Pickles by the
+    default protocol, which restores __dict__ without assigning."""
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return '{}({})'.format(type(self).__name__, ', '.join(
+            f'{name}={getattr(self, name)!r}' for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f'cannot assign to field {name!r}')
+
+    def __delattr__(self, name):
+        raise AttributeError(f'cannot delete field {name!r}')
+
+
+class FieldSpec(Frozen):
     """The coefficient field: 'rationals' or 'prime_field' with modulus p."""
 
-    kind: str
-    p: Optional[int] = None
+    _fields = ('kind', 'p')
 
-    def __post_init__(self):
-        if self.kind == 'rationals':
-            if self.p is not None:
+    def __init__(self, kind: str, p: Optional[int] = None):
+        if kind == 'rationals':
+            if p is not None:
                 raise ValueError('rationals take no modulus')
-        elif self.kind == 'prime_field':
-            if self.p is None or not isinstance(self.p, int):
+        elif kind == 'prime_field':
+            if p is None or not isinstance(p, int):
                 raise ValueError('prime_field requires an integer modulus')
-            if self.p >= 2 ** 63:
+            if p >= 2 ** 63:
                 raise ValueError('modulus must fit in a machine word')
-            if not _is_prime(self.p):
-                raise ValueError(f'{self.p} is not prime')
+            if not _is_prime(p):
+                raise ValueError(f'{p} is not prime')
         else:
-            raise ValueError(f'unknown field kind {self.kind!r}')
+            raise ValueError(f'unknown field kind {kind!r}')
+        self.__dict__.update(kind=kind, p=p)
 
     @classmethod
     def rationals(cls) -> 'FieldSpec':
@@ -198,14 +228,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n: int) -> 'SparseMatrix':
         return cls(n, n, [(i, i, 1) for i in range(n)])
-
-    @classmethod
-    def from_dense(cls, dense) -> 'SparseMatrix':
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        trips = [(i, j, v) for i, row in enumerate(dense)
-                 for j, v in enumerate(row) if v != 0]
-        return cls(rows, cols, trips)
 
     @classmethod
     def from_columns(cls, columns, nrows: int) -> 'SparseMatrix':

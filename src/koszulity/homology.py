@@ -284,9 +284,6 @@ class BettiTable:
     def entry(self, n: int, m: int) -> int:
         return self.entries.get((n, m), 0)
 
-    def is_diagonal(self) -> bool:
-        return all(n == m for n, m in self.entries)
-
     def off_diagonal(self) -> dict:
         return {k: v for k, v in self.entries.items() if k[0] != k[1]}
 

@@ -5,16 +5,14 @@ order is the reflexive-transitive closure; gradedness means every interval
 has all its maximal chains of equal length, which is what makes interval
 length a grading.  On top of that sit the incidence ring and coring, the
 quadratic ring on the zeta relations, and a small-scale enumerator of all
-graded posets up to isomorphism.
+graded posets up to isomorphism.  The builders of the incidence structures
+import the algebra modules when they run, so parsing, canonical forms and
+the corpus walk load none of them.
 """
 
 from __future__ import annotations
 
 from .exact_linalg import RATIONALS, Subspace
-from .bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                       tensor, unit_bimodule, left_dual)
-from .graded_structures import (GradedRing, GradedCoring, QuadraticData,
-                                quadratic_ring_of, shriek_of_coring)
 from .errors import InputError, InvariantError
 
 
@@ -96,9 +94,6 @@ class GradedPoset:
                 if p is not None:
                     self._by_length.setdefault(p, []).append((x, y))
 
-    def leq(self, x, y) -> bool:
-        return x == y or (x, y) in self._length
-
     def length(self, x, y):
         'Common length of the maximal chains in [x, y]; None if incomparable.'
         if x == y:
@@ -161,20 +156,20 @@ def parse_poset(document) -> GradedPoset:
 # incidence structures
 # ---------------------------------------------------------------------------
 
-def _interval_components(P: GradedPoset, base: BaseRing) -> dict:
-    comps = {0: unit_bimodule(base)}
-    for p in range(1, P.max_length + 1):
-        comps[p] = Bimodule(base, {(x, y): (('e', x, y),)
-                                   for x, y in P.intervals(p)})
-    return comps
-
-
 def _incidence(P: GradedPoset, field, cls, action):
     """The incidence ring or coring cls of P, graded by length: each (p, q)
-    map between nonzero ends sends a basis label l to action(p, l)."""
+    map between nonzero ends sends a basis label l to action(p, l).
+
+    It and the builders below import the algebra (bimodule,
+    graded_structures) when they run, not when this module loads."""
+    from .bimodule import (BaseRing, Bimodule, BimoduleMap, tensor,
+                           unit_bimodule)
     base = BaseRing(P.elements, field)
-    comps = _interval_components(P, base)
     top = P.max_length
+    comps = {0: unit_bimodule(base)}
+    for p in range(1, top + 1):
+        comps[p] = Bimodule(base, {(x, y): (('e', x, y),)
+                                   for x, y in P.intervals(p)})
     maps = {}
     for p in range(1, top):
         for q in range(1, top + 1 - p):
@@ -187,12 +182,14 @@ def _incidence(P: GradedPoset, field, cls, action):
 
 def incidence_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
     'The incidence ring: e_{x,y} e_{z,u} = [y = z] e_{x,u}, graded by length.'
+    from .graded_structures import GradedRing
     return _incidence(P, field, GradedRing,
                       lambda p, l: [(('e', l[0][1], l[1][2]), 1)])
 
 
 def incidence_coring(P: GradedPoset, field=RATIONALS) -> GradedCoring:
     'The incidence coring: Delta(e_{x,y}) sums e_{x,z} (x) e_{z,y} over z in [x,y].'
+    from .graded_structures import GradedCoring
     return _incidence(P, field, GradedCoring,
                       lambda p, l: [((('e', l[1], z), ('e', z, l[2])), 1)
                                     for z in P.middles(l[1], l[2], p)])
@@ -205,6 +202,9 @@ def zeta_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
     Built directly from the relation spans and checked against the shriek
     of the incidence coring, which it must equal.
     """
+    from .bimodule import SubBimodule, tensor
+    from .graded_structures import (QuadraticData, quadratic_ring_of,
+                                    shriek_of_coring)
     C = incidence_coring(P, field)
     dual = shriek_of_coring(C)
     V = C.component(1)
@@ -237,6 +237,7 @@ def incidence_duality_check(A: GradedRing, C: GradedCoring) -> bool:
     the stored comultiplication of C, which is what the graded dual would
     hold.  No dual is built.
     """
+    from .bimodule import left_dual
     if A.top_degree != C.top_degree:
         return False
     if any(left_dual(A.component(n)) != left_dual(C.component(n))

@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from koszulity.bimodule import BimoduleMap
 from koszulity.errors import InputError, InvariantError
+from koszulity.exact_linalg import SparseMatrix
 from koszulity.graded_structures import (GradedRing, direct_product,
                                          truncate_coring, truncate_ring)
 from koszulity.homology import bar_complex_ring, cobar_complex_coring
@@ -122,6 +124,21 @@ def disjoint_union(P: GradedPoset, Q: GradedPoset) -> GradedPoset:
         raise InvariantError(
             'incidence ring of the union is not the direct product')
     return union
+
+
+def from_dense(dense) -> SparseMatrix:
+    'The SparseMatrix of a list of rows.'
+    rows = len(dense)
+    cols = len(dense[0]) if rows else 0
+    trips = [(i, j, v) for i, row in enumerate(dense)
+             for j, v in enumerate(row) if v != 0]
+    return SparseMatrix(rows, cols, trips)
+
+
+def relabeling(source, target, label_map) -> BimoduleMap:
+    'The iso sending each source basis vector to label_map(label), blockwise.'
+    return BimoduleMap.from_basis_action(source, target,
+                                         lambda key, l: [(label_map(l), 1)])
 
 
 def degree2_sequence_holds(X, m: int) -> bool:

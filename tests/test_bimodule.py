@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace, DimensionError
+from koszulity.exact_linalg import (FieldSpec, RATIONALS, Subspace,
+                                    DimensionError, accumulate)
 from koszulity.homology import bar_complex_ring
 from koszulity.poset import incidence_ring
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
@@ -155,8 +156,11 @@ def test_compose_shape_mismatch(base, V):
 
 def test_apply_vector(base, V):
     f = BimoduleMap.from_basis_action(V, V, lambda key, l: [(l, 3)])
-    out = f.apply_vector({(('x', 'y'), 'u'): Fraction(1),
-                          (('y', 'z'), 'w'): Fraction(2)})
+    out = {}
+    for (key, label), c in {(('x', 'y'), 'u'): Fraction(1),
+                            (('y', 'z'), 'w'): Fraction(2)}.items():
+        for tl, v in f.apply_label(key, label):
+            accumulate(out, (key, tl), c, v, f.field)
     assert out == {(('x', 'y'), 'u'): Fraction(3),
                    (('y', 'z'), 'w'): Fraction(6)}
 

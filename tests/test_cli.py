@@ -158,8 +158,8 @@ def test_corpus_parallel(capsys):
 
 def test_check_runs_its_two_sides_in_two_workers(capsys, monkeypatch,
                                                  diamond_file):
+    import concurrent.futures
     from concurrent.futures import ProcessPoolExecutor
-    from koszulity import cli
     pools, chunks = [], []
 
     class Recording(ProcessPoolExecutor):
@@ -171,7 +171,9 @@ def test_check_runs_its_two_sides_in_two_workers(capsys, monkeypatch,
             chunks.append(chunksize)
             return super().map(fn, *iterables, chunksize=chunksize, **kw)
 
-    monkeypatch.setattr(cli, 'ProcessPoolExecutor', Recording)
+    # _run_tasks imports the pool class from here when a pool starts
+    monkeypatch.setattr(concurrent.futures, 'ProcessPoolExecutor',
+                        Recording)
     code, _, _ = run(capsys, 'check', '--poset', diamond_file, '--jobs', '8')
     assert code == 0
     # one side per worker: a chunk of both would run them one after the other
@@ -540,6 +542,26 @@ def test_exit_code_on_bad_flags(capsys, diamond_file):
     code, _, err = run(capsys, 'check', '--poset', diamond_file,
                        '--jobs', '0')
     assert code == 2
+
+
+def test_run_config_is_a_value():
+    import pickle
+    from koszulity.cli import RunConfig, parse_field
+    from koszulity.errors import InputError
+
+    def config(jobs):
+        return RunConfig(field=parse_field('fp:3'), field_text='fp:3',
+                         m_max_override=None, output_format='json',
+                         cache_dir=None, parallelism=jobs)
+
+    a, b = config(2), config(2)
+    assert a == b and hash(a) == hash(b) and a != config(1)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(a).startswith("RunConfig(field=FieldSpec(kind='prime_field'")
+    with pytest.raises(AttributeError):
+        a.parallelism = 4
+    with pytest.raises(InputError, match='--jobs must be at least 1'):
+        config(0)
 
 
 def test_prime_field_flag(capsys, p_bad_file):

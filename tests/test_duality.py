@@ -20,7 +20,7 @@ from koszulity.koszul import (make_pair_shriek_ring, make_pair_shriek_coring,
                               decide_koszul_coring)
 from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
-from conftest import chain_poset, antichain_poset
+from conftest import chain_poset, antichain_poset, relabeling
 
 
 def test_dual_map_transposes_blockwise(diamond):
@@ -104,10 +104,10 @@ def _reference_dual(X, structure_map, out_cls):
             if components[p].is_zero() or components[q].is_zero():
                 continue
             V, W = X.component(p), X.component(q)
-            phi = BimoduleMap.relabeling(
+            phi = relabeling(
                 tensor(left_dual(V), left_dual(W)), left_dual(tensor(V, W)),
                 lambda l: dual_label((dual_label(l[0]), dual_label(l[1]))))
-            psi = BimoduleMap.relabeling(
+            psi = relabeling(
                 phi.target, phi.source,
                 lambda l: tuple(dual_label(x) for x in dual_label(l)))
             assert phi.compose(psi) == BimoduleMap.identity(phi.target)

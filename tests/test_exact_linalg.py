@@ -1,5 +1,6 @@
 """Exact sparse linear algebra against the dense Fraction oracle."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from koszulity.exact_linalg import (FieldSpec, RATIONALS, SparseMatrix,
                                     matvec, hstack, vstack, DimensionError)
 import oracle
 from oracle import rank_mod as _rank_mod
-from conftest import grid_poset
+from conftest import from_dense, grid_poset
 
 
 def dense_of(M):
@@ -37,10 +38,21 @@ def test_field_spec_validation():
     assert RATIONALS.invert(2) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         RATIONALS.invert(0)
+    # a value: equal fields give equal, hash-equal specs, closed to assignment
+    twin = FieldSpec('prime_field', 5)
+    assert twin == fp5 and hash(twin) == hash(fp5) and twin is not fp5
+    assert FieldSpec.rationals() == RATIONALS != fp5
+    assert fp5 != FieldSpec.prime_field(3)
+    assert repr(fp5) == "FieldSpec(kind='prime_field', p=5)"
+    with pytest.raises(AttributeError):
+        fp5.p = 7
+    for field in (RATIONALS, FieldSpec.prime_field(3)):
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy == field and hash(copy) == hash(field)
 
 
 def test_sparse_matrix_basics():
-    M = SparseMatrix.from_dense([[1, 0, 2], [0, 0, 0], [3, 4, 0]])
+    M = from_dense([[1, 0, 2], [0, 0, 0], [3, 4, 0]])
     assert M.nnz() == 4
     assert M.transpose().entries == {(0, 0): 1, (2, 0): 2, (0, 2): 3, (1, 2): 4}
     assert M.column(0) == {0: 1, 2: 3}
@@ -63,9 +75,9 @@ def test_matmul_shape_mismatch():
 def test_rank_small_cases():
     assert rank(SparseMatrix.zero(4, 5)) == 0
     assert rank(SparseMatrix.identity(7)) == 7
-    M = SparseMatrix.from_dense([[1, 2], [2, 4]])
+    M = from_dense([[1, 2], [2, 4]])
     assert rank(M) == 1
-    M = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    M = from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert rank(M) == 2
 
 
@@ -108,7 +120,7 @@ def test_rank_nullity(M):
 
 
 def test_rank_prime_field_differs_in_characteristic():
-    M = SparseMatrix.from_dense([[2]])
+    M = from_dense([[2]])
     assert rank(M) == 1
     assert rank(M, FieldSpec.prime_field(2)) == 0
 
@@ -156,12 +168,12 @@ def test_echelon_coordinates():
 
 
 def test_hstack_vstack():
-    A = SparseMatrix.from_dense([[1, 2]])
-    B = SparseMatrix.from_dense([[3]])
+    A = from_dense([[1, 2]])
+    B = from_dense([[3]])
     H = hstack([A, B])
     assert (H.rows, H.cols) == (1, 3)
     assert H.entries == {(0, 0): 1, (0, 1): 2, (0, 2): 3}
-    V = vstack([A, SparseMatrix.from_dense([[4, 5]])])
+    V = vstack([A, from_dense([[4, 5]])])
     assert (V.rows, V.cols) == (2, 2)
     assert V.entries[(1, 1)] == 5
     with pytest.raises(DimensionError):
@@ -186,8 +198,8 @@ def _low_rank(rng, rows, cols, inner, entry):
     'A dense product rows x inner times inner x cols: rank at most inner.'
     left = [[entry(rng) for _ in range(inner)] for _ in range(rows)]
     right = [[entry(rng) for _ in range(cols)] for _ in range(inner)]
-    return SparseMatrix.from_dense([[sum(a * b for a, b in zip(row, col))
-                                     for col in zip(*right)] for row in left])
+    return from_dense([[sum(a * b for a, b in zip(row, col))
+                        for col in zip(*right)] for row in left])
 
 
 def _int_entry(rng):

@@ -29,7 +29,7 @@ from koszulity.duality import (graded_left_dual_of_ring,
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
 from conftest import (DIAMOND_COVERS, chain_poset, antichain_poset,
-                      boolean_lattice)
+                      boolean_lattice, relabeling)
 import oracle
 
 
@@ -151,7 +151,7 @@ def _first_failure_by_maps(X):
             for r in range(1, X.top_degree + 1 - p - q):
                 P, Q, S = (X.component(n) for n in (p, q, r))
                 one_p, one_s = BimoduleMap.identity(P), BimoduleMap.identity(S)
-                reassociate = BimoduleMap.relabeling(
+                reassociate = relabeling(
                     tensor(tensor(P, Q), S), tensor(P, tensor(Q, S)),
                     lambda l: (l[0][0], (l[0][1], l[1])))
                 if ring:
@@ -290,6 +290,16 @@ def test_canonical_identifications_are_built_once(diamond):
     copy = pickle.loads(pickle.dumps(base))
     assert copy == base and copy.unit == base.unit
     assert copy.unit is not base.unit
+    # a value: equal fields give equal, hash-equal bases, and none is set
+    twin = BaseRing(list(diamond.elements), RATIONALS)
+    assert twin == base and hash(twin) == hash(base) == hash(copy)
+    assert twin != BaseRing(diamond.elements, FieldSpec.prime_field(3))
+    assert repr(twin) == (f'BaseRing(idempotents={diamond.elements!r}, '
+                          "field=FieldSpec(kind='rationals', p=None))")
+    with pytest.raises(AttributeError):
+        base.field = FieldSpec.prime_field(3)
+    with pytest.raises(AttributeError):
+        del base.unit
 
 
 def _folded_mu(A, n):

@@ -1,9 +1,11 @@
-"""The package keeps no module-level definition that no code path reaches.
+"""The package keeps no definition that no code path reaches.
 
-A def or class of src/koszulity (outside __init__.py) counts as reached
-when some Name or Attribute outside its own body uses its name.  The
-unreached ones are the allow-list below, each with its reason; anything
-else that no command reaches belongs in the tests or nowhere.
+A module-level def or class of src/koszulity (outside __init__.py), or a
+method in one of its class bodies, counts as reached when some Name or
+Attribute outside its own body uses its name.  Dunder methods are left
+out: the language calls them.  The unreached ones are the allow-list
+below, each with its reason; anything else that no command reaches belongs
+in the tests or nowhere.
 """
 
 import ast
@@ -31,9 +33,19 @@ def test_every_unreached_definition_is_allowed():
         tree = ast.parse(path.read_text())
         defs += [node for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [method for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for method in cls.body
+                 if isinstance(method, ast.FunctionDef)
+                 and not (method.name.startswith('__')
+                          and method.name.endswith('__'))]
         uses += [(node.id, node) if isinstance(node, ast.Name)
                  else (node.attr, node) for node in ast.walk(tree)
                  if isinstance(node, (ast.Name, ast.Attribute))]
-    owner = {id(node): d.name for d in defs for node in ast.walk(d)}
-    reached = {name for name, node in uses if owner.get(id(node)) != name}
+    # a node inside a method is inside its class too: it has both owners
+    owners = {}
+    for d in defs:
+        for node in ast.walk(d):
+            owners.setdefault(id(node), set()).add(d.name)
+    reached = {name for name, node in uses
+               if name not in owners.get(id(node), ())}
     assert {d.name for d in defs} - reached == set(UNREACHED)
