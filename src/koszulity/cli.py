@@ -167,30 +167,98 @@ def _corpus_task(payload: dict) -> dict:
 def _run_tasks(fn, payloads, jobs: int) -> list:
     """[fn(p) for p in payloads], in order, on up to jobs worker processes.
 
-    payloads may be a generator: the pool takes each payload as it comes,
-    so workers start on the first ones while later ones are still being
-    made.  A worker takes up to CHUNK_SIZE payloads at a time, fewer when
-    the first jobs * CHUNK_SIZE payloads would not keep every worker busy;
-    there are never more workers than those first payloads.  With jobs 1,
-    or a single payload, everything runs in this process as it arrives.
+    With jobs 1, or a single payload, everything runs in this process as
+    it arrives.  When the first payloads give each worker at most one
+    (check's two sides, or a corpus of at most jobs posets), each runs in
+    a forked child of its own; on a platform without fork they run in this
+    process.  More payloads stream to a process pool: payloads may be a
+    generator, and the pool takes each payload as it comes, so workers
+    start on the first ones while later ones are still being made.  A
+    worker takes up to CHUNK_SIZE payloads at a time, fewer when the first
+    jobs * CHUNK_SIZE payloads would not keep every worker busy.
 
-    The pool class is imported only when a pool starts.  Just before it,
-    this process loads the algebra the tasks import, so that the forked
-    workers inherit it: each worker would otherwise compile it again.
-    Compiled first, on the smaller heap, it also leaves a lower peak RSS.
+    The pool class is imported only when a pool starts.  Before either
+    kind of worker starts, this process loads the algebra the tasks
+    import, so that the forked workers inherit it: each worker would
+    otherwise compile it again.  Compiled first, on the smaller heap, it
+    also leaves a lower peak RSS.
     """
     if jobs <= 1:
         return [fn(p) for p in payloads]
     payloads = iter(payloads)
     head = list(islice(payloads, jobs * CHUNK_SIZE))
-    workers = min(jobs, len(head))
-    if workers <= 1:
+    forks = len(head) <= jobs
+    if len(head) <= 1 or (forks and not hasattr(os, 'fork')):
         return [fn(p) for p in head]
     from . import duality, koszul   # noqa: F401
+    if forks:
+        return _fork_each(fn, head)
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, chain(head, payloads),
-                             chunksize=min(CHUNK_SIZE, len(head) // workers)))
+                             chunksize=min(CHUNK_SIZE, len(head) // jobs)))
+
+
+def _send_and_exit(fn, payload, sink):
+    """In a forked child: pickle (ok, fn(payload) or its exception) into
+    sink and leave by os._exit on every path, so the child never runs the
+    parent's cleanup or flushes the buffers it inherited."""
+    import pickle
+    status = 1
+    try:
+        try:
+            outcome = (True, fn(payload))
+        except BaseException as exc:   # raised again in the parent
+            outcome = (False, exc)
+        pickle.dump(outcome, sink)
+        sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_each(fn, payloads: list) -> list:
+    """[fn(p) for p in payloads], each in a forked child of its own.
+
+    Each child sends its outcome through a pipe of its own.  This process
+    reads the outcomes in payload order and raises the first exception a
+    child sent back.  No child outlives the call: each is reaped, and one
+    still running when the call ends early is killed first.  Fork needs a
+    process without threads; the CLI starts none.
+    """
+    import pickle
+    import signal
+    running = []   # pids of the children not yet reaped, in payload order
+    with contextlib.ExitStack() as pipes:
+        try:
+            sources = []   # the read end of each child's pipe
+            for payload in payloads:
+                read_fd, write_fd = os.pipe()
+                sources.append(pipes.enter_context(open(read_fd, 'rb')))
+                with open(write_fd, 'wb') as sink:
+                    pid = os.fork()
+                    if pid == 0:
+                        _send_and_exit(fn, payload, sink)
+                running.append(pid)
+            results = []
+            for source in sources:
+                data = source.read()
+                _, status = os.waitpid(running[0], 0)
+                pid = running.pop(0)
+                if status or not data:
+                    raise RuntimeError(
+                        f'worker process {pid} ended without a result '
+                        f'(wait status {status}, exit code '
+                        f'{os.waitstatus_to_exitcode(status)})')
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """The command-line frontend, run in-process through main()."""
 
+import contextlib
 import hashlib
 import json
+import os
+import signal
 import sys
+import time
 import traceback
 
 import pytest
@@ -156,28 +160,129 @@ def test_corpus_parallel(capsys):
         assert _without_timings(serial) == _without_timings(parallel)
 
 
-def test_check_runs_its_two_sides_in_two_workers(capsys, monkeypatch,
-                                                 diamond_file):
+@pytest.fixture
+def forks(monkeypatch):
+    'The pids of the children os.fork starts; starting a pool fails.'
     import concurrent.futures
-    from concurrent.futures import ProcessPoolExecutor
-    pools, chunks = [], []
+    started = []
+    real_fork = os.fork
 
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kw):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kw)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-        def map(self, fn, *iterables, chunksize=1, **kw):
-            chunks.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kw)
+    def no_pool(*args, **kw):
+        raise AssertionError('a process pool was started')
 
+    monkeypatch.setattr(os, 'fork', counting_fork)
     # _run_tasks imports the pool class from here when a pool starts
-    monkeypatch.setattr(concurrent.futures, 'ProcessPoolExecutor',
-                        Recording)
+    monkeypatch.setattr(concurrent.futures, 'ProcessPoolExecutor', no_pool)
+    return started
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    'Fail, rather than hang, when the block runs longer than seconds.'
+    def expire(signum, frame):
+        raise TimeoutError(f'still running after {seconds} s')
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_check_forks_one_child_per_side(capsys, forks, diamond_file):
     code, _, _ = run(capsys, 'check', '--poset', diamond_file, '--jobs', '8')
-    assert code == 0
-    # one side per worker: a chunk of both would run them one after the other
-    assert pools == [2] and chunks == [1]
+    assert code == 0 and len(forks) == 2
+    _assert_no_children()
+
+
+def test_small_corpus_forks_one_child_per_poset(capsys, forks):
+    _, serial, _ = run(capsys, 'corpus', '--max-elements', '2',
+                       '--jobs', '1')
+    code, forked, _ = run(capsys, 'corpus', '--max-elements', '2',
+                          '--jobs', '4')
+    assert code == 0 and len(forks) == json.loads(serial)['summary'][
+        'posets'] == 3
+    assert _without_timings(serial) == _without_timings(forked)
+    _assert_no_children()
+
+
+def test_without_fork_the_sides_run_in_this_process(capsys, monkeypatch,
+                                                     forks, diamond_file):
+    _, serial, _ = run(capsys, 'check', '--poset', diamond_file,
+                       '--jobs', '1')
+    monkeypatch.delattr(os, 'fork')
+    code, out, _ = run(capsys, 'check', '--poset', diamond_file,
+                       '--jobs', '2')
+    assert code == 0 and forks == []
+    assert _without_timings(serial) == _without_timings(out)
+
+
+def test_a_disagreement_in_a_child_exits_3_and_reaps_its_sibling(
+        capsys, monkeypatch, forks, diamond_file):
+    from koszulity import cli
+    from koszulity.errors import CriteriaDisagreement
+
+    def ring_disagrees(payload):
+        if payload['side'] == 'ring':
+            raise CriteriaDisagreement('ring side disagrees')
+        time.sleep(60)   # the coring side is still running
+
+    monkeypatch.setattr(cli, '_decide_task', ring_disagrees)
+    with _deadline(30):
+        code, out, err = run(capsys, 'check', '--poset', diamond_file,
+                             '--jobs', '2')
+    assert code == 3 and out == '' and len(forks) == 2
+    assert err == ('criteria disagreement (this should never happen): '
+                   'ring side disagrees\n')
+    _assert_no_children()
+
+
+def test_a_killed_child_makes_the_call_raise(capsys, monkeypatch, forks,
+                                             diamond_file):
+    from koszulity import cli
+    original = cli._decide_task
+
+    def coring_killed(payload):
+        if payload['side'] == 'coring':
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(payload)
+
+    monkeypatch.setattr(cli, '_decide_task', coring_killed)
+    with _deadline(30), pytest.raises(RuntimeError, match='exit code -9'):
+        main(['check', '--poset', diamond_file, '--jobs', '2'])
+    assert capsys.readouterr().out == ''
+    _assert_no_children()
+
+
+def test_an_error_in_the_parent_reaps_a_running_child(capsys, monkeypatch,
+                                                      forks, diamond_file):
+    from koszulity import cli
+    counting_fork = os.fork
+
+    def second_fork_fails():
+        if forks:
+            raise OSError('no second child')
+        return counting_fork()
+
+    monkeypatch.setattr(cli, '_decide_task', lambda payload: time.sleep(60))
+    monkeypatch.setattr(os, 'fork', second_fork_fails)
+    with _deadline(30), pytest.raises(OSError, match='no second child'):
+        main(['check', '--poset', diamond_file, '--jobs', '2'])
+    assert len(forks) == 1 and capsys.readouterr().out == ''
+    _assert_no_children()
 
 
 def test_text_format_is_derived_from_json(capsys, diamond_file):

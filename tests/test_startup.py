@@ -1,4 +1,5 @@
-"""What a CLI call loads: the algebra only where a report is computed.
+"""What a CLI call loads: the algebra only where a report is computed, and
+a process pool only for a corpus.
 
 Each probe runs in a fresh interpreter, so the modules it finds loaded are
 the ones its own imports and calls brought in.
@@ -19,6 +20,12 @@ ALGEBRA = {'koszulity.bimodule', 'koszulity.graded_structures',
            'koszulity.homology', 'koszulity.koszul', 'koszulity.duality'}
 # what the package itself used to pull in at start-up, and no call needs
 STDLIB = {'dataclasses', 'inspect', 'concurrent.futures'}
+# what only the corpus's process pool needs
+POOL = {'concurrent.futures', 'multiprocessing'}
+# a CLI call: main(argv[1:-1]), its report written to argv[-1]
+CALL = ('import sys\nfrom koszulity.cli import main\n'
+        'sys.stdout = open(sys.argv[-1], "w")\nmain(sys.argv[1:-1])\n'
+        'sys.stdout.close()')
 EXPORTS = '''
     AlmostKoszulPair BaseRing BettiTable Bimodule BimoduleMap ComplexSlice
     CriteriaDisagreement FieldSpec GradedCoring GradedPoset GradedRing
@@ -58,18 +65,20 @@ def test_importing_the_cli_loads_no_algebra():
     assert not added & (ALGEBRA | STDLIB), sorted(added & (ALGEBRA | STDLIB))
 
 
-def test_a_cache_hit_loads_no_algebra(tmp_path):
+@pytest.fixture
+def diamond_file(tmp_path):
     poset = tmp_path / 'diamond.json'
     poset.write_text(json.dumps(
         {'elements': ['0', 'a', 'b', '1'],
          'covers': [['0', 'a'], ['0', 'b'], ['a', '1'], ['b', '1']]}))
-    argv = ['check', '--poset', str(poset), '--cache', str(tmp_path / 'c'),
+    return str(poset)
+
+
+def test_a_cache_hit_loads_no_algebra(tmp_path, diamond_file):
+    argv = ['check', '--poset', diamond_file, '--cache', str(tmp_path / 'c'),
             '--jobs', '1']
-    call = ('import sys\nfrom koszulity.cli import main\n'
-            'sys.stdout = open(sys.argv[-1], "w")\nmain(sys.argv[1:-1])\n'
-            'sys.stdout.close()')
-    cold = loaded_after(call, *argv, str(tmp_path / 'cold.json'))
-    warm = loaded_after(call, *argv, str(tmp_path / 'warm.json'))
+    cold = loaded_after(CALL, *argv, str(tmp_path / 'cold.json'))
+    warm = loaded_after(CALL, *argv, str(tmp_path / 'warm.json'))
     assert ALGEBRA <= cold
     assert not warm & ALGEBRA, sorted(warm & ALGEBRA)
     cold_report, warm_report = (json.loads((tmp_path / f).read_text())
@@ -78,6 +87,15 @@ def test_a_cache_hit_loads_no_algebra(tmp_path):
             warm_report['timings']['cached']) == (False, True)
     cold_report.pop('timings'), warm_report.pop('timings')
     assert cold_report == warm_report
+
+
+def test_a_cold_check_on_two_workers_starts_no_pool(tmp_path, diamond_file):
+    out = tmp_path / 'report.json'
+    loaded = loaded_after(CALL, 'check', '--poset', diamond_file,
+                          '--jobs', '2', str(out))
+    assert ALGEBRA <= loaded
+    assert not loaded & POOL, sorted(loaded & POOL)
+    assert json.loads(out.read_text())['verdict'] is True
 
 
 def test_package_exports_resolve_on_first_use():
