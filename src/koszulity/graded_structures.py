@@ -104,6 +104,7 @@ class _Graded:
         self.components = {n: components.get(n, zero_bimodule(base))
                            for n in range(top_degree + 1)}
         self.support_truncated = False
+        self._strongly_graded = False   # set once a check has passed
         self._unit_maps = {}
         self.maps = {}
         for (p, q), f in maps.items():

@@ -542,13 +542,19 @@ def tor_primitive_dims(A: GradedRing, table: BettiTable) -> dict:
 # ---------------------------------------------------------------------------
 
 def _require_strongly_graded(X):
-    'Raise PreconditionError unless the ring or coring X is strongly graded.'
+    """Raise PreconditionError unless the ring or coring X is strongly
+    graded.  X does not change once built, so a structure that passed is
+    not checked again: the shriek pair and the quadraticity route of one
+    decision share one check."""
+    if X._strongly_graded:
+        return
     if isinstance(X, GradedRing):
         what, (ok, witness) = 'ring', is_strongly_graded_ring(X)
     else:
         what, (ok, witness) = 'coring', is_strongly_graded_coring(X)
     if not ok:
         raise PreconditionError(f'{what} is not strongly graded: {witness}')
+    X._strongly_graded = True
 
 
 def is_quadratic_direct(A: GradedRing):

@@ -256,8 +256,18 @@ def canonical_form(elements, covers) -> tuple:
     """A relabeling-invariant key (n, sorted edge tuple) for a cover DAG.
 
     Color refinement on (own color, lower colors, upper colors) with
-    individualization backtracking on the first ambiguous cell; exact for
-    the small sizes used here.
+    individualization backtracking on the first ambiguous cell; the key is
+    the least sorted edge tuple over all leaves, so it is exact.
+
+    Twins are tried once: a vertex of the target cell is skipped when its
+    lower and upper covers, as sorted tuples, equal those of a vertex
+    already tried there.  Swapping two such twins is an automorphism of
+    the cover digraph that fixes the current coloring (they share a cell);
+    refinement is equivariant under it and a leaf's sorted edge tuple is
+    invariant under it, so both branches return the same key and the
+    minimum is unchanged.  This is the simplest case of automorphism
+    pruning (McKay-Piperno, J. Symb. Comput. 60 (2014)); it turns the n!
+    leaves of an n-antichain into one.
     """
     n = len(elements)
     idx = {e: i for i, e in enumerate(elements)}
@@ -266,6 +276,7 @@ def canonical_form(elements, covers) -> tuple:
     for lo, hi in covers:
         up[idx[lo]].append(idx[hi])
         down[idx[hi]].append(idx[lo])
+    nbhd = [(tuple(sorted(down[v])), tuple(sorted(up[v]))) for v in range(n)]
 
     def refine(colors):
         while True:
@@ -295,7 +306,11 @@ def canonical_form(elements, covers) -> tuple:
             return tuple(sorted((pos[a], pos[b])
                                 for a in range(n) for b in up[a]))
         best = None
+        tried = set()
         for v in target:
+            if nbhd[v] in tried:
+                continue
+            tried.add(nbhd[v])
             trial = list(colors)
             trial[v] = n
             cand = search(trial)
@@ -332,7 +347,7 @@ def _cover_choices(key) -> list:
     return out
 
 
-MAX_CORPUS_ELEMENTS = 7   # largest corpus size enumerated
+MAX_CORPUS_ELEMENTS = 8   # largest corpus size enumerated
 
 
 def enumerate_corpus(max_elements: int, max_length=None):

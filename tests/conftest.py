@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import sys
 from pathlib import Path
 
@@ -156,3 +158,18 @@ def degree2_sequence_holds(X, m: int) -> bool:
     full = make_slice(X, m).homology_dims().get(2, 0)
     middle = make_slice(truncate(X, m), m).homology_dims().get(2, 0)
     return middle == full + X.component(m).dim
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    'Fail, rather than hang, when the block runs longer than seconds.'
+    def expire(signum, frame):
+        raise TimeoutError(f'still running after {seconds} s')
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -216,6 +216,61 @@ def grid_poset(rows, cols):
                      if i + di < rows and j + dj < cols])
 
 
+def crown(k, tag):
+    """The crown on 2k elements: minima a0..a(k-1), maxima b0..b(k-1), with
+    ai < bi and ai < b(i+1 mod k); its Hasse diagram is one 2k-cycle."""
+    return RefPoset([f'{tag}a{i}' for i in range(k)]
+                    + [f'{tag}b{i}' for i in range(k)],
+                    [(f'{tag}a{i}', f'{tag}b{j}') for i in range(k)
+                     for j in (i, (i + 1) % k)])
+
+
+def canonical_form_reference(elements, covers):
+    """The key (n, sorted edge tuple) of a cover DAG by an unpruned search.
+
+    Color refinement on (own color, lower colors, upper colors), then every
+    vertex of the first non-singleton cell is individualized in turn, with
+    no pruning; the key is the least sorted edge tuple over all leaves.  It
+    walks n! leaves on an n-antichain, so keep inputs small.
+    """
+    n = len(elements)
+    idx = {e: i for i, e in enumerate(elements)}
+    up = [[] for _ in range(n)]
+    down = [[] for _ in range(n)]
+    for lo, hi in covers:
+        up[idx[lo]].append(idx[hi])
+        down[idx[hi]].append(idx[lo])
+
+    def refine(colors):
+        while True:
+            sig = [(colors[v],
+                    tuple(sorted(colors[w] for w in down[v])),
+                    tuple(sorted(colors[w] for w in up[v])))
+                   for v in range(n)]
+            ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+            new = [ranks[s] for s in sig]
+            if new == colors:
+                return colors
+            colors = new
+
+    def search(colors):
+        colors = refine(colors)
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1),
+                      None)
+        if target is None:
+            pos = {v: i for i, v in enumerate(
+                sorted(range(n), key=lambda v: colors[v]))}
+            return tuple(sorted((pos[a], pos[b])
+                                for a in range(n) for b in up[a]))
+        return min(search([n if w == v else c for w, c in enumerate(colors)])
+                   for v in target)
+
+    return (n, search([0] * n))
+
+
 # ---------------------------------------------------------------- bar / cobar slices
 
 def _sequences(P, m, n):

@@ -1,6 +1,5 @@
 """The command-line frontend, run in-process through main()."""
 
-import contextlib
 import hashlib
 import json
 import os
@@ -12,6 +11,7 @@ import traceback
 import pytest
 
 from koszulity.cli import main
+from conftest import deadline
 
 DIAMOND_DOC = {'elements': ['0', 'a', 'b', '1'],
                'covers': [['0', 'a'], ['0', 'b'], ['a', '1'], ['b', '1']]}
@@ -187,21 +187,6 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    'Fail, rather than hang, when the block runs longer than seconds.'
-    def expire(signum, frame):
-        raise TimeoutError(f'still running after {seconds} s')
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_check_forks_one_child_per_side(capsys, forks, diamond_file):
     code, _, _ = run(capsys, 'check', '--poset', diamond_file, '--jobs', '8')
     assert code == 0 and len(forks) == 2
@@ -241,7 +226,7 @@ def test_a_disagreement_in_a_child_exits_3_and_reaps_its_sibling(
         time.sleep(60)   # the coring side is still running
 
     monkeypatch.setattr(cli, '_decide_task', ring_disagrees)
-    with _deadline(30):
+    with deadline(30):
         code, out, err = run(capsys, 'check', '--poset', diamond_file,
                              '--jobs', '2')
     assert code == 3 and out == '' and len(forks) == 2
@@ -261,7 +246,7 @@ def test_a_killed_child_makes_the_call_raise(capsys, monkeypatch, forks,
         return original(payload)
 
     monkeypatch.setattr(cli, '_decide_task', coring_killed)
-    with _deadline(30), pytest.raises(RuntimeError, match='exit code -9'):
+    with deadline(30), pytest.raises(RuntimeError, match='exit code -9'):
         main(['check', '--poset', diamond_file, '--jobs', '2'])
     assert capsys.readouterr().out == ''
     _assert_no_children()
@@ -279,7 +264,7 @@ def test_an_error_in_the_parent_reaps_a_running_child(capsys, monkeypatch,
 
     monkeypatch.setattr(cli, '_decide_task', lambda payload: time.sleep(60))
     monkeypatch.setattr(os, 'fork', second_fork_fails)
-    with _deadline(30), pytest.raises(OSError, match='no second child'):
+    with deadline(30), pytest.raises(OSError, match='no second child'):
         main(['check', '--poset', diamond_file, '--jobs', '2'])
     assert len(forks) == 1 and capsys.readouterr().out == ''
     _assert_no_children()

@@ -4,7 +4,8 @@ import pytest
 
 from koszulity.exact_linalg import RATIONALS
 from koszulity.bimodule import BaseRing, Bimodule, BimoduleMap, tensor, unit_bimodule
-from koszulity.graded_structures import (GradedRing, shriek_of_ring,
+from koszulity.graded_structures import (GradedRing, GradedCoring,
+                                         shriek_of_ring,
                                          direct_product, direct_sum_corings)
 from koszulity.koszul import (AlmostKoszulPair, KoszulVerdict,
                               make_pair_shriek_ring, make_pair_shriek_coring,
@@ -14,6 +15,8 @@ from koszulity.koszul import (AlmostKoszulPair, KoszulVerdict,
                               phi_shriek_coring_check,
                               RING_CRITERION_KINDS, CORING_CRITERION_KINDS,
                               _check_agreement)
+from koszulity.homology import (is_quadratic_direct,
+                                is_quadratic_coring_direct)
 from koszulity.poset import GradedPoset, incidence_ring, incidence_coring
 from koszulity.errors import (StructureError, PreconditionError,
                               CriteriaDisagreement)
@@ -63,6 +66,27 @@ def test_make_pair_requires_strongly_graded():
                         {}, 2)   # nothing multiplies onto A^2
     with pytest.raises(PreconditionError):
         make_pair_shriek_ring(lonely)
+    # a failed check is not remembered: every entry point raises again
+    with pytest.raises(PreconditionError):
+        is_quadratic_direct(lonely)
+    all_primitive = GradedCoring(base, {0: unit_bimodule(base), 1: A1,
+                                        2: A2}, {}, 2)   # nothing comultiplies
+    for entry in (make_pair_shriek_coring, is_quadratic_coring_direct):
+        with pytest.raises(PreconditionError):
+            entry(all_primitive)
+
+
+def test_one_decision_checks_strong_grading_once(monkeypatch, diamond):
+    from koszulity import homology
+    calls = []
+    for name in ('is_strongly_graded_ring', 'is_strongly_graded_coring'):
+        original = getattr(homology, name)
+        monkeypatch.setattr(homology, name,
+                            lambda X, original=original, name=name:
+                            calls.append(name) or original(X))
+    assert decide_koszul_ring(incidence_ring(diamond)).verdict
+    assert decide_koszul_coring(incidence_coring(diamond)).verdict
+    assert calls == ['is_strongly_graded_ring', 'is_strongly_graded_coring']
 
 
 def test_left_complex_matches_oracle(diamond, p_bad):

@@ -1,5 +1,7 @@
 """Poset validation, canonical forms, enumeration, incidence structures."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -11,8 +13,10 @@ from koszulity.poset import (GradedPoset, parse_poset, incidence_ring,
                              incidence_coring, canonical_form,
                              enumerate_corpus)
 from koszulity.graded_structures import direct_product
-from conftest import (chain_poset, antichain_poset, DIAMOND_COVERS,
-                      disjoint_union, random_graded_poset)
+from conftest import (chain_poset, antichain_poset, boolean_lattice,
+                      deadline, DIAMOND_COVERS, disjoint_union,
+                      random_graded_poset)
+import oracle
 
 
 def test_rejects_duplicate_elements():
@@ -88,6 +92,67 @@ def test_canonical_form_separates(diamond):
     assert canonical_form(['x'], []) == (1, ())
 
 
+def _shuffled(elements, covers, rng):
+    'The same DAG with its elements and covers listed in a random order.'
+    return rng.sample(elements, len(elements)), rng.sample(covers, len(covers))
+
+
+def _random_dag_with_duplicate_covers(rng):
+    n = rng.randint(1, 8)
+    names = rng.sample([f'v{i}' for i in range(n)], n)
+    covers = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.3]
+    covers += rng.choices(covers, k=rng.randint(0, 3)) if covers else []
+    return names, covers
+
+
+def test_canonical_form_matches_unpruned_search_on_the_corpus():
+    rng = random.Random(2024)
+    for P in enumerate_corpus(6):
+        for _ in range(2):
+            els, covers = _shuffled(list(P.elements), list(P.covers), rng)
+            assert canonical_form(els, covers) == \
+                oracle.canonical_form_reference(els, covers)
+
+
+def test_canonical_form_matches_unpruned_search_on_symmetric_input(diamond):
+    three_diamonds = disjoint_union(disjoint_union(diamond, diamond), diamond)
+    cases = [(list(P.elements), list(P.covers))
+             for P in (boolean_lattice(3), three_diamonds, antichain_poset(6))]
+    rng = random.Random(7)
+    cases += [_random_dag_with_duplicate_covers(rng) for _ in range(300)]
+    for els, covers in cases:
+        assert canonical_form(els, covers) == \
+            oracle.canonical_form_reference(els, covers)
+
+
+def test_canonical_form_tells_apart_same_color_vertices_that_are_not_twins():
+    # refinement leaves every minimum of the three crowns in one cell,
+    # though those of the 12-cycle are not automorphic to those of the
+    # 6-cycles: trying only the first vertex of a cell gets a wrong key
+    parts = [oracle.crown(6, 'x'), oracle.crown(3, 'y'), oracle.crown(3, 'z')]
+    els = [e for part in parts for e in part.elements]
+    covers = [c for part in parts for c in part.covers]
+    want = oracle.canonical_form_reference(els, covers)
+    for seed in range(2):
+        assert canonical_form(*_shuffled(els, covers,
+                                         random.Random(seed))) == want
+
+
+def test_canonical_form_of_a_large_antichain_is_fast():
+    # the unpruned search walks 12! leaves here
+    with deadline(10):
+        assert canonical_form([f'u{i}' for i in range(12)], []) == (12, ())
+
+
+def test_corpus_up_to_six_is_frozen():
+    # the canonical keys fix each poset's labels, covers and row order
+    rows = [(len(P.elements), P.covers) for P in enumerate_corpus(6)]
+    assert len(rows) == 385
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        'b731acc529879279a5cbb7a01433c7232dec26190e32fc510e2e4ad49dba51ec'
+
+
 @given(st.integers(1, 5), st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_random_poset_valid_and_relabel_stable(n, rng):
@@ -147,7 +212,7 @@ def test_corpus_size_guard():
     with pytest.raises(InputError):
         list(enumerate_corpus(0))
     with pytest.raises(InputError):
-        list(enumerate_corpus(8))
+        list(enumerate_corpus(9))
 
 
 def test_corpus_length_bound():
