@@ -26,7 +26,6 @@ _EXPORTS = {
     'homology': ('partitions', 'ComplexSlice', 'BettiTable', 'SliceHomology',
                  'bar_complex_ring', 'cobar_complex_coring',
                  'tor_table', 'ext_table', 'tor_primitive_dims',
-                 'cohomology_ring_component',
                  'ext_diagonal_products_surjective',
                  'is_quadratic_direct', 'is_quadratic_coring_direct'),
     'koszul': ('AlmostKoszulPair', 'KoszulVerdict',

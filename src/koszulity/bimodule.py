@@ -288,21 +288,6 @@ class BimoduleMap:
                 blocks[key] = prod
         return BimoduleMap(other.source, self.target, blocks)
 
-    def add(self, other: 'BimoduleMap') -> 'BimoduleMap':
-        if self.source != other.source or self.target != other.target:
-            raise DimensionError('add: shape mismatch')
-        keys = set(self.blocks) | set(other.blocks)
-        blocks = {}
-        for key in keys:
-            m = self.block(*key).add(other.block(*key), self.field)
-            if not m.is_zero():
-                blocks[key] = m
-        return BimoduleMap(self.source, self.target, blocks)
-
-    def scale(self, c) -> 'BimoduleMap':
-        return BimoduleMap(self.source, self.target,
-                           {k: m.scale(c, self.field) for k, m in self.blocks.items()})
-
     def is_zero(self) -> bool:
         return not self.blocks
 
@@ -375,9 +360,6 @@ class SubBimodule:
         return Subspace(self.ambient.block_dim(*key),
                         SparseMatrix.zero(self.ambient.block_dim(*key), 0),
                         self.ambient.base.field, _skip_check=True)
-
-    def contains_vector(self, key, vec: dict) -> bool:
-        return self.part(key).contains_vector(vec)
 
 
 def kernel_sub(f: BimoduleMap) -> SubBimodule:

@@ -300,14 +300,6 @@ class SparseMatrix:
                 acc[key] = acc.get(key, 0) + u * v
         return SparseMatrix._from_sums(self.rows, other.cols, acc, field)
 
-    def add(self, other: 'SparseMatrix', field: FieldSpec = RATIONALS) -> 'SparseMatrix':
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError('shape mismatch in add')
-        acc = dict(self._field_entries(field))
-        for k, v in other._field_entries(field).items():
-            acc[k] = acc.get(k, 0) + v
-        return SparseMatrix._from_sums(self.rows, self.cols, acc, field)
-
     def scale(self, c, field: FieldSpec = RATIONALS) -> 'SparseMatrix':
         c = field.coerce(c)
         if c == 0:

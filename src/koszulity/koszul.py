@@ -357,7 +357,7 @@ def phi_shriek_coring_check(C: GradedCoring, n: int) -> bool:
         raise ValueError(f'degree {n} < 1')
     shr = shriek_of_coring(C)
     cx = cobar_complex_coring(C, n)
-    H = SliceHomology(cx, n, ('Ext', n, n)) if cx.spaces[n].dim else None
+    H = SliceHomology(cx, n) if cx.spaces[n].dim else None
     sdim = shr.component(n).dim if n <= shr.top_degree else 0
     hdim = H.dim if H is not None else 0
     if hdim != sdim:

@@ -143,6 +143,12 @@ def relabeling(source, target, label_map) -> BimoduleMap:
                                          lambda key, l: [(label_map(l), 1)])
 
 
+def scaled_map(f: BimoduleMap, c) -> BimoduleMap:
+    'The map c f, block by block.'
+    return BimoduleMap(f.source, f.target,
+                       {k: m.scale(c, f.field) for k, m in f.blocks.items()})
+
+
 def degree2_sequence_holds(X, m: int) -> bool:
     """The dimension identity of the weight-m truncation sequence in
     homological degree 2: the middle term weighs exactly the sum of the ends.

@@ -120,7 +120,6 @@ def test_map_validation_and_action(base, V):
     assert f.apply_label(('x', 'y'), 'u') == [('u', Fraction(2))]
     g = BimoduleMap.identity(V)
     assert f.compose(g) == f
-    assert g.add(g).scale(Fraction(1, 2)) == g
     assert BimoduleMap.zero(V, V).is_zero()
 
 
@@ -173,7 +172,8 @@ def test_kernel_image_sub(base, V):
     img = image_sub(f)
     assert ker.dim == 1
     assert img.dim == 2
-    assert ker.contains_vector(('x', 'y'), {0: Fraction(1), 1: Fraction(-1)})
+    assert ker.part(('x', 'y')).contains_vector(
+        {0: Fraction(1), 1: Fraction(-1)})
 
 
 def test_tensor_map_acts_factorwise(base, V):
@@ -207,5 +207,6 @@ def test_sub_bimodule(base, V):
     sub = SubBimodule(VV, {('x', 'z'): Subspace.from_spanning(
         [{0: Fraction(1), 1: Fraction(1)}], 2)})
     assert sub.dim == 1
-    assert sub.contains_vector(('x', 'z'), {0: Fraction(2), 1: Fraction(2)})
-    assert not sub.contains_vector(('x', 'z'), {0: Fraction(1)})
+    part = sub.part(('x', 'z'))
+    assert part.contains_vector({0: Fraction(2), 1: Fraction(2)})
+    assert not part.contains_vector({0: Fraction(1)})

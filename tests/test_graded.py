@@ -29,7 +29,7 @@ from koszulity.duality import (graded_left_dual_of_ring,
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
 from conftest import (DIAMOND_COVERS, chain_poset, antichain_poset,
-                      boolean_lattice, relabeling)
+                      boolean_lattice, relabeling, scaled_map)
 import oracle
 
 
@@ -92,7 +92,7 @@ def test_associativity_enforced():
     with pytest.raises(StructureError):
         GradedRing(base, comps, {(1, 1): mu11, (1, 2): mu12, (2, 1): mu21}, 3)
     # flipping the sign repairs it
-    mu21_ok = mu21.scale(-1)
+    mu21_ok = scaled_map(mu21, -1)
     GradedRing(base, comps, {(1, 1): mu11, (1, 2): mu12, (2, 1): mu21_ok}, 3)
 
 
@@ -115,7 +115,7 @@ def test_coassociativity_enforced():
         GradedCoring(base, comps, {(1, 1): d11, (1, 2): d12, (2, 1): d21}, 3)
     # flipping the sign repairs it
     GradedCoring(base, comps,
-                 {(1, 1): d11, (1, 2): d12, (2, 1): d21.scale(-1)}, 3)
+                 {(1, 1): d11, (1, 2): d12, (2, 1): scaled_map(d21, -1)}, 3)
 
 
 # scaling one structure map of the length-4 chain by 2 breaks
@@ -135,7 +135,7 @@ def test_doubled_structure_map_names_the_first_failing_triple(field, side):
         X, law = incidence_coring(P, field), 'coassociativity'
     assert sorted(X.maps) == sorted(FIRST_FAILURE)
     for pq, (p, q, r) in FIRST_FAILURE.items():
-        doubled = {**X.maps, pq: X.maps[pq].scale(2)}
+        doubled = {**X.maps, pq: scaled_map(X.maps[pq], 2)}
         with pytest.raises(StructureError) as info:
             type(X)(X.base, X.components, doubled, X.top_degree)
         assert str(info.value) == f'{law} fails at ({p},{q},{r})'
@@ -170,10 +170,11 @@ def _first_failure_by_maps(X):
 def _bumped(f: BimoduleMap, key) -> BimoduleMap:
     'f with 1 added to the first stored entry of its block at key.'
     mat = f.blocks[key]
-    (i, j), _ = next(iter(mat.entries.items()))
-    bump = SparseMatrix(mat.rows, mat.cols, [(i, j, 1)])
-    return BimoduleMap(f.source, f.target,
-                       {**f.blocks, key: mat.add(bump, f.field)})
+    (i, j), v = next(iter(mat.entries.items()))
+    entries = {**mat.entries, (i, j): f.field.coerce(v + 1)}
+    bumped = SparseMatrix(mat.rows, mat.cols,
+                          [(r, c, w) for (r, c), w in entries.items()])
+    return BimoduleMap(f.source, f.target, {**f.blocks, key: bumped})
 
 
 def _several_term_structures():

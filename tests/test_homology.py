@@ -1,7 +1,7 @@
 """Bar and cobar homology, Betti tables, primitives, and the quadraticity
 routes, all cross-checked against the dense brute-force oracle."""
 
-from fractions import Fraction
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,14 +18,14 @@ from koszulity.graded_structures import (GradedRing, shriek_of_ring,
 from koszulity.homology import (partitions, bar_complex_ring,
                                 cobar_complex_coring, tor_table, ext_table,
                                 tor_primitive_dims,
-                                cohomology_ring_component,
                                 ext_diagonal_products_surjective,
                                 is_quadratic_direct,
                                 is_quadratic_coring_direct,
                                 ComplexSlice, SliceHomology,
                                 _cut_boundaries, _deconcatenate)
 from koszulity.koszul import decide_koszul_coring, decide_koszul_ring
-from koszulity.poset import incidence_ring, incidence_coring, enumerate_corpus
+from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
+                             enumerate_corpus)
 from koszulity.errors import InvariantError
 from conftest import (chain_poset, antichain_poset, boolean_lattice,
                       grid_poset, degree2_sequence_holds)
@@ -273,24 +273,21 @@ def test_representatives_round_trip(diamond):
     reps = table.representatives[(2, 2)]
     assert reps.dim == 1
     key, cols = next(iter(reps.reps.items()))
-    out = reps.express(key, cols[0])
-    assert len(out) == 1
-    label, coeff = out[0]
-    assert label[0] == 'h' and coeff == Fraction(1)
+    assert reps.classes(key, cols[0]) == {0: 1}
     # doubling the cycle doubles the coefficient
     doubled = {i: 2 * v for i, v in cols[0].items()}
-    assert reps.express(key, doubled)[0][1] == Fraction(2)
+    assert reps.classes(key, doubled) == {0: 2}
 
 
-def test_express_rejects_a_non_cycle_and_drops_a_boundary():
+def test_classes_reject_a_non_cycle_and_drop_a_boundary():
     'On a degree with boundaries and a nonzero outgoing differential.'
     cx = bar_complex_ring(incidence_ring(grid_poset(2, 3)), 3)
-    H = SliceHomology(cx, 2, ('Tor', 2, 3))
+    H = SliceHomology(cx, 2)
     key, d_in = next(iter(cx.differentials[3].blocks.items()))
-    assert d_in.column(0) and H.express(key, d_in.column(0)) == []
+    assert d_in.column(0) and H.classes(key, d_in.column(0)) == {}
     assert cx.differentials[2].block(*key).column(0)
     with pytest.raises(InvariantError):
-        H.express(key, {0: 1})
+        H.classes(key, {0: 1})
 
 
 def spanning_order_reps(cx, n):
@@ -335,9 +332,9 @@ def test_representatives_are_built_on_first_read(p_bad, monkeypatch):
     built = []
     original = SliceHomology.__init__
 
-    def counted(self, cx, degree, tag):
-        built.append(tag)
-        original(self, cx, degree, tag)
+    def counted(self, cx, degree):
+        built.append((degree, cx.weight))
+        original(self, cx, degree)
 
     monkeypatch.setattr(SliceHomology, '__init__', counted)
     table = tor_table(incidence_ring(p_bad))
@@ -347,32 +344,87 @@ def test_representatives_are_built_on_first_read(p_bad, monkeypatch):
     assert table.representatives is reps and len(built) == 3
 
 
-def test_product_into_zero_cell_goes_through_express(p_bad, monkeypatch):
-    C = incidence_coring(p_bad)
-    table = ext_table(C)
-    assert table.entry(1, 1) and not table.entry(2, 2)
-    assert table.slices[2].spaces[2].dim
-    calls = []
-    original = SliceHomology.express
-
-    def counted(self, key, vec):
-        calls.append(self.tag)
-        return original(self, key, vec)
-
-    monkeypatch.setattr(SliceHomology, 'express', counted)
-    f = cohomology_ring_component(C, 1, 1, 1, 1, table)
-    assert f.is_zero() and f.target.is_zero()
-    assert calls and set(calls) == {('Ext', 2, 2)}
-    assert (2, 2) not in table.representatives
-
-
 def test_ext_products_diamond(diamond):
     C = incidence_coring(diamond)
     table = ext_table(C)
-    f = cohomology_ring_component(C, 1, 1, 1, 1, table)
-    assert f.rank() == 1
-    ok, witness = ext_diagonal_products_surjective(C, table)
-    assert ok and witness is None
+    assert ext_diagonal_products_surjective(C, table) == (True, None)
+    # without the degree-1 classes that start at the bottom, no product
+    # reaches the one class of E^{2,2}, which runs from bottom to top
+    H1 = table.representatives[(1, 1)]
+    H1.reps = {key: v for key, v in H1.reps.items() if key[0] != '0'}
+    assert ext_diagonal_products_surjective(C, table) == (False, 2)
+
+
+def reference_products_surjective(table):
+    """ext_diagonal_products_surjective by plain spans: for each nonzero
+    cell (n+1, n+1), the sum over its blocks of dim span(B u P) - dim
+    span(B), with B the coboundaries of the block and P the concatenations
+    of the representatives of (1, 1) and (n, n) that land in it."""
+    reps = table.representatives
+    H1 = reps.get((1, 1))
+    for n in range(1, table.n_max):
+        H2, H3 = reps.get((n, n)), reps.get((n + 1, n + 1))
+        if H3 is None:
+            continue
+        cx = table.slices[n + 1]
+        space, d_in = cx.spaces[n + 1], cx.differentials.get(n)
+        field = space.base.field
+        products = {}
+        for (s, t), avecs in H1.reps.items() if H1 and H2 else ():
+            for (t2, u), bvecs in H2.reps.items():
+                if t2 != t:
+                    continue
+                alabels = H1.space.blocks[(s, t)]
+                blabels = H2.space.blocks[(t, u)]
+                for a in avecs:
+                    for b in bvecs:
+                        vec = {}
+                        for i, ca in a.items():
+                            for j, cb in b.items():
+                                (pa, wa), (pb, wb) = alabels[i], blabels[j]
+                                at = space.index_of((s, u), (pa + pb, wa + wb))
+                                accumulate(vec, at, ca, cb, field)
+                        products.setdefault((s, u), []).append(vec)
+        gained = 0
+        for key in space.blocks:
+            dim = space.block_dim(*key)
+            B = d_in.block(*key).columns() if d_in is not None else []
+            P = products.get(key, [])
+            gained += (Subspace.from_spanning(B + P, dim, field).dim
+                       - Subspace.from_spanning(B, dim, field).dim)
+        if gained != H3.dim:
+            return False, n + 1
+    return True, None
+
+
+@pytest.mark.parametrize('field', [RATIONALS, FieldSpec.prime_field(2)])
+def test_ext_products_match_plain_spans_on_thinned_generators(field, rp2):
+    """On real input every product is onto, since the diagonal of Ext is
+    the quadratic dual ring, generated in degree 1; only E^{1,1} thinned to
+    the blocks starting at one element reaches the False branch.  In the
+    7-element poset, whose middle ranks form K_{2,3}, blocks of E^{2,2} and
+    E^{3,3} have two classes each, so a product with its factors swapped
+    reads labels that are not there."""
+    k23 = GradedPoset(['0', 'x', 'y', 'a', 'b', 'c', '1'],
+                      [('0', 'x'), ('0', 'y')]
+                      + [(m, t) for m in 'xy' for t in 'abc']
+                      + [(t, '1') for t in 'abc'])
+    posets = [*enumerate_corpus(5), k23] + ([rp2] if field.p == 2 else [])
+    failed = 0
+    for P in posets:
+        C = incidence_coring(P, field)
+        table = ext_table(C)
+        assert ext_diagonal_products_surjective(C, table) == (True, None)
+        assert reference_products_surjective(table) == (True, None)
+        H1 = table.representatives.get((1, 1))
+        for x in C.base.idempotents if H1 else ():
+            thin = copy.copy(H1)
+            thin.reps = {key: v for key, v in H1.reps.items() if key[0] == x}
+            table.representatives[(1, 1)] = thin
+            result = ext_diagonal_products_surjective(C, table)
+            assert result == reference_products_surjective(table)
+            failed += not result[0]
+    assert failed
 
 
 def test_ext_products_pbad_vacuous(p_bad):
