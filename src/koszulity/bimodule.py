@@ -4,6 +4,13 @@ A bimodule is an S x S family of based spaces: block (s, t) collects the
 basis vectors v with e_s v e_t = v.  Tensor products over R then reduce to
 matching middle idempotents, and every bimodule map is a family of sparse
 blocks between blocks with the same (s, t), which is exactly R-bilinearity.
+
+Bimodules are immutable, so what is derived from one is built once.  The
+constructor checks the blocks and sets the blocks in order and dim; the
+label indices, the blocks by start idempotent and the (start, label) ->
+block table are built on first use.  Each bimodule keeps its tensor powers
+and its tensor products with each right factor, and each base keeps its
+zero and unit bimodules and the repr keys that order blocks.
 """
 
 from __future__ import annotations
@@ -43,50 +50,47 @@ class BaseRing(Frozen):
     def unit(self) -> 'Bimodule':
         return Bimodule(self, {(s, s): (UNIT_LABEL,) for s in self.idempotents})
 
+    @cached_property
+    def _reprs(self) -> dict:
+        'Idempotent -> its repr; blocks are ordered by the reprs of (s, t).'
+        return {s: repr(s) for s in self.idempotents}
 
-def _block_sort_key(key):
-    s, t = key
-    return (repr(s), repr(t))
+    def sorted_blocks(self, blocks: dict) -> dict:
+        'blocks with its (s, t) keys in block order.'
+        if len(blocks) < 2:
+            return blocks
+        reprs = self._reprs
+        return {k: blocks[k]
+                for k in sorted(blocks, key=lambda k: (reprs[k[0]], reprs[k[1]]))}
 
 
 class Bimodule:
     """A finite-dimensional R-bimodule with named basis vectors per block."""
 
-    __slots__ = ('base', 'blocks', '_index', '_by_start', '_powers')
+    __slots__ = ('base', 'blocks', 'dim', '_index', '_by_start', '_at',
+                 '_powers', '_tensors')
 
     def __init__(self, base: BaseRing, blocks: dict):
-        idem = set(base.idempotents)
-        clean = {}
-        seen_from = {}
-        for (s, t), labels in blocks.items():
+        clean, from_start, dim = {}, {}, 0
+        for key, labels in blocks.items():
             labels = tuple(labels)
-            if not labels:
-                continue
-            if s not in idem or t not in idem:
-                raise ValueError(f'block ({s!r},{t!r}) uses unknown idempotents')
-            if len(set(labels)) != len(labels):
-                raise ValueError(f'duplicate basis labels in block ({s!r},{t!r})')
-            # labels must be unique across all blocks sharing a start
-            # idempotent, so a (start, label) pair pins down the block
-            fr = seen_from.setdefault(s, set())
-            for l in labels:
-                if l in fr:
-                    raise ValueError(f'label {l!r} reused across blocks from {s!r}')
-                fr.add(l)
-            clean[(s, t)] = labels
-        object.__setattr__(self, 'base', base)
-        object.__setattr__(self, 'blocks',
-                           {k: clean[k] for k in sorted(clean, key=_block_sort_key)})
-        object.__setattr__(self, '_index',
-                           {k: {l: i for i, l in enumerate(v)}
-                            for k, v in self.blocks.items()})
-        # start idempotent -> (((s, t), labels), ...), in block order
-        by_start = {}
-        for key, labels in self.blocks.items():
-            by_start.setdefault(key[0], []).append((key, labels))
-        object.__setattr__(self, '_by_start',
-                           {s: tuple(v) for s, v in by_start.items()})
-        object.__setattr__(self, '_powers', {})
+            if labels:
+                clean[key] = labels
+                dim += len(labels)
+                from_start.setdefault(key[0], set()).update(labels)
+        # labels must be unique across all blocks sharing a start
+        # idempotent, so a (start, label) pair pins down the block
+        if (not base._reprs.keys() >= {k for key in clean for k in key}
+                or sum(map(len, from_start.values())) != dim):
+            _reject(base, clean)
+        set_ = object.__setattr__
+        set_(self, 'base', base)
+        set_(self, 'blocks', base.sorted_blocks(clean))
+        set_(self, 'dim', dim)
+        for name in ('_index', '_by_start', '_at'):
+            set_(self, name, None)
+        set_(self, '_powers', {})
+        set_(self, '_tensors', {})
 
     def __setattr__(self, *a):
         raise AttributeError('Bimodule is immutable')
@@ -97,10 +101,6 @@ class Bimodule:
     def block_dim(self, s, t) -> int:
         return len(self.blocks.get((s, t), ()))
 
-    @property
-    def dim(self) -> int:
-        return sum(len(v) for v in self.blocks.values())
-
     def is_zero(self) -> bool:
         return not self.blocks
 
@@ -110,20 +110,51 @@ class Bimodule:
             for l in labels:
                 yield key, l
 
+    def indices(self) -> dict:
+        'Block key -> {label: index in the block}; built on first use.'
+        if self._index is None:
+            object.__setattr__(self, '_index', {
+                k: {l: i for i, l in enumerate(v)}
+                for k, v in self.blocks.items()})
+        return self._index
+
     def index_of(self, key, label) -> int:
-        return self._index[key][label]
+        return self.indices()[key][label]
 
     def blocks_from(self, s) -> tuple:
         'The ((s, t), labels) pairs of the blocks starting at s, in block order.'
+        if self._by_start is None:
+            by_start = {}
+            for key, labels in self.blocks.items():
+                by_start.setdefault(key[0], []).append((key, labels))
+            object.__setattr__(self, '_by_start',
+                               {s: tuple(v) for s, v in by_start.items()})
         return self._by_start.get(s, ())
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Bimodule):
             return NotImplemented
         return self.base == other.base and self.blocks == other.blocks
 
     def __repr__(self):
         return f'Bimodule(dim={self.dim}, blocks={len(self.blocks)})'
+
+
+def _reject(base: BaseRing, blocks: dict):
+    'Raise the error of the first block, in input order, that is not valid.'
+    seen_from = {}
+    for (s, t), labels in blocks.items():
+        if s not in base._reprs or t not in base._reprs:
+            raise ValueError(f'block ({s!r},{t!r}) uses unknown idempotents')
+        if len(set(labels)) != len(labels):
+            raise ValueError(f'duplicate basis labels in block ({s!r},{t!r})')
+        fr = seen_from.setdefault(s, set())
+        for l in labels:
+            if l in fr:
+                raise ValueError(f'label {l!r} reused across blocks from {s!r}')
+            fr.add(l)
 
 
 def zero_bimodule(base: BaseRing) -> Bimodule:
@@ -138,9 +169,16 @@ def unit_bimodule(base: BaseRing) -> Bimodule:
 
 
 def tensor(V: Bimodule, W: Bimodule) -> Bimodule:
-    'V (x)_R W: block (s,u) = sum over t of V_{s,t} (x) W_{t,u}; labels are pairs.'
+    """V (x)_R W: block (s,u) = sum over t of V_{s,t} (x) W_{t,u}; labels
+    are pairs.  Built once per immutable V and W, then served from V's
+    cache; an empty product is the base's zero bimodule."""
+    hit = V._tensors.get(id(W))
+    if hit is not None:
+        return hit[1]
     if V.base != W.base:
         raise ValueError('tensor factors live over different bases')
+    if V.is_zero() or W.is_zero():
+        return V.base.zero
     blocks = {}
     for (s, t), vlabels in V.blocks.items():
         for (_, u), wlabels in W.blocks_from(t):
@@ -148,7 +186,10 @@ def tensor(V: Bimodule, W: Bimodule) -> Bimodule:
             for vl in vlabels:
                 for wl in wlabels:
                     target.append((vl, wl))
-    return Bimodule(V.base, blocks)
+    T = Bimodule(V.base, blocks) if blocks else V.base.zero
+    # W is kept beside its product, so its id is not reused while cached
+    V._tensors[id(W)] = (None if W is V else W, T)
+    return T
 
 
 def tensor_many(factors: list) -> Bimodule:
@@ -207,8 +248,8 @@ class BimoduleMap:
             raise ValueError('source and target over different bases')
         clean = {}
         for key, mat in blocks.items():
-            sdim = source.block_dim(*key)
-            tdim = target.block_dim(*key)
+            sdim = len(source.blocks.get(key, ()))
+            tdim = len(target.blocks.get(key, ()))
             if (mat.rows, mat.cols) != (tdim, sdim):
                 raise DimensionError(
                     f'block {key!r}: matrix {mat.rows}x{mat.cols}, expected {tdim}x{sdim}')
@@ -216,8 +257,7 @@ class BimoduleMap:
                 clean[key] = mat
         object.__setattr__(self, 'source', source)
         object.__setattr__(self, 'target', target)
-        object.__setattr__(self, 'blocks',
-                           {k: clean[k] for k in sorted(clean, key=_block_sort_key)})
+        object.__setattr__(self, 'blocks', source.base.sorted_blocks(clean))
 
     def __setattr__(self, *a):
         raise AttributeError('BimoduleMap is immutable')
@@ -242,20 +282,20 @@ class BimoduleMap:
         Each summed coefficient is stored as a field element, so over F_p a
         sum that is 0 mod p is dropped."""
         coerce = source.base.field.coerce
-        trips = {}
+        indices = target.indices()
+        blocks = {}
         for key, labels in source.blocks.items():
+            index = indices.get(key, {})
+            acc = {}
             for j, l in enumerate(labels):
                 for tl, c in action(key, l):
-                    if c == 0:
-                        continue
-                    i = target.index_of(key, tl)
-                    trips.setdefault(key, {})
-                    trips[key][(i, j)] = trips[key].get((i, j), 0) + c
-        blocks = {}
-        for key, entries in trips.items():
-            mats = [(i, j, coerce(v)) for (i, j), v in entries.items()]
-            blocks[key] = SparseMatrix(target.block_dim(*key),
-                                       source.block_dim(*key), mats)
+                    if c != 0:
+                        ij = (index[tl], j)
+                        acc[ij] = acc.get(ij, 0) + c
+            if acc:
+                blocks[key] = SparseMatrix(
+                    len(index), len(labels),
+                    [(i, j, coerce(v)) for (i, j), v in acc.items()])
         return cls(source, target, blocks)
 
     def block(self, s, t) -> SparseMatrix:
@@ -267,7 +307,7 @@ class BimoduleMap:
 
     def apply_label(self, key, label) -> list:
         'Image of a source basis vector as [(target_label, coeff)].'
-        j = self.source.index_of(key, label)
+        j = self.source.indices()[key][label]
         mat = self.blocks.get(key)
         if mat is None:
             return []
@@ -323,11 +363,18 @@ def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
 
 
 def _block_of(V: Bimodule, label, s_hint):
-    'Find the unique block of V starting at s_hint that contains the label.'
-    for key, _ in V.blocks_from(s_hint):
-        if label in V._index[key]:
-            return key
-    raise KeyError(f'label {label!r} not found from idempotent {s_hint!r}')
+    """The unique block of V starting at s_hint that contains the label;
+    KeyError if there is none.  V's (start, label) -> block table is built
+    on first use."""
+    if V._at is None:
+        object.__setattr__(V, '_at', {
+            (key[0], l): key for key, labels in V.blocks.items()
+            for l in labels})
+    try:
+        return V._at[(s_hint, label)]
+    except KeyError:
+        raise KeyError(f'label {label!r} not found from idempotent '
+                       f'{s_hint!r}') from None
 
 
 class SubBimodule:
@@ -343,8 +390,7 @@ class SubBimodule:
             if sub.dim:
                 clean[key] = sub
         object.__setattr__(self, 'ambient', ambient)
-        object.__setattr__(self, 'parts',
-                           {k: clean[k] for k in sorted(clean, key=_block_sort_key)})
+        object.__setattr__(self, 'parts', ambient.base.sorted_blocks(clean))
 
     def __setattr__(self, *a):
         raise AttributeError('SubBimodule is immutable')

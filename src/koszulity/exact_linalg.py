@@ -12,6 +12,17 @@ the reduced echelon form (a free column j gives e_j minus its coordinates
 in the pivot columns); an image basis is the first independent columns; a
 span basis is the reduced echelon basis of the span.
 
+The homology of a complex needs the ranks of consecutive maps d_n and
+d_{n+1} with d_n d_{n+1} = 0, and there the Echelon of the columns of
+d_{n+1} saves work on d_n (clearing, the "twist" of Chen and Kerber,
+Persistent homology computation with a twist, EuroCG 2011).  Its rows span
+im d_{n+1}, which lies in ker d_n, and each row is 1 at its lead and 0
+before it.  So the column of d_n at each lead is minus a combination of
+its columns further right; taking the leads from the largest down, every
+lead column lies in the span of the columns that are not leads, and rank
+d_n is the rank of those columns alone.  ComplexSlice.homology_dims ranks
+its slices this way.
+
 Over the rationals an integral value is a plain int, and a Fraction appears
 only where a value is not integral: the field operations and every result
 turn an integral Fraction into its numerator.  The structure constants of
@@ -19,7 +30,9 @@ incidence rings and corings are 0 and +-1, so almost all rational work is
 integer work, and a pivot of +-1 is its own inverse.  Prime-field work
 uses machine integers mod p.  Equal numbers compare and hash equal across
 int and Fraction, so matrices with integral Fraction entries equal their
-int counterparts.
+int counterparts.  Echelon.reduce, the inner loop of every elimination,
+does its arithmetic inline and reduces each result once, to the same
+values as the FieldSpec methods.
 """
 
 from __future__ import annotations
@@ -387,9 +400,12 @@ class Echelon:
         residual plus the combination that coordinates names.
 
         Leads are cleared in ascending order, which never refills one
-        already cleared, so only the leads vec reaches are visited.
+        already cleared, so only the leads vec reaches are visited.  Each
+        entry is updated inline and reduced once, mod p or, over Q, only
+        when it is not an int: the values of f.sub(a, f.mul(c, rv)).
         """
         f, rows = self.field, self.rows
+        p = f.p
         v = {}
         for i, c in vec.items():
             c = f.coerce(c)
@@ -405,7 +421,11 @@ class Echelon:
                 continue
             row, combo = rows[lead]
             for j, rv in row.items():
-                nv = f.sub(v.get(j, 0), f.mul(c, rv))
+                nv = v.get(j, 0) - c * rv
+                if p is not None:
+                    nv %= p
+                elif type(nv) is not int:
+                    nv = _q_normal(nv)
                 if nv == 0:
                     v.pop(j, None)
                 else:
@@ -428,8 +448,9 @@ class Echelon:
         combo = {t: f.neg(f.mul(c, inv)) for t, c in coords.items()}
         if tag is not None:
             combo[tag] = inv
-        self.rows[lead] = ({j: f.mul(c, inv) for j, c in residual.items()},
-                           combo)
+        if inv != 1:   # the residual's entries are field elements already
+            residual = {j: f.mul(c, inv) for j, c in residual.items()}
+        self.rows[lead] = (residual, combo)
         return True
 
     def reduced_rows(self) -> list:

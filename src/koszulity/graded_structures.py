@@ -86,8 +86,10 @@ class _Graded:
     """The data a graded ring and a graded coring share: components[n] is
     X_n for 0 <= n <= top_degree (X_0 = R), and maps[(p, q)], p, q >= 1,
     is the nonzero (p, q) structure map between X_{p+q} and X_p (x) X_q.
-    Zero maps are not stored, and the maps against degree 0 are the
-    canonical identifications, each built on first use and then kept.
+    Zero maps are not stored in maps; they and the maps against degree 0,
+    the canonical identifications, are each built on first use and then
+    kept.  _reach[r] holds the idempotents where a word of weight exactly
+    r starts; the word spaces of the slices extend it on demand.
 
     Each side gives _ends(tensored, whole) -> (source, target), the
     direction of its maps, its unit identifications _left_unit and
@@ -105,7 +107,8 @@ class _Graded:
                            for n in range(top_degree + 1)}
         self.support_truncated = False
         self._strongly_graded = False   # set once a check has passed
-        self._unit_maps = {}
+        self._derived_maps = {}
+        self._reach = [set(base.idempotents)]
         self.maps = {}
         for (p, q), f in maps.items():
             if p < 1 or q < 1 or p + q > top_degree:
@@ -121,17 +124,18 @@ class _Graded:
                           self.component(p + q))
 
     def _map(self, p: int, q: int) -> BimoduleMap:
-        """The (p, q) structure map: against degree 0 the side's unit
-        identification, otherwise the stored map, or the zero map between
-        its ends."""
-        if p and q:
-            f = self.maps.get((p, q))
-            return BimoduleMap.zero(*self._ends_at(p, q)) if f is None else f
-        f = self._unit_maps.get((p, q))
+        """The (p, q) structure map: the stored map, else against degree 0
+        the side's unit identification, else the zero map between its
+        ends; the last two are kept once built."""
+        f = self.maps.get((p, q)) or self._derived_maps.get((p, q))
         if f is None:
-            f = (self._left_unit(self.base, self.component(q)) if p == 0
-                 else self._right_unit(self.base, self.component(p)))
-            self._unit_maps[(p, q)] = f
+            if p and q:
+                f = BimoduleMap.zero(*self._ends_at(p, q))
+            elif p == 0:
+                f = self._left_unit(self.base, self.component(q))
+            else:
+                f = self._right_unit(self.base, self.component(p))
+            self._derived_maps[(p, q)] = f
         return f
 
     def _validate(self):

@@ -91,11 +91,32 @@ class ComplexSlice:
     def homology_dims(self) -> dict:
         """Degree -> homology dimension by rank-nullity.
 
+        Ranks are counted with clearing (Chen and Kerber, Persistent
+        homology computation with a twist, EuroCG 2011), block by block:
+        the map into a degree is ranked first, so chain slices go from the
+        top degree down and cochain slices from degree 0 up, and the map
+        out of it is ranked on the columns that are not leads of the first
+        map's Echelon.  Its rows span an image inside the kernel of the
+        second map (d after d = 0, checked at construction) and are 1 at
+        their leads and 0 before, so each lead column is a combination of
+        columns further right, and the rank is kept (see exact_linalg).
+
         The Euler characteristic of the spaces and of the homology are
         compared exactly as a bookkeeping check.
         """
         step = -1 if self.direction == 'chain' else 1
-        ranks = {n: d.rank() for n, d in self.differentials.items()}
+        ranks, leads = {}, {}
+        for n in sorted(self.differentials, reverse=step < 0):
+            d = self.differentials[n]
+            cleared = leads.pop(n - step, {})
+            ranks[n], leads[n] = 0, {}
+            for key, mat in d.blocks.items():
+                skip = cleared.get(key, ())
+                echelon = Echelon(d.field, [
+                    col for j, col in enumerate(mat.columns())
+                    if j not in skip])
+                ranks[n] += len(echelon.rows)
+                leads[n][key] = set(echelon.rows)
         out = {}
         for n, sp in self.spaces.items():
             h = sp.dim - ranks.get(n, 0) - ranks.get(n - step, 0)
@@ -131,19 +152,23 @@ def _word_space_blocks(X, m: int) -> dict:
     Labels are (parts, word) pairs.  reach[r] holds the idempotents where a
     word of weight exactly r starts: every idempotent for r = 0, else the
     starts of the blocks (s, t) of some X_p, p <= r, with t in reach[r-p].
-    Compositions of m are walked depth first in the order of partitions(),
-    carrying the idempotents where the words of the prefix end and a word
-    of the remaining weight starts, so every prefix entered completes, on
-    cyclic block digraphs too.  Weight 0 holds the empty word ((), ()) on
-    the diagonal.
+    X keeps reach, and each call extends it up to m.  A weight no word
+    reaches has the zero space in every degree.  Otherwise compositions of
+    m are walked depth first in the order of partitions(), carrying the
+    idempotents where the words of the prefix end and a word of the
+    remaining weight starts, so every prefix entered completes, on cyclic
+    block digraphs too.  Weight 0 holds the empty word ((), ()) on the
+    diagonal.
     """
     base = X.base
-    blocks = [{} for _ in range(m + 1)]
     comps = {p: X.component(p) for p in range(1, m + 1)}
-    reach = [set(base.idempotents)]
-    for r in range(1, m + 1):
+    reach = X._reach
+    for r in range(len(reach), m + 1):
         reach.append({s for p in range(1, r + 1) for s, t in comps[p].blocks
                       if t in reach[r - p]})
+    if not reach[m]:
+        return dict.fromkeys(range(m + 1), base.zero)
+    blocks = [{} for _ in range(m + 1)]
     parts = []
 
     def grow(remaining, ends):
@@ -168,7 +193,8 @@ def _word_space_blocks(X, m: int) -> dict:
         grow(m, set(base.idempotents))
     else:
         blocks[0] = {(s, s): [((), ())] for s in base.idempotents}
-    return {n: Bimodule(base, blocks[n]) for n in range(m + 1)}
+    return {n: Bimodule(base, blocks[n]) if blocks[n] else base.zero
+            for n in range(m + 1)}
 
 
 def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:

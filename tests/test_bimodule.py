@@ -33,23 +33,33 @@ def test_base_ring_validation():
 
 
 def test_bimodule_validation(base):
-    with pytest.raises(ValueError):
-        Bimodule(base, {('x', 'q'): ('u',)})
-    with pytest.raises(ValueError):
-        Bimodule(base, {('x', 'y'): ('u', 'u')})
+    with pytest.raises(ValueError, match='unknown idempotents'):
+        Bimodule(base, {('x', 'y'): ('u',), ('x', 'q'): ('v',)})
+    with pytest.raises(ValueError, match='duplicate basis labels'):
+        Bimodule(base, {('x', 'y'): ('u', 'v', 'u')})
     # same label from the same start idempotent, different targets
-    with pytest.raises(ValueError):
-        Bimodule(base, {('x', 'y'): ('u',), ('x', 'z'): ('u',)})
-    # empty blocks are dropped silently
-    W = Bimodule(base, {('x', 'y'): ()})
+    with pytest.raises(ValueError, match="label 'u' reused across blocks"):
+        Bimodule(base, {('x', 'y'): ('u', 'v'), ('x', 'z'): ('w', 'u')})
+    # the first block in input order that is not valid names the error
+    with pytest.raises(ValueError, match='duplicate basis labels'):
+        Bimodule(base, {('y', 'z'): ('u', 'u'), ('x', 'q'): ('v',)})
+    # a label may recur from another start, and empty blocks are dropped
+    # silently, whatever their idempotents
+    assert Bimodule(base, {('x', 'y'): ('u',), ('y', 'y'): ('u',)}).dim == 2
+    W = Bimodule(base, {('x', 'y'): (), ('q', 'q'): ()})
     assert W.is_zero() and W.dim == 0
 
 
 def test_bimodule_dims(V):
-    assert V.dim == 3
+    assert V.dim == 3 == sum(len(labels) for labels in V.blocks.values())
     assert V.block_dim('x', 'y') == 2
     assert V.block_dim('z', 'x') == 0
     assert V.index_of(('x', 'y'), 'v') == 1
+    # blocks are kept in the order of the reprs of their idempotents
+    U = Bimodule(V.base, {('y', 'z'): ('a',), ('x', 'z'): ('b', 'c'),
+                          ('x', 'y'): ('d',)})
+    assert list(U.blocks) == [('x', 'y'), ('x', 'z'), ('y', 'z')]
+    assert U.dim == 4 == sum(map(len, U.blocks.values()))
 
 
 def test_unit_bimodule(base):
@@ -65,6 +75,38 @@ def test_tensor_follows_composable_blocks(base, V):
     assert set(VV.blocks) == {('x', 'z')}
     assert VV.block('x', 'z') == (('u', 'w'), ('v', 'w'))
     assert tensor(V, zero_bimodule(base)).is_zero()
+
+
+def test_tensor_is_built_once_per_pair_of_factors(base, V):
+    W = Bimodule(base, {('y', 'y'): ('a',), ('y', 'z'): ('b', 'c'),
+                        ('z', 'x'): ('d',)})
+    VW = tensor(V, W)
+    assert tensor(V, W) is VW and tensor(V, V) is tensor(V, V)
+    # the same product built label by label
+    blocks = {}
+    for (s, t), vlabels in V.blocks.items():
+        for (t2, u), wlabels in W.blocks.items():
+            if t2 == t:
+                blocks.setdefault((s, u), []).extend(
+                    (vl, wl) for vl in vlabels for wl in wlabels)
+    assert VW == Bimodule(base, blocks)
+    assert VW.block('x', 'z') == (('u', 'b'), ('u', 'c'), ('v', 'b'),
+                                  ('v', 'c'))
+    # an equal but distinct right factor gets a product of its own, equal
+    W2 = Bimodule(base, dict(W.blocks))
+    assert tensor(V, W2) is not VW and tensor(V, W2) == VW
+
+
+def test_empty_tensor_product_is_the_zero_bimodule(base, V):
+    U = Bimodule(base, {('x', 'x'): ('a',)})
+    assert tensor(V, U) is base.zero      # no block of V ends at x
+    assert tensor(U, V) == Bimodule(base, {('x', 'y'): [('a', 'u'),
+                                                         ('a', 'v')]})
+    assert tensor(V, zero_bimodule(base)) is base.zero
+    assert tensor(zero_bimodule(base), V) is base.zero
+    other = BaseRing(('x', 'y', 'z'), FieldSpec.prime_field(2))
+    with pytest.raises(ValueError, match='different bases'):
+        tensor(V, other.zero)
 
 
 def test_tensor_unit_both_sides(base, V):
@@ -111,6 +153,8 @@ def test_block_of_unknown_label(V):
         _block_of(V, 'missing', 'y')
     with pytest.raises(KeyError):
         _block_of(V, 'u', 'z')      # no block starts at z
+    with pytest.raises(KeyError, match="'missing' not found from idempotent"):
+        _block_of(V, 'missing', 'x')
 
 
 def test_map_validation_and_action(base, V):
@@ -143,6 +187,10 @@ def test_map_block_escape_rejected(base, V):
     with pytest.raises(KeyError):
         BimoduleMap.from_basis_action(
             V, V, lambda key, l: [('w', 1)] if l == 'u' else [(l, 1)])
+    # a block the target lacks holds no label at all
+    U = Bimodule(base, {('x', 'y'): ('u', 'v')})
+    with pytest.raises(KeyError):
+        BimoduleMap.from_basis_action(V, U, lambda key, l: [(l, 1)])
 
 
 def test_compose_shape_mismatch(base, V):

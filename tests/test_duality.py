@@ -14,10 +14,9 @@ from koszulity.graded_structures import (GradedRing, GradedCoring,
 from koszulity.duality import (dual_map, graded_left_dual_of_ring,
                                graded_left_dual_of_coring,
                                dual_pair, double_dual_check)
-from koszulity.koszul import (make_pair_shriek_ring, make_pair_shriek_coring,
-                              koszul_complex_left, koszul_complex_right,
-                              is_exact, decide_koszul_ring,
-                              decide_koszul_coring)
+from koszulity.koszul import (make_pair_shriek_ring, koszul_complex_left,
+                              koszul_complex_right, is_exact,
+                              decide_koszul_ring, decide_koszul_coring)
 from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
 from conftest import chain_poset, antichain_poset, relabeling, scaled_map

@@ -24,8 +24,7 @@ from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          right_unit_map, right_unit_section,
                                          _walk)
 from koszulity.errors import StructureError, InvariantError
-from koszulity.duality import (graded_left_dual_of_ring,
-                               graded_left_dual_of_coring)
+from koszulity.duality import graded_left_dual_of_ring
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
 from conftest import (DIAMOND_COVERS, chain_poset, antichain_poset,
@@ -284,6 +283,13 @@ def test_canonical_identifications_are_built_once(diamond):
         assert C.delta(0, n) == left_unit_section(base, C.component(n))
         assert C.delta(n, 0) is C.delta(n, 0)
         assert C.delta(n, 0) == right_unit_section(base, C.component(n))
+    # so are the zero maps, between the kept products of their ends
+    for X, f in ((A, A.mu), (C, C.delta)):
+        assert (1, 2) not in X.maps and f(1, 2).is_zero()
+        assert f(1, 2) is f(1, 2)
+        ends = f(1, 2).source, f(1, 2).target
+        assert any(end is tensor(X.component(1), X.component(2))
+                   for end in ends)
     # the public builders stay pure: a fresh map on every call
     assert left_unit_map(base, A.component(1)) is not A.mu(0, 1)
     assert right_unit_section(base, C.component(1)) is not C.delta(1, 0)

@@ -3,14 +3,13 @@
 import pytest
 
 from koszulity.exact_linalg import RATIONALS
-from koszulity.bimodule import BaseRing, Bimodule, BimoduleMap, tensor, unit_bimodule
+from koszulity.bimodule import BaseRing, Bimodule, BimoduleMap, unit_bimodule
 from koszulity.graded_structures import (GradedRing, GradedCoring,
-                                         shriek_of_ring,
-                                         direct_product, direct_sum_corings)
-from koszulity.koszul import (AlmostKoszulPair, KoszulVerdict,
-                              make_pair_shriek_ring, make_pair_shriek_coring,
-                              koszul_complex_left, koszul_complex_right,
-                              is_exact, decide_koszul_ring,
+                                         shriek_of_ring, direct_product)
+from koszulity.koszul import (AlmostKoszulPair, make_pair_shriek_ring,
+                              make_pair_shriek_coring, koszul_complex_left,
+                              koszul_complex_right, is_exact,
+                              decide_koszul_ring,
                               decide_koszul_coring, phi_shriek_ring_check,
                               phi_shriek_coring_check,
                               RING_CRITERION_KINDS, CORING_CRITERION_KINDS,
