@@ -14,7 +14,7 @@ _EXPORTS = {
                'PreconditionError', 'CriteriaDisagreement', 'InvariantError'),
     'exact_linalg': ('FieldSpec', 'RATIONALS', 'SparseMatrix', 'Subspace'),
     'bimodule': ('BaseRing', 'Bimodule', 'BimoduleMap', 'SubBimodule',
-                 'tensor', 'tensor_many', 'tensor_power', 'tensor_map',
+                 'tensor', 'tensor_many', 'tensor_power',
                  'unit_bimodule', 'zero_bimodule', 'left_dual', 'dual_label'),
     'graded_structures': ('GradedRing', 'GradedCoring', 'QuadraticData',
                           'quadratic_ring_of', 'quadratic_coring_of',
@@ -33,9 +33,8 @@ _EXPORTS = {
                'koszul_complex_left', 'koszul_complex_right', 'is_exact',
                'decide_koszul_ring', 'decide_koszul_coring',
                'phi_shriek_ring_check', 'phi_shriek_coring_check'),
-    'duality': ('dual_map', 'graded_left_dual_of_ring',
-                'graded_left_dual_of_coring', 'dual_pair',
-                'double_dual_check'),
+    'duality': ('graded_left_dual_of_ring', 'graded_left_dual_of_coring',
+                'dual_pair', 'double_dual_check'),
     'poset': ('GradedPoset', 'parse_poset', 'incidence_ring',
               'incidence_coring', 'zeta_ring', 'incidence_duality_check',
               'canonical_form', 'enumerate_corpus'),

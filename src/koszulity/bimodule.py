@@ -95,20 +95,11 @@ class Bimodule:
     def __setattr__(self, *a):
         raise AttributeError('Bimodule is immutable')
 
-    def block(self, s, t) -> tuple:
-        return self.blocks.get((s, t), ())
-
     def block_dim(self, s, t) -> int:
         return len(self.blocks.get((s, t), ()))
 
     def is_zero(self) -> bool:
         return not self.blocks
-
-    def basis(self):
-        'Yield (block_key, label) over all basis vectors, deterministic order.'
-        for key, labels in self.blocks.items():
-            for l in labels:
-                yield key, l
 
     def indices(self) -> dict:
         'Block key -> {label: index in the block}; built on first use.'
@@ -342,24 +333,6 @@ class BimoduleMap:
 
     def __repr__(self):
         return f'BimoduleMap({self.source!r} -> {self.target!r})'
-
-
-def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
-    'f (x) g on the pair-labeled tensor products of sources and targets.'
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-
-    def action(key, label):
-        fl, gl = label
-        fkey = _block_of(f.source, fl, key[0])
-        out = []
-        for tl1, c1 in f.apply_label(fkey, fl):
-            gkey = (fkey[1], key[1])
-            for tl2, c2 in g.apply_label(gkey, gl):
-                out.append(((tl1, tl2), c1 * c2))
-        return out
-
-    return BimoduleMap.from_basis_action(src, tgt, action)
 
 
 def _block_of(V: Bimodule, label, s_hint):

@@ -23,12 +23,6 @@ from .graded_structures import GradedRing, GradedCoring
 from .koszul import AlmostKoszulPair
 
 
-def dual_map(f: BimoduleMap) -> BimoduleMap:
-    'The dual ^*f : ^*target -> ^*source; blockwise transpose, same keys.'
-    return BimoduleMap(left_dual(f.target), left_dual(f.source),
-                       {key: mat.transpose() for key, mat in f.blocks.items()})
-
-
 def _graded_left_dual(X, out_cls):
     """The out_cls on the duals ^*X_n whose (p, q) structure map is the
     blockwise transpose of X.maps[(p, q)].
@@ -64,11 +58,11 @@ def graded_left_dual_of_coring(C: GradedCoring) -> GradedRing:
 
 def dual_pair(pair: AlmostKoszulPair) -> AlmostKoszulPair:
     """The dual of an almost-Koszul pair: (dual of the coring, dual of the
-    ring, transposed theta), with compatibility re-asserted exactly.
+    ring), with both pair conditions re-checked exactly.  The two degree-1
+    parts are equal, since both are ^*V for the shared V = A^1 = C_1.
     """
-    ring = graded_left_dual_of_coring(pair.coring)
-    coring = graded_left_dual_of_ring(pair.ring)
-    return AlmostKoszulPair(ring, coring, dual_map(pair.theta))
+    return AlmostKoszulPair(graded_left_dual_of_coring(pair.coring),
+                            graded_left_dual_of_ring(pair.ring))
 
 
 def double_dual_check(obj) -> bool:

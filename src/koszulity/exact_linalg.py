@@ -152,12 +152,6 @@ class FieldSpec(Frozen):
             raise ReductionError(f'denominator of {x} vanishes mod {self.p}')
         return f.numerator * pow(f.denominator, -1, self.p) % self.p
 
-    def add(self, a, b):
-        return _q_normal(a + b) if self.kind == 'rationals' else (a + b) % self.p
-
-    def sub(self, a, b):
-        return _q_normal(a - b) if self.kind == 'rationals' else (a - b) % self.p
-
     def mul(self, a, b):
         return _q_normal(a * b) if self.kind == 'rationals' else (a * b) % self.p
 
@@ -401,8 +395,8 @@ class Echelon:
 
         Leads are cleared in ascending order, which never refills one
         already cleared, so only the leads vec reaches are visited.  Each
-        entry is updated inline and reduced once, mod p or, over Q, only
-        when it is not an int: the values of f.sub(a, f.mul(c, rv)).
+        entry a is updated inline to a - c * rv and reduced once, mod p or,
+        over Q, only when it is not an int.
         """
         f, rows = self.field, self.rows
         p = f.p

@@ -1,18 +1,20 @@
 """Almost-Koszul pairs, their Koszul complexes, and the Koszulity decision.
 
-A pair is a ring and a coring joined by an invertible degree-1 map theta
-whose square multiplies to zero against the comultiplication.  The pair is
-Koszul when every weight slice of its Koszul complex is exact; for finitely
-supported factors the slices vanish beyond the sum of the two top degrees,
-so a finite sweep is a complete decision.  The decision procedure computes
-several criteria that are equivalent by theory and raises
-CriteriaDisagreement if the implementations ever split.
+A pair is a ring A and a coring C that share their degree-1 bimodule,
+A^1 = C_1, with mu(1, 1) Delta(1, 1) = 0; AlmostKoszulPair says why this
+loses no generality.
+
+The pair is Koszul when every weight slice of its Koszul complex is exact;
+for finitely supported factors the slices vanish beyond the sum of the two
+top degrees, so a finite sweep is a complete decision.  The decision
+procedure computes several criteria that are equivalent by theory and
+raises CriteriaDisagreement if the implementations ever split.
 """
 
 from __future__ import annotations
 
 from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
-                       tensor_map, _block_of, UNIT_LABEL)
+                       _block_of, UNIT_LABEL)
 from .exact_linalg import SparseMatrix, rank, matvec
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
                                 shriek_of_coring)
@@ -25,33 +27,24 @@ from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
 class AlmostKoszulPair:
-    """A graded ring and coring over one base, tied by theta: C_1 -> A^1.
+    """A graded ring and coring over one base that share their degree-1
+    bimodule, A^1 = C_1, with mu(1, 1) Delta(1, 1) = 0.
 
-    theta must be a blockwise isomorphism, and multiplying its square
-    against the (1,1) comultiplication must give zero.
+    A pair (A, C, theta) of arXiv:1011.4243, with theta: C_1 -> A^1
+    invertible and mu(theta x theta)Delta(1, 1) = 0, is isomorphic to
+    (A, C'), where C' is C carried along theta in every tensor factor of
+    degree 1; so this pair is the general one with theta the identity.
     """
 
-    def __init__(self, ring: GradedRing, coring: GradedCoring,
-                 theta: BimoduleMap):
+    def __init__(self, ring: GradedRing, coring: GradedCoring):
         if ring.base != coring.base:
             raise StructureError('pair factors live over different bases')
-        C1, A1 = coring.component(1), ring.component(1)
-        if theta.source != C1 or theta.target != A1:
-            raise StructureError('theta must map C_1 to A^1')
-        for key in set(C1.blocks) | set(A1.blocks):
-            sd = C1.block_dim(*key)
-            td = A1.block_dim(*key)
-            rk = rank(theta.block(*key), ring.base.field)
-            if sd != td or rk != sd:
-                raise StructureError(
-                    f'theta is not invertible on block {key!r}')
-        square = ring.mu(1, 1).compose(tensor_map(theta, theta)) \
-                              .compose(coring.delta(1, 1))
-        if not square.is_zero():
-            raise StructureError('theta squared does not multiply to zero')
+        if ring.component(1) != coring.component(1):
+            raise StructureError('pair factors have different degree-1 parts')
+        if not ring.mu(1, 1).compose(coring.delta(1, 1)).is_zero():
+            raise StructureError('mu(1, 1) Delta(1, 1) is not zero')
         self.ring = ring
         self.coring = coring
-        self.theta = theta
 
     def __repr__(self):
         return (f'AlmostKoszulPair(ring top {self.ring.top_degree}, '
@@ -62,24 +55,25 @@ def _pair_with_shriek(X, shriek) -> AlmostKoszulPair:
     _require_strongly_graded(X)
     partner = shriek(X)
     ring, coring = (X, partner) if isinstance(X, GradedRing) else (partner, X)
-    return AlmostKoszulPair(ring, coring, BimoduleMap.identity(X.component(1)))
+    return AlmostKoszulPair(ring, coring)
 
 
 def make_pair_shriek_ring(A: GradedRing) -> AlmostKoszulPair:
-    'The pair of A with its quadratic-dual coring; theta is the identity.'
+    'The pair of A with its quadratic-dual coring.'
     return _pair_with_shriek(A, shriek_of_ring)
 
 
 def make_pair_shriek_coring(C: GradedCoring) -> AlmostKoszulPair:
-    'The pair of the quadratic-dual ring with C; theta is the identity.'
+    'The pair of the quadratic-dual ring with C.'
     return _pair_with_shriek(C, shriek_of_coring)
 
 
 def _koszul_action(pair: AlmostKoszulPair, a_degree: int, c_degree: int):
     """The differential cell on tensor(A^{a_degree}, C_{c_degree}):
-    a (x) c -> sum a theta(c_{1,1}) (x) c_{2,c_degree-1}.
+    a (x) c -> sum a c_{1,1} (x) c_{2,c_degree-1}, the first letter c_{1,1}
+    read in A^1 = C_1.
     """
-    A, C, theta = pair.ring, pair.coring, pair.theta
+    A, C = pair.ring, pair.coring
     Asrc = A.component(a_degree)
     C1 = C.component(1)
     cut = C.delta(1, c_degree - 1)
@@ -90,10 +84,9 @@ def _koszul_action(pair: AlmostKoszulPair, a_degree: int, c_degree: int):
         mid = _block_of(Asrc, al, key[0])[1]
         out = []
         for (c1, c2), cd in cut.apply_label((mid, key[1]), cl):
-            c1_key = (mid, _block_of(C1, c1, mid)[1])
-            for t1, ct in theta.apply_label(c1_key, c1):
-                for a2, cm in mu.apply_label((key[0], c1_key[1]), (al, t1)):
-                    out.append(((a2, c2), cd * ct * cm))
+            after = _block_of(C1, c1, mid)[1]
+            for a2, cm in mu.apply_label((key[0], after), (al, c1)):
+                out.append(((a2, c2), cd * cm))
         return out
 
     return action

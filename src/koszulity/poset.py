@@ -350,17 +350,16 @@ def _cover_choices(key) -> list:
 MAX_CORPUS_ELEMENTS = 8   # largest corpus size enumerated
 
 
-def enumerate_corpus(max_elements: int, max_length=None):
-    """Yield every graded poset with at most max_elements elements (and
-    maximum interval length at most max_length, if given), one per
-    isomorphism class: by size, and within a size by canonical key.
+def enumerate_corpus(max_elements: int):
+    """Yield every graded poset with at most max_elements elements, one
+    per isomorphism class: by size, and within a size by canonical key.
 
     One walk grows the sizes in turn, each by adding a new maximal element
     over an antichain of lower covers of a poset one size smaller; a poset
-    that fails gradedness or the length bound never recovers by adding
-    more maximal elements, so such branches are dropped.  Deduplication is
-    by canonical form at every size, and each size is yielded as soon as
-    it is complete, before the next one is grown.
+    that fails gradedness never recovers by adding more maximal elements,
+    so such branches are dropped.  Deduplication is by canonical form at
+    every size, and each size is yielded as soon as it is complete, before
+    the next one is grown.
     """
     if max_elements < 1:
         raise InputError('corpus size must be at least 1')
@@ -378,8 +377,6 @@ def enumerate_corpus(max_elements: int, max_length=None):
                     Q = _poset_from_key(
                         (k + 1, edges + tuple((v, k) for v in cover_set)))
                 except InputError:
-                    continue
-                if max_length is not None and Q.max_length > max_length:
                     continue
                 nxt.add(Q.canonical_key())
         level = sorted(nxt)

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from koszulity.bimodule import BimoduleMap
+from koszulity.bimodule import BimoduleMap, _block_of, left_dual, tensor
 from koszulity.errors import InputError, InvariantError
 from koszulity.exact_linalg import SparseMatrix
 from koszulity.graded_structures import (GradedRing, direct_product,
@@ -179,3 +179,27 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
+    'f (x) g on the pair-labeled tensor products of sources and targets.'
+    src = tensor(f.source, g.source)
+    tgt = tensor(f.target, g.target)
+
+    def action(key, label):
+        fl, gl = label
+        fkey = _block_of(f.source, fl, key[0])
+        out = []
+        for tl1, c1 in f.apply_label(fkey, fl):
+            gkey = (fkey[1], key[1])
+            for tl2, c2 in g.apply_label(gkey, gl):
+                out.append(((tl1, tl2), c1 * c2))
+        return out
+
+    return BimoduleMap.from_basis_action(src, tgt, action)
+
+
+def dual_map(f: BimoduleMap) -> BimoduleMap:
+    'The dual ^*f : ^*target -> ^*source; blockwise transpose, same keys.'
+    return BimoduleMap(left_dual(f.target), left_dual(f.source),
+                       {key: mat.transpose() for key, mat in f.blocks.items()})

@@ -10,9 +10,10 @@ from koszulity.homology import bar_complex_ring
 from koszulity.poset import incidence_ring
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_many, tensor_power,
-                                tensor_map, unit_bimodule, zero_bimodule,
+                                unit_bimodule, zero_bimodule,
                                 kernel_sub, image_sub, left_dual, dual_label,
                                 _block_of)
+from conftest import tensor_map
 
 
 @pytest.fixture
@@ -65,7 +66,7 @@ def test_bimodule_dims(V):
 def test_unit_bimodule(base):
     R = unit_bimodule(base)
     assert R.dim == 3
-    assert R.block('x', 'x') == (UNIT_LABEL,)
+    assert R.blocks[('x', 'x')] == (UNIT_LABEL,)
     assert zero_bimodule(base).dim == 0
 
 
@@ -73,7 +74,7 @@ def test_tensor_follows_composable_blocks(base, V):
     VV = tensor(V, V)
     # only (x,y)(y,z) composes
     assert set(VV.blocks) == {('x', 'z')}
-    assert VV.block('x', 'z') == (('u', 'w'), ('v', 'w'))
+    assert VV.blocks[('x', 'z')] == (('u', 'w'), ('v', 'w'))
     assert tensor(V, zero_bimodule(base)).is_zero()
 
 
@@ -90,7 +91,7 @@ def test_tensor_is_built_once_per_pair_of_factors(base, V):
                 blocks.setdefault((s, u), []).extend(
                     (vl, wl) for vl in vlabels for wl in wlabels)
     assert VW == Bimodule(base, blocks)
-    assert VW.block('x', 'z') == (('u', 'b'), ('u', 'c'), ('v', 'b'),
+    assert VW.blocks[('x', 'z')] == (('u', 'b'), ('u', 'c'), ('v', 'b'),
                                   ('v', 'c'))
     # an equal but distinct right factor gets a product of its own, equal
     W2 = Bimodule(base, dict(W.blocks))
@@ -114,7 +115,7 @@ def test_tensor_unit_both_sides(base, V):
     left = tensor(R, V)
     right = tensor(V, R)
     assert left.dim == V.dim == right.dim
-    assert left.block('x', 'y') == ((UNIT_LABEL, 'u'), (UNIT_LABEL, 'v'))
+    assert left.blocks[('x', 'y')] == ((UNIT_LABEL, 'u'), (UNIT_LABEL, 'v'))
 
 
 def test_tensor_many_and_power(base, V):
@@ -134,7 +135,7 @@ def test_tensor_power_is_cached(base, V):
     for n in range(4):
         assert tensor_power(W, n) is tensor_power(W, n)
     assert tensor_power(W, 2) == tensor_many([W, W])
-    assert tensor_power(W, 3).block('x', 'y') == (
+    assert tensor_power(W, 3).blocks[('x', 'y')] == (
         ('a', 'a', 'b'),)
     assert tensor_power(V, 3) is tensor_power(V, 3)
 

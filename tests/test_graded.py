@@ -9,7 +9,7 @@ from koszulity.exact_linalg import (RATIONALS, FieldSpec, Subspace,
                                     SparseMatrix, Echelon, intersect,
                                     outer_vector)
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, tensor, tensor_map, tensor_power,
+                                UNIT_LABEL, tensor, tensor_power,
                                 unit_bimodule, zero_bimodule, kernel_sub,
                                 image_sub)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
@@ -28,7 +28,7 @@ from koszulity.duality import graded_left_dual_of_ring
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
 from conftest import (DIAMOND_COVERS, chain_poset, antichain_poset,
-                      boolean_lattice, relabeling, scaled_map)
+                      boolean_lattice, relabeling, scaled_map, tensor_map)
 import oracle
 
 
@@ -212,7 +212,9 @@ def test_word_checks_agree_with_map_checks_on_several_term_structures(
         law = ('associativity' if isinstance(X, GradedRing)
                else 'coassociativity')
         assert any(len(f.apply_label(key, l)) > 1
-                   for f in maps.values() for key, l in f.source.basis()), name
+                   for f in maps.values()
+                   for key, labels in f.source.blocks.items()
+                   for l in labels), name
         for pq, f in sorted(maps.items()):
             for key in list(f.blocks)[:2]:
                 bumped = {**maps, pq: _bumped(f, key)}

@@ -145,7 +145,8 @@ def assert_slice_spaces_match(P):
             for n in range(m + 1):
                 space = cx.spaces[n]
                 want = compositions_space(X, n, m)
-                assert list(space.basis()) == list(want.basis()), (m, n)
+                assert list(space.blocks.items()) == list(want.blocks.items()), \
+                    (m, n)
                 assert space.dim == len(chains[n]), (m, n)
 
 
@@ -178,7 +179,7 @@ def test_cyclic_words_are_not_pruned():
     V = Bimodule(base, {('x', 'x'): ('a',)})
     A = GradedRing(base, {0: unit_bimodule(base), 1: V}, {}, 1)
     cx = bar_complex_ring(A, 4)
-    assert cx.spaces[4].block('x', 'x') == (((1, 1, 1, 1), ('a',) * 4),)
+    assert cx.spaces[4].blocks[('x', 'x')] == (((1, 1, 1, 1), ('a',) * 4),)
     assert all(cx.spaces[n].is_zero() for n in range(4))
 
 
@@ -193,7 +194,8 @@ def test_gapped_cyclic_words_reach_only_even_weights():
         cx = bar_complex_ring(A, m)
         for n in range(m + 1):
             want = compositions_space(A, n, m)
-            assert list(cx.spaces[n].basis()) == list(want.basis()), (m, n)
+            assert list(cx.spaces[n].blocks.items()) \
+                == list(want.blocks.items()), (m, n)
         if m % 2:
             assert cx.total_dim() == 0
         nonzero.update({(n, m): h for n, h in cx.homology_dims().items() if h})

@@ -3,7 +3,8 @@
 import pytest
 
 from koszulity.exact_linalg import RATIONALS
-from koszulity.bimodule import BaseRing, Bimodule, BimoduleMap, unit_bimodule
+from koszulity.bimodule import BaseRing, Bimodule, unit_bimodule
+from koszulity.duality import graded_left_dual_of_ring
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          shriek_of_ring, direct_product)
 from koszulity.koszul import (AlmostKoszulPair, make_pair_shriek_ring,
@@ -30,31 +31,29 @@ def renamed_p_bad():
                        [(ren[a], ren[b]) for a, b in P_BAD_COVERS])
 
 
-def test_pair_rejects_non_invertible_theta(diamond):
-    A = incidence_ring(diamond)
-    shr = shriek_of_ring(A)
-    with pytest.raises(StructureError) as err:
-        AlmostKoszulPair(A, shr, BimoduleMap.zero(shr.component(1),
-                                                  A.component(1)))
-    assert 'invertible' in str(err.value)
-
-
-def test_pair_rejects_nonzero_square(diamond):
-    # the incidence coring itself is not a Koszul partner of the incidence
-    # ring under the identity: mu(theta x theta)Delta(e_{0,1}) = 2 e_{0,1}
-    A = incidence_ring(diamond)
-    C = incidence_coring(diamond)
-    with pytest.raises(StructureError) as err:
-        AlmostKoszulPair(A, C, BimoduleMap.identity(A.component(1)))
-    assert 'zero' in str(err.value)
-
-
 def test_pair_rejects_base_mismatch(diamond):
     A = incidence_ring(diamond)
     B = incidence_ring(chain_poset(1))
-    with pytest.raises(StructureError):
-        AlmostKoszulPair(A, shriek_of_ring(B),
-                         BimoduleMap.identity(B.component(1)))
+    with pytest.raises(StructureError, match='different bases'):
+        AlmostKoszulPair(A, shriek_of_ring(B))
+
+
+def test_pair_rejects_different_degree_one_parts(diamond):
+    # the graded dual of A is a coring on the letters ('f', x, y), while
+    # A^1 has the letters ('e', x, y)
+    A = incidence_ring(diamond)
+    with pytest.raises(StructureError, match='degree-1'):
+        AlmostKoszulPair(A, graded_left_dual_of_ring(A))
+
+
+def test_pair_rejects_nonzero_square(diamond):
+    # the incidence coring shares A^1 with the incidence ring, but it is not
+    # a Koszul partner: mu(1, 1) Delta(1, 1)(e_{0,1}) = 2 e_{0,1}
+    A = incidence_ring(diamond)
+    C = incidence_coring(diamond)
+    assert A.component(1) == C.component(1)
+    with pytest.raises(StructureError, match='not zero'):
+        AlmostKoszulPair(A, C)
 
 
 def test_make_pair_requires_strongly_graded():

@@ -215,11 +215,6 @@ def test_corpus_size_guard():
         list(enumerate_corpus(9))
 
 
-def test_corpus_length_bound():
-    for P in enumerate_corpus(5, max_length=1):
-        assert P.max_length <= 1
-
-
 def test_disjoint_union_matches_direct_product(diamond):
     Q = chain_poset(2)
     U = disjoint_union(diamond, Q)
