@@ -17,13 +17,11 @@ _EXPORTS = {
                  'tensor', 'tensor_many', 'tensor_power',
                  'unit_bimodule', 'zero_bimodule', 'left_dual', 'dual_label'),
     'graded_structures': ('GradedRing', 'GradedCoring', 'QuadraticData',
-                          'quadratic_ring_of', 'quadratic_coring_of',
+                          'quadratic_ring_of',
                           'shriek_of_ring', 'shriek_of_coring',
                           'is_strongly_graded_ring',
-                          'is_strongly_graded_coring',
-                          'truncate_ring', 'truncate_coring',
-                          'direct_product', 'direct_sum_corings'),
-    'homology': ('partitions', 'ComplexSlice', 'BettiTable', 'SliceHomology',
+                          'is_strongly_graded_coring'),
+    'homology': ('ComplexSlice', 'BettiTable', 'SliceHomology',
                  'bar_complex_ring', 'cobar_complex_coring',
                  'tor_table', 'ext_table', 'tor_primitive_dims',
                  'ext_diagonal_products_surjective',
@@ -31,8 +29,7 @@ _EXPORTS = {
     'koszul': ('AlmostKoszulPair', 'KoszulVerdict',
                'make_pair_shriek_ring', 'make_pair_shriek_coring',
                'koszul_complex_left', 'koszul_complex_right', 'is_exact',
-               'decide_koszul_ring', 'decide_koszul_coring',
-               'phi_shriek_ring_check', 'phi_shriek_coring_check'),
+               'decide_koszul_ring', 'decide_koszul_coring'),
     'duality': ('graded_left_dual_of_ring', 'graded_left_dual_of_coring',
                 'dual_pair', 'double_dual_check'),
     'poset': ('GradedPoset', 'parse_poset', 'incidence_ring',

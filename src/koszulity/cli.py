@@ -7,15 +7,19 @@ the JSON document rather than computed separately.  Timings sit in their
 own section so that cached and fresh reports agree byte for byte
 everywhere else.
 
-Report schema, version 2.  Every report is an object with:
+Report schema, version 3.  Every report is an object with:
 
-    schema_version   2
+    schema_version   3
     command          check | betti | shriek | dual | corpus
     input            {"digest", "elements", "covers"} (corpus: bounds);
                      digest: sha256 of the input document as given
     config           {"field", "max_weight", ...}
     timings          {"total_s", "cached"}   -- segregated, never cached
     ...              command-specific payload, see the cmd_* docstrings
+
+A library decision is null (undecided) when a truncated shriek partner
+is exact up to its cut; a poset never truncates its partners, so every
+verdict here is true or false.
 
 Exit codes: 0 = computed (whether or not the poset is Koszul), 2 = bad
 input, 3 = internal criteria disagreement or failed internal invariant
@@ -41,7 +45,7 @@ from .poset import (GradedPoset, parse_poset, incidence_ring,
                     incidence_coring, incidence_duality_check, zeta_ring,
                     enumerate_corpus, MAX_CORPUS_ELEMENTS)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CHUNK_SIZE = 8   # payloads a pool worker takes at a time
 
 

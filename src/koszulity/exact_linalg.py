@@ -352,15 +352,6 @@ def vstack(mats: list) -> SparseMatrix:
     return SparseMatrix(off, cols, trips)
 
 
-def matvec(M: SparseMatrix, vec: dict, field: FieldSpec = RATIONALS) -> dict:
-    'M times the sparse column vector vec, read off the columns vec touches.'
-    out = {}
-    for j, c in vec.items():
-        for i, v in M.column_entries(j):
-            accumulate(out, i, v, c, field)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elimination: one kernel, Echelon
 # ---------------------------------------------------------------------------

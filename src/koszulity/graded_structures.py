@@ -1,9 +1,9 @@
 """Connected graded R-rings and R-corings with finite support.
 
 Strong grading, the quadratic constructions <V,W> (tensor ring modulo the
-ideal generated by W) and {V,W} (intersection subcoring), shriek duals,
-and direct products.  Components are Bimodules, structure maps are
-BimoduleMaps, all validation is exact.
+ideal generated by W) and {V,W} (intersection subcoring), and shriek
+duals.  Components are Bimodules, structure maps are BimoduleMaps, all
+validation is exact.
 
 Rings and corings share one core, _Graded: the nonzero (p, q) structure
 maps sit in one table, maps, and each side says only which end of its
@@ -31,38 +31,8 @@ from .exact_linalg import (SparseMatrix, Subspace, hstack, vstack, rank,
                            intersect, accumulate, image_basis, kernel_basis)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_power, unit_bimodule, zero_bimodule,
-                       kernel_sub, image_sub, UNIT_LABEL, _block_of)
+                       kernel_sub, image_sub, _block_of)
 from .errors import StructureError, InvariantError
-
-
-# ---------------------------------------------------------------------------
-# canonical identifications
-# ---------------------------------------------------------------------------
-
-def left_unit_map(base: BaseRing, V: Bimodule) -> BimoduleMap:
-    'R (x) V -> V, ("1", v) -> v.'
-    src = tensor(unit_bimodule(base), V)
-    return BimoduleMap.from_basis_action(src, V, lambda key, l: [(l[1], 1)])
-
-
-def right_unit_map(base: BaseRing, V: Bimodule) -> BimoduleMap:
-    'V (x) R -> V, (v, "1") -> v.'
-    src = tensor(V, unit_bimodule(base))
-    return BimoduleMap.from_basis_action(src, V, lambda key, l: [(l[0], 1)])
-
-
-def left_unit_section(base: BaseRing, V: Bimodule) -> BimoduleMap:
-    'V -> R (x) V, v -> ("1", v); inverse of the left unit map.'
-    tgt = tensor(unit_bimodule(base), V)
-    return BimoduleMap.from_basis_action(
-        V, tgt, lambda key, l: [((UNIT_LABEL, l), 1)])
-
-
-def right_unit_section(base: BaseRing, V: Bimodule) -> BimoduleMap:
-    'V -> V (x) R, v -> (v, "1"); inverse of the right unit map.'
-    tgt = tensor(V, unit_bimodule(base))
-    return BimoduleMap.from_basis_action(
-        V, tgt, lambda key, l: [((l, UNIT_LABEL), 1)])
 
 
 def _as_word(label, letters: int) -> tuple:
@@ -86,14 +56,14 @@ class _Graded:
     """The data a graded ring and a graded coring share: components[n] is
     X_n for 0 <= n <= top_degree (X_0 = R), and maps[(p, q)], p, q >= 1,
     is the nonzero (p, q) structure map between X_{p+q} and X_p (x) X_q.
-    Zero maps are not stored in maps; they and the maps against degree 0,
-    the canonical identifications, are each built on first use and then
-    kept.  _reach[r] holds the idempotents where a word of weight exactly
+    Zero maps are not stored in maps; each is built on first use and then
+    kept.  There is no map against degree 0: R (x) X = X = X (x) R are
+    identifications, which the Koszul complex applies in place.
+    _reach[r] holds the idempotents where a word of weight exactly
     r starts; the word spaces of the slices extend it on demand.
 
     Each side gives _ends(tensored, whole) -> (source, target), the
-    direction of its maps, its unit identifications _left_unit and
-    _right_unit, and the words of its error messages.  The
+    direction of its maps, and the words of its error messages.  The
     constructor checks connectedness, the exact ends of every map and the
     (co)associativity.
     """
@@ -107,7 +77,7 @@ class _Graded:
                            for n in range(top_degree + 1)}
         self.support_truncated = False
         self._strongly_graded = False   # set once a check has passed
-        self._derived_maps = {}
+        self._zero_maps = {}
         self._reach = [set(base.idempotents)]
         self.maps = {}
         for (p, q), f in maps.items():
@@ -124,18 +94,14 @@ class _Graded:
                           self.component(p + q))
 
     def _map(self, p: int, q: int) -> BimoduleMap:
-        """The (p, q) structure map: the stored map, else against degree 0
-        the side's unit identification, else the zero map between its
-        ends; the last two are kept once built."""
-        f = self.maps.get((p, q)) or self._derived_maps.get((p, q))
+        """The (p, q) structure map, p, q >= 1: the stored map, else the
+        zero map between its ends, kept once built."""
+        if p < 1 or q < 1:
+            raise ValueError(f'{self._symbol}({p},{q}): degrees must be >= 1')
+        f = self.maps.get((p, q)) or self._zero_maps.get((p, q))
         if f is None:
-            if p and q:
-                f = BimoduleMap.zero(*self._ends_at(p, q))
-            elif p == 0:
-                f = self._left_unit(self.base, self.component(q))
-            else:
-                f = self._right_unit(self.base, self.component(p))
-            self._derived_maps[(p, q)] = f
+            f = self._zero_maps[(p, q)] = BimoduleMap.zero(
+                *self._ends_at(p, q))
         return f
 
     def _validate(self):
@@ -190,8 +156,6 @@ class GradedRing(_Graded):
 
     _unconnected = 'ring is not connected: A^0 != R'
     _maps_word, _symbol, _law = 'multiplication', 'mu', 'associativity'
-    _left_unit = staticmethod(left_unit_map)
-    _right_unit = staticmethod(right_unit_map)
 
     @staticmethod
     def _ends(tensored: Bimodule, whole: Bimodule) -> tuple:
@@ -248,15 +212,6 @@ class GradedRing(_Graded):
             terms, t = product_terms, u
         return list(terms.items())
 
-    def iterated_mu(self, n: int) -> BimoduleMap:
-        """mu_n : (A^1)^(n) -> A^n, the fully iterated multiplication: each
-        word goes to its left-folded product (_word_product)."""
-        if n < 1:
-            raise ValueError(f'word length {n} < 1')
-        return BimoduleMap.from_basis_action(
-            tensor_power(self.component(1), n), self.component(n),
-            lambda key, l: self._word_product(key, _as_word(l, n)))
-
 
 # ---------------------------------------------------------------------------
 # graded corings
@@ -271,8 +226,6 @@ class GradedCoring(_Graded):
 
     _unconnected = 'coring is not connected: C_0 != R'
     _maps_word, _symbol, _law = 'comultiplication', 'delta', 'coassociativity'
-    _left_unit = staticmethod(left_unit_section)
-    _right_unit = staticmethod(right_unit_section)
 
     @staticmethod
     def _ends(tensored: Bimodule, whole: Bimodule) -> tuple:
@@ -475,7 +428,7 @@ def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
     reduction of the ideal (the non-pivot words in the word order of the
     flat basis).  Multiplication concatenates words and reduces modulo the
     ideal, so the projection of a flat word onto the ring is its
-    left-folded product, GradedRing.iterated_mu.
+    left-folded product, GradedRing._word_product.
     """
     return _quadratic_ring(data.V, _walk(data.V, data.W, False, top), top)
 
@@ -539,21 +492,17 @@ def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
     return GradedRing(base, components, maps, top)
 
 
-def quadratic_coring_of(data: QuadraticData, top: int) -> GradedCoring:
-    """The quadratic coring {V, W}: the largest subcoring of the tensor
-    coalgebra of V whose weight-2 part lies in W.
-
-    The components come from one walk of the recursion K_2 = W,
-    K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1}), and carry synthetic labels
-    ('w', n, s, t, i); the embeddings into the flat word spaces V^(n) are
-    kept on the result as `embeddings`.  The comultiplication is read off
-    at pivot words (_deconcatenation).
-    """
-    return _quadratic_coring(data.V, _walk(data.V, data.W, True, top), top)
-
-
 def _quadratic_coring(V: Bimodule, inters: dict, top: int) -> GradedCoring:
-    'quadratic_coring_of on the intersections inters[n], 2 <= n <= top.'
+    """The quadratic coring {V, W}, the largest subcoring of the tensor
+    coalgebra of V whose weight-2 part lies in W, on the intersections
+    inters[n] = K_n, 2 <= n <= top, of the recursion K_2 = W,
+    K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1}).
+
+    The components carry synthetic labels ('w', n, s, t, i); the
+    embeddings into the flat word spaces V^(n) are kept on the result as
+    `embeddings`.  The comultiplication is read off at pivot words
+    (_deconcatenation).
+    """
     base = V.base
     components = {0: unit_bimodule(base), 1: V}
     embeddings = {1: BimoduleMap.identity(V)}
@@ -671,76 +620,3 @@ def shriek_of_coring(C: GradedCoring) -> GradedRing:
     ring = _quadratic_ring(V, spans, 0 if V.is_zero() else top)
     ring.support_truncated = truncated
     return ring
-
-
-# ---------------------------------------------------------------------------
-# truncations and products
-# ---------------------------------------------------------------------------
-
-def _below(X, m: int):
-    'X cut below degree m: its components and structure maps of lower degree.'
-    if m < 1:
-        raise ValueError(f'truncation degree {m} < 1')
-    top = min(m - 1, X.top_degree)
-    return type(X)(X.base, {n: X.component(n) for n in range(top + 1)},
-                   {(p, q): f for (p, q), f in X.maps.items() if p + q <= top},
-                   top)
-
-
-def truncate_ring(A: GradedRing, m: int) -> GradedRing:
-    'A / A^{>= m}: keep degrees below m, higher products become zero.'
-    return _below(A, m)
-
-
-def truncate_coring(C: GradedCoring, m: int) -> GradedCoring:
-    'C_{< m}: the subcoring of components in degrees below m.'
-    return _below(C, m)
-
-
-def _merged_base(b1: BaseRing, b2: BaseRing) -> BaseRing:
-    if b1.field != b2.field:
-        raise StructureError('direct product factors use different fields')
-    overlap = set(b1.idempotents) & set(b2.idempotents)
-    if overlap:
-        raise StructureError(
-            f'idempotent label collision: {sorted(map(repr, overlap))}')
-    return BaseRing(b1.idempotents + b2.idempotents, b1.field)
-
-
-def _merged_component(base, X: Bimodule, Y: Bimodule) -> Bimodule:
-    blocks = dict(X.blocks)
-    blocks.update(Y.blocks)
-    return Bimodule(base, blocks)
-
-
-def _block_merge(X, Y):
-    """Two rings, or two corings, side by side over the merged base.
-
-    Block matrices carry over unchanged because tensor blocks between
-    idempotents of one factor never pick up middle terms from the other.
-    """
-    base = _merged_base(X.base, Y.base)
-    top = max(X.top_degree, Y.top_degree)
-    comps = {n: _merged_component(base, X.component(n), Y.component(n))
-             for n in range(top + 1)}
-    maps = {}
-    for p in range(1, top):
-        for q in range(1, top + 1 - p):
-            blocks = {}
-            for f in (X.maps.get((p, q)), Y.maps.get((p, q))):
-                if f is not None:
-                    blocks.update(f.blocks)
-            if blocks:
-                maps[(p, q)] = BimoduleMap(
-                    *X._ends(tensor(comps[p], comps[q]), comps[p + q]), blocks)
-    return type(X)(base, comps, maps, top)
-
-
-def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
-    """A x B over k^{S + S'}: componentwise sums, no cross terms."""
-    return _block_merge(A, B)
-
-
-def direct_sum_corings(C: GradedCoring, D: GradedCoring) -> GradedCoring:
-    'C + D over the merged base: blockwise comultiplication, no cross terms.'
-    return _block_merge(C, D)

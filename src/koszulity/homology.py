@@ -28,32 +28,6 @@ from .errors import PreconditionError, InvariantError
 
 
 # ---------------------------------------------------------------------------
-# partitions
-# ---------------------------------------------------------------------------
-
-def partitions(n: int, m: int) -> tuple:
-    'All positive n-part compositions of m, lexicographically ordered.'
-    if n < 0 or m < 0:
-        raise ValueError(f'partitions({n}, {m}): n and m must be nonnegative')
-    if n == 0:
-        return ((),) if m == 0 else ()
-    out = []
-
-    def grow(remaining, slots, prefix):
-        if slots == 1:
-            if remaining >= 1:
-                out.append(tuple(prefix) + (remaining,))
-            return
-        for first in range(1, remaining - slots + 2):
-            prefix.append(first)
-            grow(remaining - first, slots - 1, prefix)
-            prefix.pop()
-
-    grow(m, n, [])
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # complexes
 # ---------------------------------------------------------------------------
 
@@ -154,7 +128,7 @@ def _word_space_blocks(X, m: int) -> dict:
     starts of the blocks (s, t) of some X_p, p <= r, with t in reach[r-p].
     X keeps reach, and each call extends it up to m.  A weight no word
     reaches has the zero space in every degree.  Otherwise compositions of
-    m are walked depth first in the order of partitions(), carrying the
+    m are walked depth first in lexicographic order, carrying the
     idempotents where the words of the prefix end and a word of the
     remaining weight starts, so every prefix entered completes, on cyclic
     block digraphs too.  Weight 0 holds the empty word ((), ()) on the

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
                        _block_of, UNIT_LABEL)
-from .exact_linalg import SparseMatrix, rank, matvec
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
                                 shriek_of_coring)
-from .homology import (ComplexSlice, SliceHomology, bar_complex_ring,
-                       cobar_complex_coring, tor_table, ext_table,
+from .homology import (ComplexSlice, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
                        _require_strongly_graded)
@@ -72,20 +70,26 @@ def _koszul_action(pair: AlmostKoszulPair, a_degree: int, c_degree: int):
     """The differential cell on tensor(A^{a_degree}, C_{c_degree}):
     a (x) c -> sum a c_{1,1} (x) c_{2,c_degree-1}, the first letter c_{1,1}
     read in A^1 = C_1.
+
+    Degree 0 enters only through R (x) V = V = V (x) R, applied in place:
+    in the a = 0 cell the product '1' c_1 is c_1, and the c = 1 cell cuts
+    c into (c, '1').
     """
     A, C = pair.ring, pair.coring
     Asrc = A.component(a_degree)
     C1 = C.component(1)
-    cut = C.delta(1, c_degree - 1)
-    mu = A.mu(a_degree, 1)
+    cut = (C.delta(1, c_degree - 1).apply_label if c_degree > 1
+           else lambda key, c: [((c, UNIT_LABEL), 1)])
+    mul = (A.mu(a_degree, 1).apply_label if a_degree
+           else lambda key, ac: [(ac[1], 1)])
 
     def action(key, label):
         al, cl = label
         mid = _block_of(Asrc, al, key[0])[1]
         out = []
-        for (c1, c2), cd in cut.apply_label((mid, key[1]), cl):
+        for (c1, c2), cd in cut((mid, key[1]), cl):
             after = _block_of(C1, c1, mid)[1]
-            for a2, cm in mu.apply_label((key[0], after), (al, c1)):
+            for a2, cm in mul((key[0], after), (al, c1)):
                 out.append(((a2, c2), cd * cm))
         return out
 
@@ -155,17 +159,19 @@ class KoszulVerdict:
     kind 'equivalence' must all equal the verdict; 'assertion' criteria
     must simply hold.  sound is False when a truncated shriek partner or a
     user-supplied weight cap makes the sweep a bounded check rather than a
-    complete decision.  pair is the almost-Koszul pair the decision swept,
-    kept for callers that go on with it; it is not part of the JSON.
+    complete decision.  verdict is None when the partner was truncated and
+    every weight up to the cut is exact: no finite window decides that.
+    pair is the almost-Koszul pair the decision swept, kept for callers
+    that go on with it; it is not part of the JSON.
     """
 
-    def __init__(self, verdict: bool, per_criterion: dict,
-                 m_bound_used: int, sound: bool = True):
+    def __init__(self, verdict: bool | None, per_criterion: dict,
+                 m_bound_used: int, sound: bool, pair: AlmostKoszulPair):
         self.verdict = verdict
         self.per_criterion = dict(per_criterion)
         self.m_bound_used = m_bound_used
         self.sound = sound
-        self.pair = None
+        self.pair = pair
 
     def to_json(self) -> dict:
         return {
@@ -211,15 +217,6 @@ def _check_agreement(verdict: bool, per_criterion: dict, kinds: dict):
         raise CriteriaDisagreement('; '.join(bad))
 
 
-def _exactness_sweep(builder, pair, m_bound):
-    failures = {}
-    for m in range(1, m_bound + 1):
-        ok, dims = is_exact(builder(pair, m))
-        if not ok:
-            failures[m] = {n: d for n, d in dims.items() if d}
-    return failures
-
-
 def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
             kinds, extra_criterion) -> KoszulVerdict:
     'The decision of decide_koszul_ring or _coring, given the side hooks.'
@@ -227,14 +224,24 @@ def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
     partner = pair.coring if X is pair.ring else pair.ring
     vanish_bound = pair.ring.top_degree + pair.coring.top_degree
     m_bound = max(2 * X.top_degree, vanish_bound) if m_max is None else m_max
+    if partner.support_truncated:
+        # the weight-m slice reads partner degrees up to m, so a slice past
+        # the cut reads a wrong partner and proves nothing
+        m_bound = min(m_bound, partner.top_degree)
     sound = not partner.support_truncated and m_bound >= vanish_bound
     if sound:
         beyond = make_slice(pair, m_bound + 1)
         if beyond.total_dim() != 0:
             raise InvariantError('slice persists past the sweep bound')
 
-    failures = _exactness_sweep(make_slice, pair, m_bound)
+    failures = {}
+    for m in range(1, m_bound + 1):
+        ok, dims = is_exact(make_slice(pair, m))
+        if not ok:
+            failures[m] = {n: d for n, d in dims.items() if d}
     verdict = not failures
+    if verdict and partner.support_truncated:
+        verdict = None   # a failing weight is certain, exactness to a cut is not
     pair_ev = {'failing_weights': {str(m): {str(n): d for n, d in nz.items()}
                                    for m, nz in failures.items()}}
 
@@ -269,9 +276,7 @@ def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
     }
     if sound:
         _check_agreement(verdict, per_criterion, kinds)
-    result = KoszulVerdict(verdict, per_criterion, m_bound, sound)
-    result.pair = pair
-    return result
+    return KoszulVerdict(verdict, per_criterion, m_bound, sound, pair)
 
 
 def _primitives_criterion(A: GradedRing, table, offd) -> dict:
@@ -306,68 +311,3 @@ def decide_koszul_coring(C: GradedCoring, m_max: int = None) -> KoszulVerdict:
                    ext_table, is_quadratic_coring_direct,
                    CORING_CRITERION_KINDS, _products_criterion)
 
-
-# ---------------------------------------------------------------------------
-# the canonical degree-n comparison maps
-# ---------------------------------------------------------------------------
-
-def phi_shriek_ring_check(A: GradedRing, n: int) -> bool:
-    """Whether the embedded basis of the dual coring in weight n gives a
-    basis of the diagonal homology of the bar slice.
-
-    The degree-n space of the weight-n slice is the pure word space, and
-    the boundary space there is zero, so the check is: embedded vectors
-    are cycles, stay independent, and count out the homology dimension.
-    """
-    if n < 1:
-        raise ValueError(f'degree {n} < 1')
-    shr = shriek_of_ring(A)
-    cx = bar_complex_ring(A, n)
-    space = cx.spaces[n]
-    field = A.base.field
-    d_out = cx.differentials.get(n)
-    hdim = cx.homology_dims()[n]
-    if n > shr.top_degree or shr.component(n).is_zero():
-        return hdim == 0
-    emb = shr.embeddings[n]
-    count = 0
-    for key, mat in emb.blocks.items():
-        cols = mat.columns()
-        count += len(cols)
-        if d_out is not None and any(matvec(d_out.block(*key), col, field)
-                                     for col in cols):
-            return False
-        if rank(mat, field) != len(cols):
-            return False
-    return count == hdim
-
-
-def phi_shriek_coring_check(C: GradedCoring, n: int) -> bool:
-    """Whether projecting cocycle representatives letterwise onto the dual
-    ring in weight n is a bijection onto its degree-n component.
-    """
-    if n < 1:
-        raise ValueError(f'degree {n} < 1')
-    shr = shriek_of_coring(C)
-    cx = cobar_complex_coring(C, n)
-    H = SliceHomology(cx, n) if cx.spaces[n].dim else None
-    sdim = shr.component(n).dim if n <= shr.top_degree else 0
-    hdim = H.dim if H is not None else 0
-    if hdim != sdim:
-        return False
-    if hdim == 0:
-        return True
-    proj = shr.iterated_mu(n)   # the letterwise projection V^(n) -> C^!_n
-    field = C.base.field
-    # boundaries must die under the projection, else classes are ambiguous
-    d_in = cx.differentials.get(n - 1)
-    for key, dmat in (d_in.blocks.items() if d_in is not None else ()):
-        if not proj.block(*key).matmul(dmat, field).is_zero():
-            raise InvariantError('projection does not kill the coboundaries')
-    for key, cols in H.reps.items():
-        pmat = proj.block(*key)
-        images = SparseMatrix.from_columns(
-            [matvec(pmat, col, field) for col in cols], pmat.rows)
-        if rank(images, field) != len(cols):
-            return False
-    return True

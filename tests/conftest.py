@@ -7,11 +7,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from koszulity.bimodule import BimoduleMap, _block_of, left_dual, tensor
-from koszulity.errors import InputError, InvariantError
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, _block_of,
+                                left_dual, tensor, tensor_power)
+from koszulity.errors import InputError, InvariantError, StructureError
 from koszulity.exact_linalg import SparseMatrix
-from koszulity.graded_structures import (GradedRing, direct_product,
-                                         truncate_coring, truncate_ring)
+from koszulity.graded_structures import GradedRing, GradedCoring, _as_word
 from koszulity.homology import bar_complex_ring, cobar_complex_coring
 from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
                              incidence_ring)
@@ -203,3 +203,84 @@ def dual_map(f: BimoduleMap) -> BimoduleMap:
     'The dual ^*f : ^*target -> ^*source; blockwise transpose, same keys.'
     return BimoduleMap(left_dual(f.target), left_dual(f.source),
                        {key: mat.transpose() for key, mat in f.blocks.items()})
+
+
+def iterated_mu(A: GradedRing, n: int) -> BimoduleMap:
+    """mu_n : (A^1)^(n) -> A^n, the fully iterated multiplication: each
+    word goes to its left-folded product (GradedRing._word_product)."""
+    if n < 1:
+        raise ValueError(f'word length {n} < 1')
+    return BimoduleMap.from_basis_action(
+        tensor_power(A.component(1), n), A.component(n),
+        lambda key, l: A._word_product(key, _as_word(l, n)))
+
+
+# truncations and products of graded rings and corings
+
+def _below(X, m: int):
+    'X cut below degree m: its components and structure maps of lower degree.'
+    if m < 1:
+        raise ValueError(f'truncation degree {m} < 1')
+    top = min(m - 1, X.top_degree)
+    return type(X)(X.base, {n: X.component(n) for n in range(top + 1)},
+                   {(p, q): f for (p, q), f in X.maps.items() if p + q <= top},
+                   top)
+
+
+def truncate_ring(A: GradedRing, m: int) -> GradedRing:
+    'A / A^{>= m}: keep degrees below m, higher products become zero.'
+    return _below(A, m)
+
+
+def truncate_coring(C: GradedCoring, m: int) -> GradedCoring:
+    'C_{< m}: the subcoring of components in degrees below m.'
+    return _below(C, m)
+
+
+def _merged_base(b1: BaseRing, b2: BaseRing) -> BaseRing:
+    if b1.field != b2.field:
+        raise StructureError('direct product factors use different fields')
+    overlap = set(b1.idempotents) & set(b2.idempotents)
+    if overlap:
+        raise StructureError(
+            f'idempotent label collision: {sorted(map(repr, overlap))}')
+    return BaseRing(b1.idempotents + b2.idempotents, b1.field)
+
+
+def _merged_component(base, X: Bimodule, Y: Bimodule) -> Bimodule:
+    blocks = dict(X.blocks)
+    blocks.update(Y.blocks)
+    return Bimodule(base, blocks)
+
+
+def _block_merge(X, Y):
+    """Two rings, or two corings, side by side over the merged base.
+
+    Block matrices carry over unchanged because tensor blocks between
+    idempotents of one factor never pick up middle terms from the other.
+    """
+    base = _merged_base(X.base, Y.base)
+    top = max(X.top_degree, Y.top_degree)
+    comps = {n: _merged_component(base, X.component(n), Y.component(n))
+             for n in range(top + 1)}
+    maps = {}
+    for p in range(1, top):
+        for q in range(1, top + 1 - p):
+            blocks = {}
+            for f in (X.maps.get((p, q)), Y.maps.get((p, q))):
+                if f is not None:
+                    blocks.update(f.blocks)
+            if blocks:
+                maps[(p, q)] = BimoduleMap(
+                    *X._ends(tensor(comps[p], comps[q]), comps[p + q]), blocks)
+    return type(X)(base, comps, maps, top)
+
+
+def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
+    """A x B over k^{S + S'}: componentwise sums, no cross terms."""
+    return _block_merge(A, B)
+
+
+def direct_sum_corings(C: GradedCoring, D: GradedCoring) -> GradedCoring:
+    'C + D over the merged base: blockwise comultiplication, no cross terms.'
+    return _block_merge(C, D)

@@ -11,6 +11,30 @@ import itertools
 import json
 
 
+# ---------------------------------------------------------------- compositions
+
+def partitions(n: int, m: int) -> tuple:
+    'All positive n-part compositions of m, lexicographically ordered.'
+    if n < 0 or m < 0:
+        raise ValueError(f'partitions({n}, {m}): n and m must be nonnegative')
+    if n == 0:
+        return ((),) if m == 0 else ()
+    out = []
+
+    def grow(remaining, slots, prefix):
+        if slots == 1:
+            if remaining >= 1:
+                out.append(tuple(prefix) + (remaining,))
+            return
+        for first in range(1, remaining - slots + 2):
+            prefix.append(first)
+            grow(remaining - first, slots - 1, prefix)
+            prefix.pop()
+
+    grow(m, n, [])
+    return tuple(out)
+
+
 # ---------------------------------------------------------------- dense linear algebra
 
 def row_reduce(rows):

@@ -52,7 +52,7 @@ def test_check_diamond(capsys, diamond_file):
     assert report['duality'] == {'dual_is_incidence_coring': True,
                                  'dual_pair_almost_koszul': True,
                                  'double_dual': True}
-    assert report['schema_version'] == 2
+    assert report['schema_version'] == 3
 
 
 def test_check_pbad_witness(capsys, p_bad_file):
@@ -366,7 +366,7 @@ def test_digest_hashes_the_literal_document(capsys, monkeypatch,
     assert code == 0
     assert calls == []
     report = json.loads(out)
-    assert report['schema_version'] == 2
+    assert report['schema_version'] == 3
     assert report['input']['digest'] == _sha256_of(DIAMOND_DOC)
 
 
@@ -387,7 +387,7 @@ def test_corpus_digests_rows_and_enumerates_with_canonical_forms(
     assert calls
     assert all('enumerate_corpus' in stack for stack in calls)
     report = json.loads(out)
-    assert report['schema_version'] == 2
+    assert report['schema_version'] == 3
     for row in report['rows']:
         assert row['digest'] == _sha256_of(
             {'elements': [str(i) for i in range(row['elements'])],

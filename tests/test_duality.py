@@ -8,9 +8,7 @@ import pytest
 from koszulity.exact_linalg import FieldSpec
 from koszulity.bimodule import BimoduleMap, left_dual, dual_label, tensor
 from koszulity.graded_structures import (GradedRing, GradedCoring,
-                                         shriek_of_ring, shriek_of_coring,
-                                         truncate_ring, direct_product,
-                                         direct_sum_corings)
+                                         shriek_of_ring, shriek_of_coring)
 from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring,
                                dual_pair, double_dual_check)
@@ -20,7 +18,8 @@ from koszulity.koszul import (make_pair_shriek_ring, koszul_complex_left,
 from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
 from conftest import (chain_poset, antichain_poset, dual_map, relabeling,
-                      scaled_map)
+                      scaled_map, truncate_ring, direct_product,
+                      direct_sum_corings)
 
 
 def test_dual_map_transposes_blockwise(diamond):

@@ -12,7 +12,7 @@ from koszulity.poset import incidence_ring
 from koszulity.exact_linalg import (FieldSpec, RATIONALS, SparseMatrix,
                                     Subspace, Echelon, rank, kernel_basis,
                                     image_basis, intersect,
-                                    matvec, hstack, vstack, DimensionError)
+                                    hstack, vstack, DimensionError)
 import oracle
 from oracle import rank_mod as _rank_mod
 from conftest import from_dense, grid_poset
@@ -316,15 +316,6 @@ def test_prime_field_span_basis_is_reduced_echelon(p):
                  for i in range(M.rows)]
         assert span.dim == _rank_mod(dense, p)
         assert all(span.contains_vector(col) for col in M.columns())
-
-
-def test_matvec_matches_matmul():
-    rng = random.Random(5)
-    for _ in range(20):
-        M = _random_matrix(rng, 4, 5, _fraction_entry)
-        vec = {j: _int_entry(rng) for j in range(5) if rng.random() < 0.6}
-        N = SparseMatrix.from_columns([vec], 5)
-        assert matvec(M, vec) == M.matmul(N).column(0)
 
 
 @ENTRY_KINDS

@@ -12,11 +12,9 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor,
                                 tensor_power, kernel_sub, image_sub,
                                 unit_bimodule)
 from koszulity.graded_structures import (GradedRing, shriek_of_ring,
-                                         QuadraticData,
-                                         quadratic_ring_of,
-                                         quadratic_coring_of, truncate_ring,
-                                         truncate_coring)
-from koszulity.homology import (partitions, bar_complex_ring,
+                                         QuadraticData, quadratic_ring_of,
+                                         _quadratic_coring, _walk)
+from koszulity.homology import (bar_complex_ring,
                                 cobar_complex_coring, tor_table, ext_table,
                                 tor_primitive_dims,
                                 ext_diagonal_products_surjective,
@@ -32,7 +30,9 @@ from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              enumerate_corpus)
 from koszulity.errors import InvariantError
 from conftest import (chain_poset, antichain_poset, boolean_lattice,
-                      grid_poset, degree2_sequence_holds)
+                      grid_poset, degree2_sequence_holds, iterated_mu,
+                      truncate_ring, truncate_coring)
+from oracle import partitions
 import oracle
 
 PRIME = FieldSpec.prime_field(1048583)
@@ -650,7 +650,7 @@ def reference_quadratic_direct(A):
                            'ring_dim': An.dim}
         incl = BimoduleMap.from_basis_action(Qn, tensor_power(V, n),
                                              lambda key, l: [(l, 1)])
-        if An.dim and A.iterated_mu(n).compose(incl).rank() != An.dim:
+        if An.dim and iterated_mu(A, n).compose(incl).rank() != An.dim:
             return False, {'degree': n,
                            'reason': 'canonical map is not bijective'}
     return True, None
@@ -659,8 +659,9 @@ def reference_quadratic_direct(A):
 def reference_quadratic_coring_direct(C):
     'The direct coring test read off the quadratic coring built to top + 1.'
     V = C.component(1)
-    Q = quadratic_coring_of(QuadraticData(V, image_sub(C.delta(1, 1))),
-                            C.top_degree + 1)
+    top = C.top_degree + 1
+    Q = _quadratic_coring(V, _walk(V, image_sub(C.delta(1, 1)), True, top),
+                          top)
     for n in range(2, C.top_degree + 2):
         Qn, Cn = Q.component(n), C.component(n)
         if Qn.dim != Cn.dim:

@@ -2,17 +2,17 @@
 
 import pytest
 
-from koszulity.exact_linalg import RATIONALS
-from koszulity.bimodule import BaseRing, Bimodule, unit_bimodule
+from koszulity.exact_linalg import RATIONALS, Subspace
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
+                                UNIT_LABEL, tensor, unit_bimodule)
 from koszulity.duality import graded_left_dual_of_ring
 from koszulity.graded_structures import (GradedRing, GradedCoring,
-                                         shriek_of_ring, direct_product)
+                                         QuadraticData, quadratic_ring_of,
+                                         shriek_of_ring)
 from koszulity.koszul import (AlmostKoszulPair, make_pair_shriek_ring,
                               make_pair_shriek_coring, koszul_complex_left,
                               koszul_complex_right, is_exact,
-                              decide_koszul_ring,
-                              decide_koszul_coring, phi_shriek_ring_check,
-                              phi_shriek_coring_check,
+                              decide_koszul_ring, decide_koszul_coring,
                               RING_CRITERION_KINDS, CORING_CRITERION_KINDS,
                               _check_agreement)
 from koszulity.homology import (is_quadratic_direct,
@@ -20,7 +20,8 @@ from koszulity.homology import (is_quadratic_direct,
 from koszulity.poset import GradedPoset, incidence_ring, incidence_coring
 from koszulity.errors import (StructureError, PreconditionError,
                               CriteriaDisagreement)
-from conftest import chain_poset, antichain_poset, P_BAD_COVERS
+from conftest import (chain_poset, antichain_poset, direct_product,
+                      P_BAD_COVERS)
 import oracle
 
 
@@ -206,16 +207,73 @@ def test_check_agreement_guard():
         _check_agreement(True, crit, RING_CRITERION_KINDS)
 
 
-def test_phi_comparisons(diamond, p_bad):
-    A = incidence_ring(diamond)
-    C = incidence_coring(diamond)
-    for n in (1, 2, 3):
-        assert phi_shriek_ring_check(A, n)
-        assert phi_shriek_coring_check(C, n)
-    B = incidence_ring(p_bad)
-    for n in (1, 2, 3):
-        assert phi_shriek_ring_check(B, n)
-        assert phi_shriek_coring_check(incidence_coring(p_bad), n)
+def test_koszul_end_cells_are_the_unit_identifications(diamond):
+    # on the diamond pair (A, A^!) the a = 0 cell sends ('1', c) to the cut
+    # of c and the c = 1 cell sends (a, c) to (ac, '1'); in weight 1 one
+    # cell is both, and both slices run through the same cells
+    pair = make_pair_shriek_ring(incidence_ring(diamond))
+    A, C = pair.ring, pair.coring
+
+    def e(x, y):
+        return ('e', x, y)
+
+    one, relation = UNIT_LABEL, ('w', 2, '0', '1', 0)
+    letters = [e('0', 'a'), e('0', 'b'), e('a', '1'), e('b', '1')]
+    zero_cell = {(one, relation): [((e('0', 'a'), e('a', '1')), 1),
+                                   ((e('0', 'b'), e('b', '1')), -1)]}
+    one_cell = {(e('0', 'a'), e('a', '1')): [((e('0', '1'), one), 1)],
+                (e('0', 'b'), e('b', '1')): [((e('0', '1'), one), 1)]}
+    weight_one = {(one, v): [((v, one), 1)] for v in letters}
+
+    def by_hand(images, a, c):
+        return BimoduleMap.from_basis_action(
+            tensor(A.component(a), C.component(c)),
+            tensor(A.component(a + 1), C.component(c - 1)),
+            lambda key, label: images[label])
+
+    for left, m, n in ((True, 1, 1), (False, 1, 0)):
+        cx = (koszul_complex_left if left else koszul_complex_right)(pair, m)
+        assert cx.differentials[n] == by_hand(weight_one, 0, 1)
+    for left, zero_at, one_at in ((True, 2, 1), (False, 0, 1)):
+        cx = (koszul_complex_left if left else koszul_complex_right)(pair, 2)
+        assert cx.differentials[zero_at] == by_hand(zero_cell, 0, 2)
+        assert cx.differentials[one_at] == by_hand(one_cell, 1, 1)
+    # no structure map is kept against degree 0
+    for f in (lambda: A.mu(0, 1), lambda: A.mu(1, 0),
+              lambda: C.delta(0, 1), lambda: C.delta(2, 0)):
+        with pytest.raises(ValueError):
+            f()
+
+
+def pq_ring(top: int) -> GradedRing:
+    'k<p, q> modulo <pq, qp, qq>, cut at degree top: only powers of p live.'
+    base = BaseRing(('x',), RATIONALS)
+    V = Bimodule(base, {('x', 'x'): ('p', 'q')})
+    VV = tensor(V, V)
+    relations = [{VV.index_of(('x', 'x'), word): 1}
+                 for word in (('p', 'q'), ('q', 'p'), ('q', 'q'))]
+    W = SubBimodule(VV, {('x', 'x'): Subspace.from_spanning(relations, 4)})
+    return quadratic_ring_of(QuadraticData(V, W), top)
+
+
+def test_truncated_partner_is_swept_only_up_to_its_cut():
+    # cut at degree 1 the ring is Koszul, but its partner, the tensor
+    # coring on {p, q}, is cut at degree 2: exact up to the cut, undecided
+    v = decide_koszul_ring(pq_ring(1))
+    assert v.pair.coring.dims() == [1, 2, 4]
+    assert v.pair.coring.support_truncated
+    assert v.verdict is None and not v.sound and v.m_bound_used == 2
+    ok, ev = v.per_criterion['pair_exactness']
+    assert ok is None and ev == {'failing_weights': {}}
+    assert v.to_json()['verdict'] is None
+    # cut at degree 2, p^3 = 0 is a cubic relation: weights 3 and 4 fail
+    # inside the window of the partner cut at degree 4, and nothing past it
+    # is swept
+    v = decide_koszul_ring(pq_ring(2))
+    assert v.pair.coring.top_degree == 4 and v.pair.coring.support_truncated
+    assert v.verdict is False and not v.sound and v.m_bound_used == 4
+    ok, ev = v.per_criterion['pair_exactness']
+    assert ok is False and set(ev['failing_weights']) == {'3', '4'}
 
 
 def test_product_verdict_is_conjunction(diamond):

@@ -12,10 +12,9 @@ from koszulity.errors import InputError
 from koszulity.poset import (GradedPoset, parse_poset, incidence_ring,
                              incidence_coring, canonical_form,
                              enumerate_corpus)
-from koszulity.graded_structures import direct_product
 from conftest import (chain_poset, antichain_poset, boolean_lattice,
-                      deadline, DIAMOND_COVERS, disjoint_union,
-                      random_graded_poset)
+                      deadline, DIAMOND_COVERS, direct_product,
+                      disjoint_union, random_graded_poset)
 import oracle
 
 

@@ -9,26 +9,14 @@ attribute of that name may well reach the other one.  Such a method counts
 as reached only through self. or cls. inside its class, a direct base or
 a direct subclass of it, through ClassName., or through an entry of CALLERS,
 which names the function whose body uses it.  Dunder methods are left
-out: the language calls them.  The unreached ones are the allow-list
-below, each with its reason; anything else that no command reaches
-belongs in the tests or nowhere.
+out: the language calls them.  No definition is allowed to stay
+unreached: what no command reaches belongs in the tests or nowhere.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / 'src' / 'koszulity'
-
-UNREACHED = {
-    'phi_shriek_ring_check': 'waits to become a decision criterion',
-    'phi_shriek_coring_check': 'waits to become a decision criterion',
-    'truncate_ring': 'library constructor: truncations (README)',
-    'truncate_coring': 'library constructor: truncations (README)',
-    'direct_product': 'library constructor: direct products (README)',
-    'direct_sum_corings': 'library constructor: direct sums (README)',
-    'quadratic_coring_of': 'library constructor, mirror of quadratic_ring_of',
-    'partitions': 'the reference order the slice tests compare against',
-}
 
 # a method whose name collides, reached from outside its class family:
 # method -> (the function whose body calls it, the object it is called on)
@@ -147,7 +135,7 @@ def _unreached():
 
 
 def test_every_unreached_definition_is_allowed():
-    assert _unreached() == set(UNREACHED)
+    assert _unreached() == set()
 
 
 def test_every_callers_entry_names_a_method_and_a_function():
