@@ -7,13 +7,13 @@ the JSON document rather than computed separately.  Timings sit in their
 own section so that cached and fresh reports agree byte for byte
 everywhere else.
 
-Report schema, version 3.  Every report is an object with:
+Report schema, version 4.  Every report is an object with:
 
-    schema_version   3
+    schema_version   4
     command          check | betti | shriek | dual | corpus
     input            {"digest", "elements", "covers"} (corpus: bounds);
                      digest: sha256 of the input document as given
-    config           {"field", "max_weight", ...}
+    config           {"field"} (betti adds "side")
     timings          {"total_s", "cached"}   -- segregated, never cached
     ...              command-specific payload, see the cmd_* docstrings
 
@@ -45,28 +45,24 @@ from .poset import (GradedPoset, parse_poset, incidence_ring,
                     incidence_coring, incidence_duality_check, zeta_ring,
                     enumerate_corpus, MAX_CORPUS_ELEMENTS)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 CHUNK_SIZE = 8   # payloads a pool worker takes at a time
 
 
 class RunConfig(Frozen):
-    _fields = ('field', 'field_text', 'm_max_override', 'output_format',
-               'cache_dir', 'parallelism')
+    _fields = ('field', 'field_text', 'output_format', 'cache_dir',
+               'parallelism')
 
-    def __init__(self, field: FieldSpec, field_text: str,
-                 m_max_override: int | None, output_format: str,
+    def __init__(self, field: FieldSpec, field_text: str, output_format: str,
                  cache_dir: str | None, parallelism: int):
         if parallelism < 1:
             raise InputError('--jobs must be at least 1')
         self.__dict__.update(
-            field=field, field_text=field_text, m_max_override=m_max_override,
-            output_format=output_format, cache_dir=cache_dir,
-            parallelism=parallelism)
+            field=field, field_text=field_text, output_format=output_format,
+            cache_dir=cache_dir, parallelism=parallelism)
 
     def echo(self) -> dict:
-        return {'field': self.field_text,
-                'max_weight': ('auto' if self.m_max_override is None
-                               else self.m_max_override)}
+        return {'field': self.field_text}
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -79,19 +75,6 @@ def parse_field(text: str) -> FieldSpec:
         except ValueError as exc:
             raise InputError(f'bad field {text!r}: {exc}') from None
     raise InputError(f'unknown field {text!r}; use rational or fp:P')
-
-
-def parse_max_weight(text: str):
-    if text == 'auto':
-        return None
-    try:
-        n = int(text)
-    except ValueError:
-        raise InputError(f'--max-weight must be a number or auto, '
-                         f'got {text!r}') from None
-    if n < 0:
-        raise InputError('--max-weight must be nonnegative')
-    return n
 
 
 def load_poset(path: str) -> GradedPoset:
@@ -132,17 +115,16 @@ def _decide_task(payload: dict) -> tuple:
     from .duality import graded_left_dual_of_coring, dual_pair
     P = parse_poset(payload['document'])
     field = parse_field(payload['field'])
-    m_max = payload['m_max']
     if payload['side'] == 'ring':
         A = incidence_ring(P, field)
-        verdict = decide_koszul_ring(A, m_max)
+        verdict = decide_koszul_ring(A)
         dual = dual_pair(verdict.pair)   # raises if not almost-Koszul
         # dual.coring is the dual of A: one more dual gives the double dual
         return verdict.to_json(), {
             'dual_pair_almost_koszul': True,
             'double_dual': graded_left_dual_of_coring(dual.coring) == A}
     C = incidence_coring(P, field)
-    verdict = decide_koszul_coring(C, m_max)
+    verdict = decide_koszul_coring(C)
     A = incidence_ring(P, field)
     return verdict.to_json(), {
         'dual_is_incidence_coring': incidence_duality_check(A, C)}
@@ -152,9 +134,8 @@ def _corpus_task(payload: dict) -> dict:
     from .koszul import decide_koszul_ring, decide_koszul_coring
     P = parse_poset(payload['document'])
     field = parse_field(payload['field'])
-    ring_v = decide_koszul_ring(incidence_ring(P, field), payload['m_max'])
-    coring_v = decide_koszul_coring(incidence_coring(P, field),
-                                    payload['m_max'])
+    ring_v = decide_koszul_ring(incidence_ring(P, field))
+    coring_v = decide_koszul_coring(incidence_coring(P, field))
     if ring_v.verdict != coring_v.verdict:
         raise CriteriaDisagreement(
             f'ring and coring verdicts disagree on covers '
@@ -279,8 +260,7 @@ def cmd_check(P: GradedPoset, poset_file: str, config: RunConfig) -> dict:
     """
     document = P.to_document()
     payloads = [{'document': document, 'field': config.field_text,
-                 'm_max': config.m_max_override, 'side': side}
-                for side in ('ring', 'coring')]
+                 'side': side} for side in ('ring', 'coring')]
     (ring_json, ring_duality), (coring_json, coring_duality) = _run_tasks(
         _decide_task, payloads, config.parallelism)
     if ring_json['verdict'] != coring_json['verdict']:
@@ -305,25 +285,24 @@ def cmd_check(P: GradedPoset, poset_file: str, config: RunConfig) -> dict:
 def cmd_betti(P: GradedPoset, side: str, config: RunConfig) -> dict:
     """Betti table of the chosen side.
 
-    Payload keys: "kind", "n_max", "m_max", "entries" as [n, m, dim]
-    triples, "diagonal", "grid" (rows n = 0..n_max over m = 0..m_max).
+    Payload keys: "kind", "n_max" and "m_max" (equal: the table's window),
+    "entries" as [n, m, dim] triples, "diagonal", "grid" (rows n =
+    0..n_max over m = 0..m_max).
     """
     from .homology import tor_table, ext_table
     if side == 'ring':
-        table = tor_table(incidence_ring(P, config.field),
-                          m_max=config.m_max_override)
+        table = tor_table(incidence_ring(P, config.field))
     else:
-        table = ext_table(incidence_coring(P, config.field),
-                          m_max=config.m_max_override)
+        table = ext_table(incidence_coring(P, config.field))
     return {'schema_version': SCHEMA_VERSION,
             'command': 'betti',
             'input': _poset_echo(P),
             'config': {**config.echo(), 'side': side},
             'kind': table.kind,
-            'n_max': table.n_max,
+            'n_max': table.m_max,
             'm_max': table.m_max,
             'entries': [[n, m, v] for (n, m), v in table.entries.items()],
-            'diagonal': [table.entry(n, n) for n in range(table.n_max + 1)],
+            'diagonal': [table.entry(n, n) for n in range(table.m_max + 1)],
             'grid': table.as_grid()}
 
 
@@ -368,11 +347,11 @@ def cmd_dual(P: GradedPoset, config: RunConfig) -> dict:
                           double_dual_check)
     A = incidence_ring(P, config.field)
     C = incidence_coring(P, config.field)
-    rv = decide_koszul_ring(A, config.m_max_override)
+    rv = decide_koszul_ring(A)
     dual = dual_pair(rv.pair)   # raises if not almost-Koszul
     # dual.coring is the dual of A: decided here, dualized once more for
     # the double dual
-    cv = decide_koszul_coring(dual.coring, config.m_max_override)
+    cv = decide_koszul_coring(dual.coring)
     return {'schema_version': SCHEMA_VERSION,
             'command': 'dual',
             'input': _poset_echo(P),
@@ -399,8 +378,7 @@ def cmd_corpus(max_elements: int, config: RunConfig) -> dict:
     if not 1 <= max_elements <= MAX_CORPUS_ELEMENTS:
         raise InputError('--max-elements must be between 1 and '
                          f'{MAX_CORPUS_ELEMENTS}')
-    payloads = ({'document': P.to_document(), 'field': config.field_text,
-                 'm_max': config.m_max_override}
+    payloads = ({'document': P.to_document(), 'field': config.field_text}
                 for P in enumerate_corpus(max_elements))
     rows = _run_tasks(_corpus_task, payloads, config.parallelism)
     koszul = sum(1 for r in rows if r['verdict'])
@@ -533,8 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 '"covers": [[lo, hi], ...]}')
         p.add_argument('--field', default='rational', metavar='SPEC',
                        help='rational (default) or fp:P')
-        p.add_argument('--max-weight', default='auto', metavar='N',
-                       help='override the weight sweep bound (default auto)')
         p.add_argument('--format', default='json', dest='output_format',
                        choices=['json', 'csv', 'text'])
         p.add_argument('--cache', default=None, metavar='DIR',
@@ -556,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, config: RunConfig) -> dict:
     key = {'schema': SCHEMA_VERSION, 'command': args.command,
-           'field': config.field_text,
-           'max_weight': config.echo()['max_weight']}
+           'field': config.field_text}
     if args.command == 'corpus':
         key['max_elements'] = args.max_elements
         return _with_cache(config, key,
@@ -582,7 +557,6 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(field=parse_field(args.field),
                            field_text=args.field,
-                           m_max_override=parse_max_weight(args.max_weight),
                            output_format=args.output_format,
                            cache_dir=args.cache,
                            parallelism=args.jobs)

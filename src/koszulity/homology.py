@@ -31,24 +31,27 @@ from .errors import PreconditionError, InvariantError
 # complexes
 # ---------------------------------------------------------------------------
 
+_STEP = {'chain': -1, 'cochain': 1}   # direction -> degree change of d
+
+
 class ComplexSlice:
     """A finite complex of bimodules within one weight.
 
-    For direction 'chain' the differential at degree n maps spaces[n] to
-    spaces[n-1]; for 'cochain' to spaces[n+1].  d after d = 0 is checked
-    at construction for every consecutive pair (InvariantError).
+    The differential at degree n maps spaces[n] to spaces[n + step], where
+    step is -1 for direction 'chain' and 1 for 'cochain'.  d after d = 0 is
+    checked at construction for every consecutive pair (InvariantError).
     """
 
     def __init__(self, direction: str, weight: int, spaces: dict,
                  differentials: dict):
-        if direction not in ('chain', 'cochain'):
+        if direction not in _STEP:
             raise ValueError(f'unknown direction {direction!r}')
         self.direction = direction
+        self.step = step = _STEP[direction]
         self.weight = weight
         self.spaces = dict(spaces)
         self.differentials = {n: d for n, d in differentials.items()
                               if not d.is_zero()}
-        step = -1 if direction == 'chain' else 1
         for n, d in self.differentials.items():
             if d.source != self.spaces[n]:
                 raise InvariantError(f'differential at {n}: bad source')
@@ -78,11 +81,10 @@ class ComplexSlice:
         The Euler characteristic of the spaces and of the homology are
         compared exactly as a bookkeeping check.
         """
-        step = -1 if self.direction == 'chain' else 1
         ranks, leads = {}, {}
-        for n in sorted(self.differentials, reverse=step < 0):
+        for n in sorted(self.differentials, reverse=self.step < 0):
             d = self.differentials[n]
-            cleared = leads.pop(n - step, {})
+            cleared = leads.pop(n - self.step, {})
             ranks[n], leads[n] = 0, {}
             for key, mat in d.blocks.items():
                 skip = cleared.get(key, ())
@@ -93,7 +95,7 @@ class ComplexSlice:
                 leads[n][key] = set(echelon.rows)
         out = {}
         for n, sp in self.spaces.items():
-            h = sp.dim - ranks.get(n, 0) - ranks.get(n - step, 0)
+            h = sp.dim - ranks.get(n, 0) - ranks.get(n - self.step, 0)
             if h < 0:
                 raise InvariantError(f'negative homology dimension at degree {n}')
             out[n] = h
@@ -181,7 +183,7 @@ def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
     if m < 0:
         raise ValueError(f'negative weight {m}')
     spaces = _word_space_blocks(X, m)
-    step = -1 if direction == 'chain' else 1
+    step = _STEP[direction]
     diffs = {}
     for n in range(1, m + 1):
         src, tgt = spaces[n], spaces.get(n + step)
@@ -249,11 +251,11 @@ def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
 class BettiTable:
     """Bigraded dimensions (n, m) -> dim, with zero entries omitted.
 
-    The window is 0 <= n <= m <= m_max; n_max equals m_max, since a weight-m
-    slice has no homological degree above m.  slices[m] is the weight-m
-    complex the entries were read from.  The first read of representatives
-    builds the SliceHomology of every nonzero cell from those slices and
-    keeps them; zero cells get none.
+    The window is 0 <= n <= m <= m_max: a weight-m slice has no
+    homological degree above m, so m_max bounds n as well.  slices[m] is
+    the weight-m complex the entries were read from.  The first read of
+    representatives builds the SliceHomology of every nonzero cell from
+    those slices and keeps them; zero cells get none.
     """
 
     def __init__(self, kind: str, entries: dict, m_max: int, slices: dict):
@@ -261,7 +263,7 @@ class BettiTable:
             raise ValueError(f'unknown table kind {kind!r}')
         self.kind = kind
         self.entries = {k: v for k, v in sorted(entries.items()) if v}
-        self.n_max = self.m_max = m_max
+        self.m_max = m_max
         self.slices = slices
         for (n, m), v in self.entries.items():
             if not (v > 0 and 0 <= n and 0 <= m <= m_max):
@@ -291,9 +293,9 @@ class BettiTable:
         return {n: v for (n, m), v in self.entries.items() if n == m}
 
     def as_grid(self) -> list:
-        'Rows n = 0..n_max of the entries for m = 0..m_max.'
+        'Rows n = 0..m_max of the entries for m = 0..m_max.'
         return [[self.entry(n, m) for m in range(self.m_max + 1)]
-                for n in range(self.n_max + 1)]
+                for n in range(self.m_max + 1)]
 
     def __eq__(self, other):
         if not isinstance(other, BettiTable):
@@ -318,11 +320,10 @@ class SliceHomology:
     """
 
     def __init__(self, cx: ComplexSlice, degree: int):
-        step = -1 if cx.direction == 'chain' else 1
         space = cx.spaces[degree]
         field = space.base.field
         out_map = cx.differentials.get(degree)
-        in_map = cx.differentials.get(degree - step)
+        in_map = cx.differentials.get(degree - cx.step)
         if out_map is None:
             ker = {key: Subspace.full(space.block_dim(*key), field)
                    for key in space.blocks}
@@ -399,7 +400,7 @@ def ext_diagonal_products_surjective(C: GradedCoring, table: BettiTable):
     in degree 1, so this fails only through an implementation fault.
     """
     field = C.base.field
-    for n in range(1, table.n_max):
+    for n in range(1, table.m_max):
         H3 = table.representatives.get((n + 1, n + 1))
         if H3 is None:
             continue

@@ -20,7 +20,7 @@ from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
 from .homology import (ComplexSlice, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
-                       _require_strongly_graded)
+                       _require_strongly_graded, _STEP)
 from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
@@ -118,7 +118,7 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
             raise InvariantError(f'slice cell ({m}, {n}) outside the support')
         spaces[n] = sp
     diffs = {}
-    step = -1 if direction == 'chain' else 1
+    step = _STEP[direction]
     unit = UNIT_LABEL if direction == 'chain' else (UNIT_LABEL, UNIT_LABEL)
     for n in range(-1, m + 1):
         src, tgt = spaces[n], spaces.get(n + step)
@@ -157,10 +157,10 @@ class KoszulVerdict:
 
     per_criterion maps a criterion id to (passed, evidence).  Criteria of
     kind 'equivalence' must all equal the verdict; 'assertion' criteria
-    must simply hold.  sound is False when a truncated shriek partner or a
-    user-supplied weight cap makes the sweep a bounded check rather than a
-    complete decision.  verdict is None when the partner was truncated and
-    every weight up to the cut is exact: no finite window decides that.
+    must simply hold.  sound is False when a truncated shriek partner
+    makes the sweep a bounded check rather than a complete decision.
+    verdict is None when the partner was truncated and every weight up to
+    the cut is exact: no finite window decides that.
     pair is the almost-Koszul pair the decision swept, kept for callers
     that go on with it; it is not part of the JSON.
     """
@@ -217,18 +217,17 @@ def _check_agreement(verdict: bool, per_criterion: dict, kinds: dict):
         raise CriteriaDisagreement('; '.join(bad))
 
 
-def _decide(X, m_max, make_pair, make_slice, make_table, quad_direct,
-            kinds, extra_criterion) -> KoszulVerdict:
+def _decide(X, make_pair, make_slice, make_table, quad_direct, kinds,
+            extra_criterion) -> KoszulVerdict:
     'The decision of decide_koszul_ring or _coring, given the side hooks.'
     pair = make_pair(X)   # checks strong grading
     partner = pair.coring if X is pair.ring else pair.ring
-    vanish_bound = pair.ring.top_degree + pair.coring.top_degree
-    m_bound = max(2 * X.top_degree, vanish_bound) if m_max is None else m_max
-    if partner.support_truncated:
-        # the weight-m slice reads partner degrees up to m, so a slice past
-        # the cut reads a wrong partner and proves nothing
-        m_bound = min(m_bound, partner.top_degree)
-    sound = not partner.support_truncated and m_bound >= vanish_bound
+    sound = not partner.support_truncated
+    # the weight-m slice reads partner degrees up to m, so past the cut of
+    # a truncated partner it reads a wrong partner and proves nothing
+    m_bound = (max(2 * X.top_degree,
+                   pair.ring.top_degree + pair.coring.top_degree)
+               if sound else partner.top_degree)
     if sound:
         beyond = make_slice(pair, m_bound + 1)
         if beyond.total_dim() != 0:
@@ -293,21 +292,25 @@ def _products_criterion(C: GradedCoring, table, offd) -> dict:
                                      'non_surjective_degree': sur_witness})}
 
 
-def decide_koszul_ring(A: GradedRing, m_max: int = None) -> KoszulVerdict:
+def decide_koszul_ring(A: GradedRing) -> KoszulVerdict:
     """Decide Koszulity of A through the pair (A, A^!).
 
     The verdict is exactness of every left Koszul slice up to the sound
-    weight bound; Tor diagonality, primitives, the shriek comparison and
-    the two quadraticity routes are computed alongside and must agree.
+    weight bound, max(2 * top degree, the sum of the two top degrees),
+    past which every slice vanishes; the window is always that bound, or
+    the cut of a truncated partner.  Tor diagonality, primitives, the
+    shriek comparison and the two quadraticity routes are computed
+    alongside and must agree.
     """
-    return _decide(A, m_max, make_pair_shriek_ring, koszul_complex_left,
-                   tor_table, is_quadratic_direct, RING_CRITERION_KINDS,
+    return _decide(A, make_pair_shriek_ring, koszul_complex_left, tor_table,
+                   is_quadratic_direct, RING_CRITERION_KINDS,
                    _primitives_criterion)
 
 
-def decide_koszul_coring(C: GradedCoring, m_max: int = None) -> KoszulVerdict:
-    'Mirror decision for a coring through the pair (C^!, C).'
-    return _decide(C, m_max, make_pair_shriek_coring, koszul_complex_right,
+def decide_koszul_coring(C: GradedCoring) -> KoszulVerdict:
+    """Mirror decision for a coring through the pair (C^!, C), over the
+    same window: the sound bound, or the cut of a truncated partner."""
+    return _decide(C, make_pair_shriek_coring, koszul_complex_right,
                    ext_table, is_quadratic_coring_direct,
                    CORING_CRITERION_KINDS, _products_criterion)
 

@@ -52,7 +52,7 @@ def test_check_diamond(capsys, diamond_file):
     assert report['duality'] == {'dual_is_incidence_coring': True,
                                  'dual_pair_almost_koszul': True,
                                  'double_dual': True}
-    assert report['schema_version'] == 3
+    assert report['schema_version'] == 4
 
 
 def test_check_pbad_witness(capsys, p_bad_file):
@@ -93,12 +93,19 @@ def test_betti_coring_side(capsys, p_bad_file):
     assert [2, 3, 1] in report['entries']
 
 
-def test_betti_max_weight_override(capsys, diamond_file):
-    _, out, _ = run(capsys, 'betti', '--poset', diamond_file,
-                    '--max-weight', '3', '--jobs', '1')
-    report = json.loads(out)
-    assert report['m_max'] == 3
-    assert len(report['grid'][0]) == 4
+@pytest.mark.parametrize('argv', [
+    ['check', '--poset', None, '--max-weight', '2'],
+    ['corpus', '--max-elements', '6', '--max-weight', '2']])
+def test_no_weight_cap_flag(capsys, p_bad_file, argv):
+    # the sweep window follows from the input, and a smaller one would
+    # call p_bad Koszul: there is no flag to set it
+    argv = [p_bad_file if a is None else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ['--jobs', '1'])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ''
+    assert 'unrecognized arguments: --max-weight 2' in out.err
 
 
 def test_shriek_lists_generators(capsys, diamond_file):
@@ -366,7 +373,7 @@ def test_digest_hashes_the_literal_document(capsys, monkeypatch,
     assert code == 0
     assert calls == []
     report = json.loads(out)
-    assert report['schema_version'] == 3
+    assert report['schema_version'] == 4
     assert report['input']['digest'] == _sha256_of(DIAMOND_DOC)
 
 
@@ -387,7 +394,7 @@ def test_corpus_digests_rows_and_enumerates_with_canonical_forms(
     assert calls
     assert all('enumerate_corpus' in stack for stack in calls)
     report = json.loads(out)
-    assert report['schema_version'] == 3
+    assert report['schema_version'] == 4
     for row in report['rows']:
         assert row['digest'] == _sha256_of(
             {'elements': [str(i) for i in range(row['elements'])],
@@ -626,9 +633,9 @@ def test_exit_code_on_bad_flags(capsys, diamond_file):
     code, _, err = run(capsys, 'check', '--poset', diamond_file,
                        '--field', 'fp:6')
     assert code == 2
-    code, _, err = run(capsys, 'check', '--poset', diamond_file,
-                       '--max-weight', 'many')
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, 'check', '--poset', diamond_file, '--no-such-flag')
+    assert exc.value.code == 2
     code, _, err = run(capsys, 'check', '--poset', diamond_file,
                        '--jobs', '0')
     assert code == 2
@@ -641,9 +648,11 @@ def test_run_config_is_a_value():
 
     def config(jobs):
         return RunConfig(field=parse_field('fp:3'), field_text='fp:3',
-                         m_max_override=None, output_format='json',
+                         output_format='json',
                          cache_dir=None, parallelism=jobs)
 
+    assert RunConfig._fields == ('field', 'field_text', 'output_format',
+                                 'cache_dir', 'parallelism')
     a, b = config(2), config(2)
     assert a == b and hash(a) == hash(b) and a != config(1)
     assert pickle.loads(pickle.dumps(a)) == a

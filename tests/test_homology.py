@@ -468,7 +468,7 @@ def reference_products_surjective(table):
     of the representatives of (1, 1) and (n, n) that land in it."""
     reps = table.representatives
     H1 = reps.get((1, 1))
-    for n in range(1, table.n_max):
+    for n in range(1, table.m_max):
         H2, H3 = reps.get((n, n)), reps.get((n + 1, n + 1))
         if H3 is None:
             continue

@@ -178,20 +178,6 @@ def test_decide_chains_and_antichains():
         assert v.verdict and v.m_bound_used == 0
 
 
-def test_decide_unsound_cap_is_bounded_check(p_bad):
-    # every criterion shares the capped window, so below the first failing
-    # weight the bounded run reports a clean (but flagged) True
-    v = decide_koszul_ring(incidence_ring(p_bad), m_max=2)
-    assert v.verdict is True
-    assert v.sound is False
-    assert v.per_criterion['tor_diagonal'][0]
-    # one weight further the witness enters the window on both sides
-    v3 = decide_koszul_ring(incidence_ring(p_bad), m_max=3)
-    assert v3.verdict is False
-    assert v3.sound is False
-    assert not v3.per_criterion['tor_diagonal'][0]
-
-
 def test_check_agreement_guard():
     crit = {'pair_exactness': (True, {}), 'tor_diagonal': (False, {}),
             'primitives_degree_one': (True, {}),
