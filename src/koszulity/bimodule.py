@@ -262,11 +262,6 @@ class BimoduleMap:
         return cls(source, target, {})
 
     @classmethod
-    def identity(cls, V: Bimodule) -> 'BimoduleMap':
-        return cls(V, V, {k: SparseMatrix.identity(len(v))
-                          for k, v in V.blocks.items()})
-
-    @classmethod
     def from_basis_action(cls, source: Bimodule, target: Bimodule, action) -> 'BimoduleMap':
         """Build from action(block_key, label) -> iterable of (target_label, coeff).
 
@@ -368,10 +363,6 @@ class SubBimodule:
     def __setattr__(self, *a):
         raise AttributeError('SubBimodule is immutable')
 
-    @property
-    def dim(self) -> int:
-        return sum(s.dim for s in self.parts.values())
-
     def part(self, key) -> Subspace:
         sub = self.parts.get(key)
         if sub is not None:
@@ -406,22 +397,24 @@ def image_sub(f: BimoduleMap) -> SubBimodule:
 # ---------------------------------------------------------------------------
 
 def dual_label(l):
-    """Label of the dual basis vector.
+    """Label of the dual basis vector; an involution, so double duals are
+    label-identical to the original.
 
-    Incidence symbols ('e', x, y) dualize to ('f', x, y) and back, the unit
-    stays the unit, anything else gets a '*' wrapper (removed on re-dualizing),
-    so double duals are label-identical to the original.
+    Incidence symbols ('e', x, y) dualize to ('f', x, y) and back, and the
+    unit stays the unit.  Otherwise the label is read as k nested ('*', .)
+    wrappers around a core: around the unit or an 'e'/'f' symbol an odd k
+    wraps once more and an even k unwraps; around any other core an even k
+    wraps and an odd k unwraps.
     """
-    if l == UNIT_LABEL:
-        return UNIT_LABEL
-    if isinstance(l, tuple) and l:
-        if l[0] == 'e':
-            return ('f',) + l[1:]
-        if l[0] == 'f':
-            return ('e',) + l[1:]
-        if l[0] == '*' and len(l) == 2:
-            return l[1]
-    return ('*', l)
+    k, core = 0, l
+    while isinstance(core, tuple) and len(core) == 2 and core[0] == '*':
+        k, core = k + 1, core[1]
+    paired = core == UNIT_LABEL or (isinstance(core, tuple) and bool(core)
+                                    and core[0] in ('e', 'f'))
+    if k == 0 and paired:
+        return core if core == UNIT_LABEL else (
+            ('f' if core[0] == 'e' else 'e'),) + core[1:]
+    return ('*', l) if (k % 2 == 1) == paired else l[1]
 
 
 def left_dual(V: Bimodule) -> Bimodule:

@@ -14,36 +14,17 @@ coordinatewise (with right-module normalization the dual vector of v sends
 v to the idempotent at the end of its block instead of the start, and the
 k-valued structure constants are unchanged), so only the left duals are
 built.
+
+The construction itself, _graded_left_dual, lives in graded_structures,
+where the shriek coring of a ring is built as the graded dual of a
+quadratic ring; this module names its two sides and checks pairs and
+double duals.
 """
 
 from __future__ import annotations
 
-from .bimodule import BimoduleMap, left_dual, tensor
-from .graded_structures import GradedRing, GradedCoring
+from .graded_structures import GradedRing, GradedCoring, _graded_left_dual
 from .koszul import AlmostKoszulPair
-
-
-def _graded_left_dual(X, out_cls):
-    """The out_cls on the duals ^*X_n whose (p, q) structure map is the
-    blockwise transpose of X.maps[(p, q)].
-
-    left_dual keeps block keys and label positions, so the dual basis of
-    ^*(X_p (x) X_q) comes in the order of the pairs of ^*X_p (x) ^*X_q and
-    the transposed blocks already sit between tensor(^*X_p, ^*X_q) and
-    ^*X_{p+q}, in the direction out_cls._ends gives.  out_cls checks the
-    ends and the (co)associativity.
-    """
-    components = {n: left_dual(X.component(n))
-                  for n in range(X.top_degree + 1)}
-    dual_maps = {
-        (p, q): BimoduleMap(
-            *out_cls._ends(tensor(components[p], components[q]),
-                           components[p + q]),
-            {key: mat.transpose() for key, mat in f.blocks.items()})
-        for (p, q), f in X.maps.items()}
-    D = out_cls(X.base, components, dual_maps, X.top_degree)
-    D.support_truncated = X.support_truncated
-    return D
 
 
 def graded_left_dual_of_ring(A: GradedRing) -> GradedCoring:

@@ -307,14 +307,6 @@ class SparseMatrix:
                 acc[key] = acc.get(key, 0) + u * v
         return SparseMatrix._from_sums(self.rows, other.cols, acc, field)
 
-    def scale(self, c, field: FieldSpec = RATIONALS) -> 'SparseMatrix':
-        c = field.coerce(c)
-        if c == 0:
-            return SparseMatrix.zero(self.rows, self.cols)
-        return SparseMatrix._from_sums(
-            self.rows, self.cols,
-            {k: v * c for k, v in self._field_entries(field).items()}, field)
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -542,32 +534,3 @@ def image_basis(M: SparseMatrix, field: FieldSpec = RATIONALS) -> Subspace:
             for j in range(M.cols) if echelon.add(M.column(j))]
     basis = SparseMatrix.from_columns(cols, M.rows)
     return Subspace(M.rows, basis, field, _skip_check=True)
-
-
-def intersect(subspaces: list, field: FieldSpec = RATIONALS) -> Subspace:
-    'Intersection of subspaces of a common ambient space.'
-    if not subspaces:
-        raise ValueError('need at least one subspace')
-    ambient = subspaces[0].ambient_dim
-    for s in subspaces:
-        if s.ambient_dim != ambient:
-            raise DimensionError('ambient mismatch in intersect')
-    current = subspaces[0]
-    for nxt in subspaces[1:]:
-        if current.dim == 0 or nxt.dim == 0:
-            return Subspace(ambient, SparseMatrix.zero(ambient, 0), field,
-                            _skip_check=True)
-        stacked = hstack([current.basis, nxt.basis.scale(-1, field)])
-        ker = kernel_basis(stacked, field)
-        cols = []
-        for kv in ker.basis.columns():
-            vec = {}
-            for i, c in kv.items():
-                if i >= current.dim:
-                    continue
-                for r, bv in current.basis.column(i).items():
-                    accumulate(vec, r, c, bv, field)
-            if vec:
-                cols.append(vec)
-        current = Subspace.from_spanning(cols, ambient, field)
-    return current

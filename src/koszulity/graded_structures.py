@@ -1,9 +1,8 @@
 """Connected graded R-rings and R-corings with finite support.
 
-Strong grading, the quadratic constructions <V,W> (tensor ring modulo the
-ideal generated by W) and {V,W} (intersection subcoring), and shriek
-duals.  Components are Bimodules, structure maps are BimoduleMaps, all
-validation is exact.
+Strong grading, the quadratic ring <V,W> (tensor ring modulo the ideal
+generated by W), graded left duals, and shriek duals.  Components are
+Bimodules, structure maps are BimoduleMaps, all validation is exact.
 
 Rings and corings share one core, _Graded: the nonzero (p, q) structure
 maps sit in one table, maps, and each side says only which end of its
@@ -14,25 +13,25 @@ a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis vector of
 C_{p+q+r} (corings), as sparse vectors; no tensor-product map is built
 for the check.
 
-The quadratic constructions read their relation components off one walk
-of a one-letter recursion: in degree 2 both are W, given by its reduced
-echelon basis; for n >= 3 the ideal component is I_n = I_{n-1} (x) V +
-V (x) I_{n-1} and the intersection component is K_n = (K_{n-1} (x) V) cap
-(V (x) K_{n-1}).  All components keep reduced echelon bases, so the
-ring's word reductions and the coring's comultiplication coordinates are
-read at pivot words.
+The quadratic ring reads its ideal components off one walk of a
+one-letter recursion: I_2 = W, given by its reduced echelon basis, and
+I_n = I_{n-1} (x) V + V (x) I_{n-1} for n >= 3.  All components keep
+reduced echelon bases, so the ring's word reductions are read at pivot
+words.  The quadratic coring {V, W} is the graded dual of the quadratic
+ring <^*V, W^perp> (Polishchuk-Positselski, Quadratic Algebras, ch. 1),
+so both shriek partners come from this one construction.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice, product
 
-from .exact_linalg import (SparseMatrix, Subspace, hstack, vstack, rank,
-                           intersect, accumulate, image_basis, kernel_basis)
+from .exact_linalg import (Subspace, hstack, vstack, rank, accumulate,
+                           image_basis, kernel_basis)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_power, unit_bimodule, zero_bimodule,
-                       kernel_sub, image_sub, _block_of)
-from .errors import StructureError, InvariantError
+                       image_sub, left_dual, _block_of)
+from .errors import StructureError
 
 
 def _as_word(label, letters: int) -> tuple:
@@ -259,32 +258,6 @@ class GradedCoring(_Graded):
                             accumulate(rhs, ((a, b), c), k, m, field)
                 yield lhs, rhs
 
-    def iterated_delta(self, n: int) -> BimoduleMap:
-        """Delta^n : C_n -> (C_1)^(n), the fully iterated comultiplication:
-        Delta_{1,k-1} splits off the first letter, recursively."""
-        if n < 1:
-            raise ValueError(f'word length {n} < 1')
-        field = self.base.field
-        C1 = self.component(1)
-
-        def words(k, key, z) -> dict:
-            'Delta^k of the basis vector z of C_k in block key: {word: coeff}.'
-            if k == 1:
-                return {(z,): field.one}
-            out = {}
-            split = self.maps.get((1, k - 1))
-            for (a, x), c in split.apply_label(key, z) if split else ():
-                rest = (_block_of(C1, a, key[0])[1], key[1])
-                for w, m in words(k - 1, rest, x).items():
-                    accumulate(out, (a,) + w, c, m, field)
-            return out
-
-        return BimoduleMap.from_basis_action(
-            self.component(n), tensor_power(C1, n),
-            lambda key, z: [(_word_label(w, n), c)
-                            for w, c in words(n, key, z).items()])
-
-
 # ---------------------------------------------------------------------------
 # strong grading
 # ---------------------------------------------------------------------------
@@ -358,17 +331,13 @@ class QuadraticData:
         self.W = W
 
 
-def _relation_step(V: Bimodule, W: SubBimodule, previous, n: int,
-                   meet: bool) -> dict:
-    """Degree n of the relation recursion: {block: Subspace of V^(n)} over
+def _relation_step(V: Bimodule, W: SubBimodule, previous, n: int) -> dict:
+    """Degree n of the ideal recursion: {block: Subspace of V^(n)} over
     the nonzero blocks, each with its reduced echelon basis.
 
     Degree 2 is W itself: its ambient V (x) V is V^(2), label for label.
-    Degree n > 2 appends a letter to the degree n-1 basis, and prepends
-    one; either keeps the word order, so each family is reduced echelon, a
-    basis as it stands.  The result is the sum of the two families (the
-    ideal, I_n = I_{n-1} (x) V + V (x) I_{n-1}), or their intersection
-    when meet is set (K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1})).
+    Degree n > 2 appends a letter to each degree n-1 basis vector, and
+    prepends one; the two families span I_n = I_{n-1} (x) V + V (x) I_{n-1}.
     """
     field = V.base.field
     if n == 2:
@@ -391,32 +360,25 @@ def _relation_step(V: Bimodule, W: SubBimodule, previous, n: int,
                     for a in letters for col in cols)
     out = {}
     for key, labels in amb.blocks.items():
-        families = right.get(key, []), left.get(key, [])
-        if meet and all(families):
-            sub = intersect([Subspace(len(labels), SparseMatrix.from_columns(
-                cols, len(labels)), field, _skip_check=True)
-                for cols in families], field)
-        elif not meet and any(families):
-            sub = Subspace.from_spanning(families[0] + families[1],
-                                         len(labels), field)
-        else:
-            continue
-        if sub.dim:
-            out[key] = sub
+        cols = right.get(key, []) + left.get(key, [])
+        if cols:
+            sub = Subspace.from_spanning(cols, len(labels), field)
+            if sub.dim:
+                out[key] = sub
     return out
 
 
-def _relation_components(V: Bimodule, W: SubBimodule, meet: bool):
-    'Yield (n, the degree-n component) for n = 2, 3, ... (_relation_step).'
+def _relation_components(V: Bimodule, W: SubBimodule):
+    'Yield (n, the degree-n ideal component) for n = 2, 3, ...'
     parts = None
     for n in count(2):
-        parts = _relation_step(V, W, parts, n, meet)
+        parts = _relation_step(V, W, parts, n)
         yield n, parts
 
 
-def _walk(V: Bimodule, W: SubBimodule, meet: bool, top: int) -> dict:
-    'The relation components of degrees 2..top: {n: parts}.'
-    return dict(islice(_relation_components(V, W, meet), max(top - 1, 0)))
+def _walk(V: Bimodule, W: SubBimodule, top: int) -> dict:
+    'The ideal components of degrees 2..top: {n: parts}.'
+    return dict(islice(_relation_components(V, W), max(top - 1, 0)))
 
 
 def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
@@ -430,7 +392,7 @@ def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
     ideal, so the projection of a flat word onto the ring is its
     left-folded product, GradedRing._word_product.
     """
-    return _quadratic_ring(data.V, _walk(data.V, data.W, False, top), top)
+    return _quadratic_ring(data.V, _walk(data.V, data.W, top), top)
 
 
 def _complement_words(V: Bimodule, span: dict, n: int) -> Bimodule:
@@ -492,92 +454,49 @@ def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
     return GradedRing(base, components, maps, top)
 
 
-def _quadratic_coring(V: Bimodule, inters: dict, top: int) -> GradedCoring:
-    """The quadratic coring {V, W}, the largest subcoring of the tensor
-    coalgebra of V whose weight-2 part lies in W, on the intersections
-    inters[n] = K_n, 2 <= n <= top, of the recursion K_2 = W,
-    K_n = (K_{n-1} (x) V) cap (V (x) K_{n-1}).
-
-    The components carry synthetic labels ('w', n, s, t, i); the
-    embeddings into the flat word spaces V^(n) are kept on the result as
-    `embeddings`.  The comultiplication is read off at pivot words
-    (_deconcatenation).
-    """
-    base = V.base
-    components = {0: unit_bimodule(base), 1: V}
-    embeddings = {1: BimoduleMap.identity(V)}
-    for n in range(2, top + 1):
-        components[n] = Bimodule(base, {
-            key: tuple(('w', n) + key + (i,) for i in range(sub.dim))
-            for key, sub in inters[n].items()})
-        embeddings[n] = BimoduleMap(components[n], tensor_power(V, n), {
-            key: sub.basis for key, sub in inters[n].items()})
-    # per degree and block, each basis vector as its [(word, coeff)] in
-    # word order, so its pivot word comes first
-    words = {n: {key: [[(_as_word(emb.target.blocks[key][i], n), c)
-                        for i, c in sorted(mat.column(j).items())]
-                       for j in range(mat.cols)]
-                 for key, mat in emb.blocks.items()}
-             for n, emb in embeddings.items()}
-    maps = {(p, n - p): _deconcatenation(components, words, p, n - p)
-            for n in range(2, top + 1) if not components[n].is_zero()
-            for p in range(1, n)}
-    coring = GradedCoring(base, components, maps, top)
-    coring.embeddings = embeddings
-    return coring
-
-
-def _deconcatenation(components: dict, words: dict, p: int,
-                     q: int) -> BimoduleMap:
-    """Delta_{p,q} : C_{p+q} -> C_p (x) C_q of the intersection subcoring.
-
-    The concatenations x y of the basis vectors x of C_p and y of C_q form
-    a reduced echelon family: x y is 1 at the concatenation of the two
-    pivot words and 0 at that of every other pair.  So the coordinate at
-    x y of a basis vector z of C_{p+q} is z at that word.  The coordinates
-    must rebuild z exactly, or the cut left the subcoring.
-    """
-    field = components[1].base.field
-    tgt = tensor(components[p], components[q])
-    blocks = {}
-    for key, labels in components[p + q].blocks.items():
-        pair_at = {}   # pivot word of x y -> (target index, x, y)
-        for (s, t), plabels in components[p].blocks_from(key[0]):
-            for (_, u), qlabels in components[q].blocks_from(t):
-                if u != key[1]:
-                    continue
-                for (pl, x), (ql, y) in product(zip(plabels, words[p][(s, t)]),
-                                                zip(qlabels, words[q][(t, u)])):
-                    pair_at[x[0][0] + y[0][0]] = (tgt.index_of(key, (pl, ql)),
-                                                  x, y)
-        trips = []
-        for j, z in enumerate(map(dict, words[p + q][key])):
-            rebuilt = {}
-            for w in sorted(pair_at.keys() & z.keys(),
-                            key=lambda w: pair_at[w][0]):
-                row, x, y = pair_at[w]
-                trips.append((row, j, z[w]))
-                for (xw, a), (yw, b) in product(x, y):
-                    accumulate(rebuilt, xw + yw, z[w], field.mul(a, b), field)
-            if rebuilt != z:
-                raise InvariantError('deconcatenation cut left the subcoring')
-        blocks[key] = SparseMatrix(tgt.block_dim(*key), len(labels), trips)
-    return BimoduleMap(components[p + q], tgt, blocks)
-
-
 # ---------------------------------------------------------------------------
-# shriek duals
+# graded duals and shriek duals
 # ---------------------------------------------------------------------------
+
+def _graded_left_dual(X, out_cls):
+    """The out_cls on the duals ^*X_n whose (p, q) structure map is the
+    blockwise transpose of X.maps[(p, q)].
+
+    left_dual keeps block keys and label positions, so the dual basis of
+    ^*(X_p (x) X_q) comes in the order of the pairs of ^*X_p (x) ^*X_q and
+    the transposed blocks already sit between tensor(^*X_p, ^*X_q) and
+    ^*X_{p+q}, in the direction out_cls._ends gives.  out_cls checks the
+    ends and the (co)associativity.
+
+    The dual keeps the truncation flag and a strong grading that passed:
+    the iterated maps of the dual are the transposes of those of X, so the
+    iterated products of one side are onto exactly when the iterated
+    coproducts of the other are injective.
+    """
+    components = {n: left_dual(X.component(n))
+                  for n in range(X.top_degree + 1)}
+    dual_maps = {
+        (p, q): BimoduleMap(
+            *out_cls._ends(tensor(components[p], components[q]),
+                           components[p + q]),
+            {key: mat.transpose() for key, mat in f.blocks.items()})
+        for (p, q), f in X.maps.items()}
+    D = out_cls(X.base, components, dual_maps, X.top_degree)
+    D.support_truncated = X.support_truncated
+    D._strongly_graded = X._strongly_graded
+    return D
+
 
 def _support_bound(components, size, cap: int):
-    """Walk a relation recursion up to its first zero degree: the
-    components {n: parts} for 2 <= n <= top, top, and a truncation flag.
+    """Walk the ideal recursion up to the first degree where the quotient
+    vanishes: the components {n: parts} for 2 <= n <= top, top, and a
+    truncation flag.
 
-    Both quadratic constructions vanish for good past their first zero
-    weight (K_{n+1} lies in K_n (x) V, and the quotient ring is generated
-    in degree 1), so stopping there is a complete answer.  A non-nilpotent
-    degree-1 part can keep every degree nonzero, so the walk also stops
-    past the cap, and the flag records that degree cap + 1 was nonzero.
+    The quadratic ring is generated in degree 1, so it vanishes for good
+    past its first zero degree, and stopping there is a complete answer.
+    A non-nilpotent degree-1 part can keep every degree nonzero, so the
+    walk also stops past the cap, and the flag records that degree cap + 1
+    was nonzero.
 
     The callers pick cap >= number of idempotents, which keeps the flag for
     that case alone: when the block digraph of V is acyclic every path
@@ -593,30 +512,41 @@ def _support_bound(components, size, cap: int):
         kept[n] = parts
 
 
-def shriek_of_ring(A: GradedRing) -> GradedCoring:
-    """A^! = {A^1, Ker mu^{1,1}}, the quadratic-dual coring of A, up to
-    the degree where its components vanish: one walk of the intersection
-    recursion finds that degree and yields the components (_support_bound)."""
-    V = A.component(1)
-    inters, top, truncated = _support_bound(
-        _relation_components(V, kernel_sub(A.mu(1, 1)), True),
-        lambda n, parts: sum(s.dim for s in parts.values()),
-        max(2 * A.top_degree, len(A.base.idempotents), 2))
-    coring = _quadratic_coring(V, inters, 0 if V.is_zero() else top)
-    coring.support_truncated = truncated
-    return coring
-
-
-def shriek_of_coring(C: GradedCoring) -> GradedRing:
-    """C^! = <C_1, Im Delta_{1,1}>, the quadratic-dual ring of C, up to
-    the degree where its components vanish: one walk of the ideal
-    recursion finds that degree and yields the components (_support_bound)."""
-    V = C.component(1)
+def _quadratic_partner(V: Bimodule, W: SubBimodule,
+                       top_degree: int) -> GradedRing:
+    """The quadratic ring <V, W> up to the degree where its components
+    vanish, cut past max(2 * top_degree, |S|, 2): one walk of the ideal
+    recursion finds that degree and yields the components
+    (_support_bound)."""
     spans, top, truncated = _support_bound(
-        _relation_components(V, image_sub(C.delta(1, 1)), False),
+        _relation_components(V, W),
         lambda n, parts: (tensor_power(V, n).dim
                           - sum(s.dim for s in parts.values())),
-        max(2 * C.top_degree, len(C.base.idempotents), 2))
+        max(2 * top_degree, len(V.base.idempotents), 2))
     ring = _quadratic_ring(V, spans, 0 if V.is_zero() else top)
     ring.support_truncated = truncated
     return ring
+
+
+def shriek_of_ring(A: GradedRing) -> GradedCoring:
+    """A^! = {A^1, Ker mu^{1,1}}, the quadratic-dual coring of A, as the
+    graded left dual of the quadratic ring <^*A^1, (Ker mu^{1,1})^perp>.
+
+    Under the coordinate pairing (Ker mu^{1,1})^perp is the image of the
+    blockwise transpose of mu^{1,1}, so that one map is transposed, not
+    all of A.  dual_label is an involution, so the degree-1 part of A^! is
+    A^1 label for label.
+    """
+    dual_V = left_dual(A.component(1))
+    transposed = BimoduleMap(
+        left_dual(A.component(2)), tensor(dual_V, dual_V),
+        {key: mat.transpose() for key, mat in A.mu(1, 1).blocks.items()})
+    return _graded_left_dual(
+        _quadratic_partner(dual_V, image_sub(transposed), A.top_degree),
+        GradedCoring)
+
+
+def shriek_of_coring(C: GradedCoring) -> GradedRing:
+    'C^! = <C_1, Im Delta_{1,1}>, the quadratic-dual ring of C.'
+    return _quadratic_partner(C.component(1), image_sub(C.delta(1, 1)),
+                              C.top_degree)

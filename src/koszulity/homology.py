@@ -17,10 +17,10 @@ from functools import cached_property
 from itertools import islice
 
 from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
-from .bimodule import (Bimodule, BimoduleMap, tensor_many, tensor_power,
-                       kernel_sub, image_sub, SubBimodule, _block_of)
+from .bimodule import (Bimodule, BimoduleMap, tensor_many, kernel_sub,
+                       _block_of)
 from .graded_structures import (GradedRing, GradedCoring,
-                                _relation_components,
+                                _relation_components, _graded_left_dual,
                                 is_strongly_graded_ring,
                                 is_strongly_graded_coring, _complement_words,
                                 _as_word)
@@ -534,15 +534,16 @@ def is_quadratic_direct(A: GradedRing):
 
     Degree n of the quadratic ring is read off as the complement words of
     the degree-n ideal component, for n up to one past the top degree of
-    A, in one walk of the ideal recursion; no quadratic ring is built.  The canonical map sends each complement
-    word to its product in A^n (GradedRing._word_product).  Returns (bool,
-    witness); the witness names the first degree where the dimensions or
-    the map fail.  A must be strongly graded.
+    A, in one walk of the ideal recursion; no quadratic ring is built.
+    The canonical map sends each complement word to its product in A^n
+    (GradedRing._word_product).  Returns (bool, witness); the witness
+    names the first degree where the dimensions or the map fail.  A must
+    be strongly graded.
     """
     _require_strongly_graded(A)
     V = A.component(1)
     W = kernel_sub(A.mu(1, 1))
-    for n, span in islice(_relation_components(V, W, False), A.top_degree):
+    for n, span in islice(_relation_components(V, W), A.top_degree):
         Qn = _complement_words(V, span, n)
         An = A.component(n)
         if Qn.dim != An.dim:
@@ -558,29 +559,13 @@ def is_quadratic_direct(A: GradedRing):
 
 
 def is_quadratic_coring_direct(C: GradedCoring):
-    """Mirror comparison of C against {C_1, Im Delta_{1,1}}, reading its
-    intersection components up to one past the top degree of C, in one
-    walk of the intersection recursion, through the iterated
-    comultiplication; (bool, witness).  C must be strongly graded."""
+    """Compare C against {C_1, Im Delta_{1,1}}: C is quadratic exactly when
+    its graded dual ring is, since {C_1, Im Delta_{1,1}} is the graded
+    dual of <^*C_1, Ker mu^{1,1}> for the dual product mu.  So this is
+    is_quadratic_direct on the graded dual, with the witness key ring_dim
+    read as coring_dim; (bool, witness).  C must be strongly graded."""
     _require_strongly_graded(C)
-    V = C.component(1)
-    W = image_sub(C.delta(1, 1))
-    for n, parts in islice(_relation_components(V, W, True),
-                           C.top_degree):
-        inter = SubBimodule(tensor_power(V, n), parts)
-        Cn = C.component(n)
-        if inter.dim != Cn.dim:
-            return False, {'degree': n, 'quadratic_dim': inter.dim,
-                           'coring_dim': Cn.dim}
-        if Cn.dim == 0:
-            continue
-        dn = C.iterated_delta(n)
-        for key, mat in dn.blocks.items():
-            part = inter.part(key)
-            for col in mat.columns():
-                if not part.contains_vector(col):
-                    raise InvariantError('iterated comultiplication left the '
-                                         'intersection subcoring')
-        if dn.rank() != Cn.dim:
-            return False, {'degree': n, 'reason': 'canonical map is not bijective'}
-    return True, None
+    ok, witness = is_quadratic_direct(_graded_left_dual(C, GradedRing))
+    if witness and 'ring_dim' in witness:
+        witness['coring_dim'] = witness.pop('ring_dim')
+    return ok, witness

@@ -7,11 +7,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, _block_of,
-                                left_dual, tensor, tensor_power)
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
+                                _block_of, left_dual, tensor, tensor_power)
 from koszulity.errors import InputError, InvariantError, StructureError
-from koszulity.exact_linalg import SparseMatrix
-from koszulity.graded_structures import GradedRing, GradedCoring, _as_word
+from koszulity.exact_linalg import SparseMatrix, Subspace
+from koszulity.graded_structures import (GradedRing, GradedCoring,
+                                         QuadraticData, quadratic_ring_of,
+                                         _as_word)
 from koszulity.homology import bar_complex_ring, cobar_complex_coring
 from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
                              incidence_ring)
@@ -107,6 +109,24 @@ def random_graded_poset(n_elements: int, rng) -> GradedPoset:
             return _poset_from_key((n_elements, edges))
 
 
+def random_quiver_ring(rng, field) -> GradedRing:
+    """A seeded quadratic ring, in general not monomial: the path quiver
+    0 -> 1 -> 2 -> 3 -> 4 with two arrows a_i, b_i per step, modulo a
+    random relation subspace of each block of V (x) V (0 to 4 vectors with
+    entries in -2..2), cut at degree 4, where the paths end."""
+    base = BaseRing(tuple('01234'), field)
+    V = Bimodule(base, {(str(i), str(i + 1)): (f'a{i}', f'b{i}')
+                        for i in range(4)})
+    VV = tensor(V, V)
+    parts = {}
+    for key, words in VV.blocks.items():
+        vecs = [{i: c for i in range(len(words))
+                 if (c := field.coerce(rng.randint(-2, 2)))}
+                for _ in range(rng.randint(0, len(words)))]
+        parts[key] = Subspace.from_spanning(vecs, len(words), field)
+    return quadratic_ring_of(QuadraticData(V, SubBimodule(VV, parts)), 4)
+
+
 def _relabeled(P: GradedPoset, tag: str) -> GradedPoset:
     return GradedPoset([f'{e}@{tag}' for e in P.elements],
                        [(f'{a}@{tag}', f'{b}@{tag}') for a, b in P.covers])
@@ -143,10 +163,24 @@ def relabeling(source, target, label_map) -> BimoduleMap:
                                          lambda key, l: [(label_map(l), 1)])
 
 
+def identity_map(V: Bimodule) -> BimoduleMap:
+    'The identity of V, block by block.'
+    return BimoduleMap(V, V, {k: SparseMatrix.identity(len(v))
+                              for k, v in V.blocks.items()})
+
+
+def sub_dim(W) -> int:
+    'The dimension of a SubBimodule: the sum over its parts.'
+    return sum(sub.dim for sub in W.parts.values())
+
+
 def scaled_map(f: BimoduleMap, c) -> BimoduleMap:
     'The map c f, block by block.'
-    return BimoduleMap(f.source, f.target,
-                       {k: m.scale(c, f.field) for k, m in f.blocks.items()})
+    field = f.field
+    return BimoduleMap(f.source, f.target, {
+        k: SparseMatrix(m.rows, m.cols, [(i, j, field.mul(c, v))
+                                         for (i, j), v in m.entries.items()])
+        for k, m in f.blocks.items()})
 
 
 def degree2_sequence_holds(X, m: int) -> bool:

@@ -15,7 +15,7 @@ import time
 
 from conftest import (DIAMOND_COVERS, P_BAD_COVERS, antichain_poset,
                       chain_poset, degree2_sequence_holds, disjoint_union,
-                      iterated_mu, random_graded_poset)
+                      iterated_mu, random_graded_poset, sub_dim)
 
 from koszulity.bimodule import kernel_sub
 from koszulity.duality import double_dual_check, dual_pair
@@ -83,8 +83,8 @@ def test_criterion_2_p_bad(capfd):
     A = incidence_ring(P)
     V = A.component(1)
     K = kernel_sub(A.mu(1, 1))
-    cubic_kernel = kernel_sub(iterated_mu(A, 3)).dim
-    cubic_ideal = sum(s.dim for s in _walk(V, K, False, 3)[3].values())
+    cubic_kernel = sub_dim(kernel_sub(iterated_mu(A, 3)))
+    cubic_ideal = sum(s.dim for s in _walk(V, K, 3)[3].values())
     quadratic, witness = is_quadratic_direct(A)
     t23 = tor_table(A).entry(2, 3)
     verdict = decide_koszul_ring(A)

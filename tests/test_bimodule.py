@@ -13,7 +13,7 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 unit_bimodule, zero_bimodule,
                                 kernel_sub, image_sub, left_dual, dual_label,
                                 _block_of)
-from conftest import tensor_map
+from conftest import identity_map, sub_dim, tensor_map
 
 
 @pytest.fixture
@@ -163,7 +163,7 @@ def test_map_validation_and_action(base, V):
         V, V, lambda key, l: [(l, 2)])
     assert f.rank() == 3
     assert f.apply_label(('x', 'y'), 'u') == [('u', Fraction(2))]
-    g = BimoduleMap.identity(V)
+    g = identity_map(V)
     assert f.compose(g) == f
     assert BimoduleMap.zero(V, V).is_zero()
 
@@ -175,7 +175,7 @@ def test_prime_field_maps_store_residues(rp2):
     U = Bimodule(BaseRing(('x', 'y'), F2), {('x', 'y'): ('u',)})
     assert BimoduleMap.from_basis_action(U, U, lambda key, l: [(l, 2)]).is_zero()
     assert (BimoduleMap.from_basis_action(U, U, lambda key, l: [(l, -1)])
-            == BimoduleMap.identity(U))
+            == identity_map(U))
     A = incidence_ring(rp2, F2)
     stored = {v for m in range(2, A.top_degree + 1)
               for d in bar_complex_ring(A, m).differentials.values()
@@ -219,8 +219,8 @@ def test_kernel_image_sub(base, V):
         V, V, lambda key, l: [('u', 1)] if l in ('u', 'v') else [(l, 1)])
     ker = kernel_sub(f)
     img = image_sub(f)
-    assert ker.dim == 1
-    assert img.dim == 2
+    assert sub_dim(ker) == 1
+    assert sub_dim(img) == 2
     assert ker.part(('x', 'y')).contains_vector(
         {0: Fraction(1), 1: Fraction(-1)})
 
@@ -236,9 +236,14 @@ def test_tensor_map_acts_factorwise(base, V):
 # -- duals ------------------------------------------------------------------
 
 def test_dual_label_involution():
-    for l in (UNIT_LABEL, ('e', 'x', 'y'), ('f', 'p', 'q'), 'plain',
-              (('e', 'x', 'y'), ('e', 'y', 'z'))):
+    labels = (UNIT_LABEL, ('e', 'x', 'y'), ('f', 'p', 'q'), 'plain',
+              (('e', 'x', 'y'), ('e', 'y', 'z')), ('*', 'plain'),
+              ('*', ('e', 'x', 'y')), ('*', UNIT_LABEL), ('*', ('*', 'a')),
+              ('*', ('*', ('e', 'x', 'y'))), ('*', ('*', UNIT_LABEL)),
+              ('w', 2, 'x', 'y', 0))
+    for l in labels:
         assert dual_label(dual_label(l)) == l
+    assert len({dual_label(l) for l in labels}) == len(labels)
     assert dual_label(('e', 'x', 'y')) == ('f', 'x', 'y')
     assert dual_label(('f', 'x', 'y')) == ('e', 'x', 'y')
     assert dual_label(UNIT_LABEL) == UNIT_LABEL
@@ -255,7 +260,7 @@ def test_sub_bimodule(base, V):
     VV = tensor(V, V)
     sub = SubBimodule(VV, {('x', 'z'): Subspace.from_spanning(
         [{0: Fraction(1), 1: Fraction(1)}], 2)})
-    assert sub.dim == 1
+    assert sub_dim(sub) == 1
     part = sub.part(('x', 'z'))
     assert part.contains_vector({0: Fraction(2), 1: Fraction(2)})
     assert not part.contains_vector({0: Fraction(1)})

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from koszulity.exact_linalg import FieldSpec
-from koszulity.bimodule import BimoduleMap, left_dual, dual_label, tensor
+from koszulity.exact_linalg import FieldSpec, RATIONALS
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, UNIT_LABEL,
+                                left_dual, dual_label, tensor,
+                                unit_bimodule)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          shriek_of_ring, shriek_of_coring)
 from koszulity.duality import (graded_left_dual_of_ring,
@@ -17,8 +19,8 @@ from koszulity.koszul import (make_pair_shriek_ring, koszul_complex_left,
                               decide_koszul_ring, decide_koszul_coring)
 from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
-from conftest import (chain_poset, antichain_poset, dual_map, relabeling,
-                      scaled_map, truncate_ring, direct_product,
+from conftest import (chain_poset, antichain_poset, dual_map, identity_map,
+                      relabeling, scaled_map, truncate_ring, direct_product,
                       direct_sum_corings)
 
 
@@ -74,17 +76,19 @@ def test_incidence_duality_rejects_other_products_and_degrees(diamond):
 
 
 def test_incidence_duality_builds_no_dual(monkeypatch, diamond, p_bad):
-    from koszulity import duality
+    from koszulity import duality, graded_structures
     built = []
-    for name in ('graded_left_dual_of_ring', 'graded_left_dual_of_coring',
-                 '_graded_left_dual'):
-        original = getattr(duality, name)
+    for module, name in ((duality, 'graded_left_dual_of_ring'),
+                         (duality, 'graded_left_dual_of_coring'),
+                         (duality, '_graded_left_dual'),
+                         (graded_structures, '_graded_left_dual')):
+        original = getattr(module, name)
 
         def counting(*args, name=name, original=original):
             built.append(name)
             return original(*args)
 
-        monkeypatch.setattr(duality, name, counting)
+        monkeypatch.setattr(module, name, counting)
     for P in (diamond, p_bad):
         assert incidence_duality_check(incidence_ring(P), incidence_coring(P))
     assert built == []
@@ -109,8 +113,8 @@ def _reference_dual(X, structure_map, out_cls):
             psi = relabeling(
                 phi.target, phi.source,
                 lambda l: tuple(dual_label(x) for x in dual_label(l)))
-            assert phi.compose(psi) == BimoduleMap.identity(phi.target)
-            assert psi.compose(phi) == BimoduleMap.identity(phi.source)
+            assert phi.compose(psi) == identity_map(phi.target)
+            assert psi.compose(phi) == identity_map(phi.source)
             transposed = dual_map(structure_map(p, q))
             if out_cls is GradedCoring:
                 f = psi.compose(transposed)
@@ -154,6 +158,24 @@ def test_double_dual_fixtures(diamond, p_bad, tail_diamond):
         assert double_dual_check(zeta_ring(P))
     with pytest.raises(TypeError):
         double_dual_check('not a graded structure')
+
+
+def test_double_dual_keeps_starred_labels():
+    # degree-1 labels that are already duals of an incidence symbol, of
+    # the unit label or of a dual come back unchanged from the double dual
+    base = BaseRing(('x', 'y', 'z'), RATIONALS)
+    V = Bimodule(base, {('x', 'y'): (('*', ('e', 'x', 'y')),
+                                     ('*', ('*', 'a'))),
+                        ('y', 'z'): (('*', UNIT_LABEL),)})
+    A2 = Bimodule(base, {('x', 'z'): ('p',)})
+    mu = BimoduleMap.from_basis_action(tensor(V, V), A2,
+                                       lambda key, l: [('p', 1)])
+    A = GradedRing(base, {0: unit_bimodule(base), 1: V, 2: A2},
+                   {(1, 1): mu}, 2)
+    assert double_dual_check(A)
+    assert double_dual_check(graded_left_dual_of_ring(A))
+    # A^! is a double dual in degree 1, and shares A^1 with A
+    assert make_pair_shriek_ring(A).coring.component(1) == V
 
 
 def test_dual_pair_constructs_and_is_almost_koszul(diamond, p_bad):

@@ -203,10 +203,11 @@ def test_koszul_end_cells_are_the_unit_identifications(diamond):
     def e(x, y):
         return ('e', x, y)
 
-    one, relation = UNIT_LABEL, ('w', 2, '0', '1', 0)
+    # A^!_2 is dual to the complement word of the zeta relation in ^*V^(2)
+    one, relation = UNIT_LABEL, ('*', (('f', '0', 'b'), ('f', 'b', '1')))
     letters = [e('0', 'a'), e('0', 'b'), e('a', '1'), e('b', '1')]
-    zero_cell = {(one, relation): [((e('0', 'a'), e('a', '1')), 1),
-                                   ((e('0', 'b'), e('b', '1')), -1)]}
+    zero_cell = {(one, relation): [((e('0', 'a'), e('a', '1')), -1),
+                                   ((e('0', 'b'), e('b', '1')), 1)]}
     one_cell = {(e('0', 'a'), e('a', '1')): [((e('0', '1'), one), 1)],
                 (e('0', 'b'), e('b', '1')): [((e('0', '1'), one), 1)]}
     weight_one = {(one, v): [((v, one), 1)] for v in letters}

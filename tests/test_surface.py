@@ -26,8 +26,6 @@ CALLERS = {
     'BimoduleMap.is_zero': ('AlmostKoszulPair.__init__',
                             'the composite mu(1, 1) Delta(1, 1)'),
     'SparseMatrix.is_zero': ('BimoduleMap.__init__', 'a block of the map'),
-    'SubBimodule.dim': ('is_quadratic_coring_direct',
-                        'an intersection component'),
     'SliceHomology.dim': ('BettiTable.representatives', 'a nonzero cell'),
 }
 
