@@ -16,8 +16,7 @@ _EXPORTS = {
     'bimodule': ('BaseRing', 'Bimodule', 'BimoduleMap', 'SubBimodule',
                  'tensor', 'tensor_many', 'tensor_power',
                  'unit_bimodule', 'zero_bimodule', 'left_dual', 'dual_label'),
-    'graded_structures': ('GradedRing', 'GradedCoring', 'QuadraticData',
-                          'quadratic_ring_of',
+    'graded_structures': ('GradedRing', 'GradedCoring',
                           'shriek_of_ring', 'shriek_of_coring',
                           'is_strongly_graded_ring',
                           'is_strongly_graded_coring'),

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exact_linalg import (FieldSpec, Frozen, SparseMatrix, Subspace,
-                           DimensionError, kernel_basis, image_basis, rank)
+                           DimensionError, kernel_basis, image_basis)
 
 UNIT_LABEL = '1'
 
@@ -316,9 +316,6 @@ class BimoduleMap:
 
     def is_zero(self) -> bool:
         return not self.blocks
-
-    def rank(self) -> int:
-        return sum(rank(m, self.field) for m in self.blocks.values())
 
     def __eq__(self, other):
         if not isinstance(other, BimoduleMap):

@@ -456,9 +456,10 @@ def _with_cache(config: RunConfig, key: dict, compute) -> dict:
     """Run compute() through the cache; the timings section is attached
     afterwards so cached and fresh reports differ only there.
 
-    An entry that cannot be read as a JSON report is a miss and is
-    rewritten.  Entries are written to a temporary file and renamed into
-    place, so a reader never sees a partly written one.  A directory that
+    An entry that cannot be read as a JSON object with the key's
+    schema_version and command is a miss and is rewritten.  Entries are
+    written to a temporary file and renamed into place, so a reader never
+    sees a partly written one.  A directory that
     cannot be created or written to is an input error.
     """
     path = None
@@ -473,7 +474,9 @@ def _with_cache(config: RunConfig, key: dict, compute) -> dict:
                 report = json.load(fh)
         except (OSError, ValueError, RecursionError):
             report = None
-        if isinstance(report, dict):
+        if (isinstance(report, dict)
+                and report.get('schema_version') == key['schema']
+                and report.get('command') == key['command']):
             report['timings'] = {'total_s': 0.0, 'cached': True}
             return report
     start = time.perf_counter()

@@ -19,12 +19,13 @@ I_n = I_{n-1} (x) V + V (x) I_{n-1} for n >= 3.  All components keep
 reduced echelon bases, so the ring's word reductions are read at pivot
 words.  The quadratic coring {V, W} is the graded dual of the quadratic
 ring <^*V, W^perp> (Polishchuk-Positselski, Quadratic Algebras, ch. 1),
-so both shriek partners come from this one construction.
+so both shriek partners come from this one construction, and W^perp is
+read off the transposed (1, 1) structure map alone.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice, product
+from itertools import count, product
 
 from .exact_linalg import (Subspace, hstack, vstack, rank, accumulate,
                            image_basis, kernel_basis)
@@ -189,28 +190,6 @@ class GradedRing(_Graded):
                                     accumulate(rhs, y, k, m, field)
                             yield lhs, rhs
 
-    def _word_product(self, key, word: tuple) -> list:
-        """The product in A^n of a word of n letters of A^1 in block key,
-        folded left with maps[(k, 1)]: [(label, coeff)]."""
-        field = self.base.field
-        V = self.component(1)
-        s = key[0]
-        t = _block_of(V, word[0], s)[1]
-        terms = {word[0]: field.one}
-        for k, letter in enumerate(word[1:], 1):
-            mu = self.maps.get((k, 1))
-            if mu is None:
-                return []
-            u = _block_of(V, letter, t)[1]
-            product_terms = {}
-            for x, c in terms.items():
-                for y, m in mu.apply_label((s, u), (x, letter)):
-                    accumulate(product_terms, y, c, m, field)
-            if not product_terms:
-                return []
-            terms, t = product_terms, u
-        return list(terms.items())
-
 
 # ---------------------------------------------------------------------------
 # graded corings
@@ -321,16 +300,6 @@ def is_strongly_graded_coring(C: GradedCoring):
 # quadratic constructions
 # ---------------------------------------------------------------------------
 
-class QuadraticData:
-    'A degree-1 bimodule V together with a sub-bimodule W of V (x) V.'
-
-    def __init__(self, V: Bimodule, W: SubBimodule):
-        if W.ambient != tensor(V, V):
-            raise StructureError('W must be a sub-bimodule of V (x) V')
-        self.V = V
-        self.W = W
-
-
 def _relation_step(V: Bimodule, W: SubBimodule, previous, n: int) -> dict:
     """Degree n of the ideal recursion: {block: Subspace of V^(n)} over
     the nonzero blocks, each with its reduced echelon basis.
@@ -376,23 +345,9 @@ def _relation_components(V: Bimodule, W: SubBimodule):
         yield n, parts
 
 
-def _walk(V: Bimodule, W: SubBimodule, top: int) -> dict:
-    'The ideal components of degrees 2..top: {n: parts}.'
-    return dict(islice(_relation_components(V, W), max(top - 1, 0)))
-
-
-def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
-    """The quadratic ring <V, W>: the tensor ring of V modulo the ideal on W.
-
-    The ideal components come from one walk of the recursion I_2 = W,
-    I_n = I_{n-1} (x) V + V (x) I_{n-1}.  Degree-n components are
-    represented on the complement monomials left over after echelon
-    reduction of the ideal (the non-pivot words in the word order of the
-    flat basis).  Multiplication concatenates words and reduces modulo the
-    ideal, so the projection of a flat word onto the ring is its
-    left-folded product, GradedRing._word_product.
-    """
-    return _quadratic_ring(data.V, _walk(data.V, data.W, top), top)
+def _quadratic_dim(V: Bimodule, n: int, span: dict) -> int:
+    'dim <V, W>_n: the words of V^(n) less the degree-n ideal component.'
+    return tensor_power(V, n).dim - sum(sub.dim for sub in span.values())
 
 
 def _complement_words(V: Bimodule, span: dict, n: int) -> Bimodule:
@@ -414,7 +369,11 @@ def _complement_words(V: Bimodule, span: dict, n: int) -> Bimodule:
 
 
 def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
-    'quadratic_ring_of on the ideal components spans[n], 2 <= n <= top.'
+    """The quadratic ring <V, W>, the tensor ring of V modulo the ideal on
+    W, on the ideal components spans[n], 2 <= n <= top, of one walk of
+    _relation_components.  Degree n is represented on the complement
+    words of spans[n] (_complement_words), and multiplication
+    concatenates words and reduces them modulo the ideal."""
     base = V.base
     field = base.field
     components = {0: unit_bimodule(base), 1: V}
@@ -487,44 +446,45 @@ def _graded_left_dual(X, out_cls):
     return D
 
 
-def _support_bound(components, size, cap: int):
-    """Walk the ideal recursion up to the first degree where the quotient
-    vanishes: the components {n: parts} for 2 <= n <= top, top, and a
-    truncation flag.
-
-    The quadratic ring is generated in degree 1, so it vanishes for good
-    past its first zero degree, and stopping there is a complete answer.
-    A non-nilpotent degree-1 part can keep every degree nonzero, so the
-    walk also stops past the cap, and the flag records that degree cap + 1
-    was nonzero.
-
-    The callers pick cap >= number of idempotents, which keeps the flag for
-    that case alone: when the block digraph of V is acyclic every path
-    revisits no idempotent, so V^(n) dies by n = |S| and the walk ends at
-    a genuine zero before the cap.
-    """
-    kept = {}
-    for n, parts in components:
-        if not size(n, parts):
-            return kept, n - 1, False
-        if n > cap:
-            return kept, cap, True
-        kept[n] = parts
+def _transposed_degree_one(X) -> tuple:
+    """^*X_1 and the blockwise transpose of the (1, 1) structure map of X.
+    Transposing reverses the map: it runs between ^*X_2 and ^*X_1 (x)
+    ^*X_1, whose pairs of dual labels come in the order of the dual basis
+    of ^*(X_1 (x) X_1), since left_dual keeps block keys and label
+    positions.  Under the coordinate pairing its image is
+    (Ker mu^{1,1})^perp for a ring, and its kernel is (Im Delta_{1,1})^perp
+    for a coring."""
+    dual_V = left_dual(X.component(1))
+    ends = X._ends(tensor(dual_V, dual_V), left_dual(X.component(2)))
+    return dual_V, BimoduleMap(
+        *reversed(ends),
+        {key: mat.transpose() for key, mat in X._map(1, 1).blocks.items()})
 
 
 def _quadratic_partner(V: Bimodule, W: SubBimodule,
                        top_degree: int) -> GradedRing:
     """The quadratic ring <V, W> up to the degree where its components
-    vanish, cut past max(2 * top_degree, |S|, 2): one walk of the ideal
-    recursion finds that degree and yields the components
-    (_support_bound)."""
-    spans, top, truncated = _support_bound(
-        _relation_components(V, W),
-        lambda n, parts: (tensor_power(V, n).dim
-                          - sum(s.dim for s in parts.values())),
-        max(2 * top_degree, len(V.base.idempotents), 2))
-    ring = _quadratic_ring(V, spans, 0 if V.is_zero() else top)
-    ring.support_truncated = truncated
+    vanish, cut past cap = max(2 * top_degree, |S|, 2), from one walk of
+    the ideal recursion.
+
+    The quadratic ring is generated in degree 1, so it vanishes for good
+    past its first zero degree, and stopping there is a complete answer.
+    A non-nilpotent degree-1 part can keep every degree nonzero, so the
+    walk also stops past the cap, and support_truncated records that
+    degree cap + 1 was nonzero.  The cap is at least the number of
+    idempotents, which keeps the flag for that case alone: when the block
+    digraph of V is acyclic every path revisits no idempotent, so V^(n)
+    dies by n = |S| and the walk ends at a genuine zero before the cap.
+    """
+    cap = max(2 * top_degree, len(V.base.idempotents), 2)
+    spans = {}
+    for n, span in _relation_components(V, W):
+        dim = _quadratic_dim(V, n, span)
+        if not dim or n > cap:
+            break
+        spans[n] = span
+    ring = _quadratic_ring(V, spans, 0 if V.is_zero() else n - 1)
+    ring.support_truncated = bool(dim)
     return ring
 
 
@@ -532,15 +492,11 @@ def shriek_of_ring(A: GradedRing) -> GradedCoring:
     """A^! = {A^1, Ker mu^{1,1}}, the quadratic-dual coring of A, as the
     graded left dual of the quadratic ring <^*A^1, (Ker mu^{1,1})^perp>.
 
-    Under the coordinate pairing (Ker mu^{1,1})^perp is the image of the
-    blockwise transpose of mu^{1,1}, so that one map is transposed, not
-    all of A.  dual_label is an involution, so the degree-1 part of A^! is
-    A^1 label for label.
+    (Ker mu^{1,1})^perp is the image of the transposed mu^{1,1}, so that
+    one map is transposed, not all of A.  dual_label is an involution, so
+    the degree-1 part of A^! is A^1 label for label.
     """
-    dual_V = left_dual(A.component(1))
-    transposed = BimoduleMap(
-        left_dual(A.component(2)), tensor(dual_V, dual_V),
-        {key: mat.transpose() for key, mat in A.mu(1, 1).blocks.items()})
+    dual_V, transposed = _transposed_degree_one(A)
     return _graded_left_dual(
         _quadratic_partner(dual_V, image_sub(transposed), A.top_degree),
         GradedCoring)

@@ -6,9 +6,10 @@ the ring slices gives the bigraded Tor table, cohomology of the coring
 slices the Ext table.  On top of the tables sit class representatives,
 which read a cycle as coordinates in its classes, the rank of the induced
 concatenation product on Ext, the induced deconcatenation on Tor (hence
-primitives), and the direct quadraticity tests.  The deconcatenation
-lands in the tensor square of the bar slices, whose (n, m) piece is the
-degree-n words of slice m cut between two letters, so it reads one slice.
+primitives), and the direct quadraticity tests, which count dimensions of
+a quadratic ring.  The deconcatenation lands in the tensor square of the
+bar slices, whose (n, m) piece is the degree-n words of slice m cut
+between two letters, so it reads one slice.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
 from .bimodule import (Bimodule, BimoduleMap, tensor_many, kernel_sub,
                        _block_of)
 from .graded_structures import (GradedRing, GradedCoring,
-                                _relation_components, _graded_left_dual,
+                                _relation_components, _quadratic_dim,
+                                _transposed_degree_one,
                                 is_strongly_graded_ring,
-                                is_strongly_graded_coring, _complement_words,
-                                _as_word)
+                                is_strongly_graded_coring, _as_word)
 from .errors import PreconditionError, InvariantError
 
 
@@ -529,43 +530,46 @@ def _require_strongly_graded(X):
     X._strongly_graded = True
 
 
-def is_quadratic_direct(A: GradedRing):
-    """Compare A against <A^1, Ker mu^{1,1}> through the canonical map.
-
-    Degree n of the quadratic ring is read off as the complement words of
-    the degree-n ideal component, for n up to one past the top degree of
-    A, in one walk of the ideal recursion; no quadratic ring is built.
-    The canonical map sends each complement word to its product in A^n
-    (GradedRing._word_product).  Returns (bool, witness); the witness
-    names the first degree where the dimensions or the map fail.  A must
-    be strongly graded.
-    """
-    _require_strongly_graded(A)
-    V = A.component(1)
-    W = kernel_sub(A.mu(1, 1))
-    for n, span in islice(_relation_components(V, W), A.top_degree):
-        Qn = _complement_words(V, span, n)
-        An = A.component(n)
-        if Qn.dim != An.dim:
-            return False, {'degree': n, 'quadratic_dim': Qn.dim,
-                           'ring_dim': An.dim}
-        if An.dim == 0:
-            continue
-        phi = BimoduleMap.from_basis_action(
-            Qn, An, lambda key, l: A._word_product(key, _as_word(l, n)))
-        if phi.rank() != An.dim:
-            return False, {'degree': n, 'reason': 'canonical map is not bijective'}
+def _quadratic_dims_agree(X, V, W, dim_key: str):
+    """Compare dim <V, W>_n with dim X_n for 2 <= n <= top + 1, in one walk
+    of the ideal recursion; no quadratic ring is built.  <V, W> is
+    generated in degree 1, so once zero it stays zero, and degree top + 1
+    is the last to compare.  Returns (bool, witness); the witness names the
+    first degree where the dimensions differ, with dim X_n under dim_key."""
+    for n, span in islice(_relation_components(V, W), X.top_degree):
+        quadratic, actual = _quadratic_dim(V, n, span), X.component(n).dim
+        if quadratic != actual:
+            return False, {'degree': n, 'quadratic_dim': quadratic,
+                           dim_key: actual}
     return True, None
 
 
+def is_quadratic_direct(A: GradedRing):
+    """Whether A is the quadratic ring <A^1, Ker mu^{1,1}>: (bool, witness).
+
+    Associativity puts the ideal in the kernel of the iterated product
+    (A^1)^(n) -> A^n, and strong grading makes that product onto, so the
+    canonical map <A^1, Ker mu^{1,1}> -> A is onto, and bijective iff the
+    dimensions agree in every degree.  A must be strongly graded.
+    """
+    _require_strongly_graded(A)
+    return _quadratic_dims_agree(A, A.component(1), kernel_sub(A.mu(1, 1)),
+                                 'ring_dim')
+
+
 def is_quadratic_coring_direct(C: GradedCoring):
-    """Compare C against {C_1, Im Delta_{1,1}}: C is quadratic exactly when
-    its graded dual ring is, since {C_1, Im Delta_{1,1}} is the graded
-    dual of <^*C_1, Ker mu^{1,1}> for the dual product mu.  So this is
-    is_quadratic_direct on the graded dual, with the witness key ring_dim
-    read as coring_dim; (bool, witness).  C must be strongly graded."""
+    """Whether C is the quadratic coring {C_1, Im Delta_{1,1}}: (bool,
+    witness).
+
+    Coassociativity puts the image of the iterated coproduct C_n ->
+    (C_1)^(n) in {C_1, Im Delta_{1,1}}_n, and strong grading makes it
+    injective, so the canonical map is injective, and bijective iff the
+    dimensions agree.  {C_1, Im Delta_{1,1}} is the graded dual of
+    <^*C_1, (Im Delta_{1,1})^perp>, whose relations are the kernel of the
+    transposed Delta_{1,1}, so the dimensions of that ring are counted and
+    no dual is built.  C must be strongly graded.
+    """
     _require_strongly_graded(C)
-    ok, witness = is_quadratic_direct(_graded_left_dual(C, GradedRing))
-    if witness and 'ring_dim' in witness:
-        witness['coring_dim'] = witness.pop('ring_dim')
-    return ok, witness
+    dual_V, transposed = _transposed_degree_one(C)
+    return _quadratic_dims_agree(C, dual_V, kernel_sub(transposed),
+                                 'coring_dim')

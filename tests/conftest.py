@@ -1,6 +1,7 @@
 import contextlib
 import signal
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 _block_of, left_dual, tensor, tensor_power)
 from koszulity.errors import InputError, InvariantError, StructureError
-from koszulity.exact_linalg import SparseMatrix, Subspace
-from koszulity.graded_structures import (GradedRing, GradedCoring,
-                                         QuadraticData, quadratic_ring_of,
-                                         _as_word)
+from koszulity.exact_linalg import SparseMatrix, Subspace, accumulate, rank
+from koszulity.graded_structures import (GradedRing, GradedCoring, _as_word,
+                                         _quadratic_ring,
+                                         _relation_components)
 from koszulity.homology import bar_complex_ring, cobar_complex_coring
 from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
                              incidence_ring)
@@ -107,6 +108,31 @@ def random_graded_poset(n_elements: int, rng) -> GradedPoset:
             edges = new_edges
         else:
             return _poset_from_key((n_elements, edges))
+
+
+class QuadraticData:
+    'A degree-1 bimodule V together with a sub-bimodule W of V (x) V.'
+
+    def __init__(self, V: Bimodule, W: SubBimodule):
+        if W.ambient != tensor(V, V):
+            raise StructureError('W must be a sub-bimodule of V (x) V')
+        self.V = V
+        self.W = W
+
+
+def _walk(V: Bimodule, W: SubBimodule, top: int) -> dict:
+    'The ideal components of degrees 2..top: {n: parts}.'
+    return dict(islice(_relation_components(V, W), max(top - 1, 0)))
+
+
+def quadratic_ring_of(data: QuadraticData, top: int) -> GradedRing:
+    'The quadratic ring <V, W> up to degree top, from one walk of the ideal.'
+    return _quadratic_ring(data.V, _walk(data.V, data.W, top), top)
+
+
+def map_rank(f: BimoduleMap) -> int:
+    'The rank of a bimodule map: the sum of the ranks of its blocks.'
+    return sum(rank(m, f.field) for m in f.blocks.values())
 
 
 def random_quiver_ring(rng, field) -> GradedRing:
@@ -241,12 +267,33 @@ def dual_map(f: BimoduleMap) -> BimoduleMap:
 
 def iterated_mu(A: GradedRing, n: int) -> BimoduleMap:
     """mu_n : (A^1)^(n) -> A^n, the fully iterated multiplication: each
-    word goes to its left-folded product (GradedRing._word_product)."""
+    word goes to its product folded left with the stored maps[(k, 1)]."""
     if n < 1:
         raise ValueError(f'word length {n} < 1')
+    field = A.base.field
+    V = A.component(1)
+
+    def word_product(key, label):
+        word = _as_word(label, n)
+        s = key[0]
+        t = _block_of(V, word[0], s)[1]
+        terms = {word[0]: field.one}
+        for k, letter in enumerate(word[1:], 1):
+            mu = A.maps.get((k, 1))
+            if mu is None:
+                return []
+            u = _block_of(V, letter, t)[1]
+            product_terms = {}
+            for x, c in terms.items():
+                for y, m in mu.apply_label((s, u), (x, letter)):
+                    accumulate(product_terms, y, c, m, field)
+            if not product_terms:
+                return []
+            terms, t = product_terms, u
+        return list(terms.items())
+
     return BimoduleMap.from_basis_action(
-        tensor_power(A.component(1), n), A.component(n),
-        lambda key, l: A._word_product(key, _as_word(l, n)))
+        tensor_power(V, n), A.component(n), word_product)
 
 
 # truncations and products of graded rings and corings

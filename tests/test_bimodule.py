@@ -13,7 +13,7 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 unit_bimodule, zero_bimodule,
                                 kernel_sub, image_sub, left_dual, dual_label,
                                 _block_of)
-from conftest import identity_map, sub_dim, tensor_map
+from conftest import identity_map, map_rank, sub_dim, tensor_map
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ def test_block_of_unknown_label(V):
 def test_map_validation_and_action(base, V):
     f = BimoduleMap.from_basis_action(
         V, V, lambda key, l: [(l, 2)])
-    assert f.rank() == 3
+    assert map_rank(f) == 3
     assert f.apply_label(('x', 'y'), 'u') == [('u', Fraction(2))]
     g = identity_map(V)
     assert f.compose(g) == f

@@ -429,6 +429,27 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, diamond_file):
     assert rewritten == expected
 
 
+@pytest.mark.parametrize('entry_text', [
+    '{"verdict": 0}',
+    '{"schema_version": 3, "command": "check", "verdict": true}',
+    '{"schema_version": 4, "command": "betti", "verdict": true}'],
+    ids=['no-header', 'old-schema', 'other-command'])
+def test_cache_entry_of_another_report_is_a_miss(capsys, tmp_path,
+                                                 diamond_file, entry_text):
+    cache = tmp_path / 'cache'
+    _, fresh, _ = run(capsys, 'check', '--poset', diamond_file,
+                      '--cache', str(cache), '--jobs', '1')
+    (entry,) = cache.iterdir()
+    entry.write_text(entry_text)
+    code, out, _ = run(capsys, 'check', '--poset', diamond_file,
+                       '--cache', str(cache), '--jobs', '1')
+    assert code == 0
+    report, expected = json.loads(out), json.loads(fresh)
+    assert report.pop('timings')['cached'] is False
+    expected.pop('timings')
+    assert report == expected == json.loads(entry.read_text())
+
+
 def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path,
                                              diamond_file):
     cache = tmp_path / 'cache'

@@ -2,6 +2,7 @@
 routes, all cross-checked against the dense brute-force oracle."""
 
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,8 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor,
                                 tensor_many,
                                 tensor_power, kernel_sub, image_sub,
                                 unit_bimodule)
-from koszulity.graded_structures import (GradedRing, shriek_of_ring,
-                                         QuadraticData, quadratic_ring_of)
+from koszulity.graded_structures import (GradedRing, GradedCoring,
+                                         shriek_of_ring)
 from koszulity.homology import (bar_complex_ring,
                                 cobar_complex_coring, tor_table, ext_table,
                                 tor_primitive_dims,
@@ -31,7 +32,9 @@ from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
 from koszulity.errors import InvariantError
 from conftest import (chain_poset, antichain_poset, boolean_lattice,
                       grid_poset, degree2_sequence_holds, identity_map,
-                      iterated_mu, truncate_ring, truncate_coring)
+                      iterated_mu, map_rank, QuadraticData,
+                      quadratic_ring_of, random_quiver_ring, truncate_ring,
+                      truncate_coring)
 from oracle import partitions
 import oracle
 
@@ -651,7 +654,7 @@ def reference_quadratic_direct(A):
                            'ring_dim': An.dim}
         incl = BimoduleMap.from_basis_action(Qn, tensor_power(V, n),
                                              lambda key, l: [(l, 1)])
-        if An.dim and iterated_mu(A, n).compose(incl).rank() != An.dim:
+        if An.dim and map_rank(iterated_mu(A, n).compose(incl)) != An.dim:
             return False, {'degree': n,
                            'reason': 'canonical map is not bijective'}
     return True, None
@@ -667,14 +670,21 @@ def reference_quadratic_coring_direct(C):
     return ok, witness
 
 
-@pytest.mark.parametrize('field', [RATIONALS, FieldSpec.prime_field(3)],
-                         ids=['Q', 'F3'])
+@pytest.mark.parametrize('field', [RATIONALS, FieldSpec.prime_field(2),
+                                   FieldSpec.prime_field(3)],
+                         ids=['Q', 'F2', 'F3'])
 def test_direct_quadraticity_matches_the_built_quadratic_structures(
         field, p_bad):
-    posets = list(enumerate_corpus(5))
+    # the references still rank the canonical map, which the direct tests
+    # skip; incidence structures are monomial, the quiver rings mix words
+    pairs = [(incidence_ring(P, field), incidence_coring(P, field))
+             for P in list(enumerate_corpus(5)) + [p_bad]]
+    rng = random.Random(31)
+    for _ in range(10):
+        A = random_quiver_ring(rng, field)
+        pairs.append((A, graded_left_dual_of_ring(A)))
     past_top = 0
-    for P in posets + [p_bad]:
-        A, C = incidence_ring(P, field), incidence_coring(P, field)
+    for A, C in pairs:
         # a truncation at m >= 3 keeps degree 1 and the (1, 1) structure
         # map, so its quadratic structure can outlive it at m = top + 1
         cases = [(X, is_quadratic_direct, reference_quadratic_direct)
@@ -686,7 +696,7 @@ def test_direct_quadraticity_matches_the_built_quadratic_structures(
                                   for m in range(2, C.top_degree + 1)]]
         for X, direct, reference in cases:
             ok, witness = direct(X)
-            assert (ok, witness) == reference(X), (P, X)
+            assert (ok, witness) == reference(X), X
             if witness is not None and witness['degree'] == X.top_degree + 1:
                 past_top += 1
     assert past_top > 0
@@ -706,6 +716,23 @@ def test_direct_quadraticity_builds_no_graded_ring(monkeypatch):
     assert is_quadratic_direct(A) == (True, None)
     assert is_quadratic_direct(truncate_ring(A, 3))[0] is False
     assert len(built) == 1   # the truncation, built by the test itself
+
+
+def test_direct_coring_quadraticity_builds_no_graded_structure(monkeypatch):
+    C = incidence_coring(chain_poset(3))
+    truncated = truncate_coring(C, 3)
+    built = []
+    for cls in (GradedRing, GradedCoring):
+        original = cls.__init__
+
+        def counting(self, *args, original=original, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, '__init__', counting)
+    assert is_quadratic_coring_direct(C) == (True, None)
+    assert is_quadratic_coring_direct(truncated)[0] is False
+    assert built == []
 
 
 def test_tor2_ext2_sequences(diamond, p_bad, tail_diamond):

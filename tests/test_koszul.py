@@ -7,7 +7,6 @@ from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, unit_bimodule)
 from koszulity.duality import graded_left_dual_of_ring
 from koszulity.graded_structures import (GradedRing, GradedCoring,
-                                         QuadraticData, quadratic_ring_of,
                                          shriek_of_ring)
 from koszulity.koszul import (AlmostKoszulPair, make_pair_shriek_ring,
                               make_pair_shriek_coring, koszul_complex_left,
@@ -21,7 +20,7 @@ from koszulity.poset import GradedPoset, incidence_ring, incidence_coring
 from koszulity.errors import (StructureError, PreconditionError,
                               CriteriaDisagreement)
 from conftest import (chain_poset, antichain_poset, direct_product,
-                      P_BAD_COVERS)
+                      P_BAD_COVERS, QuadraticData, quadratic_ring_of)
 import oracle
 
 

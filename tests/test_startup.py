@@ -30,7 +30,7 @@ EXPORTS = '''
     AlmostKoszulPair BaseRing BettiTable Bimodule BimoduleMap ComplexSlice
     CriteriaDisagreement FieldSpec GradedCoring GradedPoset GradedRing
     InputError InvariantError KoszulVerdict KoszulityError PreconditionError
-    QuadraticData RATIONALS SliceHomology SparseMatrix StructureError
+    RATIONALS SliceHomology SparseMatrix StructureError
     SubBimodule Subspace bar_complex_ring canonical_form cobar_complex_coring
     decide_koszul_coring decide_koszul_ring double_dual_check dual_label
     dual_pair enumerate_corpus ext_diagonal_products_surjective ext_table
@@ -39,7 +39,7 @@ EXPORTS = '''
     is_quadratic_coring_direct is_quadratic_direct is_strongly_graded_coring
     is_strongly_graded_ring koszul_complex_left koszul_complex_right
     left_dual make_pair_shriek_coring make_pair_shriek_ring parse_poset
-    quadratic_ring_of shriek_of_coring shriek_of_ring tensor tensor_many
+    shriek_of_coring shriek_of_ring tensor tensor_many
     tensor_power tor_primitive_dims tor_table unit_bimodule zero_bimodule
     zeta_ring
 '''.split()
@@ -97,7 +97,7 @@ def test_a_cold_check_on_two_workers_starts_no_pool(tmp_path, diamond_file):
 
 
 def test_package_exports_resolve_on_first_use():
-    assert sorted(koszulity.__all__) == sorted(EXPORTS) and len(EXPORTS) == 61
+    assert sorted(koszulity.__all__) == sorted(EXPORTS) and len(EXPORTS) == 59
     assert sorted(dir(koszulity)) == sorted(koszulity.__all__)
     from koszulity import GradedRing, graded_structures
     assert GradedRing is graded_structures.GradedRing
