@@ -186,8 +186,8 @@ def tensor(V: Bimodule, W: Bimodule) -> Bimodule:
 def tensor_many(factors: list) -> Bimodule:
     """Iterated tensor with flat tuple labels.
 
-    A single factor is returned as is (bare labels, not 1-tuples), so word
-    spaces over one part agree with the part itself.
+    A single factor is returned as is (bare labels, not 1-tuples), so
+    V^(1) is V itself.
     """
     if not factors:
         raise ValueError('tensor_many needs at least one factor; use unit_bimodule for n=0')

@@ -7,13 +7,13 @@ coordinate pairing, the dual of a structure map is its blockwise
 transpose, and the canonical isomorphism ^*V (x) ^*W = ^*(V (x) W) is a
 relabeling that keeps every label position.  So the dual structure maps
 are the transposed stored blocks, placed between the tensor products of
-the dual components, and no isomorphism is built; the constructors of
-GradedRing and GradedCoring check their shapes and (co)associativity as
-for any other structure.  The right duals agree with the left ones
-coordinatewise (with right-module normalization the dual vector of v sends
-v to the idempotent at the end of its block instead of the start, and the
-k-valued structure constants are unchanged), so only the left duals are
-built.
+the dual components, and no isomorphism is built.  A dual carries the
+checks of the structure it transposes, which passed them when it was
+built, so its (co)associativity is not checked again.  The right duals
+agree with the left ones coordinatewise (with right-module normalization
+the dual vector of v sends v to the idempotent at the end of its block
+instead of the start, and the k-valued structure constants are
+unchanged), so only the left duals are built.
 
 The construction itself, _graded_left_dual, lives in graded_structures,
 where the shriek coring of a ring is built as the graded dual of a

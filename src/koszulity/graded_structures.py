@@ -11,7 +11,12 @@ the maps and the (co)associativity, word by word: for each (p, q, r) with
 p + q + r <= top it compares the two bracketings on every basis word
 a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis vector of
 C_{p+q+r} (corings), as sparse vectors; no tensor-product map is built
-for the check.
+for the check.  A graded dual is not checked again: it carries the check
+of its source, whose transpose it is.
+
+On first use a structure numbers its basis (_Numbering): integer ids for
+the labels of degrees 0..top in block order, and its stored structure maps
+as one table on those ids.  The bar, cobar and Koszul slices read it.
 
 The quadratic ring reads its ideal components off one walk of a
 one-letter recursion: I_2 = W, given by its reduced echelon basis, and
@@ -25,6 +30,7 @@ read off the transposed (1, 1) structure map alone.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import count, product
 
 from .exact_linalg import (Subspace, hstack, vstack, rank, accumulate,
@@ -59,17 +65,23 @@ class _Graded:
     Zero maps are not stored in maps; each is built on first use and then
     kept.  There is no map against degree 0: R (x) X = X = X (x) R are
     identifications, which the Koszul complex applies in place.
-    _reach[r] holds the idempotents where a word of weight exactly
-    r starts; the word spaces of the slices extend it on demand.
+    _numbering, built on first use, numbers the basis and holds the stored
+    maps as one table on those numbers (_Numbering); the slices read it.
 
     Each side gives _ends(tensored, whole) -> (source, target), the
     direction of its maps, and the words of its error messages.  The
     constructor checks connectedness, the exact ends of every map and the
-    (co)associativity.
+    (co)associativity; _carried builds a structure whose checks carry over
+    from another one.
     """
 
     def __init__(self, base: BaseRing, components: dict, maps: dict,
                  top_degree: int):
+        self._assemble(base, components, maps, top_degree)
+        self._validate()
+
+    def _assemble(self, base, components, maps, top_degree):
+        'Everything the constructor does but _validate.'
         self.base = base
         self.top_degree = top_degree
         _check_components(base, components, top_degree)
@@ -78,7 +90,6 @@ class _Graded:
         self.support_truncated = False
         self._strongly_graded = False   # set once a check has passed
         self._zero_maps = {}
-        self._reach = [set(base.idempotents)]
         self.maps = {}
         for (p, q), f in maps.items():
             if p < 1 or q < 1 or p + q > top_degree:
@@ -86,7 +97,24 @@ class _Graded:
                     f'{self._maps_word} component ({p},{q}) out of range')
             if not f.is_zero():
                 self.maps[(p, q)] = f
-        self._validate()
+
+    @classmethod
+    def _carried(cls, source, components: dict, maps: dict):
+        """The structure on components and maps over the base and top
+        degree of source, built without _validate: its checks are those of
+        source, which passed them when it was built, carried over by the
+        construction (the transpose of a graded dual; see
+        _graded_left_dual).  The truncation flag and a strong grading that
+        passed carry over too."""
+        X = cls.__new__(cls)
+        X._assemble(source.base, components, maps, source.top_degree)
+        X.support_truncated = source.support_truncated
+        X._strongly_graded = source._strongly_graded
+        return X
+
+    @cached_property
+    def _numbering(self) -> '_Numbering':
+        return _Numbering(self)
 
     def _ends_at(self, p: int, q: int) -> tuple:
         'Source and target of the (p, q) structure map.'
@@ -141,6 +169,81 @@ class _Graded:
 
     def __repr__(self):
         return f'{type(self).__name__}(top={self.top_degree}, dims={self.dims()})'
+
+
+class _Numbering:
+    """Integer ids for the basis of a ring or coring X, and its stored
+    structure maps as one table on them.
+
+    Ids run over the degrees 0..top in turn, within a degree over the blocks
+    in block order, and within a block over its labels in order.  Degree 0
+    has one id per idempotent, the unit of its diagonal block, so a ring and
+    a coring on one degree-1 bimodule give its basis the same ids.  For an
+    id x: labels[x], degree[x], and start[x] and end[x], the idempotents of
+    its block.  of_degree[p] is the range of the ids of degree p, and
+    starting[(p, s)] lists those whose block starts at s, in id order.  A
+    word is a tuple of ids.  In a block of a tensor product the labels come
+    in the lexicographic order of these words, since every block from s
+    lists the ids starting at s in order.
+
+    table holds the stored structure maps on these ids, keyed by source:
+    for a ring (a, b) -> [(c, coeff)], the product of a (x) b, and for a
+    coring c -> [((a, b), coeff)], every coproduct of c.  The ids fix the
+    degrees, so the (p, q) map of a term is known: the product of a and b
+    is the (degree a, degree b) one, and a coproduct term (a, b) of c is
+    the (degree a, degree c - degree a) one.  Each list holds the nonzero
+    entries of the columns of the stored maps in (p, q) order, each column
+    in its stored order.
+
+    reach[r] holds the idempotents where a word of weight exactly r starts:
+    every idempotent for r = 0, else the starts of the blocks (s, t) of some
+    X_p, p <= r, with t in reach[r-p]; reach_to(m) extends it up to m.
+    """
+
+    def __init__(self, X):
+        self.labels, self.degree, self.start, self.end = [], [], [], []
+        self.starting, self.of_degree = {}, []
+        ids = {}   # (degree, start, label) -> id
+        for p in range(X.top_degree + 1):
+            self.of_degree.append(range(len(self.labels), len(self.labels)
+                                        + X.component(p).dim))
+            for (s, t), block in X.component(p).blocks.items():
+                run = self.starting.setdefault((p, s), [])
+                for label in block:
+                    ids[(p, s, label)] = len(self.labels)
+                    run.append(len(self.labels))
+                    self.labels.append(label)
+                    self.degree.append(p)
+                    self.start.append(s)
+                    self.end.append(t)
+        end = self.end
+
+        def word(p, q, s, pair):
+            a = ids[(p, s, pair[0])]
+            return a, ids[(q, end[a], pair[1])]
+
+        def whole(p, q, s, label):
+            return ids[(p + q, s, label)]
+
+        key_of, term_of = X._ends(word, whole)
+        self.table = {}
+        for (p, q), f in sorted(X.maps.items()):
+            for (s, u), mat in f.blocks.items():
+                src, tgt = f.source.blocks[(s, u)], f.target.blocks[(s, u)]
+                for (i, j), v in mat.entries.items():
+                    self.table.setdefault(key_of(p, q, s, src[j]), []).append(
+                        (term_of(p, q, s, tgt[i]), v))
+        self._arrows = {p: tuple(X.component(p).blocks)
+                        for p in range(1, X.top_degree + 1)}
+        self.reach = [set(X.base.idempotents)]
+
+    def reach_to(self, m: int) -> list:
+        'reach, extended up to weight m.'
+        reach = self.reach
+        for r in range(len(reach), m + 1):
+            reach.append({s for p, arrows in self._arrows.items() if p <= r
+                          for s, t in arrows if t in reach[r - p]})
+        return reach
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +527,16 @@ def _graded_left_dual(X, out_cls):
     left_dual keeps block keys and label positions, so the dual basis of
     ^*(X_p (x) X_q) comes in the order of the pairs of ^*X_p (x) ^*X_q and
     the transposed blocks already sit between tensor(^*X_p, ^*X_q) and
-    ^*X_{p+q}, in the direction out_cls._ends gives.  out_cls checks the
-    ends and the (co)associativity.
+    ^*X_{p+q}, in the direction out_cls._ends gives.
 
-    The dual keeps the truncation flag and a strong grading that passed:
-    the iterated maps of the dual are the transposes of those of X, so the
-    iterated products of one side are onto exactly when the iterated
-    coproducts of the other are injective.
+    The dual carries the checks of X (_Graded._carried).  Its ends are
+    exact by construction, and ^*R = R.  Transposing reverses composition,
+    so each bracketing of the dual is the transpose of one of X, and
+    (co)associativity of X is that of the dual.  The iterated maps of the
+    dual are the transposes of those of X, so the iterated products of one
+    side are onto exactly when the iterated coproducts of the other are
+    injective: a strong grading that passed carries over, and so does the
+    truncation flag.
     """
     components = {n: left_dual(X.component(n))
                   for n in range(X.top_degree + 1)}
@@ -440,10 +546,7 @@ def _graded_left_dual(X, out_cls):
                            components[p + q]),
             {key: mat.transpose() for key, mat in f.blocks.items()})
         for (p, q), f in X.maps.items()}
-    D = out_cls(X.base, components, dual_maps, X.top_degree)
-    D.support_truncated = X.support_truncated
-    D._strongly_graded = X._strongly_graded
-    return D
+    return out_cls._carried(X, components, dual_maps)
 
 
 def _transposed_degree_one(X) -> tuple:

@@ -10,6 +10,14 @@ primitives), and the direct quadraticity tests, which count dimensions of
 a quadratic ring.  The deconcatenation lands in the tensor square of the
 bar slices, whose (n, m) piece is the degree-n words of slice m cut
 between two letters, so it reads one slice.
+
+Slices are built on numbered bases (graded_structures._Numbering): a
+basis word is a tuple of integer ids, each block keeps a dict from word
+to index, and the differential merges or splits letters by looking them
+up in the structure-constant tables.  One builder serves every structure;
+an incidence structure is not a special case, its table entries simply
+hold one term.  The spaces keep their (parts, word) labels.  The words
+are not kept: the cut words list them again for the one slice they read.
 """
 
 from __future__ import annotations
@@ -17,14 +25,14 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 
-from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
-from .bimodule import (Bimodule, BimoduleMap, tensor_many, kernel_sub,
-                       _block_of)
+from .exact_linalg import (Subspace, SparseMatrix, Echelon, accumulate,
+                           outer_vector)
+from .bimodule import Bimodule, BimoduleMap, kernel_sub
 from .graded_structures import (GradedRing, GradedCoring,
                                 _relation_components, _quadratic_dim,
                                 _transposed_degree_one,
                                 is_strongly_graded_ring,
-                                is_strongly_graded_coring, _as_word)
+                                is_strongly_graded_coring)
 from .errors import PreconditionError, InvariantError
 
 
@@ -115,75 +123,108 @@ class ComplexSlice:
                 f'dims={dims})')
 
 
-def _chain_of(components: list, word: tuple, start) -> list:
-    'Recover the idempotent chain s_0 .. s_k of a tensor word from its start.'
-    chain = [start]
-    for comp, letter in zip(components, word):
-        chain.append(_block_of(comp, letter, chain[-1])[1])
-    return chain
+def _id_map(src: Bimodule, tgt: Bimodule, src_words: dict,
+            tgt_words: dict, action) -> BimoduleMap:
+    """The map from src to tgt whose column at the basis vector of src with
+    word w is action(w), an iterable of (target word, coeff), summed.
+
+    src_words[key] lists the words of block key of src in basis order, and
+    tgt_words[key] maps each word of block key of tgt to its index.  Each
+    summed coefficient is stored as a field element, so over F_p a sum that
+    is 0 mod p is dropped."""
+    coerce = src.base.field.coerce
+    blocks = {}
+    for key, words in src_words.items():
+        index = tgt_words.get(key, {})
+        acc = {}
+        for j, w in enumerate(words):
+            for tw, c in action(w):
+                ij = (index[tw], j)
+                acc[ij] = acc.get(ij, 0) + c
+        if acc:
+            blocks[key] = SparseMatrix(
+                len(index), len(words),
+                [(i, j, coerce(v)) for (i, j), v in acc.items()])
+    return BimoduleMap(src, tgt, blocks)
 
 
-def _word_space_blocks(X, m: int) -> dict:
-    """Degree n -> the degree-n space of the weight-m slice of X.
+def _slice_words(X, m: int) -> dict:
+    """Degree n -> {block key: {word: index}}: the basis of the degree-n
+    space of the weight-m slice of X, as words on the ids of
+    X._numbering, in basis order.
 
-    Labels are (parts, word) pairs.  reach[r] holds the idempotents where a
-    word of weight exactly r starts: every idempotent for r = 0, else the
-    starts of the blocks (s, t) of some X_p, p <= r, with t in reach[r-p].
-    X keeps reach, and each call extends it up to m.  A weight no word
-    reaches has the zero space in every degree.  Otherwise compositions of
-    m are walked depth first in lexicographic order, carrying the
-    idempotents where the words of the prefix end and a word of the
-    remaining weight starts, so every prefix entered completes, on cyclic
-    block digraphs too.  Weight 0 holds the empty word ((), ()) on the
-    diagonal.
+    A word of degree n has n letters of positive degree summing to m.  In
+    a block, words come by composition (the degrees of the letters) in
+    lexicographic order, and within one composition in the lexicographic
+    order of their ids, which is the label order of the tensor product of
+    its components.  Compositions are walked depth first, extending every
+    word of the prefix at once by the letters that start where it ends and
+    end where a word of the remaining weight starts (reach), so every word
+    entered completes, on cyclic block digraphs too.  Weight 0 holds the
+    empty word on the diagonal.
     """
-    base = X.base
-    comps = {p: X.component(p) for p in range(1, m + 1)}
-    reach = X._reach
-    for r in range(len(reach), m + 1):
-        reach.append({s for p in range(1, r + 1) for s, t in comps[p].blocks
-                      if t in reach[r - p]})
+    num = X._numbering
+    words = {n: {} for n in range(m + 1)}
+    if m == 0:
+        words[0] = {(s, s): {(): 0} for s in X.base.idempotents}
+        return words
+    reach = num.reach_to(m)
     if not reach[m]:
-        return dict.fromkeys(range(m + 1), base.zero)
-    blocks = [{} for _ in range(m + 1)]
-    parts = []
+        return words
+    starting, start, end = num.starting, num.start, num.end
 
-    def grow(remaining, ends):
-        for p in range(1, remaining + 1):
-            nxt = {t for s in ends for (_, t), _ in comps[p].blocks_from(s)
-                   if t in reach[remaining - p]}
-            if not nxt:
+    def grow(remaining, prefix):
+        for p in range(1, min(remaining, X.top_degree) + 1):
+            rest = reach[remaining - p]
+            longer = [w + (x,) for w in prefix
+                      for x in (starting.get((p, end[w[-1]]), ()) if w
+                                else num.of_degree[p])
+                      if end[x] in rest]
+            if not longer:
                 continue
-            parts.append(p)
             if p < remaining:
-                grow(remaining - p, nxt)
-            else:
-                n = len(parts)
-                word_parts = tuple(parts)
-                T = tensor_many([comps[q] for q in parts])
-                for key, labels in T.blocks.items():
-                    blocks[n].setdefault(key, []).extend(
-                        (word_parts, _as_word(l, n)) for l in labels)
-            parts.pop()
+                grow(remaining - p, longer)
+                continue
+            blocks = words[len(longer[0])]
+            for w in longer:
+                block = blocks.setdefault((start[w[0]], end[w[-1]]), {})
+                block[w] = len(block)
 
-    if m:
-        grow(m, set(base.idempotents))
-    else:
-        blocks[0] = {(s, s): [((), ())] for s in base.idempotents}
-    return {n: Bimodule(base, blocks[n]) if blocks[n] else base.zero
-            for n in range(m + 1)}
+    grow(m, [()])
+    return words
+
+
+def _word_space(X, blocks: dict) -> Bimodule:
+    """The space on the words of blocks, labelled (parts, word): the
+    degrees and the labels of the letters.  The words of one composition
+    share one parts tuple."""
+    if not blocks:
+        return X.base.zero
+    label, degree = (X._numbering.labels.__getitem__,
+                     X._numbering.degree.__getitem__)
+    shared = {}
+
+    def parts(w):
+        p = tuple(map(degree, w))
+        return shared.setdefault(p, p)
+
+    return Bimodule(X.base, {
+        key: [(parts(w), tuple(map(label, w))) for w in block]
+        for key, block in blocks.items()})
 
 
 def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
     """The weight-m slice on the word spaces of X.
 
-    The differential sums letter_op(X, parts, word, chain, j) over the
+    The differential sums letter_op(X._numbering, word, j) over the
     positions j of a word, with sign (-1)^j.  A chain differential acts on
     the gaps between adjacent letters, a cochain one on the letters.
     """
     if m < 0:
         raise ValueError(f'negative weight {m}')
-    spaces = _word_space_blocks(X, m)
+    num = X._numbering
+    words = _slice_words(X, m)
+    spaces = {n: _word_space(X, blocks) for n, blocks in words.items()}
     step = _STEP[direction]
     diffs = {}
     for n in range(1, m + 1):
@@ -192,38 +233,33 @@ def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
             continue
         positions = n - 1 if direction == 'chain' else n
 
-        def action(key, label, positions=positions):
-            parts, word = label
-            chain = _chain_of([X.component(p) for p in parts], word, key[0])
-            out = []
+        def action(w, positions=positions):
             sign = 1
             for j in range(positions):
-                for nparts, nword, c in letter_op(X, parts, word, chain, j):
-                    out.append(((nparts, nword), sign * c))
+                for nw, c in letter_op(num, w, j):
+                    yield nw, sign * c
                 sign = -sign
-            return out
 
-        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+        diffs[n] = _id_map(src, tgt, words[n], words[n + step], action)
     return ComplexSlice(direction, m, spaces, diffs)
 
 
-def _merge_letters(A: GradedRing, parts, word, chain, j):
-    'Multiply letters j and j+1 into one.'
-    muf = A.mu(parts[j], parts[j + 1])
-    for tl, c in muf.apply_label((chain[j], chain[j + 2]),
-                                 (word[j], word[j + 1])):
-        yield (parts[:j] + (parts[j] + parts[j + 1],) + parts[j + 2:],
-               word[:j] + (tl,) + word[j + 2:], c)
+def _merge(num, w: tuple, j: int) -> list:
+    'Letters j and j+1 of w multiplied into one: [(word, coeff)].'
+    terms = num.table.get(w[j:j + 2])
+    if not terms:
+        return ()
+    head, tail = w[:j], w[j + 2:]
+    return [(head + (c,) + tail, v) for c, v in terms]
 
 
-def _split_letter(C: GradedCoring, parts, word, chain, j):
-    'Split letter j by every positive comultiplication component.'
-    mj = parts[j]
-    for p in range(1, mj):
-        for (c1, c2), c in C.delta(p, mj - p).apply_label(
-                (chain[j], chain[j + 1]), word[j]):
-            yield (parts[:j] + (p, mj - p) + parts[j + 1:],
-                   word[:j] + (c1, c2) + word[j + 1:], c)
+def _split(num, w: tuple, j: int) -> list:
+    'Letter j of w split by every positive comultiplication component.'
+    terms = num.table.get(w[j])
+    if not terms:
+        return ()
+    head, tail = w[:j], w[j + 1:]
+    return [(head + ab + tail, v) for ab, v in terms]
 
 
 def bar_complex_ring(A: GradedRing, m: int) -> ComplexSlice:
@@ -233,7 +269,7 @@ def bar_complex_ring(A: GradedRing, m: int) -> ComplexSlice:
     (compositions touching a vanishing component drop out); d_n merges
     adjacent letters with alternating signs.
     """
-    return _word_complex(A, m, 'chain', _merge_letters)
+    return _word_complex(A, m, 'chain', _merge)
 
 
 def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
@@ -242,7 +278,7 @@ def cobar_complex_coring(C: GradedCoring, m: int) -> ComplexSlice:
     d^n splits one letter by every positive comultiplication component,
     with the same alternating signs as the bar side.
     """
-    return _word_complex(C, m, 'cochain', _split_letter)
+    return _word_complex(C, m, 'cochain', _split)
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +481,21 @@ def _cut(i: int, c: int, n: int) -> int:
     return i * (n - 1) + c - 1
 
 
-def _cut_boundaries(A: GradedRing, cx: ComplexSlice, n: int, key) -> list:
+def _cut_boundaries(A: GradedRing, words: dict, n: int, key) -> list:
     """The columns of the total differential d (x) 1 + (-1)^c 1 (x) d into
     the degree-n cut words of block key, one per degree-(n+1) cut word.
 
-    On w cut after c it is the bar rule _merge_letters at every gap j other
-    than the cut, j = c-1, with sign (-1)^j, because (-1)^c (-1)^j' =
-    (-1)^(c+j') for the gap j' of the right factor; a merge left of the
-    cut moves it to c-1.
+    On w cut after c it is the bar rule _merge at every gap j other than
+    the cut, j = c-1, with sign (-1)^j, because (-1)^c (-1)^j' = (-1)^(c+j')
+    for the gap j' of the right factor; a merge left of the cut moves it to
+    c-1.  words are the words of the slice, as _slice_words lists them.
     """
     field = A.base.field
-    src, tgt = cx.spaces.get(n + 1), cx.spaces[n]
+    num = A._numbering
+    index = words[n].get(key, {})
     columns = []
-    for parts, word in src.blocks.get(key, ()) if src else ():
-        chain = _chain_of([A.component(p) for p in parts], word, key[0])
-        merged = [[(tgt.index_of(key, (nparts, nword)), c) for nparts, nword, c
-                   in _merge_letters(A, parts, word, chain, j)]
+    for w in words.get(n + 1, {}).get(key, ()):
+        merged = [[(index[nw], c) for nw, c in _merge(num, w, j)]
                   for j in range(n)]
         for cut in range(1, n + 1):
             col = {}
@@ -482,9 +517,9 @@ def _cut_blocks(A: GradedRing, table: BettiTable, n: int, m: int):
     """Per block of the representatives of Tor_{n,m}: (key, the total
     boundaries in its cut words, the deconcatenations of the
     representatives)."""
-    cx = table.slices[m]
+    words = _slice_words(A, m)
     for key, reps in table.representatives[(n, m)].reps.items():
-        yield key, _cut_boundaries(A, cx, n, key), [
+        yield key, _cut_boundaries(A, words, n, key), [
             _deconcatenate(col, n) for col in reps]
 
 

@@ -6,21 +6,25 @@ loses no generality.
 
 The pair is Koszul when every weight slice of its Koszul complex is exact;
 for finitely supported factors the slices vanish beyond the sum of the two
-top degrees, so a finite sweep is a complete decision.  The decision
+top degrees, so a finite sweep is a complete decision.  The slices are
+built on the numbered bases of the two factors, which share the ids of
+A^1 = C_1: a basis vector of A^a (x) C_c is a pair of ids, and the
+differential reads the (1, c-1) coproducts and the (a, 1) products off
+the tables of C and A.  The decision
 procedure computes several criteria that are equivalent by theory and
 raises CriteriaDisagreement if the implementations ever split.
 """
 
 from __future__ import annotations
 
-from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
-                       _block_of, UNIT_LABEL)
+from .exact_linalg import SparseMatrix
+from .bimodule import BimoduleMap, tensor, unit_bimodule, zero_bimodule
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
                                 shriek_of_coring)
 from .homology import (ComplexSlice, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
-                       _require_strongly_graded, _STEP)
+                       _require_strongly_graded, _STEP, _id_map)
 from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
@@ -66,34 +70,41 @@ def make_pair_shriek_coring(C: GradedCoring) -> AlmostKoszulPair:
     return _pair_with_shriek(C, shriek_of_coring)
 
 
-def _koszul_action(pair: AlmostKoszulPair, a_degree: int, c_degree: int):
-    """The differential cell on tensor(A^{a_degree}, C_{c_degree}):
-    a (x) c -> sum a c_{1,1} (x) c_{2,c_degree-1}, the first letter c_{1,1}
-    read in A^1 = C_1.
+def _pair_words(pair: AlmostKoszulPair, a: int, c: int) -> dict:
+    """{block key: {(x, z): index}}: the basis of A^a (x) C_c as pairs of
+    ids of the numberings of A and C, in the label order of tensor."""
+    ring, coring = pair.ring._numbering, pair.coring._numbering
+    words = {}
+    for s in pair.ring.base.idempotents:
+        for x in ring.starting.get((a, s), ()):
+            for z in coring.starting.get((c, ring.end[x]), ()):
+                block = words.setdefault((s, coring.end[z]), {})
+                block[(x, z)] = len(block)
+    return words
+
+
+def _koszul_terms(pair: AlmostKoszulPair, a: int, c: int):
+    """The differential cell on A^a (x) C_c, on pairs of ids: x (x) z ->
+    sum x z_{1,1} (x) z_{2,c-1}, the first letter z_{1,1} read in A^1 =
+    C_1, whose ids the two numberings share.
 
     Degree 0 enters only through R (x) V = V = V (x) R, applied in place:
-    in the a = 0 cell the product '1' c_1 is c_1, and the c = 1 cell cuts
-    c into (c, '1').
+    in the a = 0 cell the product of the unit with z_1 is z_1, and the
+    c = 1 cell cuts z into z (x) the unit where z ends.
     """
-    A, C = pair.ring, pair.coring
-    Asrc = A.component(a_degree)
-    C1 = C.component(1)
-    cut = (C.delta(1, c_degree - 1).apply_label if c_degree > 1
-           else lambda key, c: [((c, UNIT_LABEL), 1)])
-    mul = (A.mu(a_degree, 1).apply_label if a_degree
-           else lambda key, ac: [(ac[1], 1)])
+    ring, coring = pair.ring._numbering, pair.coring._numbering
+    degree = coring.degree
 
-    def action(key, label):
-        al, cl = label
-        mid = _block_of(Asrc, al, key[0])[1]
-        out = []
-        for (c1, c2), cd in cut((mid, key[1]), cl):
-            after = _block_of(C1, c1, mid)[1]
-            for a2, cm in mul((key[0], after), (al, c1)):
-                out.append(((a2, c2), cd * cm))
-        return out
+    def terms(word):
+        x, z = word
+        halves = ([h for h in coring.table.get(z, ()) if degree[h[0][0]] == 1]
+                  if c > 1
+                  else [((z, coring.starting[(0, coring.end[z])][0]), 1)])
+        for (z1, z2), cd in halves:
+            for y, cm in (ring.table.get((x, z1), ()) if a else [(z1, 1)]):
+                yield (y, z2), cd * cm
 
-    return action
+    return terms
 
 
 def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
@@ -101,8 +112,9 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
     """The weight-m Koszul slice whose degree n space is A^a (x) C_c for
     (a, c) = degrees(n), with differentials running in direction.
 
-    The degree -1 augmentation term is R in weight 0 and zero otherwise;
-    spaces beyond either factor's support are checked to vanish.
+    The degree -1 augmentation term is R in weight 0 and zero otherwise,
+    and the augmentation is the identity of R (x) R = R; spaces beyond
+    either factor's support are checked to vanish.
     """
     if m < 0:
         raise ValueError(f'negative weight {m}')
@@ -117,18 +129,20 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
         if (a > A.top_degree or c > C.top_degree) and not sp.is_zero():
             raise InvariantError(f'slice cell ({m}, {n}) outside the support')
         spaces[n] = sp
+    words = {n: _pair_words(pair, *degrees(n)) for n in range(m + 1)
+             if not spaces[n].is_zero()}
     diffs = {}
     step = _STEP[direction]
-    unit = UNIT_LABEL if direction == 'chain' else (UNIT_LABEL, UNIT_LABEL)
     for n in range(-1, m + 1):
         src, tgt = spaces[n], spaces.get(n + step)
         if tgt is None or src.is_zero() or tgt.is_zero():
             continue
         if -1 in (n, n + step):   # the augmentation, nonzero in weight 0
-            action = lambda key, label: [(unit, 1)]
+            diffs[n] = BimoduleMap(src, tgt, {key: SparseMatrix.identity(1)
+                                              for key in src.blocks})
         else:
-            action = _koszul_action(pair, *degrees(n))
-        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+            diffs[n] = _id_map(src, tgt, words[n], words[n + step],
+                               _koszul_terms(pair, *degrees(n)))
     return ComplexSlice(direction, m, spaces, diffs)
 
 

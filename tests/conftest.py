@@ -9,13 +9,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                _block_of, left_dual, tensor, tensor_power)
+                                UNIT_LABEL, _block_of, left_dual, tensor,
+                                tensor_many, tensor_power, unit_bimodule,
+                                zero_bimodule)
 from koszulity.errors import InputError, InvariantError, StructureError
 from koszulity.exact_linalg import SparseMatrix, Subspace, accumulate, rank
 from koszulity.graded_structures import (GradedRing, GradedCoring, _as_word,
                                          _quadratic_ring,
                                          _relation_components)
-from koszulity.homology import bar_complex_ring, cobar_complex_coring
+from koszulity.homology import (ComplexSlice, _STEP, bar_complex_ring,
+                                cobar_complex_coring)
 from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
                              incidence_ring)
 import oracle
@@ -365,3 +368,159 @@ def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
 def direct_sum_corings(C: GradedCoring, D: GradedCoring) -> GradedCoring:
     'C + D over the merged base: blockwise comultiplication, no cross terms.'
     return _block_merge(C, D)
+
+
+# the slice builder that walks labels, kept as a reference for the one on
+# numbered bases: words from tensor_many per composition, and differentials
+# from BimoduleMap.from_basis_action over (parts, word) labels
+
+def _chain_of(components: list, word: tuple, start) -> list:
+    'Recover the idempotent chain s_0 .. s_k of a tensor word from its start.'
+    chain = [start]
+    for comp, letter in zip(components, word):
+        chain.append(_block_of(comp, letter, chain[-1])[1])
+    return chain
+
+
+def reference_word_spaces(X, m: int) -> dict:
+    """Degree n -> the degree-n space of the weight-m slice of X, labels
+    (parts, word): compositions of m walked depth first in lexicographic
+    order, pruned by the idempotents where a word of each weight starts,
+    and the words of each composition listed by tensor_many."""
+    base = X.base
+    comps = {p: X.component(p) for p in range(1, m + 1)}
+    reach = [set(base.idempotents)]
+    for r in range(1, m + 1):
+        reach.append({s for p in range(1, r + 1) for s, t in comps[p].blocks
+                      if t in reach[r - p]})
+    if not reach[m]:
+        return dict.fromkeys(range(m + 1), base.zero)
+    blocks = [{} for _ in range(m + 1)]
+    parts = []
+
+    def grow(remaining, ends):
+        for p in range(1, remaining + 1):
+            nxt = {t for s in ends for (_, t), _ in comps[p].blocks_from(s)
+                   if t in reach[remaining - p]}
+            if not nxt:
+                continue
+            parts.append(p)
+            if p < remaining:
+                grow(remaining - p, nxt)
+            else:
+                n = len(parts)
+                T = tensor_many([comps[q] for q in parts])
+                for key, labels in T.blocks.items():
+                    blocks[n].setdefault(key, []).extend(
+                        (tuple(parts), _as_word(l, n)) for l in labels)
+            parts.pop()
+
+    if m:
+        grow(m, set(base.idempotents))
+    else:
+        blocks[0] = {(s, s): [((), ())] for s in base.idempotents}
+    return {n: Bimodule(base, blocks[n]) if blocks[n] else base.zero
+            for n in range(m + 1)}
+
+
+def _merge_letters(A, parts, word, chain, j):
+    'Multiply letters j and j+1 into one.'
+    for tl, c in A.mu(parts[j], parts[j + 1]).apply_label(
+            (chain[j], chain[j + 2]), (word[j], word[j + 1])):
+        yield (parts[:j] + (parts[j] + parts[j + 1],) + parts[j + 2:],
+               word[:j] + (tl,) + word[j + 2:], c)
+
+
+def _split_letter(C, parts, word, chain, j):
+    'Split letter j by every positive comultiplication component.'
+    mj = parts[j]
+    for p in range(1, mj):
+        for (c1, c2), c in C.delta(p, mj - p).apply_label(
+                (chain[j], chain[j + 1]), word[j]):
+            yield (parts[:j] + (p, mj - p) + parts[j + 1:],
+                   word[:j] + (c1, c2) + word[j + 1:], c)
+
+
+def _reference_word_complex(X, m: int, direction: str, letter_op):
+    spaces = reference_word_spaces(X, m)
+    step = _STEP[direction]
+    diffs = {}
+    for n in range(1, m + 1):
+        src, tgt = spaces[n], spaces.get(n + step)
+        if tgt is None or src.is_zero() or tgt.is_zero():
+            continue
+        positions = n - 1 if direction == 'chain' else n
+
+        def action(key, label, positions=positions):
+            parts, word = label
+            chain = _chain_of([X.component(p) for p in parts], word, key[0])
+            out = []
+            for j in range(positions):
+                for nparts, nword, c in letter_op(X, parts, word, chain, j):
+                    out.append(((nparts, nword), (-1) ** j * c))
+            return out
+
+        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+    return ComplexSlice(direction, m, spaces, diffs)
+
+
+def reference_bar(A: GradedRing, m: int) -> ComplexSlice:
+    return _reference_word_complex(A, m, 'chain', _merge_letters)
+
+
+def reference_cobar(C: GradedCoring, m: int) -> ComplexSlice:
+    return _reference_word_complex(C, m, 'cochain', _split_letter)
+
+
+def _koszul_action(pair, a_degree: int, c_degree: int):
+    """a (x) c -> sum a c_{1,1} (x) c_{2,c_degree-1} on labels, with the
+    unit of R applied in place in the a = 0 and c = 1 cells."""
+    A, C = pair.ring, pair.coring
+    Asrc, C1 = A.component(a_degree), C.component(1)
+    cut = (C.delta(1, c_degree - 1).apply_label if c_degree > 1
+           else lambda key, c: [((c, UNIT_LABEL), 1)])
+    mul = (A.mu(a_degree, 1).apply_label if a_degree
+           else lambda key, ac: [(ac[1], 1)])
+
+    def action(key, label):
+        al, cl = label
+        mid = _block_of(Asrc, al, key[0])[1]
+        out = []
+        for (c1, c2), cd in cut((mid, key[1]), cl):
+            after = _block_of(C1, c1, mid)[1]
+            for a2, cm in mul((key[0], after), (al, c1)):
+                out.append(((a2, c2), cd * cm))
+        return out
+
+    return action
+
+
+def _reference_koszul_slice(pair, m: int, direction: str, degrees):
+    A, C = pair.ring, pair.coring
+    base = A.base
+    spaces = {-1: unit_bimodule(base) if m == 0 else zero_bimodule(base)}
+    for n in range(m + 1):
+        An, Cn = (X.component(d) for X, d in zip((A, C), degrees(n)))
+        spaces[n] = (zero_bimodule(base) if An.is_zero() or Cn.is_zero()
+                     else tensor(An, Cn))
+    diffs = {}
+    step = _STEP[direction]
+    unit = UNIT_LABEL if direction == 'chain' else (UNIT_LABEL, UNIT_LABEL)
+    for n in range(-1, m + 1):
+        src, tgt = spaces[n], spaces.get(n + step)
+        if tgt is None or src.is_zero() or tgt.is_zero():
+            continue
+        if -1 in (n, n + step):
+            action = lambda key, label: [(unit, 1)]
+        else:
+            action = _koszul_action(pair, *degrees(n))
+        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+    return ComplexSlice(direction, m, spaces, diffs)
+
+
+def reference_koszul_left(pair, m: int) -> ComplexSlice:
+    return _reference_koszul_slice(pair, m, 'chain', lambda n: (m - n, n))
+
+
+def reference_koszul_right(pair, m: int) -> ComplexSlice:
+    return _reference_koszul_slice(pair, m, 'cochain', lambda n: (n, m - n))

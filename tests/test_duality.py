@@ -1,6 +1,7 @@
 """Graded duals: the relabeling isomorphism with the incidence coring,
 dual pairs, double duals, and verdict agreement across the duality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from koszulity.exact_linalg import FieldSpec, RATIONALS
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, UNIT_LABEL,
                                 left_dual, dual_label, tensor,
                                 unit_bimodule)
-from koszulity.graded_structures import (GradedRing, GradedCoring,
+from koszulity.graded_structures import (GradedRing, GradedCoring, _Graded,
                                          shriek_of_ring, shriek_of_coring)
 from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring,
@@ -21,7 +22,7 @@ from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
 from conftest import (chain_poset, antichain_poset, dual_map, identity_map,
                       relabeling, scaled_map, truncate_ring, direct_product,
-                      direct_sum_corings)
+                      direct_sum_corings, random_quiver_ring)
 
 
 def test_dual_map_transposes_blockwise(diamond):
@@ -136,6 +137,41 @@ def _assert_duals_match_reference(A, C):
         D = graded_left_dual_of_coring(X)
         ref = _reference_dual(X, X.delta, GradedRing)
         assert D == ref and D.support_truncated == ref.support_truncated
+
+
+@pytest.mark.parametrize('field', [RATIONALS, FieldSpec.prime_field(2),
+                                   FieldSpec.prime_field(3)],
+                         ids=['Q', 'F2', 'F3'])
+def test_graded_duals_carry_their_check(field, rp2, monkeypatch):
+    """A graded dual runs no _validate when it is built: its checks carry
+    over from its source (_Graded._carried).  Every dual built here still
+    passes _validate run by hand: the duals of the incidence rings and
+    corings of the corpus up to 5 elements and of RP^2, of 10 seeded quiver
+    rings, and of a loop ring on two letters, with the shriek corings of all
+    these rings, the loop ring's cut at degree 2, and the duals of the
+    truncated ones."""
+    rings = [incidence_ring(P, field) for P in [*enumerate_corpus(5), rp2]]
+    corings = [incidence_coring(P, field)
+               for P in [*enumerate_corpus(5), rp2]]
+    rng = random.Random(53)
+    rings += [random_quiver_ring(rng, field) for _ in range(10)]
+    base = BaseRing(('x',), field)
+    rings.append(GradedRing(base, {0: unit_bimodule(base), 1: Bimodule(
+        base, {('x', 'x'): ('p', 'q')})}, {}, 1))
+    validated = []
+    validate = _Graded._validate
+    monkeypatch.setattr(_Graded, '_validate',
+                        lambda self: validated.append(self) or validate(self))
+    duals = [D for A in rings
+             for D in (graded_left_dual_of_ring(A), shriek_of_ring(A))]
+    duals += [graded_left_dual_of_coring(C) for C in corings]
+    truncated = [D for D in duals if D.support_truncated]
+    assert len(truncated) == 1 and truncated[0].dims() == [1, 2, 4]
+    duals += [graded_left_dual_of_coring(D) for D in truncated]
+    assert duals[-1].support_truncated
+    assert not {id(D) for D in duals} & {id(X) for X in validated}
+    for D in duals:
+        validate(D)
 
 
 def test_transposed_duals_match_the_isomorphism_construction(rp2, diamond):
