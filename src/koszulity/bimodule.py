@@ -7,10 +7,10 @@ blocks between blocks with the same (s, t), which is exactly R-bilinearity.
 
 Bimodules are immutable, so what is derived from one is built once.  The
 constructor checks the blocks and sets the blocks in order and dim; the
-label indices, the blocks by start idempotent and the (start, label) ->
-block table are built on first use.  Each bimodule keeps its tensor powers
-and its tensor products with each right factor, and each base keeps its
-zero and unit bimodules and the repr keys that order blocks.
+label indices and the blocks by start idempotent are built on first use.
+Each bimodule keeps its tensor powers and its tensor products with each
+right factor, and each base keeps its zero and unit bimodules and the
+repr keys that order blocks.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class BaseRing(Frozen):
 class Bimodule:
     """A finite-dimensional R-bimodule with named basis vectors per block."""
 
-    __slots__ = ('base', 'blocks', 'dim', '_index', '_by_start', '_at',
-                 '_powers', '_tensors')
+    __slots__ = ('base', 'blocks', 'dim', '_index', '_by_start', '_powers',
+                 '_tensors')
 
     def __init__(self, base: BaseRing, blocks: dict):
         clean, from_start, dim = {}, {}, 0
@@ -87,7 +87,7 @@ class Bimodule:
         set_(self, 'base', base)
         set_(self, 'blocks', base.sorted_blocks(clean))
         set_(self, 'dim', dim)
-        for name in ('_index', '_by_start', '_at'):
+        for name in ('_index', '_by_start'):
             set_(self, name, None)
         set_(self, '_powers', {})
         set_(self, '_tensors', {})
@@ -267,22 +267,8 @@ class BimoduleMap:
 
         Each summed coefficient is stored as a field element, so over F_p a
         sum that is 0 mod p is dropped."""
-        coerce = source.base.field.coerce
-        indices = target.indices()
-        blocks = {}
-        for key, labels in source.blocks.items():
-            index = indices.get(key, {})
-            acc = {}
-            for j, l in enumerate(labels):
-                for tl, c in action(key, l):
-                    if c != 0:
-                        ij = (index[tl], j)
-                        acc[ij] = acc.get(ij, 0) + c
-            if acc:
-                blocks[key] = SparseMatrix(
-                    len(index), len(labels),
-                    [(i, j, coerce(v)) for (i, j), v in acc.items()])
-        return cls(source, target, blocks)
+        return _sparse_map(source, target, source.blocks, target.indices(),
+                           action)
 
     def block(self, s, t) -> SparseMatrix:
         key = (s, t)
@@ -290,15 +276,6 @@ class BimoduleMap:
             return self.blocks[key]
         return SparseMatrix.zero(self.target.block_dim(s, t),
                                  self.source.block_dim(s, t))
-
-    def apply_label(self, key, label) -> list:
-        'Image of a source basis vector as [(target_label, coeff)].'
-        j = self.source.indices()[key][label]
-        mat = self.blocks.get(key)
-        if mat is None:
-            return []
-        tlabels = self.target.blocks.get(key, ())
-        return [(tlabels[i], v) for i, v in mat.column_entries(j)]
 
     def compose(self, other: 'BimoduleMap') -> 'BimoduleMap':
         'self after other.'
@@ -327,19 +304,32 @@ class BimoduleMap:
         return f'BimoduleMap({self.source!r} -> {self.target!r})'
 
 
-def _block_of(V: Bimodule, label, s_hint):
-    """The unique block of V starting at s_hint that contains the label;
-    KeyError if there is none.  V's (start, label) -> block table is built
-    on first use."""
-    if V._at is None:
-        object.__setattr__(V, '_at', {
-            (key[0], l): key for key, labels in V.blocks.items()
-            for l in labels})
-    try:
-        return V._at[(s_hint, label)]
-    except KeyError:
-        raise KeyError(f'label {label!r} not found from idempotent '
-                       f'{s_hint!r}') from None
+def _sparse_map(source: Bimodule, target: Bimodule, source_keys: dict,
+                target_index: dict, action) -> BimoduleMap:
+    """The map from source to target whose column at the j-th basis vector
+    of block key is action(key, source_keys[key][j]), an iterable of
+    (target key, coeff), summed.
+
+    source_keys[key] lists a key per basis vector of block key of source,
+    in basis order, and target_index[key] maps each key of block key of
+    target to its index.  Zero coefficients are skipped, and each sum is
+    stored as a field element, so over F_p a sum that is 0 mod p is
+    dropped."""
+    coerce = source.base.field.coerce
+    blocks = {}
+    for key, keys in source_keys.items():
+        index = target_index.get(key, {})
+        acc = {}
+        for j, k in enumerate(keys):
+            for tk, c in action(key, k):
+                if c != 0:
+                    ij = (index[tk], j)
+                    acc[ij] = acc.get(ij, 0) + c
+        if acc:
+            blocks[key] = SparseMatrix(
+                len(index), len(keys),
+                [(i, j, coerce(v)) for (i, j), v in acc.items()])
+    return BimoduleMap(source, target, blocks)
 
 
 class SubBimodule:

@@ -6,17 +6,20 @@ Bimodules, structure maps are BimoduleMaps, all validation is exact.
 
 Rings and corings share one core, _Graded: the nonzero (p, q) structure
 maps sit in one table, maps, and each side says only which end of its
-maps is the tensor product.  Every constructor checks the exact ends of
-the maps and the (co)associativity, word by word: for each (p, q, r) with
-p + q + r <= top it compares the two bracketings on every basis word
-a (x) b (x) c of A^p (x) A^q (x) A^r (rings), or on every basis vector of
-C_{p+q+r} (corings), as sparse vectors; no tensor-product map is built
-for the check.  A graded dual is not checked again: it carries the check
-of its source, whose transpose it is.
+maps is the tensor product.  A structure numbers its basis (_Numbering):
+integer ids for the labels of degrees 0..top in block order, and its
+stored structure maps as one table on those ids.  The bar, cobar and
+Koszul slices read it, and so does the one (co)associativity check.
 
-On first use a structure numbers its basis (_Numbering): integer ids for
-the labels of degrees 0..top in block order, and its stored structure maps
-as one table on those ids.  The bar, cobar and Koszul slices read it.
+Every constructor checks the exact ends of the maps, then numbers the
+basis and compares (Delta (x) 1) Delta z with (1 (x) Delta) Delta z for
+every basis vector z, on the table in coproduct form, as sparse vectors
+on id triples; no tensor-product map is built.  A coring's table is in
+that form.  A ring's table is transposed into it: the coefficient of z in
+(ab)c is that of a (x) b (x) c in (Delta (x) 1) Delta z for Delta the
+transpose of mu, and likewise for a(bc), so associativity of mu is
+coassociativity of its transpose.  A graded dual is not checked again:
+it carries the check of its source, whose transpose it is.
 
 The quadratic ring reads its ideal components off one walk of a
 one-letter recursion: I_2 = W, given by its reduced echelon basis, and
@@ -31,13 +34,13 @@ read off the transposed (1, 1) structure map alone.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, product
+from itertools import count
 
 from .exact_linalg import (Subspace, hstack, vstack, rank, accumulate,
                            image_basis, kernel_basis)
 from .bimodule import (Bimodule, BimoduleMap, SubBimodule, BaseRing,
                        tensor, tensor_power, unit_bimodule, zero_bimodule,
-                       image_sub, left_dual, _block_of)
+                       image_sub, left_dual)
 from .errors import StructureError
 
 
@@ -65,14 +68,17 @@ class _Graded:
     Zero maps are not stored in maps; each is built on first use and then
     kept.  There is no map against degree 0: R (x) X = X = X (x) R are
     identifications, which the Koszul complex applies in place.
-    _numbering, built on first use, numbers the basis and holds the stored
-    maps as one table on those numbers (_Numbering); the slices read it.
+    _numbering numbers the basis and holds the stored maps as one table on
+    those numbers (_Numbering); the (co)associativity check and the slices
+    read it.
 
     Each side gives _ends(tensored, whole) -> (source, target), the
-    direction of its maps, and the words of its error messages.  The
-    constructor checks connectedness, the exact ends of every map and the
-    (co)associativity; _carried builds a structure whose checks carry over
-    from another one.
+    direction of its maps, _coproducts(table), its table in coproduct form
+    (transposed for a ring, as it is for a coring), and the words of its
+    error messages.  The constructor checks connectedness, the exact ends
+    of every map and the (co)associativity, and so builds the numbering;
+    _carried builds a structure whose checks carry over from another one,
+    and numbers it on first use.
     """
 
     def __init__(self, base: BaseRing, components: dict, maps: dict,
@@ -133,10 +139,16 @@ class _Graded:
         return f
 
     def _validate(self):
-        """Connectedness, the exact ends of every stored map, and the two
-        bracketings compared on every basis element, for every (p, q, r)
-        with p + q + r <= top in turn; the side's _bracketings(p, q, r)
-        yields the pairs of sparse vectors."""
+        """Connectedness, the exact ends of every stored map, and the
+        (co)associativity on the numbered table, read in coproduct form
+        z -> [((a, b), coeff)] (the side's _coproducts).
+
+        For every z, (Delta (x) 1) Delta z and (1 (x) Delta) Delta z are
+        summed on the id triples (a, b, c).  The degrees (p, q, r) of a
+        triple fix the maps its terms went through, so this compares the
+        two bracketings for every p + q + r <= top at once; the error names
+        the least (p, q, r) of a differing entry.  The ends are checked
+        first, since the numbering reads target blocks by source keys."""
         if self.component(0) != unit_bimodule(self.base):
             raise StructureError(self._unconnected)
         for (p, q), f in self.maps.items():
@@ -145,13 +157,23 @@ class _Graded:
                 raise StructureError(f'{self._symbol}({p},{q}) has wrong source')
             if f.target != target:
                 raise StructureError(f'{self._symbol}({p},{q}) has wrong target')
-        top = self.top_degree
-        for p in range(1, top + 1):
-            for q in range(1, top + 1 - p):
-                for r in range(1, top + 1 - p - q):
-                    if any(lhs != rhs
-                           for lhs, rhs in self._bracketings(p, q, r)):
-                        raise StructureError(f'{self._law} fails at ({p},{q},{r})')
+        field, num = self.base.field, self._numbering
+        delta = self._coproducts(num.table)
+        failing = set()
+        for halves in delta.values():
+            lhs, rhs = {}, {}
+            for (x, c), k in halves:
+                for ab, m in delta.get(x, ()):
+                    accumulate(lhs, ab + (c,), k, m, field)
+            for (a, x), k in halves:
+                for bc, m in delta.get(x, ()):
+                    accumulate(rhs, (a,) + bc, k, m, field)
+            if lhs != rhs:
+                failing.update(w for w in lhs.keys() | rhs.keys()
+                               if lhs.get(w) != rhs.get(w))
+        if failing:
+            p, q, r = min(tuple(num.degree[x] for x in w) for w in failing)
+            raise StructureError(f'{self._law} fails at ({p},{q},{r})')
 
     def component(self, n: int) -> Bimodule:
         if 0 <= n <= self.top_degree:
@@ -193,7 +215,10 @@ class _Numbering:
     is the (degree a, degree b) one, and a coproduct term (a, b) of c is
     the (degree a, degree c - degree a) one.  Each list holds the nonzero
     entries of the columns of the stored maps in (p, q) order, each column
-    in its stored order.
+    in its stored order.  The ring's table, transposed, has the coring's
+    form, and _Graded._validate reads both sides in that form.  The table
+    is built from the blocks of the stored maps, reading each target block
+    by its source key, so the ends of the maps are checked first.
 
     reach[r] holds the idempotents where a word of weight exactly r starts:
     every idempotent for r = 0, else the starts of the blocks (s, t) of some
@@ -267,31 +292,17 @@ class GradedRing(_Graded):
     def mu(self, p: int, q: int) -> BimoduleMap:
         return self._map(p, q)
 
-    def _bracketings(self, p: int, q: int, r: int):
-        'Per basis word a (x) b (x) c of A^p (x) A^q (x) A^r: (ab)c and a(bc).'
-        field = self.base.field
-        mu_ab, mu_ab_c = self.maps.get((p, q)), self.maps.get((p + q, r))
-        mu_bc, mu_a_bc = self.maps.get((q, r)), self.maps.get((p, q + r))
-        left = mu_ab is not None and mu_ab_c is not None
-        right = mu_bc is not None and mu_a_bc is not None
-        if not (left or right):
-            return   # both sides vanish
-        Aq, Ar = self.component(q), self.component(r)
-        for (s, t), alabels in self.component(p).blocks.items():
-            for (_, u), blabels in Aq.blocks_from(t):
-                for (_, v), clabels in Ar.blocks_from(u):
-                    for a, b in product(alabels, blabels):
-                        ab = mu_ab.apply_label((s, u), (a, b)) if left else ()
-                        for c in clabels:
-                            bc = mu_bc.apply_label((t, v), (b, c)) if right else ()
-                            lhs, rhs = {}, {}
-                            for x, k in ab:
-                                for y, m in mu_ab_c.apply_label((s, v), (x, c)):
-                                    accumulate(lhs, y, k, m, field)
-                            for x, k in bc:
-                                for y, m in mu_a_bc.apply_label((s, v), (a, x)):
-                                    accumulate(rhs, y, k, m, field)
-                            yield lhs, rhs
+    @staticmethod
+    def _coproducts(table: dict) -> dict:
+        """The products transposed, z -> [((a, b), coeff)]: associativity
+        of mu is coassociativity of its transpose, as the coefficient of z
+        in (ab)c is that of a (x) b (x) c in (Delta (x) 1) Delta z, and
+        likewise for a(bc)."""
+        delta = {}
+        for ab, terms in table.items():
+            for z, v in terms:
+                delta.setdefault(z, []).append((ab, v))
+        return delta
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +326,11 @@ class GradedCoring(_Graded):
     def delta(self, p: int, q: int) -> BimoduleMap:
         return self._map(p, q)
 
-    def _bracketings(self, p: int, q: int, r: int):
-        """Per basis vector z of C_{p+q+r}: (Delta_{p,q} (x) 1) Delta_{p+q,r} z
-        and (1 (x) Delta_{q,r}) Delta_{p,q+r} z, both as ((a, b), c) terms."""
-        field = self.base.field
-        d_ab, d_ab_c = self.maps.get((p, q)), self.maps.get((p + q, r))
-        d_bc, d_a_bc = self.maps.get((q, r)), self.maps.get((p, q + r))
-        left = d_ab is not None and d_ab_c is not None
-        right = d_bc is not None and d_a_bc is not None
-        if not (left or right):
-            return   # both sides vanish
-        Cp, Cpq = self.component(p), self.component(p + q)
-        for (s, v), labels in self.component(p + q + r).blocks.items():
-            for z in labels:
-                lhs, rhs = {}, {}
-                if left:
-                    for (x, c), k in d_ab_c.apply_label((s, v), z):
-                        for ab, m in d_ab.apply_label(_block_of(Cpq, x, s), x):
-                            accumulate(lhs, (ab, c), k, m, field)
-                if right:
-                    for (a, x), k in d_a_bc.apply_label((s, v), z):
-                        t = _block_of(Cp, a, s)[1]
-                        for (b, c), m in d_bc.apply_label((t, v), x):
-                            accumulate(rhs, ((a, b), c), k, m, field)
-                yield lhs, rhs
+    @staticmethod
+    def _coproducts(table: dict) -> dict:
+        'The table as it is: it holds the coproducts.'
+        return table
+
 
 # ---------------------------------------------------------------------------
 # strong grading

@@ -25,9 +25,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 
-from .exact_linalg import (Subspace, SparseMatrix, Echelon, accumulate,
-                           outer_vector)
-from .bimodule import Bimodule, BimoduleMap, kernel_sub
+from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
+from .bimodule import Bimodule, kernel_sub, _sparse_map
 from .graded_structures import (GradedRing, GradedCoring,
                                 _relation_components, _quadratic_dim,
                                 _transposed_degree_one,
@@ -123,31 +122,6 @@ class ComplexSlice:
                 f'dims={dims})')
 
 
-def _id_map(src: Bimodule, tgt: Bimodule, src_words: dict,
-            tgt_words: dict, action) -> BimoduleMap:
-    """The map from src to tgt whose column at the basis vector of src with
-    word w is action(w), an iterable of (target word, coeff), summed.
-
-    src_words[key] lists the words of block key of src in basis order, and
-    tgt_words[key] maps each word of block key of tgt to its index.  Each
-    summed coefficient is stored as a field element, so over F_p a sum that
-    is 0 mod p is dropped."""
-    coerce = src.base.field.coerce
-    blocks = {}
-    for key, words in src_words.items():
-        index = tgt_words.get(key, {})
-        acc = {}
-        for j, w in enumerate(words):
-            for tw, c in action(w):
-                ij = (index[tw], j)
-                acc[ij] = acc.get(ij, 0) + c
-        if acc:
-            blocks[key] = SparseMatrix(
-                len(index), len(words),
-                [(i, j, coerce(v)) for (i, j), v in acc.items()])
-    return BimoduleMap(src, tgt, blocks)
-
-
 def _slice_words(X, m: int) -> dict:
     """Degree n -> {block key: {word: index}}: the basis of the degree-n
     space of the weight-m slice of X, as words on the ids of
@@ -233,14 +207,14 @@ def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
             continue
         positions = n - 1 if direction == 'chain' else n
 
-        def action(w, positions=positions):
+        def action(key, w, positions=positions):
             sign = 1
             for j in range(positions):
                 for nw, c in letter_op(num, w, j):
                     yield nw, sign * c
                 sign = -sign
 
-        diffs[n] = _id_map(src, tgt, words[n], words[n + step], action)
+        diffs[n] = _sparse_map(src, tgt, words[n], words[n + step], action)
     return ComplexSlice(direction, m, spaces, diffs)
 
 

@@ -18,13 +18,14 @@ raises CriteriaDisagreement if the implementations ever split.
 from __future__ import annotations
 
 from .exact_linalg import SparseMatrix
-from .bimodule import BimoduleMap, tensor, unit_bimodule, zero_bimodule
+from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
+                       _sparse_map)
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
                                 shriek_of_coring)
 from .homology import (ComplexSlice, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
-                       _require_strongly_graded, _STEP, _id_map)
+                       _require_strongly_graded, _STEP)
 from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
@@ -95,7 +96,7 @@ def _koszul_terms(pair: AlmostKoszulPair, a: int, c: int):
     ring, coring = pair.ring._numbering, pair.coring._numbering
     degree = coring.degree
 
-    def terms(word):
+    def terms(key, word):
         x, z = word
         halves = ([h for h in coring.table.get(z, ()) if degree[h[0][0]] == 1]
                   if c > 1
@@ -141,8 +142,8 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
             diffs[n] = BimoduleMap(src, tgt, {key: SparseMatrix.identity(1)
                                               for key in src.blocks})
         else:
-            diffs[n] = _id_map(src, tgt, words[n], words[n + step],
-                               _koszul_terms(pair, *degrees(n)))
+            diffs[n] = _sparse_map(src, tgt, words[n], words[n + step],
+                                   _koszul_terms(pair, *degrees(n)))
     return ComplexSlice(direction, m, spaces, diffs)
 
 

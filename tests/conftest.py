@@ -1,6 +1,7 @@
 import contextlib
 import signal
 import sys
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, _block_of, left_dual, tensor,
+                                UNIT_LABEL, left_dual, tensor,
                                 tensor_many, tensor_power, unit_bimodule,
                                 zero_bimodule)
 from koszulity.errors import InputError, InvariantError, StructureError
@@ -244,6 +245,24 @@ def deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+def apply_label(f: BimoduleMap, key, label) -> list:
+    'Image under f of a source basis vector of block key: [(label, coeff)].'
+    j = f.source.index_of(key, label)
+    mat = f.blocks.get(key)
+    if mat is None:
+        return []
+    labels = f.target.blocks[key]
+    return [(labels[i], v) for i, v in mat.column_entries(j)]
+
+
+def block_of(V: Bimodule, label, s):
+    'The block of V starting at s that holds label; KeyError if none.'
+    for key, _ in V.blocks_from(s):
+        if label in V.indices()[key]:
+            return key
+    raise KeyError(f'label {label!r} not found from idempotent {s!r}')
+
+
 def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
     'f (x) g on the pair-labeled tensor products of sources and targets.'
     src = tensor(f.source, g.source)
@@ -251,11 +270,11 @@ def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
 
     def action(key, label):
         fl, gl = label
-        fkey = _block_of(f.source, fl, key[0])
+        fkey = block_of(f.source, fl, key[0])
         out = []
-        for tl1, c1 in f.apply_label(fkey, fl):
+        for tl1, c1 in apply_label(f, fkey, fl):
             gkey = (fkey[1], key[1])
-            for tl2, c2 in g.apply_label(gkey, gl):
+            for tl2, c2 in apply_label(g, gkey, gl):
                 out.append(((tl1, tl2), c1 * c2))
         return out
 
@@ -279,16 +298,16 @@ def iterated_mu(A: GradedRing, n: int) -> BimoduleMap:
     def word_product(key, label):
         word = _as_word(label, n)
         s = key[0]
-        t = _block_of(V, word[0], s)[1]
+        t = block_of(V, word[0], s)[1]
         terms = {word[0]: field.one}
         for k, letter in enumerate(word[1:], 1):
             mu = A.maps.get((k, 1))
             if mu is None:
                 return []
-            u = _block_of(V, letter, t)[1]
+            u = block_of(V, letter, t)[1]
             product_terms = {}
             for x, c in terms.items():
-                for y, m in mu.apply_label((s, u), (x, letter)):
+                for y, m in apply_label(mu, (s, u), (x, letter)):
                     accumulate(product_terms, y, c, m, field)
             if not product_terms:
                 return []
@@ -378,7 +397,7 @@ def _chain_of(components: list, word: tuple, start) -> list:
     'Recover the idempotent chain s_0 .. s_k of a tensor word from its start.'
     chain = [start]
     for comp, letter in zip(components, word):
-        chain.append(_block_of(comp, letter, chain[-1])[1])
+        chain.append(block_of(comp, letter, chain[-1])[1])
     return chain
 
 
@@ -425,8 +444,8 @@ def reference_word_spaces(X, m: int) -> dict:
 
 def _merge_letters(A, parts, word, chain, j):
     'Multiply letters j and j+1 into one.'
-    for tl, c in A.mu(parts[j], parts[j + 1]).apply_label(
-            (chain[j], chain[j + 2]), (word[j], word[j + 1])):
+    for tl, c in apply_label(A.mu(parts[j], parts[j + 1]),
+                             (chain[j], chain[j + 2]), (word[j], word[j + 1])):
         yield (parts[:j] + (parts[j] + parts[j + 1],) + parts[j + 2:],
                word[:j] + (tl,) + word[j + 2:], c)
 
@@ -435,8 +454,8 @@ def _split_letter(C, parts, word, chain, j):
     'Split letter j by every positive comultiplication component.'
     mj = parts[j]
     for p in range(1, mj):
-        for (c1, c2), c in C.delta(p, mj - p).apply_label(
-                (chain[j], chain[j + 1]), word[j]):
+        for (c1, c2), c in apply_label(C.delta(p, mj - p),
+                                       (chain[j], chain[j + 1]), word[j]):
             yield (parts[:j] + (p, mj - p) + parts[j + 1:],
                    word[:j] + (c1, c2) + word[j + 1:], c)
 
@@ -477,17 +496,17 @@ def _koszul_action(pair, a_degree: int, c_degree: int):
     unit of R applied in place in the a = 0 and c = 1 cells."""
     A, C = pair.ring, pair.coring
     Asrc, C1 = A.component(a_degree), C.component(1)
-    cut = (C.delta(1, c_degree - 1).apply_label if c_degree > 1
+    cut = (partial(apply_label, C.delta(1, c_degree - 1)) if c_degree > 1
            else lambda key, c: [((c, UNIT_LABEL), 1)])
-    mul = (A.mu(a_degree, 1).apply_label if a_degree
+    mul = (partial(apply_label, A.mu(a_degree, 1)) if a_degree
            else lambda key, ac: [(ac[1], 1)])
 
     def action(key, label):
         al, cl = label
-        mid = _block_of(Asrc, al, key[0])[1]
+        mid = block_of(Asrc, al, key[0])[1]
         out = []
         for (c1, c2), cd in cut((mid, key[1]), cl):
-            after = _block_of(C1, c1, mid)[1]
+            after = block_of(C1, c1, mid)[1]
             for a2, cm in mul((key[0], after), (al, c1)):
                 out.append(((a2, c2), cd * cm))
         return out

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 
 from koszulity.exact_linalg import (FieldSpec, RATIONALS, Subspace,
-                                    DimensionError, accumulate)
+                                    DimensionError)
 from koszulity.homology import bar_complex_ring
 from koszulity.poset import incidence_ring
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
                                 UNIT_LABEL, tensor, tensor_many, tensor_power,
                                 unit_bimodule, zero_bimodule,
-                                kernel_sub, image_sub, left_dual, dual_label,
-                                _block_of)
-from conftest import identity_map, map_rank, sub_dim, tensor_map
+                                kernel_sub, image_sub, left_dual, dual_label)
+from conftest import apply_label, identity_map, map_rank, sub_dim, tensor_map
 
 
 @pytest.fixture
@@ -145,24 +144,11 @@ def test_blocks_from_start(base, V):
     assert V.blocks_from('z') == ()
 
 
-def test_block_of_unknown_label(V):
-    assert _block_of(V, 'v', 'x') == ('x', 'y')
-    assert _block_of(V, 'w', 'y') == ('y', 'z')
-    with pytest.raises(KeyError):
-        _block_of(V, 'w', 'x')      # w lives in a block starting at y
-    with pytest.raises(KeyError):
-        _block_of(V, 'missing', 'y')
-    with pytest.raises(KeyError):
-        _block_of(V, 'u', 'z')      # no block starts at z
-    with pytest.raises(KeyError, match="'missing' not found from idempotent"):
-        _block_of(V, 'missing', 'x')
-
-
 def test_map_validation_and_action(base, V):
     f = BimoduleMap.from_basis_action(
         V, V, lambda key, l: [(l, 2)])
     assert map_rank(f) == 3
-    assert f.apply_label(('x', 'y'), 'u') == [('u', Fraction(2))]
+    assert apply_label(f, ('x', 'y'), 'u') == [('u', Fraction(2))]
     g = identity_map(V)
     assert f.compose(g) == f
     assert BimoduleMap.zero(V, V).is_zero()
@@ -202,17 +188,6 @@ def test_compose_shape_mismatch(base, V):
         f.compose(g)
 
 
-def test_apply_vector(base, V):
-    f = BimoduleMap.from_basis_action(V, V, lambda key, l: [(l, 3)])
-    out = {}
-    for (key, label), c in {(('x', 'y'), 'u'): Fraction(1),
-                            (('y', 'z'), 'w'): Fraction(2)}.items():
-        for tl, v in f.apply_label(key, label):
-            accumulate(out, (key, tl), c, v, f.field)
-    assert out == {(('x', 'y'), 'u'): Fraction(3),
-                   (('y', 'z'), 'w'): Fraction(6)}
-
-
 def test_kernel_image_sub(base, V):
     # collapse u and v to u
     f = BimoduleMap.from_basis_action(
@@ -230,7 +205,7 @@ def test_tensor_map_acts_factorwise(base, V):
     ff = tensor_map(f, f)
     VV = tensor(V, V)
     assert ff.source == VV and ff.target == VV
-    assert ff.apply_label(('x', 'z'), ('u', 'w')) == [(('u', 'w'), Fraction(4))]
+    assert apply_label(ff, ('x', 'z'), ('u', 'w')) == [(('u', 'w'), Fraction(4))]
 
 
 # -- duals ------------------------------------------------------------------

@@ -20,9 +20,9 @@ from koszulity.koszul import (make_pair_shriek_ring, koszul_complex_left,
                               decide_koszul_ring, decide_koszul_coring)
 from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
-from conftest import (chain_poset, antichain_poset, dual_map, identity_map,
-                      relabeling, scaled_map, truncate_ring, direct_product,
-                      direct_sum_corings, random_quiver_ring)
+from conftest import (apply_label, chain_poset, antichain_poset, dual_map,
+                      identity_map, relabeling, scaled_map, truncate_ring,
+                      direct_product, direct_sum_corings, random_quiver_ring)
 
 
 def test_dual_map_transposes_blockwise(diamond):
@@ -42,7 +42,7 @@ def test_dual_of_ring_is_coring_of_duals(diamond):
     C = incidence_coring(diamond)
     assert D.dims() == C.dims()
     # Delta on the dual of the long interval cuts over both middles
-    col = dict(D.delta(1, 1).apply_label(('0', '1'), ('f', '0', '1')))
+    col = dict(apply_label(D.delta(1, 1), ('0', '1'), ('f', '0', '1')))
     assert col == {(('f', '0', 'a'), ('f', 'a', '1')): Fraction(1),
                    (('f', '0', 'b'), ('f', 'b', '1')): Fraction(1)}
 
@@ -50,7 +50,8 @@ def test_dual_of_ring_is_coring_of_duals(diamond):
 def test_dual_coring_convolution(diamond):
     D = graded_left_dual_of_coring(incidence_coring(diamond))
     m = D.mu(1, 1)
-    hit = dict(m.apply_label(('0', '1'), (('f', '0', 'a'), ('f', 'a', '1'))))
+    hit = dict(apply_label(m, ('0', '1'),
+                           (('f', '0', 'a'), ('f', 'a', '1'))))
     assert hit == {('f', '0', '1'): Fraction(1)}
 
 

@@ -2,6 +2,7 @@
 constructions, products and truncations, all against the brute oracle."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -22,12 +23,12 @@ from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
-from conftest import (DIAMOND_COVERS, chain_poset, antichain_poset,
-                      boolean_lattice, relabeling, scaled_map, tensor_map,
-                      iterated_mu, identity_map, sub_dim, random_quiver_ring,
-                      truncate_ring, truncate_coring, direct_product,
-                      direct_sum_corings, map_rank, QuadraticData,
-                      quadratic_ring_of, _walk)
+from conftest import (DIAMOND_COVERS, apply_label, chain_poset,
+                      antichain_poset, boolean_lattice, relabeling,
+                      scaled_map, tensor_map, iterated_mu, identity_map,
+                      sub_dim, random_quiver_ring, truncate_ring,
+                      truncate_coring, direct_product, direct_sum_corings,
+                      map_rank, QuadraticData, quadratic_ring_of, _walk)
 import oracle
 
 
@@ -61,12 +62,12 @@ def test_structure_maps_must_have_the_exact_ends(diamond):
                                  for key, labels in VV.blocks.items()})
     assert permuted != VV
     mu = BimoduleMap.from_basis_action(permuted, A.component(2),
-                                       A.mu(1, 1).apply_label)
+                                       partial(apply_label, A.mu(1, 1)))
     with pytest.raises(StructureError) as info:
         GradedRing(A.base, A.components, {(1, 1): mu}, A.top_degree)
     assert str(info.value) == 'mu(1,1) has wrong source'
     delta = BimoduleMap.from_basis_action(C.component(2), permuted,
-                                          C.delta(1, 1).apply_label)
+                                          partial(apply_label, C.delta(1, 1)))
     with pytest.raises(StructureError) as info:
         GradedCoring(C.base, C.components, {(1, 1): delta}, C.top_degree)
     assert str(info.value) == 'delta(1,1) has wrong target'
@@ -196,6 +197,12 @@ def _several_term_structures():
     yield 'direct sum', direct_sum_corings(
         shriek_of_ring(incidence_ring(diamond)),
         incidence_coring(chain_poset(3)))
+    # several idempotents and relations that mix words, off the posets
+    for field, name in ((RATIONALS, 'Q'), (F2, 'F2'),
+                        (FieldSpec.prime_field(3), 'F3')):
+        A = random_quiver_ring(random.Random(21), field)
+        yield f'quiver ring over {name}', A
+        yield f'its shriek coring over {name}', shriek_of_ring(A)
 
 
 def test_word_checks_agree_with_map_checks_on_several_term_structures(
@@ -210,7 +217,7 @@ def test_word_checks_agree_with_map_checks_on_several_term_structures(
         maps = X.maps
         law = ('associativity' if isinstance(X, GradedRing)
                else 'coassociativity')
-        assert any(len(f.apply_label(key, l)) > 1
+        assert any(len(apply_label(f, key, l)) > 1
                    for f in maps.values()
                    for key, labels in f.source.blocks.items()
                    for l in labels), name

@@ -12,9 +12,9 @@ from koszulity.errors import InputError
 from koszulity.poset import (GradedPoset, parse_poset, incidence_ring,
                              incidence_coring, canonical_form,
                              enumerate_corpus)
-from conftest import (chain_poset, antichain_poset, boolean_lattice,
-                      deadline, DIAMOND_COVERS, direct_product,
-                      disjoint_union, random_graded_poset)
+from conftest import (apply_label, chain_poset, antichain_poset,
+                      boolean_lattice, deadline, DIAMOND_COVERS,
+                      direct_product, disjoint_union, random_graded_poset)
 import oracle
 
 
@@ -238,5 +238,5 @@ def test_incidence_coring_counts(p_bad):
     C = incidence_coring(p_bad)
     assert C.dims() == [6, 6, 4, 1]
     # deconcatenation of the long interval splits over both middle chains
-    out = C.delta(1, 2).apply_label(('0', '1'), ('e', '0', '1'))
+    out = apply_label(C.delta(1, 2), ('0', '1'), ('e', '0', '1'))
     assert len(out) == 2
