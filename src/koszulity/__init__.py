@@ -14,8 +14,8 @@ _EXPORTS = {
                'PreconditionError', 'CriteriaDisagreement', 'InvariantError'),
     'exact_linalg': ('FieldSpec', 'RATIONALS', 'SparseMatrix', 'Subspace'),
     'bimodule': ('BaseRing', 'Bimodule', 'BimoduleMap', 'SubBimodule',
-                 'tensor', 'tensor_many', 'tensor_power',
-                 'unit_bimodule', 'zero_bimodule', 'left_dual', 'dual_label'),
+                 'tensor', 'unit_bimodule', 'zero_bimodule', 'left_dual',
+                 'dual_label'),
     'graded_structures': ('GradedRing', 'GradedCoring',
                           'shriek_of_ring', 'shriek_of_coring',
                           'is_strongly_graded_ring',

@@ -8,9 +8,9 @@ blocks between blocks with the same (s, t), which is exactly R-bilinearity.
 Bimodules are immutable, so what is derived from one is built once.  The
 constructor checks the blocks and sets the blocks in order and dim; the
 label indices and the blocks by start idempotent are built on first use.
-Each bimodule keeps its tensor powers and its tensor products with each
-right factor, and each base keeps its zero and unit bimodules and the
-repr keys that order blocks.
+Each bimodule keeps its tensor products with each right factor, and each
+base keeps its zero and unit bimodules and the repr keys that order
+blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .exact_linalg import (FieldSpec, Frozen, SparseMatrix, Subspace,
-                           DimensionError, kernel_basis, image_basis)
+                           DimensionError, kernel_basis)
 
 UNIT_LABEL = '1'
 
@@ -67,8 +67,7 @@ class BaseRing(Frozen):
 class Bimodule:
     """A finite-dimensional R-bimodule with named basis vectors per block."""
 
-    __slots__ = ('base', 'blocks', 'dim', '_index', '_by_start', '_powers',
-                 '_tensors')
+    __slots__ = ('base', 'blocks', 'dim', '_index', '_by_start', '_tensors')
 
     def __init__(self, base: BaseRing, blocks: dict):
         clean, from_start, dim = {}, {}, 0
@@ -89,7 +88,6 @@ class Bimodule:
         set_(self, 'dim', dim)
         for name in ('_index', '_by_start'):
             set_(self, name, None)
-        set_(self, '_powers', {})
         set_(self, '_tensors', {})
 
     def __setattr__(self, *a):
@@ -183,49 +181,6 @@ def tensor(V: Bimodule, W: Bimodule) -> Bimodule:
     return T
 
 
-def tensor_many(factors: list) -> Bimodule:
-    """Iterated tensor with flat tuple labels.
-
-    A single factor is returned as is (bare labels, not 1-tuples), so
-    V^(1) is V itself.
-    """
-    if not factors:
-        raise ValueError('tensor_many needs at least one factor; use unit_bimodule for n=0')
-    base = factors[0].base
-    for f in factors:
-        if f.base != base:
-            raise ValueError('mixed bases in tensor_many')
-    if len(factors) == 1:
-        return factors[0]
-    blocks = {}
-
-    def grow(i, s0, t_prev, prefix):
-        if i == len(factors):
-            blocks.setdefault((s0, t_prev), []).append(tuple(prefix))
-            return
-        for (_, t), labels in factors[i].blocks_from(t_prev):
-            for l in labels:
-                prefix.append(l)
-                grow(i + 1, s0, t, prefix)
-                prefix.pop()
-
-    for (s, t), labels in factors[0].blocks.items():
-        for l in labels:
-            grow(1, s, t, [l])
-    return Bimodule(base, blocks)
-
-
-def tensor_power(V: Bimodule, n: int) -> Bimodule:
-    'V^(n), built once per immutable V and then served from its cache.'
-    if n < 0:
-        raise ValueError('negative tensor power')
-    power = V._powers.get(n)
-    if power is None:
-        power = unit_bimodule(V.base) if n == 0 else tensor_many([V] * n)
-        V._powers[n] = power
-    return power
-
-
 class BimoduleMap:
     """An R-bimodule morphism: a sparse matrix per (s, t) block.
 
@@ -256,19 +211,6 @@ class BimoduleMap:
     @property
     def field(self) -> FieldSpec:
         return self.source.base.field
-
-    @classmethod
-    def zero(cls, source: Bimodule, target: Bimodule) -> 'BimoduleMap':
-        return cls(source, target, {})
-
-    @classmethod
-    def from_basis_action(cls, source: Bimodule, target: Bimodule, action) -> 'BimoduleMap':
-        """Build from action(block_key, label) -> iterable of (target_label, coeff).
-
-        Each summed coefficient is stored as a field element, so over F_p a
-        sum that is 0 mod p is dropped."""
-        return _sparse_map(source, target, source.blocks, target.indices(),
-                           action)
 
     def block(self, s, t) -> SparseMatrix:
         key = (s, t)
@@ -369,14 +311,6 @@ def kernel_sub(f: BimoduleMap) -> SubBimodule:
         else:
             parts[key] = kernel_basis(mat, f.field)
     return SubBimodule(f.source, parts)
-
-
-def image_sub(f: BimoduleMap) -> SubBimodule:
-    'Image of a bimodule map as a SubBimodule of the target.'
-    parts = {}
-    for key, mat in f.blocks.items():
-        parts[key] = image_basis(mat, f.field)
-    return SubBimodule(f.target, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,23 @@ class RunConfig(Frozen):
 
 
 def parse_field(text: str) -> FieldSpec:
-    'rational, or fp:P for a prime P.'
+    """rational, or fp:P for a prime P written in ASCII digits with no
+    sign, space or leading zero.  One field has one spelling, since the
+    report echoes it and the cache key holds it; any other spelling of P
+    is refused with the canonical one."""
     if text == 'rational':
         return RATIONALS
     if text.startswith('fp:'):
+        digits = text[3:]
         try:
-            return FieldSpec.prime_field(int(text[3:]))
+            p = int(digits)
+        except ValueError:
+            raise InputError(f'bad field {text!r}; use rational or fp:P, '
+                             'P a prime in decimal digits') from None
+        if digits != str(p):
+            raise InputError(f'bad field {text!r}; write it fp:{p}')
+        try:
+            return FieldSpec.prime_field(p)
         except ValueError as exc:
             raise InputError(f'bad field {text!r}: {exc}') from None
     raise InputError(f'unknown field {text!r}; use rational or fp:P')
@@ -403,32 +414,51 @@ def write_json(report: dict, stream):
     json.dump(report, stream, sort_keys=True, indent=2)
 
 
-def render_text(report: dict) -> str:
-    'Human rendering, derived from the JSON document by a generic walk.'
-    lines = []
-
+def _leaves(report: dict):
+    """The (dotted path, value) leaves of the JSON document, keys sorted:
+    a value is a scalar or a list of scalars, and a list of lists or
+    objects is walked by index."""
     def walk(value, prefix):
         if isinstance(value, dict):
             for key in sorted(value):
-                walk(value[key], f'{prefix}{key}.' if prefix else f'{key}.')
+                yield from walk(value[key], f'{prefix}{key}.')
         elif isinstance(value, list) and value and isinstance(
                 value[0], (list, dict)):
             for i, item in enumerate(value):
-                walk(item, f'{prefix}{i}.')
-        elif isinstance(value, list):
-            lines.append(f'{prefix[:-1]}: {", ".join(map(str, value))}')
+                yield from walk(item, f'{prefix}{i}.')
         else:
-            lines.append(f'{prefix[:-1]}: {value}')
+            yield prefix[:-1], value
 
-    walk(report, '')
+    return walk(report, '')
+
+
+def render_text(report: dict) -> str:
+    'Human rendering, derived from the JSON document by a generic walk.'
+    lines = []
+    for path, value in _leaves(report):
+        text = ', '.join(map(str, value)) if isinstance(value, list) else value
+        lines.append(f'{path}: {text}')
     return '\n'.join(lines)
+
+
+def _csv_field(text: str) -> str:
+    """text as one CSV field (RFC 4180): quoted, its quotes doubled, when
+    it holds a comma, a quote or a line break, or starts with a space,
+    which a reader that skips initial spaces would drop."""
+    if any(c in text for c in ',"\n\r') or text.startswith(' '):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render_csv(report: dict) -> str:
     """CSV rendering.
 
-    Betti reports become the (n, m) grid; anything else flattens to
-    key,value rows in the same dotted-path order as the text rendering.
+    Betti reports become the (n, m) grid; anything else flattens to one
+    row per leaf of the JSON document, in the dotted-path order of the
+    text rendering: the path, then the value, or each item of a list,
+    items separated by a comma and a space as in the text rendering.  A
+    field is quoted only when it must be (_csv_field), so a reader that
+    skips initial spaces recovers every path and item.
     """
     if 'grid' in report:
         header = 'n\\m,' + ','.join(
@@ -436,9 +466,12 @@ def render_csv(report: dict) -> str:
         body = [f'{n},' + ','.join(str(v) for v in row)
                 for n, row in enumerate(report['grid'])]
         return '\n'.join([header] + body)
-    flat = render_text(report)
-    return '\n'.join(line.replace(': ', ',', 1)
-                     for line in flat.splitlines())
+    rows = []
+    for path, value in _leaves(report):
+        items = value if isinstance(value, list) else [value]
+        rows.append(_csv_field(path) + ','
+                    + ', '.join(_csv_field(str(v)) for v in items))
+    return '\n'.join(rows)
 
 
 RENDERERS = {'text': render_text, 'csv': render_csv}

@@ -5,11 +5,11 @@ the block (s, t) again, with the dual basis vector of v normalized to send
 v to the idempotent at s.  Under that normalization the pairing is the
 coordinate pairing, the dual of a structure map is its blockwise
 transpose, and the canonical isomorphism ^*V (x) ^*W = ^*(V (x) W) is a
-relabeling that keeps every label position.  So the dual structure maps
-are the transposed stored blocks, placed between the tensor products of
-the dual components, and no isomorphism is built.  A dual carries the
-checks of the structure it transposes, which passed them when it was
-built, so its (co)associativity is not checked again.  The right duals
+relabeling that keeps every label position.  So a dual numbers its basis
+with the ids of its source and holds the source's table transposed, and
+no isomorphism is built.  A dual carries the checks of the structure it
+transposes, which passed them when it was built, so its
+(co)associativity is not checked again.  The right duals
 agree with the left ones coordinatewise (with right-module normalization
 the dual vector of v sends v to the idempotent at the end of its block
 instead of the start, and the k-valued structure constants are

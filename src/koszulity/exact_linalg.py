@@ -320,30 +320,6 @@ class SparseMatrix:
         return f'SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})'
 
 
-def hstack(mats: list) -> SparseMatrix:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionError('hstack row mismatch')
-    trips = []
-    off = 0
-    for m in mats:
-        trips.extend((i, j + off, v) for (i, j), v in m.entries.items())
-        off += m.cols
-    return SparseMatrix(rows, off, trips)
-
-
-def vstack(mats: list) -> SparseMatrix:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionError('vstack col mismatch')
-    trips = []
-    off = 0
-    for m in mats:
-        trips.extend((i + off, j, v) for (i, j), v in m.entries.items())
-        off += m.rows
-    return SparseMatrix(off, cols, trips)
-
-
 # ---------------------------------------------------------------------------
 # elimination: one kernel, Echelon
 # ---------------------------------------------------------------------------
@@ -467,21 +443,6 @@ class Subspace:
     def full(cls, ambient_dim: int, field: FieldSpec = RATIONALS) -> 'Subspace':
         return cls(ambient_dim, SparseMatrix.identity(ambient_dim), field,
                    _skip_check=True)
-
-    @classmethod
-    def from_spanning(cls, columns, ambient_dim: int,
-                      field: FieldSpec = RATIONALS) -> 'Subspace':
-        """Canonical subspace spanned by the given column dicts.
-
-        The stored basis is the reduced echelon basis of the span, so equal
-        spans produce equal Subspace values regardless of generator order;
-        the echelon that found it is kept for membership tests.
-        """
-        echelon = Echelon(field, columns)
-        basis = SparseMatrix.from_columns(echelon.reduced_rows(), ambient_dim)
-        sub = cls(ambient_dim, basis, field, _skip_check=True)
-        object.__setattr__(sub, '_echelon', echelon)
-        return sub
 
     @property
     def dim(self) -> int:

@@ -27,9 +27,7 @@ from itertools import islice
 
 from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
 from .bimodule import Bimodule, kernel_sub, _sparse_map
-from .graded_structures import (GradedRing, GradedCoring,
-                                _relation_components, _quadratic_dim,
-                                _transposed_degree_one,
+from .graded_structures import (GradedRing, GradedCoring, _quadratic_dims,
                                 is_strongly_graded_ring,
                                 is_strongly_graded_coring)
 from .errors import PreconditionError, InvariantError
@@ -539,14 +537,15 @@ def _require_strongly_graded(X):
     X._strongly_graded = True
 
 
-def _quadratic_dims_agree(X, V, W, dim_key: str):
-    """Compare dim <V, W>_n with dim X_n for 2 <= n <= top + 1, in one walk
-    of the ideal recursion; no quadratic ring is built.  <V, W> is
-    generated in degree 1, so once zero it stays zero, and degree top + 1
-    is the last to compare.  Returns (bool, witness); the witness names the
-    first degree where the dimensions differ, with dim X_n under dim_key."""
-    for n, span in islice(_relation_components(V, W), X.top_degree):
-        quadratic, actual = _quadratic_dim(V, n, span), X.component(n).dim
+def _quadratic_dims_agree(X, dim_key: str):
+    """Compare the dimensions of the quadratic ring of X (_quadratic_dims)
+    with dim X_n for 2 <= n <= top + 1, in one walk of the ideal recursion
+    on words of ids; no quadratic ring is built.  It is generated in degree
+    1, so once zero it stays zero, and degree top + 1 is the last to
+    compare.  Returns (bool, witness); the witness names the first degree
+    where the dimensions differ, with dim X_n under dim_key."""
+    for n, quadratic in islice(_quadratic_dims(X), X.top_degree):
+        actual = X.component(n).dim
         if quadratic != actual:
             return False, {'degree': n, 'quadratic_dim': quadratic,
                            dim_key: actual}
@@ -562,8 +561,7 @@ def is_quadratic_direct(A: GradedRing):
     dimensions agree in every degree.  A must be strongly graded.
     """
     _require_strongly_graded(A)
-    return _quadratic_dims_agree(A, A.component(1), kernel_sub(A.mu(1, 1)),
-                                 'ring_dim')
+    return _quadratic_dims_agree(A, 'ring_dim')
 
 
 def is_quadratic_coring_direct(C: GradedCoring):
@@ -574,11 +572,9 @@ def is_quadratic_coring_direct(C: GradedCoring):
     (C_1)^(n) in {C_1, Im Delta_{1,1}}_n, and strong grading makes it
     injective, so the canonical map is injective, and bijective iff the
     dimensions agree.  {C_1, Im Delta_{1,1}} is the graded dual of
-    <^*C_1, (Im Delta_{1,1})^perp>, whose relations are the kernel of the
-    transposed Delta_{1,1}, so the dimensions of that ring are counted and
-    no dual is built.  C must be strongly graded.
+    <^*C_1, (Im Delta_{1,1})^perp>, whose relations are the words
+    orthogonal to the coproducts Delta_{1,1}, so the dimensions of that
+    ring are counted and no dual is built.  C must be strongly graded.
     """
     _require_strongly_graded(C)
-    dual_V, transposed = _transposed_degree_one(C)
-    return _quadratic_dims_agree(C, dual_V, kernel_sub(transposed),
-                                 'coring_dim')
+    return _quadratic_dims_agree(C, 'coring_dim')

@@ -21,7 +21,7 @@ from .exact_linalg import SparseMatrix
 from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
                        _sparse_map)
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
-                                shriek_of_coring)
+                                shriek_of_coring, _pair_words)
 from .homology import (ComplexSlice, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
@@ -71,19 +71,6 @@ def make_pair_shriek_coring(C: GradedCoring) -> AlmostKoszulPair:
     return _pair_with_shriek(C, shriek_of_coring)
 
 
-def _pair_words(pair: AlmostKoszulPair, a: int, c: int) -> dict:
-    """{block key: {(x, z): index}}: the basis of A^a (x) C_c as pairs of
-    ids of the numberings of A and C, in the label order of tensor."""
-    ring, coring = pair.ring._numbering, pair.coring._numbering
-    words = {}
-    for s in pair.ring.base.idempotents:
-        for x in ring.starting.get((a, s), ()):
-            for z in coring.starting.get((c, ring.end[x]), ()):
-                block = words.setdefault((s, coring.end[z]), {})
-                block[(x, z)] = len(block)
-    return words
-
-
 def _koszul_terms(pair: AlmostKoszulPair, a: int, c: int):
     """The differential cell on A^a (x) C_c, on pairs of ids: x (x) z ->
     sum x z_{1,1} (x) z_{2,c-1}, the first letter z_{1,1} read in A^1 =
@@ -130,8 +117,9 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
         if (a > A.top_degree or c > C.top_degree) and not sp.is_zero():
             raise InvariantError(f'slice cell ({m}, {n}) outside the support')
         spaces[n] = sp
-    words = {n: _pair_words(pair, *degrees(n)) for n in range(m + 1)
-             if not spaces[n].is_zero()}
+    words = {n: _pair_words(A._numbering, C._numbering, base.idempotents,
+                            *degrees(n))
+             for n in range(m + 1) if not spaces[n].is_zero()}
     diffs = {}
     step = _STEP[direction]
     for n in range(-1, m + 1):

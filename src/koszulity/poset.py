@@ -5,9 +5,11 @@ order is the reflexive-transitive closure; gradedness means every interval
 has all its maximal chains of equal length, which is what makes interval
 length a grading.  On top of that sit the incidence ring and coring, the
 quadratic ring on the zeta relations, and a small-scale enumerator of all
-graded posets up to isomorphism.  The builders of the incidence structures
-import the algebra modules when they run, so parsing, canonical forms and
-the corpus walk load none of them.
+graded posets up to isomorphism.  The incidence ring and coring are filled
+in as tables on the ids of their bases (graded_structures._Numbering),
+straight from the composable intervals: no structure map is built to make
+them.  Their builders import the algebra modules when they run, so
+parsing, canonical forms and the corpus walk load none of them.
 """
 
 from __future__ import annotations
@@ -156,43 +158,53 @@ def parse_poset(document) -> GradedPoset:
 # incidence structures
 # ---------------------------------------------------------------------------
 
-def _incidence(P: GradedPoset, field, cls, action):
-    """The incidence ring or coring cls of P, graded by length: each (p, q)
-    map between nonzero ends sends a basis label l to action(p, l).
+def _incidence(P: GradedPoset, field, cls, fill):
+    """The incidence ring or coring cls of P, graded by length: X_p holds
+    e_{x,y} for each interval [x, y] of length p, one per block, and the
+    table is fill(numbering).
 
     It and the builders below import the algebra (bimodule,
     graded_structures) when they run, not when this module loads."""
-    from .bimodule import (BaseRing, Bimodule, BimoduleMap, tensor,
-                           unit_bimodule)
+    from .bimodule import BaseRing, Bimodule, unit_bimodule
     base = BaseRing(P.elements, field)
     top = P.max_length
     comps = {0: unit_bimodule(base)}
     for p in range(1, top + 1):
         comps[p] = Bimodule(base, {(x, y): (('e', x, y),)
                                    for x, y in P.intervals(p)})
-    maps = {}
+    return cls._from_table(base, comps, top, fill)
+
+
+def _products(num) -> dict:
+    """The incidence products on the ids of num, (a, b) -> [(c, 1)] for
+    a = e_{x,y}, b = e_{y,z} and c = e_{x,z}, by degrees (p, q): every id of
+    positive degree is the one basis vector of its block."""
+    interval = {(num.start[c], num.end[c]): c
+                for c in range(num.of_degree[0].stop, len(num.labels))}
+    top = len(num.of_degree) - 1
+    table = {}
     for p in range(1, top):
         for q in range(1, top + 1 - p):
-            ends = cls._ends(tensor(comps[p], comps[q]), comps[p + q])
-            if not any(end.is_zero() for end in ends):
-                maps[(p, q)] = BimoduleMap.from_basis_action(
-                    *ends, lambda key, l, p=p: action(p, l))
-    return cls(base, comps, maps, top)
+            for a in num.of_degree[p]:
+                x = num.start[a]
+                for b in num.starting.get((q, num.end[a]), ()):
+                    table[(a, b)] = [(interval[(x, num.end[b])], 1)]
+    return table
 
 
 def incidence_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
     'The incidence ring: e_{x,y} e_{z,u} = [y = z] e_{x,u}, graded by length.'
     from .graded_structures import GradedRing
-    return _incidence(P, field, GradedRing,
-                      lambda p, l: [(('e', l[0][1], l[1][2]), 1)])
+    return _incidence(P, field, GradedRing, _products)
 
 
 def incidence_coring(P: GradedPoset, field=RATIONALS) -> GradedCoring:
-    'The incidence coring: Delta(e_{x,y}) sums e_{x,z} (x) e_{z,y} over z in [x,y].'
-    from .graded_structures import GradedCoring
+    """The incidence coring: Delta(e_{x,y}) sums e_{x,z} (x) e_{z,y} over z
+    in [x,y], one term per middle element: the incidence products
+    transposed."""
+    from .graded_structures import GradedCoring, _transpose
     return _incidence(P, field, GradedCoring,
-                      lambda p, l: [((('e', l[1], z), ('e', z, l[2])), 1)
-                                    for z in P.middles(l[1], l[2], p)])
+                      lambda num: _transpose(_products(num)))
 
 
 def zeta_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
@@ -201,8 +213,7 @@ def zeta_ring(P: GradedPoset, field=RATIONALS) -> GradedRing:
 
     That is the shriek of the incidence coring: zeta_{x,y} is Delta_{1,1}
     e_{x,y} label for label, so a ring built from the zeta relations would
-    run the same Subspace.from_spanning and _quadratic_ring as the shriek
-    and could never differ from it.
+    run the same ideal walk as the shriek and could never differ from it.
     """
     from .graded_structures import shriek_of_coring
     return shriek_of_coring(incidence_coring(P, field))
@@ -215,20 +226,19 @@ def incidence_duality_check(A: GradedRing, C: GradedCoring) -> bool:
     A and C are the incidence ring and coring of one poset, over one field,
     as incidence_ring and incidence_coring return them.  The relabeling is
     left_dual on every component and keeps every label position, so it is
-    the identity on coordinates: the components of A must be the left
-    duals of those of C, and each product of A the blockwise transpose of
-    the stored comultiplication of C, which is what the graded dual would
-    hold.  No dual is built.
+    the identity on coordinates: the components of A must be those of C
+    (left_dual is injective), which then number their bases alike, and the
+    products of A must be the coproducts of C transposed, which is what the
+    graded dual would hold: A's table, transposed by its own check, holds
+    the coproducts of C.  No dual is built.
     """
-    from .bimodule import left_dual
+    from .graded_structures import _entries
     if A.top_degree != C.top_degree:
         return False
-    if any(left_dual(A.component(n)) != left_dual(C.component(n))
+    if any(A.component(n) != C.component(n)
            for n in range(A.top_degree + 1)):
         return False
-    return ({pq: f.blocks for pq, f in A.maps.items()} ==
-            {pq: {key: mat.transpose() for key, mat in f.blocks.items()}
-             for pq, f in C.maps.items()})
+    return _entries(A._transposed) == _entries(C._numbering.table)
 
 
 # ---------------------------------------------------------------------------

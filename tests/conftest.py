@@ -2,7 +2,7 @@ import contextlib
 import signal
 import sys
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
@@ -10,19 +10,125 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, left_dual, tensor,
-                                tensor_many, tensor_power, unit_bimodule,
-                                zero_bimodule)
+                                UNIT_LABEL, left_dual, tensor, unit_bimodule,
+                                zero_bimodule, _sparse_map)
 from koszulity.errors import InputError, InvariantError, StructureError
-from koszulity.exact_linalg import SparseMatrix, Subspace, accumulate, rank
-from koszulity.graded_structures import (GradedRing, GradedCoring, _as_word,
-                                         _quadratic_ring,
-                                         _relation_components)
+from koszulity.exact_linalg import (RATIONALS, DimensionError, Echelon,
+                                    SparseMatrix, Subspace, accumulate,
+                                    image_basis, rank)
+from koszulity.graded_structures import GradedRing, GradedCoring
 from koszulity.homology import (ComplexSlice, _STEP, bar_complex_ring,
                                 cobar_complex_coring)
 from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
                              incidence_ring)
 import oracle
+
+# label-walking helpers that no command uses: tensor words, maps from a
+# basis action, images and spans, kept here for the tests and for the
+# reference builders below
+
+_POWERS = {}   # id(V) -> (V, {n: V^(n)}), for the bimodules used lately
+
+
+def tensor_many(factors: list) -> Bimodule:
+    """Iterated tensor with flat tuple labels.
+
+    A single factor is returned as is (bare labels, not 1-tuples), so
+    V^(1) is V itself.
+    """
+    if not factors:
+        raise ValueError('tensor_many needs at least one factor; use unit_bimodule for n=0')
+    base = factors[0].base
+    for f in factors:
+        if f.base != base:
+            raise ValueError('mixed bases in tensor_many')
+    if len(factors) == 1:
+        return factors[0]
+    blocks = {}
+
+    def grow(i, s0, t_prev, prefix):
+        if i == len(factors):
+            blocks.setdefault((s0, t_prev), []).append(tuple(prefix))
+            return
+        for (_, t), labels in factors[i].blocks_from(t_prev):
+            for l in labels:
+                prefix.append(l)
+                grow(i + 1, s0, t, prefix)
+                prefix.pop()
+
+    for (s, t), labels in factors[0].blocks.items():
+        for l in labels:
+            grow(1, s, t, [l])
+    return Bimodule(base, blocks)
+
+
+def tensor_power(V: Bimodule, n: int) -> Bimodule:
+    'V^(n), built once per recently used V and then served from a cache.'
+    if n < 0:
+        raise ValueError('negative tensor power')
+    if id(V) not in _POWERS and len(_POWERS) >= 64:
+        _POWERS.clear()
+    _, powers = _POWERS.setdefault(id(V), (V, {}))
+    power = powers.get(n)
+    if power is None:
+        power = powers[n] = (unit_bimodule(V.base) if n == 0
+                             else tensor_many([V] * n))
+    return power
+
+
+def from_basis_action(source: Bimodule, target: Bimodule,
+                      action) -> BimoduleMap:
+    """The map from action(block_key, label) -> iterable of (target_label,
+    coeff), summed; a sum that is 0 mod p is dropped."""
+    return _sparse_map(source, target, source.blocks, target.indices(), action)
+
+
+def zero_map(source: Bimodule, target: Bimodule) -> BimoduleMap:
+    return BimoduleMap(source, target, {})
+
+
+def image_sub(f: BimoduleMap) -> SubBimodule:
+    'Image of a bimodule map as a SubBimodule of the target.'
+    return SubBimodule(f.target, {key: image_basis(mat, f.field)
+                                  for key, mat in f.blocks.items()})
+
+
+def from_spanning(columns, ambient_dim: int, field=RATIONALS) -> Subspace:
+    """The subspace spanned by the column dicts, on its reduced echelon
+    basis, so equal spans give equal bases whatever the generators."""
+    rows = Echelon(field, columns).reduced_rows()
+    return Subspace(ambient_dim, SparseMatrix.from_columns(rows, ambient_dim),
+                    field, _skip_check=True)
+
+
+def hstack(mats: list) -> SparseMatrix:
+    rows = mats[0].rows
+    if any(m.rows != rows for m in mats):
+        raise DimensionError('hstack row mismatch')
+    trips = []
+    off = 0
+    for m in mats:
+        trips.extend((i, j + off, v) for (i, j), v in m.entries.items())
+        off += m.cols
+    return SparseMatrix(rows, off, trips)
+
+
+def vstack(mats: list) -> SparseMatrix:
+    cols = mats[0].cols
+    if any(m.cols != cols for m in mats):
+        raise DimensionError('vstack col mismatch')
+    trips = []
+    off = 0
+    for m in mats:
+        trips.extend((i + off, j, v) for (i, j), v in m.entries.items())
+        off += m.rows
+    return SparseMatrix(off, cols, trips)
+
+
+def _as_word(label, letters: int) -> tuple:
+    'View a flat word label as a tuple of letters (single letters are bare).'
+    return label if letters != 1 else (label,)
+
 
 # the running examples: the diamond is Koszul, p_bad is the smallest
 # incidence ring here that is not even quadratic (Ker mu_3 is nonzero but
@@ -153,7 +259,7 @@ def random_quiver_ring(rng, field) -> GradedRing:
         vecs = [{i: c for i in range(len(words))
                  if (c := field.coerce(rng.randint(-2, 2)))}
                 for _ in range(rng.randint(0, len(words)))]
-        parts[key] = Subspace.from_spanning(vecs, len(words), field)
+        parts[key] = from_spanning(vecs, len(words), field)
     return quadratic_ring_of(QuadraticData(V, SubBimodule(VV, parts)), 4)
 
 
@@ -189,7 +295,7 @@ def from_dense(dense) -> SparseMatrix:
 
 def relabeling(source, target, label_map) -> BimoduleMap:
     'The iso sending each source basis vector to label_map(label), blockwise.'
-    return BimoduleMap.from_basis_action(source, target,
+    return from_basis_action(source, target,
                                          lambda key, l: [(label_map(l), 1)])
 
 
@@ -278,7 +384,7 @@ def tensor_map(f: BimoduleMap, g: BimoduleMap) -> BimoduleMap:
                 out.append(((tl1, tl2), c1 * c2))
         return out
 
-    return BimoduleMap.from_basis_action(src, tgt, action)
+    return from_basis_action(src, tgt, action)
 
 
 def dual_map(f: BimoduleMap) -> BimoduleMap:
@@ -314,7 +420,7 @@ def iterated_mu(A: GradedRing, n: int) -> BimoduleMap:
             terms, t = product_terms, u
         return list(terms.items())
 
-    return BimoduleMap.from_basis_action(
+    return from_basis_action(
         tensor_power(V, n), A.component(n), word_product)
 
 
@@ -479,7 +585,7 @@ def _reference_word_complex(X, m: int, direction: str, letter_op):
                     out.append(((nparts, nword), (-1) ** j * c))
             return out
 
-        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+        diffs[n] = from_basis_action(src, tgt, action)
     return ComplexSlice(direction, m, spaces, diffs)
 
 
@@ -533,7 +639,7 @@ def _reference_koszul_slice(pair, m: int, direction: str, degrees):
             action = lambda key, label: [(unit, 1)]
         else:
             action = _koszul_action(pair, *degrees(n))
-        diffs[n] = BimoduleMap.from_basis_action(src, tgt, action)
+        diffs[n] = from_basis_action(src, tgt, action)
     return ComplexSlice(direction, m, spaces, diffs)
 
 
@@ -543,3 +649,191 @@ def reference_koszul_left(pair, m: int) -> ComplexSlice:
 
 def reference_koszul_right(pair, m: int) -> ComplexSlice:
     return _reference_koszul_slice(pair, m, 'cochain', lambda n: (n, m - n))
+
+
+# the builders that walk labels, kept as references for the ones that fill
+# numbered tables: the incidence structures from a basis action, the ideal
+# walk and the quadratic ring on tensor_power labels, and the graded dual
+# through transposed BimoduleMaps
+
+def reference_incidence(P: GradedPoset, field, cls) -> GradedRing:
+    """The incidence ring or coring cls of P, each (p, q) map between
+    nonzero ends built from its action on basis labels."""
+    base = BaseRing(P.elements, field)
+    top = P.max_length
+    comps = {0: unit_bimodule(base)}
+    for p in range(1, top + 1):
+        comps[p] = Bimodule(base, {(x, y): (('e', x, y),)
+                                   for x, y in P.intervals(p)})
+    if cls is GradedRing:
+        def action(p, l):
+            return [(('e', l[0][1], l[1][2]), 1)]
+    else:
+        def action(p, l):
+            return [((('e', l[1], z), ('e', z, l[2])), 1)
+                    for z in P.middles(l[1], l[2], p)]
+    maps = {}
+    for p in range(1, top):
+        for q in range(1, top + 1 - p):
+            ends = cls._ends(tensor(comps[p], comps[q]), comps[p + q])
+            if not any(end.is_zero() for end in ends):
+                maps[(p, q)] = from_basis_action(
+                    *ends, lambda key, l, p=p: action(p, l))
+    return cls(base, comps, maps, top)
+
+
+def _relation_step(V: Bimodule, W: SubBimodule, previous, n: int) -> dict:
+    """Degree n of the ideal recursion: {block: Subspace of V^(n)} over
+    the nonzero blocks, each with its reduced echelon basis.  Degree 2 is
+    W; degree n > 2 appends a letter to each degree n-1 basis vector, and
+    prepends one."""
+    field = V.base.field
+    if n == 2:
+        return {key: from_spanning(sub.basis.columns(), sub.ambient_dim,
+                                   field)
+                for key, sub in W.parts.items()}
+    amb, words = tensor_power(V, n), tensor_power(V, n - 1).blocks
+    right, left = {}, {}
+    for (s, t), sub in previous.items():
+        cols = [[(words[(s, t)][i], c) for i, c in col.items()]
+                for col in sub.basis.columns()]
+        for (r, u), letters in V.blocks.items():
+            if r == t:
+                right.setdefault((s, u), []).extend(
+                    {amb.index_of((s, u), w + (a,)): c for w, c in col}
+                    for a in letters for col in cols)
+            if u == s:
+                left.setdefault((r, t), []).extend(
+                    {amb.index_of((r, t), (a,) + w): c for w, c in col}
+                    for a in letters for col in cols)
+    out = {}
+    for key, labels in amb.blocks.items():
+        cols = right.get(key, []) + left.get(key, [])
+        if cols:
+            sub = from_spanning(cols, len(labels), field)
+            if sub.dim:
+                out[key] = sub
+    return out
+
+
+def _relation_components(V: Bimodule, W: SubBimodule):
+    'Yield (n, the degree-n ideal component) for n = 2, 3, ...'
+    parts = None
+    for n in count(2):
+        parts = _relation_step(V, W, parts, n)
+        yield n, parts
+
+
+def _quadratic_dim(V: Bimodule, n: int, span: dict) -> int:
+    'dim <V, W>_n: the words of V^(n) less the degree-n ideal component.'
+    return tensor_power(V, n).dim - sum(sub.dim for sub in span.values())
+
+
+def _complement_words(V: Bimodule, span: dict, n: int) -> Bimodule:
+    """The words of V^(n) that are not pivots of the ideal span, block by
+    block, in flat word order."""
+    blocks = {}
+    for key, labels in tensor_power(V, n).blocks.items():
+        sub = span.get(key)
+        if sub is None or sub.dim == 0:
+            blocks[key] = labels
+            continue
+        pivot_cols = {min(col) for col in sub.basis.columns()}
+        kept = tuple(l for i, l in enumerate(labels) if i not in pivot_cols)
+        if kept:
+            blocks[key] = kept
+    return Bimodule(V.base, blocks)
+
+
+def _quadratic_ring(V: Bimodule, spans: dict, top: int) -> GradedRing:
+    """The quadratic ring <V, W> on the ideal components spans[n], 2 <= n
+    <= top: degree n on the complement words of spans[n], and words
+    multiplied by concatenation and reduction modulo the ideal."""
+    base = V.base
+    field = base.field
+    components = {0: unit_bimodule(base), 1: V}
+    pivots = {}   # n -> block -> {pivot word index: its basis vector}
+    for n in range(2, top + 1):
+        components[n] = _complement_words(V, spans[n], n)
+        pivots[n] = {key: {min(col): col for col in sub.basis.columns()}
+                     for key, sub in spans[n].items()}
+
+    def reduce_word(n, key, word):
+        amb = tensor_power(V, n)
+        label = word if n != 1 else word[0]
+        i = amb.index_of(key, label)
+        col = pivots[n].get(key, {}).get(i)
+        if col is None:
+            return [(label, 1)]
+        return [(amb.blocks[key][j], field.neg(c))
+                for j, c in col.items() if j != i]
+
+    maps = {}
+    for p in range(1, top):
+        for q in range(1, top + 1 - p):
+            Qp, Qq = components[p], components[q]
+            if Qp.is_zero() or Qq.is_zero() or components[p + q].is_zero():
+                continue
+
+            def action(key, l, p=p, q=q):
+                word = _as_word(l[0], p) + _as_word(l[1], q)
+                return reduce_word(p + q, key, word)
+
+            maps[(p, q)] = from_basis_action(tensor(Qp, Qq), components[p + q],
+                                             action)
+    return GradedRing(base, components, maps, top)
+
+
+def reference_quadratic_partner(V: Bimodule, W: SubBimodule,
+                                top_degree: int) -> GradedRing:
+    """<V, W> up to the degree where it vanishes, cut past cap = max(2 *
+    top_degree, |S|, 2), with support_truncated set when it was cut."""
+    cap = max(2 * top_degree, len(V.base.idempotents), 2)
+    spans = {}
+    for n, span in _relation_components(V, W):
+        dim = _quadratic_dim(V, n, span)
+        if not dim or n > cap:
+            break
+        spans[n] = span
+    ring = _quadratic_ring(V, spans, 0 if V.is_zero() else n - 1)
+    ring.support_truncated = bool(dim)
+    return ring
+
+
+def transposed_degree_one(X) -> tuple:
+    """^*X_1 and the blockwise transpose of the (1, 1) structure map of X,
+    between ^*X_2 and ^*X_1 (x) ^*X_1: its image is (Ker mu^{1,1})^perp
+    for a ring, its kernel (Im Delta_{1,1})^perp for a coring."""
+    dual_V = left_dual(X.component(1))
+    ends = X._ends(tensor(dual_V, dual_V), left_dual(X.component(2)))
+    return dual_V, BimoduleMap(
+        *reversed(ends),
+        {key: mat.transpose() for key, mat in X._map(1, 1).blocks.items()})
+
+
+def reference_graded_left_dual(X, out_cls):
+    """The out_cls on the duals ^*X_n, each (p, q) structure map the
+    blockwise transpose of that of X between the tensor products of the
+    duals, built and checked by the constructor."""
+    components = {n: left_dual(X.component(n))
+                  for n in range(X.top_degree + 1)}
+    maps = {(p, q): BimoduleMap(
+                *out_cls._ends(tensor(components[p], components[q]),
+                               components[p + q]),
+                {key: mat.transpose() for key, mat in f.blocks.items()})
+            for (p, q), f in X.maps.items()}
+    D = out_cls(X.base, components, maps, X.top_degree)
+    D.support_truncated = X.support_truncated
+    return D
+
+
+def reference_shriek_of_ring(A: GradedRing) -> GradedCoring:
+    dual_V, transposed = transposed_degree_one(A)
+    return reference_graded_left_dual(
+        reference_quadratic_partner(dual_V, image_sub(transposed),
+                                    A.top_degree), GradedCoring)
+
+
+def reference_shriek_of_coring(C: GradedCoring) -> GradedRing:
+    return reference_quadratic_partner(C.component(1),
+                                       image_sub(C.delta(1, 1)), C.top_degree)

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from koszulity.exact_linalg import (FieldSpec, RATIONALS, Subspace,
-                                    DimensionError)
+from koszulity.exact_linalg import FieldSpec, RATIONALS, DimensionError
 from koszulity.homology import bar_complex_ring
 from koszulity.poset import incidence_ring
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, tensor, tensor_many, tensor_power,
-                                unit_bimodule, zero_bimodule,
-                                kernel_sub, image_sub, left_dual, dual_label)
-from conftest import apply_label, identity_map, map_rank, sub_dim, tensor_map
+from koszulity.bimodule import (BaseRing, Bimodule, SubBimodule, UNIT_LABEL,
+                                tensor, unit_bimodule, zero_bimodule,
+                                kernel_sub, left_dual, dual_label)
+from conftest import (apply_label, from_basis_action, from_spanning,
+                      identity_map, image_sub, map_rank, sub_dim, tensor_many,
+                      tensor_map, tensor_power, zero_map)
 
 
 @pytest.fixture
@@ -145,13 +145,13 @@ def test_blocks_from_start(base, V):
 
 
 def test_map_validation_and_action(base, V):
-    f = BimoduleMap.from_basis_action(
+    f = from_basis_action(
         V, V, lambda key, l: [(l, 2)])
     assert map_rank(f) == 3
     assert apply_label(f, ('x', 'y'), 'u') == [('u', Fraction(2))]
     g = identity_map(V)
     assert f.compose(g) == f
-    assert BimoduleMap.zero(V, V).is_zero()
+    assert zero_map(V, V).is_zero()
 
 
 def test_prime_field_maps_store_residues(rp2):
@@ -159,8 +159,8 @@ def test_prime_field_maps_store_residues(rp2):
     # is_zero and == are statements over the field
     F2 = FieldSpec.prime_field(2)
     U = Bimodule(BaseRing(('x', 'y'), F2), {('x', 'y'): ('u',)})
-    assert BimoduleMap.from_basis_action(U, U, lambda key, l: [(l, 2)]).is_zero()
-    assert (BimoduleMap.from_basis_action(U, U, lambda key, l: [(l, -1)])
+    assert from_basis_action(U, U, lambda key, l: [(l, 2)]).is_zero()
+    assert (from_basis_action(U, U, lambda key, l: [(l, -1)])
             == identity_map(U))
     A = incidence_ring(rp2, F2)
     stored = {v for m in range(2, A.top_degree + 1)
@@ -172,25 +172,25 @@ def test_prime_field_maps_store_residues(rp2):
 def test_map_block_escape_rejected(base, V):
     # an action sending a block outside the target's block must fail
     with pytest.raises(KeyError):
-        BimoduleMap.from_basis_action(
+        from_basis_action(
             V, V, lambda key, l: [('w', 1)] if l == 'u' else [(l, 1)])
     # a block the target lacks holds no label at all
     U = Bimodule(base, {('x', 'y'): ('u', 'v')})
     with pytest.raises(KeyError):
-        BimoduleMap.from_basis_action(V, U, lambda key, l: [(l, 1)])
+        from_basis_action(V, U, lambda key, l: [(l, 1)])
 
 
 def test_compose_shape_mismatch(base, V):
     W = Bimodule(base, {('x', 'y'): ('a',)})
-    f = BimoduleMap.zero(V, V)
-    g = BimoduleMap.zero(W, W)
+    f = zero_map(V, V)
+    g = zero_map(W, W)
     with pytest.raises(DimensionError):
         f.compose(g)
 
 
 def test_kernel_image_sub(base, V):
     # collapse u and v to u
-    f = BimoduleMap.from_basis_action(
+    f = from_basis_action(
         V, V, lambda key, l: [('u', 1)] if l in ('u', 'v') else [(l, 1)])
     ker = kernel_sub(f)
     img = image_sub(f)
@@ -201,7 +201,7 @@ def test_kernel_image_sub(base, V):
 
 
 def test_tensor_map_acts_factorwise(base, V):
-    f = BimoduleMap.from_basis_action(V, V, lambda key, l: [(l, 2)])
+    f = from_basis_action(V, V, lambda key, l: [(l, 2)])
     ff = tensor_map(f, f)
     VV = tensor(V, V)
     assert ff.source == VV and ff.target == VV
@@ -233,7 +233,7 @@ def test_left_dual_blocks(base, V):
 
 def test_sub_bimodule(base, V):
     VV = tensor(V, V)
-    sub = SubBimodule(VV, {('x', 'z'): Subspace.from_spanning(
+    sub = SubBimodule(VV, {('x', 'z'): from_spanning(
         [{0: Fraction(1), 1: Fraction(1)}], 2)})
     assert sub_dim(sub) == 1
     part = sub.part(('x', 'z'))

@@ -691,3 +691,85 @@ def test_prime_field_flag(capsys, p_bad_file):
     report = json.loads(out)
     assert report['verdict'] is False
     assert report['config']['field'] == 'fp:1048583'
+
+
+@pytest.mark.parametrize('spelling', ['fp: 3', 'fp:+3', 'fp:03', 'fp:٣',
+                                      'fp:3 ', 'fp:0_3'])
+def test_other_spellings_of_a_prime_are_refused(capsys, tmp_path,
+                                                diamond_file, spelling):
+    # one field, one spelling: the report echoes it and the cache key
+    # holds it, so F_3 written another way would give another report
+    cache = str(tmp_path / 'cache')
+    code, out, err = run(capsys, 'check', '--poset', diamond_file,
+                         '--field', spelling, '--cache', cache, '--jobs', '1')
+    assert (code, out) == (2, '')
+    assert 'write it fp:3' in err
+    assert not os.path.exists(cache) or not os.listdir(cache)
+    code, out, _ = run(capsys, 'check', '--poset', diamond_file,
+                       '--field', 'fp:3', '--jobs', '1')
+    assert code == 0 and json.loads(out)['config'] == {'field': 'fp:3'}
+
+
+@pytest.mark.parametrize('spelling', ['fp:', 'fp:x', 'fp:3.0', 'fp:-', 'fp'])
+def test_field_spellings_without_a_number_are_refused(capsys, diamond_file,
+                                                      spelling):
+    code, out, err = run(capsys, 'check', '--poset', diamond_file,
+                         '--field', spelling, '--jobs', '1')
+    assert (code, out) == (2, '')
+    assert 'rational or fp:P' in err
+
+
+def _csv_rows(text: str) -> list:
+    import csv
+    import io
+    return list(csv.reader(io.StringIO(text), skipinitialspace=True))
+
+
+def _leaf_paths(report: dict) -> list:
+    from koszulity.cli import _leaves
+    return [path for path, _ in _leaves(report)]
+
+
+def test_csv_reads_back_every_key_and_label(capsys, tmp_path):
+    # labels with a comma, a colon and space, a double quote, a line
+    # break and a leading space; the shriek report's keys hold commas
+    elements = ['lo', 'x,y', 'z: w', 'say "hi"', 'two\nlines', ' pad']
+    covers = [['lo', 'x,y'], ['lo', 'z: w'], ['x,y', 'say "hi"'],
+              ['z: w', 'say "hi"'], ['x,y', 'two\nlines'],
+              ['z: w', 'two\nlines'], ['say "hi"', ' pad'],
+              ['two\nlines', ' pad']]
+    path = tmp_path / 'odd.json'
+    path.write_text(json.dumps({'elements': elements, 'covers': covers}))
+    for command in ('check', 'shriek', 'dual'):
+        _, out, _ = run(capsys, command, '--poset', str(path), '--jobs', '1')
+        report = json.loads(out)
+        code, out, _ = run(capsys, command, '--poset', str(path), '--jobs',
+                           '1', '--format', 'csv')
+        assert code == 0
+        rows = _csv_rows(out)
+        report.pop('timings')
+        rows = [row for row in rows if not row[0].startswith('timings.')]
+        assert [row[0] for row in rows] == _leaf_paths(report)
+        by_path = {row[0]: row[1:] for row in rows}
+        assert by_path['input.elements'] == elements
+        assert [by_path[f'input.covers.{i}'] for i in range(len(covers))] \
+            == covers
+        if command == 'shriek':
+            for key, value in report['generators'].items():
+                assert by_path[f'generators.{key}'] == [value]
+
+
+def test_csv_needing_no_quotes_is_the_text_rendering(capsys, p_bad_file):
+    # where no field needs quoting, a row is the text line with its first
+    # ': ' turned into a comma
+    for command in ('check', 'dual', 'betti'):
+        argv = [command, '--poset', p_bad_file, '--jobs', '1']
+        _, text, _ = run(capsys, *argv, '--format', 'text')
+        _, out, _ = run(capsys, *argv, '--format', 'csv')
+        if command == 'betti':
+            assert out.startswith('n\\m,0,1,2')
+            continue
+        strip = lambda rendering: [line for line in rendering.splitlines()
+                                   if not line.startswith('timings.')]
+        assert strip(out) == [line.replace(': ', ',', 1)
+                              for line in strip(text)]

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from koszulity.exact_linalg import FieldSpec, RATIONALS
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, UNIT_LABEL,
-                                left_dual, dual_label, tensor,
-                                unit_bimodule)
+from koszulity.bimodule import (BaseRing, Bimodule, UNIT_LABEL, left_dual,
+                                dual_label, tensor, unit_bimodule)
 from koszulity.graded_structures import (GradedRing, GradedCoring, _Graded,
                                          shriek_of_ring, shriek_of_coring)
 from koszulity.duality import (graded_left_dual_of_ring,
@@ -22,7 +21,8 @@ from koszulity.poset import (incidence_ring, incidence_coring, zeta_ring,
                              incidence_duality_check, enumerate_corpus)
 from conftest import (apply_label, chain_poset, antichain_poset, dual_map,
                       identity_map, relabeling, scaled_map, truncate_ring,
-                      direct_product, direct_sum_corings, random_quiver_ring)
+                      direct_product, direct_sum_corings, random_quiver_ring,
+                      from_basis_action)
 
 
 def test_dual_map_transposes_blockwise(diamond):
@@ -205,7 +205,7 @@ def test_double_dual_keeps_starred_labels():
                                      ('*', ('*', 'a'))),
                         ('y', 'z'): (('*', UNIT_LABEL),)})
     A2 = Bimodule(base, {('x', 'z'): ('p',)})
-    mu = BimoduleMap.from_basis_action(tensor(V, V), A2,
+    mu = from_basis_action(tensor(V, V), A2,
                                        lambda key, l: [('p', 1)])
     A = GradedRing(base, {0: unit_bimodule(base), 1: V, 2: A2},
                    {(1, 1): mu}, 2)

@@ -11,11 +11,10 @@ from koszulity.homology import bar_complex_ring
 from koszulity.poset import incidence_ring
 from koszulity.exact_linalg import (FieldSpec, RATIONALS, SparseMatrix,
                                     Subspace, Echelon, rank, kernel_basis,
-                                    image_basis, hstack, vstack,
-                                    DimensionError)
+                                    image_basis, DimensionError)
 import oracle
 from oracle import rank_mod as _rank_mod
-from conftest import from_dense, grid_poset
+from conftest import from_dense, from_spanning, grid_poset, hstack, vstack
 
 
 def dense_of(M):
@@ -126,8 +125,8 @@ def test_rank_prime_field_differs_in_characteristic():
 
 def test_subspace_operations():
     e = lambda i: {i: Fraction(1)}
-    U = Subspace.from_spanning([e(0), e(1)], 3)
-    both = Subspace.from_spanning([e(1)], 3)
+    U = from_spanning([e(0), e(1)], 3)
+    both = from_spanning([e(1)], 3)
     assert both.dim == 1
     assert both.contains_vector(e(1))
     assert not both.contains_vector(e(0))
@@ -137,7 +136,7 @@ def test_subspace_operations():
 
 
 def test_subspace_reduce_vector():
-    U = Subspace.from_spanning([{0: Fraction(1), 1: Fraction(1)}], 2)
+    U = from_spanning([{0: Fraction(1), 1: Fraction(1)}], 2)
     r = U.reduce_vector({0: Fraction(1)})
     assert r, 'vector outside the span must have nonzero residue'
     assert U.reduce_vector({0: Fraction(2), 1: Fraction(2)}) == {}
@@ -284,7 +283,7 @@ def test_bases_are_pinned_to_the_oracle(entry):
         dense = dense_of(M)
         assert kernel_basis(M).basis.columns() == [
             _as_dict(vec) for vec in oracle.kernel(dense)]
-        span = Subspace.from_spanning(M.columns(), M.rows)
+        span = from_spanning(M.columns(), M.rows)
         transposed = [list(col) for col in zip(*dense)]
         assert span.basis.columns() == [
             _as_dict(row) for row in oracle.row_reduce(transposed)[1]]
@@ -298,7 +297,7 @@ def test_prime_field_span_basis_is_reduced_echelon(p):
     for _ in range(40):
         M = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
                            lambda r: r.randint(-4, 4))
-        span = Subspace.from_spanning(M.columns(), M.rows, F)
+        span = from_spanning(M.columns(), M.rows, F)
         basis = span.basis.columns()
         leads = [min(col) for col in basis]
         assert leads == sorted(set(leads))

@@ -9,14 +9,12 @@ import pytest
 from koszulity.exact_linalg import (RATIONALS, FieldSpec, Subspace,
                                     SparseMatrix, kernel_basis)
 from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, tensor, tensor_power,
-                                unit_bimodule, zero_bimodule, kernel_sub,
-                                image_sub)
+                                UNIT_LABEL, tensor, unit_bimodule,
+                                zero_bimodule, kernel_sub)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          shriek_of_ring, shriek_of_coring,
                                          is_strongly_graded_ring,
-                                         is_strongly_graded_coring,
-                                         _quadratic_ring)
+                                         is_strongly_graded_coring)
 from koszulity.errors import StructureError
 from koszulity.koszul import decide_koszul_ring, decide_koszul_coring
 from koszulity.duality import (graded_left_dual_of_ring,
@@ -28,7 +26,9 @@ from conftest import (DIAMOND_COVERS, apply_label, chain_poset,
                       scaled_map, tensor_map, iterated_mu, identity_map,
                       sub_dim, random_quiver_ring, truncate_ring,
                       truncate_coring, direct_product, direct_sum_corings,
-                      map_rank, QuadraticData, quadratic_ring_of, _walk)
+                      map_rank, QuadraticData, quadratic_ring_of, _walk,
+                      _quadratic_ring, from_basis_action, from_spanning,
+                      image_sub, tensor_power)
 import oracle
 
 
@@ -61,12 +61,12 @@ def test_structure_maps_must_have_the_exact_ends(diamond):
     permuted = Bimodule(A.base, {key: labels[::-1]
                                  for key, labels in VV.blocks.items()})
     assert permuted != VV
-    mu = BimoduleMap.from_basis_action(permuted, A.component(2),
+    mu = from_basis_action(permuted, A.component(2),
                                        partial(apply_label, A.mu(1, 1)))
     with pytest.raises(StructureError) as info:
         GradedRing(A.base, A.components, {(1, 1): mu}, A.top_degree)
     assert str(info.value) == 'mu(1,1) has wrong source'
-    delta = BimoduleMap.from_basis_action(C.component(2), permuted,
+    delta = from_basis_action(C.component(2), permuted,
                                           partial(apply_label, C.delta(1, 1)))
     with pytest.raises(StructureError) as info:
         GradedCoring(C.base, C.components, {(1, 1): delta}, C.top_degree)
@@ -82,11 +82,11 @@ def test_associativity_enforced():
     A2 = Bimodule(base, {('x', 'x'): ('w',)})
     A3 = Bimodule(base, {('x', 'x'): ('z',)})
     comps = {0: R, 1: A1, 2: A2, 3: A3}
-    mu11 = BimoduleMap.from_basis_action(
+    mu11 = from_basis_action(
         tensor(A1, A1), A2, lambda key, l: [('w', 1)])
-    mu12 = BimoduleMap.from_basis_action(
+    mu12 = from_basis_action(
         tensor(A1, A2), A3, lambda key, l: [('z', 1)])
-    mu21 = BimoduleMap.from_basis_action(
+    mu21 = from_basis_action(
         tensor(A2, A1), A3, lambda key, l: [('z', -1)])
     with pytest.raises(StructureError):
         GradedRing(base, comps, {(1, 1): mu11, (1, 2): mu12, (2, 1): mu21}, 3)
@@ -103,11 +103,11 @@ def test_coassociativity_enforced():
     C2 = Bimodule(base, {('x', 'x'): ('w',)})
     C3 = Bimodule(base, {('x', 'x'): ('z',)})
     comps = {0: unit_bimodule(base), 1: C1, 2: C2, 3: C3}
-    d11 = BimoduleMap.from_basis_action(
+    d11 = from_basis_action(
         C2, tensor(C1, C1), lambda key, l: [(('v', 'v'), 1)])
-    d12 = BimoduleMap.from_basis_action(
+    d12 = from_basis_action(
         C3, tensor(C1, C2), lambda key, l: [(('v', 'w'), 1)])
-    d21 = BimoduleMap.from_basis_action(
+    d21 = from_basis_action(
         C3, tensor(C2, C1), lambda key, l: [(('w', 'v'), -1)])
     with pytest.raises(StructureError,
                        match=r'^coassociativity fails at \(1,1,1\)$'):
@@ -279,7 +279,7 @@ def _folded_mu(A, n):
     V = A.component(1)
     if n == 1:
         return identity_map(V)
-    cut = BimoduleMap.from_basis_action(
+    cut = from_basis_action(
         tensor_power(V, n), tensor(tensor_power(V, n - 1), V),
         lambda key, l: [((l[:-1] if n > 2 else l[0], l[-1]), 1)])
     step = tensor_map(_folded_mu(A, n - 1), identity_map(V))
@@ -294,7 +294,7 @@ def _folded_delta(C, n):
         return identity_map(V)
     step = tensor_map(identity_map(V),
                       _folded_delta(C, n - 1)).compose(C.delta(1, n - 1))
-    flatten = BimoduleMap.from_basis_action(
+    flatten = from_basis_action(
         step.target, tensor_power(V, n),
         lambda key, l: [((l[0],) + (l[1] if n > 2 else (l[1],)), 1)])
     return flatten.compose(step)
@@ -361,7 +361,7 @@ def _ring_from_products(idempotents, components, products, top):
     comps = {0: unit_bimodule(base)}
     comps.update({n: Bimodule(base, blocks)
                   for n, blocks in components.items()})
-    mult = {pq: BimoduleMap.from_basis_action(
+    mult = {pq: from_basis_action(
                 tensor(comps[pq[0]], comps[pq[1]]), comps[sum(pq)],
                 lambda key, l, table=table: list(table.get(l, {}).items()))
             for pq, table in products.items()}
@@ -428,7 +428,7 @@ def test_strongly_graded_failure_witness():
     base = BaseRing(('x',), RATIONALS)
     A1 = Bimodule(base, {('x', 'x'): ('v',)})
     A2 = Bimodule(base, {('x', 'x'): ('w', 'stray')})
-    mu11 = BimoduleMap.from_basis_action(
+    mu11 = from_basis_action(
         tensor(A1, A1), A2, lambda key, l: [('w', 1)])
     A = GradedRing(base, {0: unit_bimodule(base), 1: A1, 2: A2},
                    {(1, 1): mu11}, 2)
@@ -499,9 +499,9 @@ def test_shriek_computes_each_component_once(monkeypatch, side):
     degrees = []
     original = gs._relation_step
 
-    def counting(V, W, previous, n):
+    def counting(words, relations, walk, n, reduced):
         degrees.append(n)
-        return original(V, W, previous, n)
+        return original(words, relations, walk, n, reduced)
 
     monkeypatch.setattr(gs, '_relation_step', counting)
     shr = shriek(X)
@@ -567,7 +567,7 @@ def _reference_ideal(V, W, n):
         for key, vecs in _positional_generators(V, W, n, i).items():
             gens.setdefault(key, []).extend(vecs)
     amb = tensor_power(V, n)
-    return {key: Subspace.from_spanning(vecs, amb.block_dim(*key),
+    return {key: from_spanning(vecs, amb.block_dim(*key),
                                         V.base.field)
             for key, vecs in gens.items()}
 
@@ -591,7 +591,7 @@ def _reference_intersection(V, W, n):
         d = len(labels)
         rows = [col for g in per_position
                 for col in annihilator(g.get(key, []), d).basis.columns()]
-        parts[key] = Subspace.from_spanning(
+        parts[key] = from_spanning(
             annihilator(rows, d).basis.columns(), d, field)
     return SubBimodule(amb, parts)
 
@@ -650,7 +650,7 @@ def test_relation_recursion_matches_the_positional_construction():
             assert map_rank(delta) == coring.component(n).dim
             ref = _reference_intersection(V, W, n)
             for key, labels in tensor_power(V, n).blocks.items():
-                image = Subspace.from_spanning(
+                image = from_spanning(
                     delta.block(*key).columns(), len(labels), V.base.field)
                 assert image.basis == ref.part(key).basis
 

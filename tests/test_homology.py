@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace, accumulate
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, tensor,
-                                tensor_many,
-                                tensor_power, kernel_sub, image_sub,
+from koszulity.bimodule import (BaseRing, Bimodule, tensor, kernel_sub,
                                 unit_bimodule)
 from koszulity.graded_structures import (GradedRing, _Graded,
                                          shriek_of_ring)
@@ -34,7 +32,8 @@ from conftest import (chain_poset, antichain_poset, boolean_lattice,
                       grid_poset, degree2_sequence_holds, identity_map,
                       iterated_mu, map_rank, QuadraticData,
                       quadratic_ring_of, random_quiver_ring, truncate_ring,
-                      truncate_coring)
+                      truncate_coring, from_basis_action, from_spanning,
+                      image_sub, tensor_many, tensor_power, zero_map)
 from oracle import partitions
 import oracle
 
@@ -213,7 +212,7 @@ def test_complex_slice_rejects_a_differential_that_does_not_square_to_zero():
     with pytest.raises(InvariantError, match='does not square to zero'):
         ComplexSlice('chain', 0, {0: V, 1: V, 2: V}, {1: d, 2: d})
     cx = ComplexSlice('chain', 0, {0: V, 1: V, 2: V},
-                      {2: d, 1: BimoduleMap.zero(V, V)})
+                      {2: d, 1: zero_map(V, V)})
     assert cx.homology_dims() == {0: 1, 1: 0, 2: 0}
 
 
@@ -253,7 +252,7 @@ def truncated_polynomial_ring(k: int, field) -> GradedRing:
     comps = {0: unit_bimodule(base)}
     comps.update({n: Bimodule(base, {('x', 'x'): (f'a{n}',)})
                   for n in range(1, k)})
-    maps = {(p, q): BimoduleMap.from_basis_action(
+    maps = {(p, q): from_basis_action(
                 tensor(comps[p], comps[q]), comps[p + q],
                 lambda key, l, n=p + q: [(f'a{n}', 1)])
             for p in range(1, k) for q in range(1, k - p)}
@@ -418,7 +417,7 @@ def spanning_order_reps(cx, n):
         span = list(bnd.part(key).basis.columns()) if bnd is not None else []
         chosen = []
         for col in kcols:
-            if Subspace.from_spanning(span, dim, field).contains_vector(col):
+            if from_spanning(span, dim, field).contains_vector(col):
                 continue
             chosen.append(col)
             span.append(col)
@@ -500,8 +499,8 @@ def reference_products_surjective(table):
             dim = space.block_dim(*key)
             B = d_in.block(*key).columns() if d_in is not None else []
             P = products.get(key, [])
-            gained += (Subspace.from_spanning(B + P, dim, field).dim
-                       - Subspace.from_spanning(B, dim, field).dim)
+            gained += (from_spanning(B + P, dim, field).dim
+                       - from_spanning(B, dim, field).dim)
         if gained != H3.dim:
             return False, n + 1
     return True, None
@@ -653,7 +652,7 @@ def reference_quadratic_direct(A):
         if Qn.dim != An.dim:
             return False, {'degree': n, 'quadratic_dim': Qn.dim,
                            'ring_dim': An.dim}
-        incl = BimoduleMap.from_basis_action(Qn, tensor_power(V, n),
+        incl = from_basis_action(Qn, tensor_power(V, n),
                                              lambda key, l: [(l, 1)])
         if An.dim and map_rank(iterated_mu(A, n).compose(incl)) != An.dim:
             return False, {'degree': n,

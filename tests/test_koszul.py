@@ -2,9 +2,9 @@
 
 import pytest
 
-from koszulity.exact_linalg import RATIONALS, Subspace
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, tensor, unit_bimodule)
+from koszulity.exact_linalg import RATIONALS
+from koszulity.bimodule import (BaseRing, Bimodule, SubBimodule, UNIT_LABEL,
+                                tensor, unit_bimodule)
 from koszulity.duality import graded_left_dual_of_ring
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          shriek_of_ring)
@@ -20,7 +20,8 @@ from koszulity.poset import GradedPoset, incidence_ring, incidence_coring
 from koszulity.errors import (StructureError, PreconditionError,
                               CriteriaDisagreement)
 from conftest import (chain_poset, antichain_poset, direct_product,
-                      P_BAD_COVERS, QuadraticData, quadratic_ring_of)
+                      P_BAD_COVERS, QuadraticData, quadratic_ring_of,
+                      from_basis_action, from_spanning)
 import oracle
 
 
@@ -212,7 +213,7 @@ def test_koszul_end_cells_are_the_unit_identifications(diamond):
     weight_one = {(one, v): [((v, one), 1)] for v in letters}
 
     def by_hand(images, a, c):
-        return BimoduleMap.from_basis_action(
+        return from_basis_action(
             tensor(A.component(a), C.component(c)),
             tensor(A.component(a + 1), C.component(c - 1)),
             lambda key, label: images[label])
@@ -238,7 +239,7 @@ def pq_ring(top: int) -> GradedRing:
     VV = tensor(V, V)
     relations = [{VV.index_of(('x', 'x'), word): 1}
                  for word in (('p', 'q'), ('q', 'p'), ('q', 'q'))]
-    W = SubBimodule(VV, {('x', 'x'): Subspace.from_spanning(relations, 4)})
+    W = SubBimodule(VV, {('x', 'x'): from_spanning(relations, 4)})
     return quadratic_ring_of(QuadraticData(V, W), top)
 
 

@@ -3,7 +3,7 @@
 Bar, cobar and Koszul slices read their differentials from the
 structure-constant tables of _Numbering, and conftest keeps the builder
 that read the stored maps label by label (tensor_many words,
-BimoduleMap.from_basis_action, apply_label).  Every slice below must equal
+from_basis_action, apply_label).  Every slice below must equal
 its reference matrix for matrix, block for block and in basis order.
 
 The Koszul sweep that decides a verdict and the bar and cobar slices whose

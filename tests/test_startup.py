@@ -39,8 +39,7 @@ EXPORTS = '''
     is_quadratic_coring_direct is_quadratic_direct is_strongly_graded_coring
     is_strongly_graded_ring koszul_complex_left koszul_complex_right
     left_dual make_pair_shriek_coring make_pair_shriek_ring parse_poset
-    shriek_of_coring shriek_of_ring tensor tensor_many
-    tensor_power tor_primitive_dims tor_table unit_bimodule zero_bimodule
+    shriek_of_coring shriek_of_ring tensor tor_primitive_dims tor_table unit_bimodule zero_bimodule
     zeta_ring
 '''.split()
 
@@ -97,7 +96,7 @@ def test_a_cold_check_on_two_workers_starts_no_pool(tmp_path, diamond_file):
 
 
 def test_package_exports_resolve_on_first_use():
-    assert sorted(koszulity.__all__) == sorted(EXPORTS) and len(EXPORTS) == 59
+    assert sorted(koszulity.__all__) == sorted(EXPORTS) and len(EXPORTS) == 57
     assert sorted(dir(koszulity)) == sorted(koszulity.__all__)
     from koszulity import GradedRing, graded_structures
     assert GradedRing is graded_structures.GradedRing
