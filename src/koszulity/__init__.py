@@ -13,9 +13,8 @@ _EXPORTS = {
     'errors': ('KoszulityError', 'InputError', 'StructureError',
                'PreconditionError', 'CriteriaDisagreement', 'InvariantError'),
     'exact_linalg': ('FieldSpec', 'RATIONALS', 'SparseMatrix', 'Subspace'),
-    'bimodule': ('BaseRing', 'Bimodule', 'BimoduleMap', 'SubBimodule',
-                 'tensor', 'unit_bimodule', 'zero_bimodule', 'left_dual',
-                 'dual_label'),
+    'bimodule': ('BaseRing', 'Bimodule', 'BimoduleMap', 'tensor',
+                 'unit_bimodule', 'zero_bimodule', 'left_dual', 'dual_label'),
     'graded_structures': ('GradedRing', 'GradedCoring',
                           'shriek_of_ring', 'shriek_of_coring',
                           'is_strongly_graded_ring',

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .exact_linalg import (FieldSpec, Frozen, SparseMatrix, Subspace,
-                           DimensionError, kernel_basis)
+from .exact_linalg import FieldSpec, Frozen, SparseMatrix, DimensionError
 
 UNIT_LABEL = '1'
 
@@ -272,45 +271,6 @@ def _sparse_map(source: Bimodule, target: Bimodule, source_keys: dict,
                 len(index), len(keys),
                 [(i, j, coerce(v)) for (i, j), v in acc.items()])
     return BimoduleMap(source, target, blocks)
-
-
-class SubBimodule:
-    'A sub-bimodule of an ambient Bimodule: one Subspace per block.'
-
-    __slots__ = ('ambient', 'parts')
-
-    def __init__(self, ambient: Bimodule, parts: dict):
-        clean = {}
-        for key, sub in parts.items():
-            if sub.ambient_dim != ambient.block_dim(*key):
-                raise DimensionError(f'subspace ambient mismatch at block {key!r}')
-            if sub.dim:
-                clean[key] = sub
-        object.__setattr__(self, 'ambient', ambient)
-        object.__setattr__(self, 'parts', ambient.base.sorted_blocks(clean))
-
-    def __setattr__(self, *a):
-        raise AttributeError('SubBimodule is immutable')
-
-    def part(self, key) -> Subspace:
-        sub = self.parts.get(key)
-        if sub is not None:
-            return sub
-        return Subspace(self.ambient.block_dim(*key),
-                        SparseMatrix.zero(self.ambient.block_dim(*key), 0),
-                        self.ambient.base.field, _skip_check=True)
-
-
-def kernel_sub(f: BimoduleMap) -> SubBimodule:
-    'Kernel of a bimodule map as a SubBimodule of the source.'
-    parts = {}
-    for key in f.source.blocks:
-        mat = f.blocks.get(key)
-        if mat is None:
-            parts[key] = Subspace.full(f.source.block_dim(*key), f.field)
-        else:
-            parts[key] = kernel_basis(mat, f.field)
-    return SubBimodule(f.source, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ bar slices, whose (n, m) piece is the degree-n words of slice m cut
 between two letters, so it reads one slice.
 
 Slices are built on numbered bases (graded_structures._Numbering): a
-basis word is a tuple of integer ids, each block keeps a dict from word
-to index, and the differential merges or splits letters by looking them
-up in the structure-constant tables.  One builder serves every structure;
-an incidence structure is not a special case, its table entries simply
-hold one term.  The spaces keep their (parts, word) labels.  The words
-are not kept: the cut words list them again for the one slice they read.
+basis word is a tuple of integer ids, and it is also the label of its
+basis vector in the slice space.  The differential merges or splits
+letters by looking them up in the structure-constant tables.  One
+assembler serves every slice, bar and cobar here and the Koszul slices of
+koszul: it takes the words of each degree and the action of the
+differential on them.  An incidence structure is not a special case, its
+table entries simply hold one term.  The cut words read the words of the
+slice they cut.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 
-from .exact_linalg import Subspace, Echelon, accumulate, outer_vector
-from .bimodule import Bimodule, kernel_sub, _sparse_map
+from .exact_linalg import (SparseMatrix, Subspace, Echelon, accumulate,
+                           kernel_basis, outer_vector)
+from .bimodule import Bimodule, BimoduleMap, _sparse_map
 from .graded_structures import (GradedRing, GradedCoring, _quadratic_dims,
                                 is_strongly_graded_ring,
                                 is_strongly_graded_coring)
@@ -166,54 +169,56 @@ def _slice_words(X, m: int) -> dict:
     return words
 
 
-def _word_space(X, blocks: dict) -> Bimodule:
-    """The space on the words of blocks, labelled (parts, word): the
-    degrees and the labels of the letters.  The words of one composition
-    share one parts tuple."""
-    if not blocks:
-        return X.base.zero
-    label, degree = (X._numbering.labels.__getitem__,
-                     X._numbering.degree.__getitem__)
-    shared = {}
+def _assemble(base, direction: str, m: int, words: dict,
+              action) -> ComplexSlice:
+    """The weight-m slice whose degree-n space has the words of words[n],
+    {block key: {word: index}}, as its basis, each labelling its vector.
 
-    def parts(w):
-        p = tuple(map(degree, w))
-        return shared.setdefault(p, p)
-
-    return Bimodule(X.base, {
-        key: [(parts(w), tuple(map(label, w))) for w in block]
-        for key, block in blocks.items()})
+    The differential out of degree n sends the word w of block key to the
+    sum of action(n)(key, w), an iterable of (word, coeff).  A map into or
+    out of degree -1 is the augmentation, the identity of R.
+    """
+    if m < 0:
+        raise ValueError(f'negative weight {m}')
+    spaces = {n: Bimodule(base, blocks) if blocks else base.zero
+              for n, blocks in words.items()}
+    step = _STEP[direction]
+    diffs = {}
+    for n, src in spaces.items():
+        tgt = spaces.get(n + step)
+        if tgt is None or src.is_zero() or tgt.is_zero():
+            continue
+        if -1 in (n, n + step):   # the augmentation, nonzero in weight 0
+            diffs[n] = BimoduleMap(src, tgt, {key: SparseMatrix.identity(1)
+                                              for key in src.blocks})
+        else:
+            diffs[n] = _sparse_map(src, tgt, words[n], words[n + step],
+                                   action(n))
+    return ComplexSlice(direction, m, spaces, diffs)
 
 
 def _word_complex(X, m: int, direction: str, letter_op) -> ComplexSlice:
-    """The weight-m slice on the word spaces of X.
+    """The weight-m slice on the words of X (_slice_words).
 
     The differential sums letter_op(X._numbering, word, j) over the
     positions j of a word, with sign (-1)^j.  A chain differential acts on
     the gaps between adjacent letters, a cochain one on the letters.
     """
-    if m < 0:
-        raise ValueError(f'negative weight {m}')
     num = X._numbering
-    words = _slice_words(X, m)
-    spaces = {n: _word_space(X, blocks) for n, blocks in words.items()}
-    step = _STEP[direction]
-    diffs = {}
-    for n in range(1, m + 1):
-        src, tgt = spaces[n], spaces.get(n + step)
-        if tgt is None or src.is_zero() or tgt.is_zero():
-            continue
+
+    def action(n):
         positions = n - 1 if direction == 'chain' else n
 
-        def action(key, w, positions=positions):
+        def terms(key, w):
             sign = 1
             for j in range(positions):
                 for nw, c in letter_op(num, w, j):
                     yield nw, sign * c
                 sign = -sign
 
-        diffs[n] = _sparse_map(src, tgt, words[n], words[n + step], action)
-    return ComplexSlice(direction, m, spaces, diffs)
+        return terms
+
+    return _assemble(X.base, direction, m, _slice_words(X, m), action)
 
 
 def _merge(num, w: tuple, j: int) -> list:
@@ -333,20 +338,18 @@ class SliceHomology:
         field = space.base.field
         out_map = cx.differentials.get(degree)
         in_map = cx.differentials.get(degree - cx.step)
-        if out_map is None:
-            ker = {key: Subspace.full(space.block_dim(*key), field)
-                   for key in space.blocks}
-        else:
-            ker_sub = kernel_sub(out_map)
-            ker = {key: ker_sub.part(key) for key in space.blocks}
+        outs = out_map.blocks if out_map is not None else {}
         self.space = space
         self.reps = {}
         self._echelons = {}
         for key in space.blocks:
+            out = outs.get(key)
+            ker = (Subspace.full(space.block_dim(*key), field) if out is None
+                   else kernel_basis(out, field))
             echelon = Echelon(field, in_map.block(*key).columns()
                               if in_map is not None else ())
             chosen = []
-            for col in ker[key].basis.columns():
+            for col in ker.basis.columns():
                 if echelon.add(col, len(chosen)):
                     chosen.append(col)
             self._echelons[key] = echelon
@@ -423,12 +426,11 @@ def ext_diagonal_products_surjective(C: GradedCoring, table: BettiTable):
                 if t2 != t:
                     continue
                 key = (s, u)
-                alabels = H1.space.blocks[(s, t)]
-                blabels = H2.space.blocks[(t, u)]
+                awords = H1.space.blocks[(s, t)]
+                bwords = H2.space.blocks[(t, u)]
 
                 def concat(i, j):
-                    (pa, wa), (pb, wb) = alabels[i], blabels[j]
-                    return H3.space.index_of(key, (pa + pb, wa + wb))
+                    return H3.space.index_of(key, awords[i] + bwords[j])
 
                 coords.setdefault(key, []).extend(
                     H3.classes(key, outer_vector(a, b, concat, field))
@@ -453,20 +455,21 @@ def _cut(i: int, c: int, n: int) -> int:
     return i * (n - 1) + c - 1
 
 
-def _cut_boundaries(A: GradedRing, words: dict, n: int, key) -> list:
+def _cut_boundaries(A: GradedRing, cx: ComplexSlice, n: int, key) -> list:
     """The columns of the total differential d (x) 1 + (-1)^c 1 (x) d into
     the degree-n cut words of block key, one per degree-(n+1) cut word.
 
     On w cut after c it is the bar rule _merge at every gap j other than
     the cut, j = c-1, with sign (-1)^j, because (-1)^c (-1)^j' = (-1)^(c+j')
     for the gap j' of the right factor; a merge left of the cut moves it to
-    c-1.  words are the words of the slice, as _slice_words lists them.
+    c-1.  The words are those of block key of the bar slice cx.
     """
     field = A.base.field
     num = A._numbering
-    index = words[n].get(key, {})
+    index = {w: i for i, w in enumerate(cx.spaces[n].blocks.get(key, ()))}
+    upper = cx.spaces.get(n + 1)
     columns = []
-    for w in words.get(n + 1, {}).get(key, ()):
+    for w in upper.blocks.get(key, ()) if upper is not None else ():
         merged = [[(index[nw], c) for nw, c in _merge(num, w, j)]
                   for j in range(n)]
         for cut in range(1, n + 1):
@@ -489,9 +492,9 @@ def _cut_blocks(A: GradedRing, table: BettiTable, n: int, m: int):
     """Per block of the representatives of Tor_{n,m}: (key, the total
     boundaries in its cut words, the deconcatenations of the
     representatives)."""
-    words = _slice_words(A, m)
+    cx = table.slices[m]
     for key, reps in table.representatives[(n, m)].reps.items():
-        yield key, _cut_boundaries(A, words, n, key), [
+        yield key, _cut_boundaries(A, cx, n, key), [
             _deconcatenate(col, n) for col in reps]
 
 

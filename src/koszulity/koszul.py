@@ -17,15 +17,13 @@ raises CriteriaDisagreement if the implementations ever split.
 
 from __future__ import annotations
 
-from .exact_linalg import SparseMatrix
-from .bimodule import (BimoduleMap, tensor, unit_bimodule, zero_bimodule,
-                       _sparse_map)
+from .bimodule import UNIT_LABEL
 from .graded_structures import (GradedRing, GradedCoring, shriek_of_ring,
                                 shriek_of_coring, _pair_words)
 from .homology import (ComplexSlice, tor_table, ext_table,
                        tor_primitive_dims, ext_diagonal_products_surjective,
                        is_quadratic_direct, is_quadratic_coring_direct,
-                       _require_strongly_graded, _STEP)
+                       _require_strongly_graded, _assemble)
 from .errors import CriteriaDisagreement, StructureError, InvariantError
 
 
@@ -101,38 +99,21 @@ def _koszul_slice(pair: AlmostKoszulPair, m: int, direction: str,
     (a, c) = degrees(n), with differentials running in direction.
 
     The degree -1 augmentation term is R in weight 0 and zero otherwise,
-    and the augmentation is the identity of R (x) R = R; spaces beyond
-    either factor's support are checked to vanish.
+    and the augmentation is the identity of R (x) R = R; the degree-n basis
+    is the pairs of ids of _pair_words, and spaces beyond either factor's
+    support are checked to vanish.
     """
-    if m < 0:
-        raise ValueError(f'negative weight {m}')
     A, C = pair.ring, pair.coring
-    base = A.base
-    spaces = {-1: unit_bimodule(base) if m == 0 else zero_bimodule(base)}
+    idempotents = A.base.idempotents
+    words = {-1: {(s, s): {UNIT_LABEL: 0} for s in idempotents}
+             if m == 0 else {}}
     for n in range(m + 1):
         a, c = degrees(n)
-        An, Cn = A.component(a), C.component(c)
-        sp = zero_bimodule(base) if An.is_zero() or Cn.is_zero() \
-            else tensor(An, Cn)
-        if (a > A.top_degree or c > C.top_degree) and not sp.is_zero():
+        words[n] = _pair_words(A._numbering, C._numbering, idempotents, a, c)
+        if (a > A.top_degree or c > C.top_degree) and words[n]:
             raise InvariantError(f'slice cell ({m}, {n}) outside the support')
-        spaces[n] = sp
-    words = {n: _pair_words(A._numbering, C._numbering, base.idempotents,
-                            *degrees(n))
-             for n in range(m + 1) if not spaces[n].is_zero()}
-    diffs = {}
-    step = _STEP[direction]
-    for n in range(-1, m + 1):
-        src, tgt = spaces[n], spaces.get(n + step)
-        if tgt is None or src.is_zero() or tgt.is_zero():
-            continue
-        if -1 in (n, n + step):   # the augmentation, nonzero in weight 0
-            diffs[n] = BimoduleMap(src, tgt, {key: SparseMatrix.identity(1)
-                                              for key in src.blocks})
-        else:
-            diffs[n] = _sparse_map(src, tgt, words[n], words[n + step],
-                                   _koszul_terms(pair, *degrees(n)))
-    return ComplexSlice(direction, m, spaces, diffs)
+    return _assemble(A.base, direction, m, words,
+                     lambda n: _koszul_terms(pair, *degrees(n)))
 
 
 def koszul_complex_left(pair: AlmostKoszulPair, m: int) -> ComplexSlice:

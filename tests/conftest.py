@@ -9,13 +9,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, left_dual, tensor, unit_bimodule,
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, UNIT_LABEL,
+                                left_dual, tensor, unit_bimodule,
                                 zero_bimodule, _sparse_map)
 from koszulity.errors import InputError, InvariantError, StructureError
 from koszulity.exact_linalg import (RATIONALS, DimensionError, Echelon,
                                     SparseMatrix, Subspace, accumulate,
-                                    image_basis, rank)
+                                    image_basis, kernel_basis, rank)
 from koszulity.graded_structures import GradedRing, GradedCoring
 from koszulity.homology import (ComplexSlice, _STEP, bar_complex_ring,
                                 cobar_complex_coring)
@@ -24,8 +24,8 @@ from koszulity.poset import (GradedPoset, _cover_choices, _poset_from_key,
 import oracle
 
 # label-walking helpers that no command uses: tensor words, maps from a
-# basis action, images and spans, kept here for the tests and for the
-# reference builders below
+# basis action, sub-bimodules, kernels, images and spans, kept here for
+# the tests and for the reference builders below
 
 _POWERS = {}   # id(V) -> (V, {n: V^(n)}), for the bimodules used lately
 
@@ -87,6 +87,45 @@ def zero_map(source: Bimodule, target: Bimodule) -> BimoduleMap:
     return BimoduleMap(source, target, {})
 
 
+class SubBimodule:
+    'A sub-bimodule of an ambient Bimodule: one Subspace per block.'
+
+    __slots__ = ('ambient', 'parts')
+
+    def __init__(self, ambient: Bimodule, parts: dict):
+        clean = {}
+        for key, sub in parts.items():
+            if sub.ambient_dim != ambient.block_dim(*key):
+                raise DimensionError(f'subspace ambient mismatch at block {key!r}')
+            if sub.dim:
+                clean[key] = sub
+        object.__setattr__(self, 'ambient', ambient)
+        object.__setattr__(self, 'parts', ambient.base.sorted_blocks(clean))
+
+    def __setattr__(self, *a):
+        raise AttributeError('SubBimodule is immutable')
+
+    def part(self, key) -> Subspace:
+        sub = self.parts.get(key)
+        if sub is not None:
+            return sub
+        return Subspace(self.ambient.block_dim(*key),
+                        SparseMatrix.zero(self.ambient.block_dim(*key), 0),
+                        self.ambient.base.field, _skip_check=True)
+
+
+def kernel_sub(f: BimoduleMap) -> SubBimodule:
+    'Kernel of a bimodule map as a SubBimodule of the source.'
+    parts = {}
+    for key in f.source.blocks:
+        mat = f.blocks.get(key)
+        if mat is None:
+            parts[key] = Subspace.full(f.source.block_dim(*key), f.field)
+        else:
+            parts[key] = kernel_basis(mat, f.field)
+    return SubBimodule(f.source, parts)
+
+
 def image_sub(f: BimoduleMap) -> SubBimodule:
     'Image of a bimodule map as a SubBimodule of the target.'
     return SubBimodule(f.target, {key: image_basis(mat, f.field)
@@ -137,6 +176,14 @@ DIAMOND_COVERS = [('0', 'a'), ('0', 'b'), ('a', '1'), ('b', '1')]
 P_BAD_COVERS = [('0', 'a'), ('0', 'b'), ('a', 'c'), ('b', 'd'),
                 ('c', '1'), ('d', '1')]
 TAIL_COVERS = DIAMOND_COVERS + [('1', '2')]
+# Q10, the smallest poset known here whose incidence ring is quadratic and
+# not Koszul: rank 4 with middle levels of sizes 2, 4 and 2
+Q10_ELEMENTS = ['0', 'a0', 'a1', 'b0', 'b1', 'b2', 'b3', 'c0', 'c1', '1']
+Q10_COVERS = [('0', 'a0'), ('0', 'a1'),
+              ('a0', 'b0'), ('a0', 'b1'), ('a0', 'b3'),
+              ('a1', 'b0'), ('a1', 'b1'), ('a1', 'b2'),
+              ('b0', 'c1'), ('b1', 'c0'), ('b2', 'c0'), ('b2', 'c1'),
+              ('b3', 'c0'), ('b3', 'c1'), ('c0', '1'), ('c1', '1')]
 
 
 @pytest.fixture
@@ -153,6 +200,11 @@ def p_bad():
 def tail_diamond():
     'Diamond with an extra top cover; length 3, nonzero Ker mu^{1,1}.'
     return GradedPoset(['0', 'a', 'b', '1', '2'], TAIL_COVERS)
+
+
+@pytest.fixture
+def q10():
+    return GradedPoset(Q10_ELEMENTS, Q10_COVERS)
 
 
 @pytest.fixture
@@ -493,6 +545,37 @@ def direct_product(A: GradedRing, B: GradedRing) -> GradedRing:
 def direct_sum_corings(C: GradedCoring, D: GradedCoring) -> GradedCoring:
     'C + D over the merged base: blockwise comultiplication, no cross terms.'
     return _block_merge(C, D)
+
+
+# the words of the slices spelled as the label-walking references below
+# label their basis vectors, so the two compare vector for vector
+
+def spell_word(X, w: tuple) -> tuple:
+    'An id word of a bar or cobar slice of X as (letter degrees, labels).'
+    num = X._numbering
+    return tuple(num.degree[x] for x in w), tuple(num.labels[x] for x in w)
+
+
+def spell_pair(pair, w):
+    """A basis word of a Koszul slice of pair: an id pair as (ring label,
+    coring label), and the unit of the augmentation term as it is."""
+    if w == UNIT_LABEL:
+        return w
+    x, z = w
+    return pair.ring._numbering.labels[x], pair.coring._numbering.labels[z]
+
+
+def spelled(space: Bimodule, spell) -> list:
+    'The (key, labels) blocks of a slice space, each word spelled by spell.'
+    return [(key, tuple(map(spell, words)))
+            for key, words in space.blocks.items()]
+
+
+def spelled_map_equals(got: BimoduleMap, want: BimoduleMap, spell) -> bool:
+    'Whether got equals want once the words of its ends are spelled.'
+    return (spelled(got.source, spell) == list(want.source.blocks.items())
+            and spelled(got.target, spell) == list(want.target.blocks.items())
+            and got.blocks == want.blocks)
 
 
 # the slice builder that walks labels, kept as a reference for the one on

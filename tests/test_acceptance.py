@@ -15,10 +15,9 @@ import time
 
 from conftest import (DIAMOND_COVERS, P_BAD_COVERS, antichain_poset,
                       chain_poset, degree2_sequence_holds, disjoint_union,
-                      iterated_mu, map_rank, random_graded_poset, sub_dim,
-                      _walk)
+                      iterated_mu, kernel_sub, map_rank,
+                      random_graded_poset, sub_dim, _walk)
 
-from koszulity.bimodule import kernel_sub
 from koszulity.duality import double_dual_check, dual_pair
 from koszulity.errors import CriteriaDisagreement
 from koszulity.homology import (bar_complex_ring, cobar_complex_coring,

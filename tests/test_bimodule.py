@@ -7,12 +7,13 @@ import pytest
 from koszulity.exact_linalg import FieldSpec, RATIONALS, DimensionError
 from koszulity.homology import bar_complex_ring
 from koszulity.poset import incidence_ring
-from koszulity.bimodule import (BaseRing, Bimodule, SubBimodule, UNIT_LABEL,
-                                tensor, unit_bimodule, zero_bimodule,
-                                kernel_sub, left_dual, dual_label)
-from conftest import (apply_label, from_basis_action, from_spanning,
-                      identity_map, image_sub, map_rank, sub_dim, tensor_many,
-                      tensor_map, tensor_power, zero_map)
+from koszulity.bimodule import (BaseRing, Bimodule, UNIT_LABEL, tensor,
+                                unit_bimodule, zero_bimodule, left_dual,
+                                dual_label)
+from conftest import (SubBimodule, apply_label, from_basis_action,
+                      from_spanning, identity_map, image_sub, kernel_sub,
+                      map_rank, sub_dim, tensor_many, tensor_map,
+                      tensor_power, zero_map)
 
 
 @pytest.fixture

@@ -8,9 +8,8 @@ import pytest
 
 from koszulity.exact_linalg import (RATIONALS, FieldSpec, Subspace,
                                     SparseMatrix, kernel_basis)
-from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, SubBimodule,
-                                UNIT_LABEL, tensor, unit_bimodule,
-                                zero_bimodule, kernel_sub)
+from koszulity.bimodule import (BaseRing, Bimodule, BimoduleMap, UNIT_LABEL,
+                                tensor, unit_bimodule, zero_bimodule)
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          shriek_of_ring, shriek_of_coring,
                                          is_strongly_graded_ring,
@@ -21,10 +20,10 @@ from koszulity.duality import (graded_left_dual_of_ring,
                                graded_left_dual_of_coring)
 from koszulity.poset import (GradedPoset, incidence_ring, incidence_coring,
                              zeta_ring, enumerate_corpus)
-from conftest import (DIAMOND_COVERS, apply_label, chain_poset,
-                      antichain_poset, boolean_lattice, relabeling,
-                      scaled_map, tensor_map, iterated_mu, identity_map,
-                      sub_dim, random_quiver_ring, truncate_ring,
+from conftest import (DIAMOND_COVERS, SubBimodule, kernel_sub, apply_label,
+                      chain_poset, antichain_poset, boolean_lattice,
+                      relabeling, scaled_map, tensor_map, iterated_mu,
+                      identity_map, sub_dim, random_quiver_ring, truncate_ring,
                       truncate_coring, direct_product, direct_sum_corings,
                       map_rank, QuadraticData, quadratic_ring_of, _walk,
                       _quadratic_ring, from_basis_action, from_spanning,

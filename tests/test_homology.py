@@ -3,13 +3,13 @@ routes, all cross-checked against the dense brute-force oracle."""
 
 import copy
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszulity.exact_linalg import FieldSpec, RATIONALS, Subspace, accumulate
-from koszulity.bimodule import (BaseRing, Bimodule, tensor, kernel_sub,
-                                unit_bimodule)
+from koszulity.bimodule import BaseRing, Bimodule, tensor, unit_bimodule
 from koszulity.graded_structures import (GradedRing, _Graded,
                                          shriek_of_ring)
 from koszulity.homology import (bar_complex_ring,
@@ -19,7 +19,7 @@ from koszulity.homology import (bar_complex_ring,
                                 is_quadratic_direct,
                                 is_quadratic_coring_direct,
                                 ComplexSlice, SliceHomology,
-                                _cut_boundaries, _deconcatenate, _slice_words)
+                                _cut_boundaries, _deconcatenate)
 from koszulity.koszul import (decide_koszul_coring, decide_koszul_ring,
                               make_pair_shriek_ring, make_pair_shriek_coring,
                               koszul_complex_left, koszul_complex_right)
@@ -33,7 +33,8 @@ from conftest import (chain_poset, antichain_poset, boolean_lattice,
                       iterated_mu, map_rank, QuadraticData,
                       quadratic_ring_of, random_quiver_ring, truncate_ring,
                       truncate_coring, from_basis_action, from_spanning,
-                      image_sub, tensor_many, tensor_power, zero_map)
+                      image_sub, kernel_sub, spell_word, spelled,
+                      tensor_many, tensor_power, zero_map)
 from oracle import partitions
 import oracle
 
@@ -120,7 +121,8 @@ def test_slices_vanish_beyond_length(p_bad):
 
 def compositions_space(X, n, m):
     """The degree-n slice space built from every composition of m in
-    partitions() order, skipping those with a zero component."""
+    partitions() order, skipping those with a zero component, with the
+    labels (parts, word) that spell_word gives the id words."""
     blocks = {}
     for parts in partitions(n, m):
         if not parts:
@@ -147,8 +149,8 @@ def assert_slice_spaces_match(P):
             for n in range(m + 1):
                 space = cx.spaces[n]
                 want = compositions_space(X, n, m)
-                assert list(space.blocks.items()) == list(want.blocks.items()), \
-                    (m, n)
+                assert spelled(space, partial(spell_word, X)) == \
+                    list(want.blocks.items()), (m, n)
                 assert space.dim == len(chains[n]), (m, n)
 
 
@@ -181,7 +183,8 @@ def test_cyclic_words_are_not_pruned():
     V = Bimodule(base, {('x', 'x'): ('a',)})
     A = GradedRing(base, {0: unit_bimodule(base), 1: V}, {}, 1)
     cx = bar_complex_ring(A, 4)
-    assert cx.spaces[4].blocks[('x', 'x')] == (((1, 1, 1, 1), ('a',) * 4),)
+    assert spelled(cx.spaces[4], partial(spell_word, A)) == \
+        [(('x', 'x'), (((1, 1, 1, 1), ('a',) * 4),))]
     assert all(cx.spaces[n].is_zero() for n in range(4))
 
 
@@ -196,7 +199,7 @@ def test_gapped_cyclic_words_reach_only_even_weights():
         cx = bar_complex_ring(A, m)
         for n in range(m + 1):
             want = compositions_space(A, n, m)
-            assert list(cx.spaces[n].blocks.items()) \
+            assert spelled(cx.spaces[n], partial(spell_word, A)) \
                 == list(want.blocks.items()), (m, n)
         if m % 2:
             assert cx.total_dim() == 0
@@ -483,15 +486,15 @@ def reference_products_surjective(table):
             for (t2, u), bvecs in H2.reps.items():
                 if t2 != t:
                     continue
-                alabels = H1.space.blocks[(s, t)]
-                blabels = H2.space.blocks[(t, u)]
+                awords = H1.space.blocks[(s, t)]
+                bwords = H2.space.blocks[(t, u)]
                 for a in avecs:
                     for b in bvecs:
                         vec = {}
                         for i, ca in a.items():
                             for j, cb in b.items():
-                                (pa, wa), (pb, wb) = alabels[i], blabels[j]
-                                at = space.index_of((s, u), (pa + pb, wa + wb))
+                                at = space.index_of((s, u),
+                                                    awords[i] + bwords[j])
                                 accumulate(vec, at, ca, cb, field)
                         products.setdefault((s, u), []).append(vec)
         gained = 0
@@ -589,13 +592,12 @@ def test_cut_word_complex(case, rp2, p_bad):
     table = tor_table(A)
     moved = 0
     for m, cx in table.slices.items():
-        slice_words = _slice_words(A, m)
         for n in range(1, m):
             d = cx.differentials.get(n + 1)
             for key, words in cx.spaces[n + 1].blocks.items():
-                D = _cut_boundaries(A, slice_words, n, key)
+                D = _cut_boundaries(A, cx, n, key)
                 assert len(D) == len(words) * n
-                for col in _cut_boundaries(A, slice_words, n + 1, key):
+                for col in _cut_boundaries(A, cx, n + 1, key):
                     assert _apply_columns(D, col, field) == {}
                 for i in range(len(words)):
                     image = _apply_columns(D, _deconcatenate({i: 1}, n + 1),

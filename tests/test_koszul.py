@@ -1,10 +1,12 @@
 """Koszul pairs, complex slices, and the cross-checked decision."""
 
+from functools import partial
+
 import pytest
 
-from koszulity.exact_linalg import RATIONALS
-from koszulity.bimodule import (BaseRing, Bimodule, SubBimodule, UNIT_LABEL,
-                                tensor, unit_bimodule)
+from koszulity.exact_linalg import RATIONALS, FieldSpec
+from koszulity.bimodule import (BaseRing, Bimodule, UNIT_LABEL, tensor,
+                                unit_bimodule)
 from koszulity.duality import graded_left_dual_of_ring
 from koszulity.graded_structures import (GradedRing, GradedCoring,
                                          shriek_of_ring)
@@ -21,7 +23,8 @@ from koszulity.errors import (StructureError, PreconditionError,
                               CriteriaDisagreement)
 from conftest import (chain_poset, antichain_poset, direct_product,
                       P_BAD_COVERS, QuadraticData, quadratic_ring_of,
-                      from_basis_action, from_spanning)
+                      SubBimodule, from_basis_action, from_spanning,
+                      spell_pair, spelled_map_equals)
 import oracle
 
 
@@ -218,13 +221,16 @@ def test_koszul_end_cells_are_the_unit_identifications(diamond):
             tensor(A.component(a + 1), C.component(c - 1)),
             lambda key, label: images[label])
 
+    def equal(d, want):
+        return spelled_map_equals(d, want, partial(spell_pair, pair))
+
     for left, m, n in ((True, 1, 1), (False, 1, 0)):
         cx = (koszul_complex_left if left else koszul_complex_right)(pair, m)
-        assert cx.differentials[n] == by_hand(weight_one, 0, 1)
+        assert equal(cx.differentials[n], by_hand(weight_one, 0, 1))
     for left, zero_at, one_at in ((True, 2, 1), (False, 0, 1)):
         cx = (koszul_complex_left if left else koszul_complex_right)(pair, 2)
-        assert cx.differentials[zero_at] == by_hand(zero_cell, 0, 2)
-        assert cx.differentials[one_at] == by_hand(one_cell, 1, 1)
+        assert equal(cx.differentials[zero_at], by_hand(zero_cell, 0, 2))
+        assert equal(cx.differentials[one_at], by_hand(one_cell, 1, 1))
     # no structure map is kept against degree 0
     for f in (lambda: A.mu(0, 1), lambda: A.mu(1, 0),
               lambda: C.delta(0, 1), lambda: C.delta(2, 0)):
@@ -261,6 +267,33 @@ def test_truncated_partner_is_swept_only_up_to_its_cut():
     assert v.verdict is False and not v.sound and v.m_bound_used == 4
     ok, ev = v.per_criterion['pair_exactness']
     assert ok is False and set(ev['failing_weights']) == {'3', '4'}
+
+
+@pytest.mark.parametrize('p', [None, 2, 3], ids=['Q', 'F2', 'F3'])
+def test_q10_is_quadratic_and_not_koszul(q10, p):
+    # both quadraticity routes say quadratic, and the one class off the
+    # diagonal, Tor_{3,4} = Ext^{3,4} = k at [0, 1], fails every criterion
+    # that theory ties to Koszulity, on both sides and over every field
+    field = RATIONALS if p is None else FieldSpec.prime_field(p)
+    offd = [[3, 4, 1]]
+    for X, side in ((incidence_ring(q10, field), 'tor'),
+                    (incidence_coring(q10, field), 'ext')):
+        v = (decide_koszul_ring if side == 'tor' else decide_koszul_coring)(X)
+        assert v.verdict is False and v.sound
+        extra = ({'primitives_degree_one': (False, {'nonzero': offd})}
+                 if side == 'tor' else
+                 {'ext_strongly_graded': (False, {
+                     'off_diagonal': offd, 'non_surjective_degree': None})})
+        assert v.per_criterion == {
+            'pair_exactness': (False,
+                               {'failing_weights': {'4': {'2': 1}}}),
+            f'{side}_diagonal': (False, {'off_diagonal': offd}),
+            'shriek_isomorphism': (False, {'diagonal_mismatches': [],
+                                           'off_diagonal': offd}),
+            'quadraticity_consistent': (True, {f'via_{side}': True,
+                                               'direct': True,
+                                               'witness': None}),
+            **extra}
 
 
 def test_product_verdict_is_conjunction(diamond):

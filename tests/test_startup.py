@@ -31,7 +31,7 @@ EXPORTS = '''
     CriteriaDisagreement FieldSpec GradedCoring GradedPoset GradedRing
     InputError InvariantError KoszulVerdict KoszulityError PreconditionError
     RATIONALS SliceHomology SparseMatrix StructureError
-    SubBimodule Subspace bar_complex_ring canonical_form cobar_complex_coring
+    Subspace bar_complex_ring canonical_form cobar_complex_coring
     decide_koszul_coring decide_koszul_ring double_dual_check dual_label
     dual_pair enumerate_corpus ext_diagonal_products_surjective ext_table
     graded_left_dual_of_coring graded_left_dual_of_ring incidence_coring
@@ -96,7 +96,7 @@ def test_a_cold_check_on_two_workers_starts_no_pool(tmp_path, diamond_file):
 
 
 def test_package_exports_resolve_on_first_use():
-    assert sorted(koszulity.__all__) == sorted(EXPORTS) and len(EXPORTS) == 57
+    assert sorted(koszulity.__all__) == sorted(EXPORTS) and len(EXPORTS) == 56
     assert sorted(dir(koszulity)) == sorted(koszulity.__all__)
     from koszulity import GradedRing, graded_structures
     assert GradedRing is graded_structures.GradedRing

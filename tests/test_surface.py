@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parent.parent / 'src' / 'koszulity'
 # method -> (the function whose body calls it, the object it is called on)
 CALLERS = {
     'BaseRing.zero': ('zero_bimodule', 'the base of a bimodule'),
-    'Bimodule.is_zero': ('_koszul_slice', 'a component of the pair'),
+    'Bimodule.is_zero': ('_assemble', 'a slice space'),
     'BimoduleMap.is_zero': ('AlmostKoszulPair.__init__',
                             'the composite mu(1, 1) Delta(1, 1)'),
     'SparseMatrix.is_zero': ('BimoduleMap.__init__', 'a block of the map'),
